@@ -67,19 +67,53 @@ let rng () = Sutil.Rng.create !seed
 
 let section name = Printf.printf "\n===== %s =====\n%!" name
 
+let write_file path contents =
+  let oc = open_out path in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () -> output_string oc contents)
+
+let out_path dir file =
+  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  Filename.concat dir file
+
 (* print a table; also write it as CSV when --out is given *)
 let emit_table ~artifact t =
   Sutil.Table.print t;
   match !out_dir with
   | None -> ()
   | Some dir ->
-    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    let path = Filename.concat dir (artifact ^ ".csv") in
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc (Sutil.Table.to_csv t));
+    let path = out_path dir (artifact ^ ".csv") in
+    write_file path (Sutil.Table.to_csv t);
     Printf.printf "(csv written to %s)\n" path
+
+(* write BENCH_<stage>.json (into --out when given, else the working
+   directory) and report where it went *)
+let emit_json ~stage (json : Scaguard.Json.t) =
+  let file = "BENCH_" ^ stage ^ ".json" in
+  let path = match !out_dir with Some dir -> out_path dir file | None -> file in
+  write_file path (Scaguard.Json.to_string json ^ "\n");
+  Printf.printf "(json written to %s)\n" path
+
+let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
+
+(* Every stage's identity assertion: the same ties, family and score, down
+   to the score's float bits, target by target. *)
+let check_verdicts what (expected : Scaguard.Detector.verdict array) actual =
+  Array.iteri
+    (fun i (v : Scaguard.Detector.verdict) ->
+      let p : Scaguard.Detector.verdict = actual.(i) in
+      if
+        v.Scaguard.Detector.best_matches <> p.Scaguard.Detector.best_matches
+        || v.Scaguard.Detector.best_family <> p.Scaguard.Detector.best_family
+        || v.Scaguard.Detector.best_score <> p.Scaguard.Detector.best_score
+        || Int64.bits_of_float v.Scaguard.Detector.best_score
+           <> Int64.bits_of_float p.Scaguard.Detector.best_score
+      then fail "%s verdict mismatch at target %d" what i)
+    expected
+
+let jnum f = Scaguard.Json.Num f
+let jint n = Scaguard.Json.Num (float_of_int n)
 
 (* ---- Table I: the HPC events (static reference) -------------------------- *)
 
@@ -281,12 +315,7 @@ let engine () =
   Printf.printf "building %d target models (repository: %d PoCs)...\n%!"
     (List.length samples) (List.length repo);
   let build_jobs =
-    Array.of_list
-      (List.map
-         (fun (s : D.sample) ->
-           Scaguard.Pipeline.job ?settings:s.D.settings ~init:s.D.init
-             ?victim:s.D.victim ~name:s.D.name s.D.program)
-         samples)
+    Array.of_list (List.map Experiments.Common.job samples)
   in
   let build_config =
     { Scaguard.Config.default with Scaguard.Config.domains = Some (worker_domains ()) }
@@ -294,9 +323,7 @@ let engine () =
   let base =
     match Scaguard.Service.build build_config build_jobs with
     | Ok (models, _) -> models
-    | Error e ->
-      Printf.eprintf "engine: service build failed: %s\n" (Scaguard.Err.to_string e);
-      exit 1
+    | Error e -> fail "engine: service build failed: %s" (Scaguard.Err.to_string e)
   in
   (* replicate the models into a batch big enough to time meaningfully *)
   let batch = max (Array.length base) 512 in
@@ -309,29 +336,17 @@ let engine () =
   let t0 = Scaguard.Obs.Clock.now_ns () in
   let seq = Array.map (Scaguard.Detector.classify ~prune:false repo) targets in
   let seq_dt = Scaguard.Obs.Clock.elapsed_s ~since:t0 in
-  let check_identical what (a : Scaguard.Detector.verdict array) b =
-    Array.iteri
-      (fun i (v : Scaguard.Detector.verdict) ->
-        let p = b.(i) in
-        if
-          v.Scaguard.Detector.best_matches <> p.Scaguard.Detector.best_matches
-          || v.Scaguard.Detector.best_family <> p.Scaguard.Detector.best_family
-          || v.Scaguard.Detector.best_score <> p.Scaguard.Detector.best_score
-        then begin
-          Printf.eprintf "engine: %s verdict mismatch at target %d\n" what i;
-          exit 1
-        end)
-      a
-  in
+  let check_identical what = check_verdicts ("engine: " ^ what) in
   (* parallel path, pruning off: parallelism never changes results *)
   let domains = worker_domains () in
+  let prep = Scaguard.Detector.prepare repo in
   let par, stats =
-    Scaguard.Engine.classify_batch ~prune:false ~domains repo targets
+    Scaguard.Engine.classify_batch ~prune:false ~domains prep targets
   in
   check_identical "parallel" seq par;
   (* parallel path, pruning on: the cascade never changes results either *)
   let pruned, pstats =
-    Scaguard.Engine.classify_batch ~prune:true ~domains repo targets
+    Scaguard.Engine.classify_batch ~prune:true ~domains prep targets
   in
   check_identical "pruned" par pruned;
   (* observability is pure observation: forcing tracing + metrics on must not
@@ -341,23 +356,23 @@ let engine () =
   Scaguard.Obs.set_tracing true;
   Scaguard.Obs.set_metrics true;
   let observed, _ =
-    Scaguard.Engine.classify_batch ~prune:true ~domains repo targets
+    Scaguard.Engine.classify_batch ~prune:true ~domains prep targets
   in
   Scaguard.Obs.set_tracing prev_tracing;
   Scaguard.Obs.set_metrics prev_metrics;
   check_identical "instrumented" pruned observed;
-  (* service facade: Service.detect is a typed front door over the same
-     engine — verdicts must stay bit-identical to the manual composition *)
+  (* service facade: Service.prepare + detect_prepared is a typed front
+     door over the same engine — verdicts must stay bit-identical to the
+     manual composition *)
+  let config =
+    { Scaguard.Config.default with Scaguard.Config.domains = Some domains }
+  in
   (match
-     Scaguard.Service.detect
-       { Scaguard.Config.default with Scaguard.Config.domains = Some domains }
-       repo targets
+     Result.bind (Scaguard.Service.prepare config repo) (fun prep ->
+         Scaguard.Service.detect_prepared config prep targets)
    with
   | Ok (svc, _report) -> check_identical "service" seq svc
-  | Error e ->
-    Printf.eprintf "engine: service detect failed: %s\n"
-      (Scaguard.Err.to_string e);
-    exit 1);
+  | Error e -> fail "engine: service detect failed: %s" (Scaguard.Err.to_string e));
   let pairs = float_of_int stats.Scaguard.Engine.pairs in
   Printf.printf "sequential: %.4fs  (%.0f pairs/s)\n" seq_dt (pairs /. seq_dt);
   Printf.printf "parallel:   %.4fs  (%.0f pairs/s)  speedup %.2fx\n"
@@ -400,7 +415,7 @@ let engine () =
       | _ -> ())
     (Scaguard.Obs.snapshot ());
   Printf.printf
-    "verdicts: parallel, pruned, instrumented and Service.detect runs \
+    "verdicts: parallel, pruned, instrumented and Service.detect_prepared runs \
      byte-identical to the sequential path (%d targets)\n"
     batch
 
@@ -420,10 +435,8 @@ let modeling () =
   let build_jobs =
     Array.of_list
       (List.map
-         (fun (s : D.sample) ->
-           Scaguard.Pipeline.job ?settings:s.D.settings ~init:s.D.init
-             ?victim:s.D.victim ~salt:(string_of_int !seed) ~name:s.D.name
-             s.D.program)
+         (fun s ->
+           { (Experiments.Common.job s) with Scaguard.Pipeline.salt = string_of_int !seed })
          samples)
   in
   let n = Array.length build_jobs in
@@ -439,7 +452,6 @@ let modeling () =
     let r = f () in
     (r, Scaguard.Obs.Clock.elapsed_s ~since:t0)
   in
-  let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt in
   let bytes m = Scaguard.Persist.model_to_string m in
   let check_identical what (a : Scaguard.Model.t array) b =
     Array.iteri
@@ -559,7 +571,6 @@ let persist () =
   section "Persist: binary repository image vs text";
   let module L = Workloads.Label in
   let module D = Workloads.Dataset in
-  let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt in
   let time f =
     let t0 = Scaguard.Obs.Clock.now_ns () in
     let r = f () in
@@ -578,12 +589,7 @@ let persist () =
       L.attack_labels
   in
   let extra_jobs =
-    Array.of_list
-      (List.map
-         (fun (_, (s : D.sample)) ->
-           Scaguard.Pipeline.job ?settings:s.D.settings ~init:s.D.init
-             ?victim:s.D.victim ~name:s.D.name s.D.program)
-         extra_samples)
+    Array.of_list (List.map (fun (_, s) -> Experiments.Common.job s) extra_samples)
   in
   let build_config =
     { Scaguard.Config.default with
@@ -676,17 +682,7 @@ let persist () =
     Array.map (Scaguard.Detector.classify_prepared prep) targets
   in
   let reference = verdicts_of (Scaguard.Detector.prepare repo) in
-  let check_identical what b =
-    Array.iteri
-      (fun i (v : Scaguard.Detector.verdict) ->
-        let p : Scaguard.Detector.verdict = b.(i) in
-        if
-          v.Scaguard.Detector.best_matches <> p.Scaguard.Detector.best_matches
-          || v.Scaguard.Detector.best_family <> p.Scaguard.Detector.best_family
-          || v.Scaguard.Detector.best_score <> p.Scaguard.Detector.best_score
-        then fail "persist: %s verdict mismatch at target %d" what i)
-      reference
-  in
+  let check_identical what = check_verdicts ("persist: " ^ what) reference in
   check_identical "text-loaded"
     (verdicts_of (Scaguard.Detector.prepare (fst text_loaded)));
   check_identical "binary-loaded (inline summaries)"
@@ -746,7 +742,6 @@ let index_bench () =
   let module L = Workloads.Label in
   let module D = Workloads.Dataset in
   let module M = Scaguard.Model in
-  let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt in
   let time f =
     let t0 = Scaguard.Obs.Clock.now_ns () in
     let r = f () in
@@ -763,12 +758,7 @@ let index_bench () =
       L.attack_labels
   in
   let mutant_jobs =
-    Array.of_list
-      (List.map
-         (fun (_, (s : D.sample)) ->
-           Scaguard.Pipeline.job ?settings:s.D.settings ~init:s.D.init
-             ?victim:s.D.victim ~name:s.D.name s.D.program)
-         mutant_samples)
+    Array.of_list (List.map (fun (_, s) -> Experiments.Common.job s) mutant_samples)
   in
   let build_config =
     { Scaguard.Config.default with
@@ -847,7 +837,7 @@ let index_bench () =
         "speedup"; "visited"; "pruned by index"; "nodes";
       ]
   in
-  let json_rows = Buffer.create 256 in
+  let json_rows = ref [] in
   List.iter
     (fun scale ->
       if scale < 1 then fail "index: scale must be >= 1";
@@ -895,16 +885,7 @@ let index_bench () =
               (Scaguard.Detector.classify_prepared ~ws:ws_ix ~ixc prep_ix)
               targets)
       in
-      Array.iteri
-        (fun i (v : Scaguard.Detector.verdict) ->
-          let p : Scaguard.Detector.verdict = v_ix.(i) in
-          if
-            v.Scaguard.Detector.best_matches <> p.Scaguard.Detector.best_matches
-            || v.Scaguard.Detector.best_family <> p.Scaguard.Detector.best_family
-            || Int64.bits_of_float v.Scaguard.Detector.best_score
-               <> Int64.bits_of_float p.Scaguard.Detector.best_score
-          then fail "index: verdict mismatch at target %d (scale %d)" i scale)
-        v_lin;
+      check_verdicts (Printf.sprintf "index (scale %d):" scale) v_lin v_ix;
       let lin_evals = Scaguard.Dtw.lb_evals ws_lin in
       let ix_evals = Scaguard.Dtw.lb_evals ws_ix in
       let visited =
@@ -928,40 +909,32 @@ let index_bench () =
           string_of_int ixc.Scaguard.Vpindex.pairs_pruned_index;
           string_of_int ixc.Scaguard.Vpindex.nodes_visited;
         ];
-      if Buffer.length json_rows > 0 then Buffer.add_string json_rows ",";
-      Buffer.add_string json_rows
-        (Printf.sprintf
-           "{\"models\":%d,\"targets\":%d,\"pairs\":%d,\"build_s\":%.6f,\
-            \"linear_s\":%.6f,\"indexed_s\":%.6f,\"speedup\":%.4f,\
-            \"lb_evals_linear\":%d,\"lb_evals_indexed\":%d,\
-            \"visited_fraction\":%.6f,\"pairs_pruned_index\":%d,\
-            \"nodes_visited\":%d,\"identical\":true}"
-           scale tcount (scale * tcount) build_dt lin_dt ix_dt
-           (lin_dt /. ix_dt) lin_evals ix_evals visited
-           ixc.Scaguard.Vpindex.pairs_pruned_index
-           ixc.Scaguard.Vpindex.nodes_visited))
+      json_rows :=
+        Scaguard.Json.Obj
+          [
+            ("models", jint scale);
+            ("targets", jint tcount);
+            ("pairs", jint (scale * tcount));
+            ("build_s", jnum build_dt);
+            ("linear_s", jnum lin_dt);
+            ("indexed_s", jnum ix_dt);
+            ("speedup", jnum (lin_dt /. ix_dt));
+            ("lb_evals_linear", jint lin_evals);
+            ("lb_evals_indexed", jint ix_evals);
+            ("visited_fraction", jnum visited);
+            ("pairs_pruned_index", jint ixc.Scaguard.Vpindex.pairs_pruned_index);
+            ("nodes_visited", jint ixc.Scaguard.Vpindex.nodes_visited);
+            ("identical", Scaguard.Json.Bool true);
+          ]
+        :: !json_rows)
     !index_scales;
   emit_table ~artifact:"index" t;
-  let json =
-    Printf.sprintf "{\"seed\":%d,\"scales\":[%s]}\n" !seed
-      (Buffer.contents json_rows)
-  in
-  let json_path =
-    match !out_dir with
-    | Some dir ->
-      (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-      Filename.concat dir "BENCH_index.json"
-    | None -> "BENCH_index.json"
-  in
-  let oc = open_out json_path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc json);
+  emit_json ~stage:"index"
+    (Scaguard.Json.Obj
+       [ ("seed", jint !seed); ("scales", Scaguard.Json.List (List.rev !json_rows)) ]);
   Printf.printf
-    "(json written to %s)\n\
-     verdicts: indexed classification bit-identical to the linear cascade \
-     at every scale\n"
-    json_path
+    "verdicts: indexed classification bit-identical to the linear cascade at \
+     every scale\n"
 
 (* ---- Obs: overhead and purity of the observation switches ------------------------- *)
 
@@ -975,7 +948,6 @@ let obs_bench () =
   section "Obs: overhead and purity of the observation switches";
   let module L = Workloads.Label in
   let module D = Workloads.Dataset in
-  let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt in
   let rng = rng () in
   let repo = Experiments.Common.repository ~rng L.attack_labels in
   let samples =
@@ -985,12 +957,7 @@ let obs_bench () =
     @ D.benign_samples ~rng ~count:!per_family
   in
   let build_jobs =
-    Array.of_list
-      (List.map
-         (fun (s : D.sample) ->
-           Scaguard.Pipeline.job ?settings:s.D.settings ~init:s.D.init
-             ?victim:s.D.victim ~name:s.D.name s.D.program)
-         samples)
+    Array.of_list (List.map Experiments.Common.job samples)
   in
   let build_config =
     { Scaguard.Config.default with
@@ -1060,18 +1027,7 @@ let obs_bench () =
   done;
   let baseline = verdicts.(0) in
   let base_dt = best.(0) in
-  let check_identical what b =
-    Array.iteri
-      (fun i (v : Scaguard.Detector.verdict) ->
-        let p : Scaguard.Detector.verdict = b.(i) in
-        if
-          v.Scaguard.Detector.best_matches <> p.Scaguard.Detector.best_matches
-          || v.Scaguard.Detector.best_family <> p.Scaguard.Detector.best_family
-          || Int64.bits_of_float v.Scaguard.Detector.best_score
-             <> Int64.bits_of_float p.Scaguard.Detector.best_score
-        then fail "obs: %s verdict differs from baseline at target %d" what i)
-      baseline
-  in
+  let check_identical what = check_verdicts ("obs: " ^ what) baseline in
   let timed =
     List.filteri (fun i _ -> i > 0)
       (Array.to_list
@@ -1093,11 +1049,17 @@ let obs_bench () =
       "-";
       "-";
     ];
-  let json_rows = Buffer.create 256 in
-  Buffer.add_string json_rows
-    (Printf.sprintf "{\"name\":\"baseline\",\"wall_s\":%.6f,\"pairs_per_s\":%.1f}"
-       base_dt
-       (float_of_int pairs /. base_dt));
+  let json_rows =
+    ref
+      [
+        Scaguard.Json.Obj
+          [
+            ("name", Scaguard.Json.Str "baseline");
+            ("wall_s", jnum base_dt);
+            ("pairs_per_s", jnum (float_of_int pairs /. base_dt));
+          ];
+      ]
+  in
   let prov_overhead = ref 0.0 in
   List.iter
     (fun (name, dt) ->
@@ -1111,13 +1073,16 @@ let obs_bench () =
           Printf.sprintf "%+.1f%%" overhead;
           "yes";
         ];
-      Buffer.add_string json_rows
-        (Printf.sprintf
-           ",{\"name\":%S,\"wall_s\":%.6f,\"pairs_per_s\":%.1f,\
-            \"overhead_pct\":%.2f,\"identical\":true}"
-           name dt
-           (float_of_int pairs /. dt)
-           overhead))
+      json_rows :=
+        Scaguard.Json.Obj
+          [
+            ("name", Scaguard.Json.Str name);
+            ("wall_s", jnum dt);
+            ("pairs_per_s", jnum (float_of_int pairs /. dt));
+            ("overhead_pct", jnum overhead);
+            ("identical", Scaguard.Json.Bool true);
+          ]
+        :: !json_rows)
     timed;
   all_off ();
   Scaguard.Provenance.clear ();
@@ -1126,23 +1091,15 @@ let obs_bench () =
   Scaguard.Obs.set_tracing prev_tracing;
   Scaguard.Obs.set_metrics prev_metrics;
   emit_table ~artifact:"obs" t;
-  let json =
-    Printf.sprintf
-      "{\"seed\":%d,\"per_family\":%d,\"batch\":%d,\"pairs\":%d,\"modes\":[%s]}\n"
-      !seed !per_family batch pairs (Buffer.contents json_rows)
-  in
-  let json_path =
-    match !out_dir with
-    | Some dir ->
-      (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-      Filename.concat dir "BENCH_obs.json"
-    | None -> "BENCH_obs.json"
-  in
-  let oc = open_out json_path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc json);
-  Printf.printf "(json written to %s)\n" json_path;
+  emit_json ~stage:"obs"
+    (Scaguard.Json.Obj
+       [
+         ("seed", jint !seed);
+         ("per_family", jint !per_family);
+         ("batch", jint batch);
+         ("pairs", jint pairs);
+         ("modes", Scaguard.Json.List (List.rev !json_rows));
+       ]);
   Printf.printf "verdicts: bit-identical to the all-off baseline under every switch\n";
   Printf.printf "provenance overhead: %+.1f%% (target < 5%%)\n" !prov_overhead;
   if !prov_overhead >= 5.0 then
@@ -1163,7 +1120,7 @@ let serve_bench () =
   let module L = Workloads.Label in
   let module D = Workloads.Dataset in
   let module Server = Scaguard.Server in
-  let module J = Scaguard.Server.Json in
+  let module J = Scaguard.Json in
   let rng = rng () in
   let repo = Experiments.Common.repository ~rng L.attack_labels in
   let prepared = Scaguard.Detector.prepare repo in
@@ -1176,19 +1133,14 @@ let serve_bench () =
   List.iter
     (fun (s : D.sample) -> Hashtbl.replace by_name s.D.name s)
     samples;
-  let job_of (s : D.sample) =
-    Scaguard.Pipeline.job ?settings:s.D.settings ~init:s.D.init
-      ?victim:s.D.victim ~name:s.D.name s.D.program
-  in
   let resolve ~seed:_ name =
     match Hashtbl.find_opt by_name name with
-    | Some s -> Ok (job_of s)
+    | Some s -> Ok (Experiments.Common.job s)
     | None ->
       Error
         (Scaguard.Err.Invalid_config
            { field = "target"; value = name; expected = "a bench sample" })
   in
-  let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt in
   let server =
     match
       Server.create ~config:Scaguard.Config.default ~resolve ~prepared ()
@@ -1209,9 +1161,18 @@ let serve_bench () =
     n (List.length repo);
   (* warm the first-touch costs out of the measured loop, like a resident
      daemon that has already answered a request *)
-  Server.feed server conn
-    (Printf.sprintf "{\"id\":0,\"op\":\"detect\",\"targets\":[%S],\"seed\":%d}\n"
-       (List.hd names) !seed);
+  let detect_frame id name =
+    J.to_string
+      (J.Obj
+         [
+           ("id", jint id);
+           ("op", J.Str "detect");
+           ("targets", J.List [ J.Str name ]);
+           ("seed", jint !seed);
+         ])
+    ^ "\n"
+  in
+  Server.feed server conn (detect_frame 0 (List.hd names));
   ignore (Server.drain server);
   frames := [];
   let t_all0 = Scaguard.Obs.Clock.now_ns () in
@@ -1219,10 +1180,7 @@ let serve_bench () =
     List.mapi
       (fun i name ->
         let t0 = Scaguard.Obs.Clock.now_ns () in
-        Server.feed server conn
-          (Printf.sprintf
-             "{\"id\":%d,\"op\":\"detect\",\"targets\":[%S],\"seed\":%d}\n"
-             (i + 1) name !seed);
+        Server.feed server conn (detect_frame (i + 1) name);
         (match Server.drain server with
         | `Idle -> ()
         | `Stop -> fail "serve: unexpected stop");
@@ -1244,7 +1202,7 @@ let serve_bench () =
   in
   let jobs =
     Array.of_list
-      (List.map (fun name -> Hashtbl.find by_name name |> job_of) names)
+      (List.map (fun name -> Hashtbl.find by_name name |> Experiments.Common.job) names)
   in
   let verdicts =
     match Scaguard.Service.screen_prepared config' prepared jobs with
@@ -1303,7 +1261,6 @@ let compare_bench () =
   let rng = rng () in
   let t = S.evaluate ~rng ~per_family:(max 4 !per_family) () in
   emit_table ~artifact:"compare" (S.to_table t);
-  let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt in
   let row key =
     match List.find_opt (fun (r : S.row) -> r.S.key = key) t.S.rows with
     | Some r -> r
@@ -1321,30 +1278,17 @@ let compare_bench () =
       "compare: ensemble throughput %.1f runs/s below pure SCAGuard's %.1f \
        — the screen costs more than the DTW it skips"
       en.S.throughput sg.S.throughput;
-  let json =
-    Printf.sprintf "{\"seed\":%d,\"showdown\":%s}\n" !seed (S.to_json t)
-  in
-  let json_path =
-    match !out_dir with
-    | Some dir ->
-      (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-      Filename.concat dir "BENCH_compare.json"
-    | None -> "BENCH_compare.json"
-  in
-  let oc = open_out json_path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc json);
+  emit_json ~stage:"compare"
+    (Scaguard.Json.Obj [ ("seed", jint !seed); ("showdown", S.to_json t) ]);
   let stats =
     match en.S.ensemble with
     | Some s -> s
     | None -> fail "compare: ensemble row carries no screening stats"
   in
   Printf.printf
-    "(json written to %s)\n\
-     verdicts: ensemble >= SCAGuard on detection F1 (%.4f vs %.4f) and \
+    "verdicts: ensemble >= SCAGuard on detection F1 (%.4f vs %.4f) and \
      throughput (%.1f vs %.1f runs/s), slow path %d/%d\n"
-    json_path en.S.detection.Ml.Metrics.f1 sg.S.detection.Ml.Metrics.f1
+    en.S.detection.Ml.Metrics.f1 sg.S.detection.Ml.Metrics.f1
     en.S.throughput sg.S.throughput stats.Detect.Ensemble.slow_path
     stats.Detect.Ensemble.screened
 

@@ -9,9 +9,11 @@
      scaguard compare                       # every detector on one dataset
 
    Every subcommand is a thin parser over Scaguard.Service/Scaguard.Config:
-   flags are validated through the Config smart constructors, all pipeline
-   work goes through Service.build/detect/screen, and every failure is a
-   typed Scaguard.Err.t mapped to the documented exit codes (0 ok, 1
+   the flags that set Config fields live in one term (config_t) validated
+   through the Config checkers, the PoC repository comes from one term
+   (repository_t: --repo or --repo-file, prepared), all pipeline work goes
+   through Service.build/detect_prepared/screen_prepared, and every failure
+   is a typed Scaguard.Err.t mapped to the documented exit codes (0 ok, 1
    usage/config, 2 runtime). *)
 
 open Cmdliner
@@ -91,11 +93,6 @@ let samples_res ~seed names =
     (Ok []) names
   |> Result.map List.rev
 
-let job_of_sample (s : Workloads.Dataset.sample) =
-  Scaguard.Pipeline.job ?settings:s.Workloads.Dataset.settings
-    ~init:s.Workloads.Dataset.init ?victim:s.Workloads.Dataset.victim
-    ~name:s.Workloads.Dataset.name s.Workloads.Dataset.program
-
 (* Full analysis (CFG, relevant blocks, …) for the inspection commands;
    detection flows go through Service.build instead. *)
 let analyze (s : Workloads.Dataset.sample) =
@@ -130,165 +127,175 @@ let io ~path f =
 let seed_t =
   Arg.(value & opt int 2026 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.")
 
-let threshold_t =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "threshold" ] ~docv:"T"
-        ~doc:"Similarity threshold in [0,1] (default 0.60).")
-
-let alpha_t =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "alpha" ] ~docv:"A"
-        ~doc:"DTW syntax/semantics weight in [0,1] (default: the paper's \
-              equal weighting).")
-
-let jobs_t =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "jobs" ] ~docv:"N"
-        ~doc:"Worker domains for model building (default: the recommended \
-              domain count).  Models are byte-identical at any job count.")
-
-let cache_dir_t =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "cache-dir" ] ~docv:"DIR"
-        ~doc:"Content-addressed model cache; a hit skips the program's \
-              execution and modeling entirely.  Keys cover the binary, the \
-              exec settings, the CST geometry and the seed, so stale \
-              entries are never returned.")
-
-let config_file_t =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "config" ] ~docv:"FILE"
-        ~doc:"Load a saved configuration (key=value lines, see build-repo \
-              $(b,--save-config)); explicit flags override its values.")
-
-let repo_format_conv = Arg.enum [ ("text", C.Text); ("binary", C.Binary) ]
+let opt_arg kind name docv doc =
+  Arg.(value & opt (some kind) None & info [ name ] ~docv ~doc)
 
 let format_t =
+  opt_arg (Arg.enum [ ("text", C.Text); ("binary", C.Binary) ]) "format" "FMT"
+    "Repository file format: $(b,text) (line-oriented, diffable) or \
+     $(b,binary) (compact SCAGBIN image with inline summaries and an index \
+     for instant loads).  Loading always auto-detects the format; this flag \
+     only selects what gets written."
+
+let with_victim_t =
+  Arg.(
+    value & flag
+    & info [ "with-victim" ]
+        ~doc:"Co-run the shared-library victim (for compiled or assembled \
+              attacks).")
+
+let trace_id_t =
+  opt_arg Arg.string "trace-id" "ID"
+    "Opaque correlation token stamped on every span, log event and \
+     provenance record the run produces.  For $(b,client) it travels in the \
+     request envelope and the server echoes it in every reply frame."
+
+(* Every flag that sets a Config field, in one term: the base config
+   (--config file or defaults) with the explicit flags applied through the
+   Config checkers, so a bad value reports the offending flag and its
+   accepted range. *)
+let config_t =
+  let assemble config_file threshold alpha band jobs domains cache_dir no_prune
+      index index_leaf index_pivots =
+    let* base =
+      match config_file with None -> Ok C.default | Some path -> C.load ~path
+    in
+    let checked check value default =
+      match value with None -> Ok default | Some v -> check v
+    in
+    let some check v = Result.map Option.some (check v) in
+    let* threshold =
+      checked (C.check_threshold ~field:"--threshold") threshold base.C.threshold
+    in
+    let* alpha = checked (some (C.check_alpha ~field:"--alpha")) alpha base.C.alpha in
+    let* band = checked (some (C.check_band ~field:"--band")) band base.C.band in
+    (* --jobs fans out model building and, for compatibility, also sets the
+       scoring-engine worker count; --domains overrides both when given. *)
+    let* domains =
+      match domains with
+      | Some _ ->
+        checked (some (C.check_domains ~field:"--domains")) domains base.C.domains
+      | None -> checked (some (C.check_domains ~field:"--jobs")) jobs base.C.domains
+    in
+    let* index_leaf =
+      checked (C.check_index_leaf ~field:"--index-leaf") index_leaf
+        base.C.index_leaf
+    in
+    let* index_pivots =
+      checked (C.check_index_pivots ~field:"--index-pivots") index_pivots
+        base.C.index_pivots
+    in
+    C.validate
+      {
+        base with
+        C.threshold;
+        alpha;
+        band;
+        domains;
+        cache_dir = (match cache_dir with Some _ -> cache_dir | None -> base.C.cache_dir);
+        prune = base.C.prune && not no_prune;
+        index = Option.value index ~default:base.C.index;
+        index_leaf;
+        index_pivots;
+      }
+  in
+  let index_mode_conv =
+    Arg.enum [ ("off", C.Index_off); ("auto", C.Index_auto); ("vp", C.Index_vp) ]
+  in
+  Term.(
+    const assemble
+    $ opt_arg Arg.string "config" "FILE"
+        "Load a saved configuration (key=value lines, see build-repo \
+         $(b,--save-config)); explicit flags override its values."
+    $ opt_arg Arg.float "threshold" "T"
+        "Similarity threshold in [0,1] (default 0.60)."
+    $ opt_arg Arg.float "alpha" "A"
+        "DTW syntax/semantics weight in [0,1] (default: the paper's equal \
+         weighting)."
+    $ opt_arg Arg.int "band" "B"
+        "Sakoe-Chiba band for the DTW (off by default; exact)."
+    $ opt_arg Arg.int "jobs" "N"
+        "Worker domains for model building (default: the recommended domain \
+         count).  Models are byte-identical at any job count."
+    $ opt_arg Arg.int "domains" "N"
+        "Worker domains for model building and scoring, overriding \
+         $(b,--jobs) (default: the recommended domain count)."
+    $ opt_arg Arg.string "cache-dir" "DIR"
+        "Content-addressed model cache; a hit skips the program's execution \
+         and modeling entirely.  Keys cover the binary, the exec settings, \
+         the CST geometry and the seed, so stale entries are never returned."
+    $ Arg.(
+        value & flag
+        & info [ "no-prune" ]
+            ~doc:"Disable the exact lower-bound pruning cascade (identical \
+                  verdicts, more DP work; for benchmarking).")
+    $ opt_arg index_mode_conv "index" "MODE"
+        "Repository search index: $(b,off) scores targets with the linear \
+         lower-bound cascade, $(b,auto) (the default) builds the \
+         vantage-point index once the repository is large enough to repay \
+         it, $(b,vp) always builds it.  Verdicts and scores are bit-identical \
+         in every mode; only the work counters move."
+    $ opt_arg Arg.int "index-leaf" "N"
+        "Index leaf size: stop splitting index nodes below N models (min 2, \
+         default 16)."
+    $ opt_arg Arg.int "index-pivots" "N"
+        "Vantage-point candidates scored per index split (min 1, default 5).  \
+         More candidates give tighter splits at a higher one-off build cost.")
+
+let repo_t =
   Arg.(
     value
-    & opt (some repo_format_conv) None
-    & info [ "format" ] ~docv:"FMT"
-        ~doc:"Repository file format: $(b,text) (line-oriented, diffable) or \
-              $(b,binary) (compact SCAGBIN image with inline summaries and \
-              an index for instant loads).  Loading always auto-detects the \
-              format; this flag only selects what gets written.")
+    & opt (list string) [ "FR-F"; "PP-F"; "S-FR"; "S-PP" ]
+    & info [ "repo" ] ~docv:"FAMILIES"
+        ~doc:"Attack families in the PoC repository (comma-separated).")
 
-let with_format format (c : C.t) =
-  match format with None -> c | Some f -> { c with C.repo_format = f }
+(* The --repo families' PoC repository, built under the salt Config.seeded
+   derives for them; returns that salted config with it. *)
+let build_families ~seed names config =
+  let* families = Experiments.Common.families_of_strings names in
+  let config = C.seeded ~families:names ~seed config in
+  let* repo, report =
+    Experiments.Common.repository_service ~config
+      ~rng:(Sutil.Rng.create seed) families
+  in
+  Ok (config, repo, report)
 
-let index_mode_conv =
-  Arg.enum [ ("off", C.Index_off); ("auto", C.Index_auto); ("vp", C.Index_vp) ]
+type repository = {
+  prepared : Scaguard.Detector.prepared;
+  file : string option;  (** the --repo-file it was loaded from *)
+  report : Scaguard.Service.report;  (** its load or build *)
+}
 
-let index_t =
-  Arg.(
-    value
-    & opt (some index_mode_conv) None
-    & info [ "index" ] ~docv:"MODE"
-        ~doc:"Repository search index: $(b,off) scores targets with the \
-              linear lower-bound cascade, $(b,auto) (the default) builds the \
-              vantage-point index once the repository is large enough to \
-              repay it, $(b,vp) always builds it.  Verdicts and scores are \
-              bit-identical in every mode; only the work counters move.")
-
-let index_leaf_t =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "index-leaf" ] ~docv:"N"
-        ~doc:"Index leaf size: stop splitting index nodes below N models \
-              (min 2, default 16).")
-
-let index_pivots_t =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "index-pivots" ] ~docv:"N"
-        ~doc:"Vantage-point candidates scored per index split (min 1, \
-              default 5).  More candidates give tighter splits at a higher \
-              one-off build cost.")
-
-(* Gather the base config (--config file or defaults), then apply explicit
-   flags through the Config checkers so a bad value reports the offending
-   flag and its accepted range. *)
-let assemble_config ~config_file ~threshold ~alpha ~band ~jobs ~domains
-    ~cache_dir ~no_prune ~index ~index_leaf ~index_pivots =
-  let* base =
-    match config_file with None -> Ok C.default | Some path -> C.load ~path
+(* The PoC repository a detection command runs against, prepared under the
+   config's index policy: loaded from --repo-file (either format), or else
+   built from the --repo families and indexed under the same salt they are
+   built with (the one build-repo embeds its index under). *)
+let repository_t =
+  let resolve names file ~seed config =
+    match file with
+    | Some path ->
+      let* _repo, prepared, report =
+        Scaguard.Service.load_repository ~config ~path ()
+      in
+      Ok { prepared; file = Some path; report }
+    | None ->
+      let* config, repo, report = build_families ~seed names config in
+      let* prepared = Scaguard.Service.prepare config repo in
+      Ok { prepared; file = None; report }
   in
-  let* threshold =
-    match threshold with
-    | None -> Ok base.C.threshold
-    | Some t -> C.check_threshold ~field:"--threshold" t
-  in
-  let* alpha =
-    match alpha with
-    | None -> Ok base.C.alpha
-    | Some a -> Result.map Option.some (C.check_alpha ~field:"--alpha" a)
-  in
-  let* band =
-    match band with
-    | None -> Ok base.C.band
-    | Some b -> Result.map Option.some (C.check_band ~field:"--band" b)
-  in
-  (* --jobs fans out model building and, for compatibility, also sets the
-     scoring-engine worker count; --domains overrides both when given. *)
-  let* domains =
-    match (domains, jobs) with
-    | Some d, _ -> Result.map Option.some (C.check_domains ~field:"--domains" d)
-    | None, Some j -> Result.map Option.some (C.check_domains ~field:"--jobs" j)
-    | None, None -> Ok base.C.domains
-  in
-  let cache_dir =
-    match cache_dir with Some _ -> cache_dir | None -> base.C.cache_dir
-  in
-  let prune = base.C.prune && not no_prune in
-  let index = match index with None -> base.C.index | Some m -> m in
-  let* index_leaf =
-    match index_leaf with
-    | None -> Ok base.C.index_leaf
-    | Some l -> C.check_index_leaf ~field:"--index-leaf" l
-  in
-  let* index_pivots =
-    match index_pivots with
-    | None -> Ok base.C.index_pivots
-    | Some p -> C.check_index_pivots ~field:"--index-pivots" p
-  in
-  C.validate
-    {
-      base with
-      C.threshold;
-      alpha;
-      band;
-      domains;
-      cache_dir;
-      prune;
-      index;
-      index_leaf;
-      index_pivots;
-    }
-
-(* The repository's harness kernels are drawn from the shared rng stream in
-   family-list order, so the same family can get different harness state
-   (init closures, which the cache key cannot hash) under different --repo
-   lists; folding the list into the salt keeps those entries distinct. *)
-let repo_salt ~seed repo_names =
-  Printf.sprintf "%d:%s" seed (String.concat "," repo_names)
-
-(* CLI-derived salts never clobber one the user set in a config file. *)
-let with_salt salt (c : C.t) = if c.C.salt = "" then { c with C.salt = salt } else c
+  Term.(
+    const resolve $ repo_t
+    $ opt_arg Arg.string "repo-file" "FILE"
+        "Load the PoC repository from a file written by `build-repo` (the \
+         binary image's inline summaries make this the fast path) instead \
+         of rebuilding it from $(b,--repo).  Under $(b,serve) also the \
+         default path of the protocol's $(b,reload) verb.")
 
 let name_arg p doc =
   Arg.(required & pos p (some string) None & info [] ~docv:"PROGRAM" ~doc)
+
+let programs_t doc =
+  Arg.(non_empty & pos_all string [] & info [] ~docv:"PROGRAM" ~doc)
 
 let exits =
   Cmd.Exit.info 1
@@ -301,13 +308,77 @@ let exits =
 
 let cmd_info name ~doc = Cmd.info name ~doc ~exits
 
-(* ---- shared verdict printing --------------------------------------------------- *)
+(* ---- observability ------------------------------------------------------------ *)
 
-let print_scores repo model =
-  List.iter
-    (fun (poc, family, score) ->
-      Printf.printf "  vs %-22s (%s): %6.2f%%\n" poc family (100.0 *. score))
-    (Scaguard.Detector.score_all repo model)
+type observability = {
+  trace_out : string option;
+  metrics_out : string option;
+  span_sample_rate : float;
+}
+
+let observability_t =
+  let make trace_out metrics_out span_sample_rate =
+    { trace_out; metrics_out; span_sample_rate }
+  in
+  Term.(
+    const make
+    $ opt_arg Arg.string "trace-out" "FILE"
+        "Record spans (pipeline stages, pool tasks, per-target \
+         classification, cache lookups; under $(b,serve) one per request) and \
+         write a Chrome trace-event JSON file when the run ends — load it in \
+         ui.perfetto.dev or chrome://tracing."
+    $ opt_arg Arg.string "metrics-out" "FILE"
+        "Record counters and latency histograms and write them in Prometheus \
+         text exposition format when the run ends."
+    $ Arg.(
+        value & opt float 1.0
+        & info [ "span-sample-rate" ] ~docv:"R"
+            ~doc:"Fraction of per-task spans to record, in [0,1] (default 1): \
+                  1 records every task, 0.1 every tenth, 0 only the coarse \
+                  stage spans.  Sampling is deterministic by task index."))
+
+(* Validate the sample rate, flip the Obs switches for the run.
+   Tracing/metrics only observe — verdicts are bit-identical with them on or
+   off — so this needs no plumbing through Config.t. *)
+let setup_observability o =
+  let r = o.span_sample_rate in
+  if Float.is_nan r || r < 0.0 || r > 1.0 then
+    Error
+      (Scaguard.Err.Invalid_config
+         {
+           field = "--span-sample-rate";
+           value = string_of_float r;
+           expected = "a fraction in [0, 1]";
+         })
+  else begin
+    Scaguard.Obs.reset ();
+    Scaguard.Obs.set_tracing (o.trace_out <> None);
+    Scaguard.Obs.set_metrics (o.metrics_out <> None);
+    Scaguard.Obs.set_span_sample_rate r;
+    (* registered once here so every exposition — the shutdown files and the
+       serve protocol's live metrics verb — carries the process identity *)
+    stamp_build_info ();
+    Ok ()
+  end
+
+let write_observability o =
+  let* () =
+    match o.trace_out with
+    | None -> Ok ()
+    | Some path ->
+      let* () = Scaguard.Obs.Trace_writer.write ~path (Scaguard.Obs.spans ()) in
+      Printf.printf "wrote trace to %s (load in ui.perfetto.dev)\n" path;
+      Ok ()
+  in
+  match o.metrics_out with
+  | None -> Ok ()
+  | Some path ->
+    stamp_build_info ();
+    let* () = Scaguard.Obs.write_metrics ~path in
+    Printf.printf "wrote metrics to %s (Prometheus text format)\n" path;
+    Ok ()
+
+(* ---- shared verdict printing --------------------------------------------------- *)
 
 let print_verdict ~threshold (v : Scaguard.Detector.verdict) =
   match v.Scaguard.Detector.best_family with
@@ -317,10 +388,25 @@ let print_verdict ~threshold (v : Scaguard.Detector.verdict) =
       (100.0 *. v.Scaguard.Detector.best_score)
       (100.0 *. threshold)
 
-(* Score breakdown + verdict of one already-built target model. *)
-let classify_one config repo model =
-  print_scores repo model;
-  let* verdicts, _report = Scaguard.Service.detect config repo [| model |] in
+(* One verdict per line, detect-batch's format; `client detect` prints the
+   same bytes, which CI diffs. *)
+let print_verdict_line name family score =
+  match family with
+  | Some f -> Printf.printf "%-24s ATTACK %-6s (%6.2f%%)\n" name f (100.0 *. score)
+  | None -> Printf.printf "%-24s benign        (best %6.2f%%)\n" name (100.0 *. score)
+
+(* Score breakdown + verdict of one target model, both scored on the same
+   prepared repository under the same alpha and band, so the table's top
+   row is the verdict's best score. *)
+let classify_one config prepared model =
+  let* verdicts, _report =
+    Scaguard.Service.detect_prepared config prepared [| model |]
+  in
+  List.iter
+    (fun (poc, family, score) ->
+      Printf.printf "  vs %-22s (%s): %6.2f%%\n" poc family (100.0 *. score))
+    (Scaguard.Detector.score_all ?alpha:config.C.alpha ?band:config.C.band
+       prepared model);
   print_verdict ~threshold:config.C.threshold verdicts.(0);
   Ok ()
 
@@ -391,8 +477,8 @@ let similarity_cmd =
     handle
     @@ let* sa = sample_res ~seed a in
        let* sb = sample_res ~seed b in
-       let* ma = build_one C.default (job_of_sample sa) in
-       let* mb = build_one C.default (job_of_sample sb) in
+       let* ma = build_one C.default (Experiments.Common.job sa) in
+       let* mb = build_one C.default (Experiments.Common.job sb) in
        Printf.printf "similarity(%s, %s) = %.2f%%\n" a b
          (100.0 *. Scaguard.Dtw.compare_models ma mb);
        Ok ()
@@ -434,7 +520,8 @@ let compare_cmd =
        let t =
          Experiments.Showdown.evaluate ?detectors ?tau ~rng ~per_family ()
        in
-       if json then print_endline (Experiments.Showdown.to_json t)
+       if json then
+         print_endline (Scaguard.Json.to_string (Experiments.Showdown.to_json t))
        else begin
          Sutil.Table.print (Experiments.Showdown.to_table t);
          Printf.printf
@@ -483,65 +570,24 @@ let compare_cmd =
 
 (* ---- detect --------------------------------------------------------------------- *)
 
-let repo_t =
-  Arg.(
-    value
-    & opt (list string) [ "FR-F"; "PP-F"; "S-FR"; "S-PP" ]
-    & info [ "repo" ] ~docv:"FAMILIES"
-        ~doc:"Attack families in the PoC repository (comma-separated).")
-
 let detect_cmd =
-  let run seed repo_names threshold alpha config_file name =
+  let run seed config repository name =
     handle
-    @@ let* config =
-         assemble_config ~config_file ~threshold ~alpha ~band:None ~jobs:None
-           ~domains:None ~cache_dir:None ~no_prune:false ~index:None
-           ~index_leaf:None ~index_pivots:None
-       in
-       let* families = Experiments.Common.families_of_strings repo_names in
-       let rng = Sutil.Rng.create seed in
-       let* repo, _ =
-         Experiments.Common.repository_service
-           ~config:(with_salt (repo_salt ~seed repo_names) config)
-           ~rng families
-       in
+    @@ let* config = config in
+       let* r = repository ~seed config in
        let* s = sample_res ~seed name in
-       let* model =
-         build_one (with_salt (string_of_int seed) config) (job_of_sample s)
-       in
-       classify_one config repo model
+       let* model = build_one (C.seeded ~seed config) (Experiments.Common.job s) in
+       classify_one config r.prepared model
   in
-  Cmd.v (cmd_info "detect" ~doc:"Classify a program against a PoC repository.")
+  Cmd.v
+    (cmd_info "detect"
+       ~doc:"Classify a program against a PoC repository (the $(b,--repo) \
+             families, or a $(b,--repo-file) written by `build-repo`) and \
+             print its per-PoC score table.")
     Term.(
-      const run $ seed_t $ repo_t $ threshold_t $ alpha_t $ config_file_t
-      $ name_arg 0 "Program name.")
+      const run $ seed_t $ config_t $ repository_t $ name_arg 0 "Program name.")
 
 (* ---- detect-batch (the parallel engine) ------------------------------------------- *)
-
-(* Observability flags: validate the sample rate, flip the Obs switches for
-   the run.  Tracing/metrics only observe — verdicts are bit-identical with
-   them on or off — so this needs no plumbing through Config.t. *)
-let setup_observability ~trace_out ~metrics_out ~span_sample_rate =
-  if Float.is_nan span_sample_rate || span_sample_rate < 0.0
-     || span_sample_rate > 1.0
-  then
-    Error
-      (Scaguard.Err.Invalid_config
-         {
-           field = "--span-sample-rate";
-           value = string_of_float span_sample_rate;
-           expected = "a fraction in [0, 1]";
-         })
-  else begin
-    Scaguard.Obs.reset ();
-    Scaguard.Obs.set_tracing (trace_out <> None);
-    Scaguard.Obs.set_metrics (metrics_out <> None);
-    Scaguard.Obs.set_span_sample_rate span_sample_rate;
-    (* registered once here so every exposition — the shutdown files and the
-       serve protocol's live metrics verb — carries the process identity *)
-    stamp_build_info ();
-    Ok ()
-  end
 
 (* Structured-event and provenance capture for detect-batch: both are pure
    observation (verdicts are bit-identical with them on or off), so like the
@@ -580,39 +626,17 @@ let write_event_capture ~log_out ~provenance_out =
       (List.length records) path;
     Ok ()
 
-let write_observability ~trace_out ~metrics_out =
-  let* () =
-    match trace_out with
-    | None -> Ok ()
-    | Some path ->
-      let* () = Scaguard.Obs.Trace_writer.write ~path (Scaguard.Obs.spans ()) in
-      Printf.printf "wrote trace to %s (load in ui.perfetto.dev)\n" path;
-      Ok ()
-  in
-  match metrics_out with
-  | None -> Ok ()
-  | Some path ->
-    stamp_build_info ();
-    let* () = Scaguard.Obs.write_metrics ~path in
-    Printf.printf "wrote metrics to %s (Prometheus text format)\n" path;
-    Ok ()
-
 let detect_batch_cmd =
-  let run seed repo_names repo_file threshold alpha band jobs cache_dir domains
-      no_prune index index_leaf index_pivots config_file stats trace_out
-      metrics_out span_sample_rate log_out log_level provenance_out trace_id
-      report_format names =
+  let run seed config repository obs stats log_out log_level provenance_out
+      trace_id report_format names =
     handle
-    @@ let* config =
-         assemble_config ~config_file ~threshold ~alpha ~band ~jobs ~domains
-           ~cache_dir ~no_prune ~index ~index_leaf ~index_pivots
-       in
+    @@ let* config = config in
        let config =
          match log_level with
          | None -> config
          | Some l -> { config with C.log_level = l }
        in
-       let* () = setup_observability ~trace_out ~metrics_out ~span_sample_rate in
+       let* () = setup_observability obs in
        setup_event_capture ~log_out ~provenance_out ~trace_id
          ~log_level:config.C.log_level;
        if log_out <> None then
@@ -624,77 +648,42 @@ let detect_batch_cmd =
              ]
            "scaguard: detect-batch: classifying %d targets"
            (List.length names);
-       (* With --repo-file the repository arrives prepared (binary images
-          carry their summaries inline), so the engine skips the summarize
-          pass; the load timing shows up in --stats as its own report. *)
-       let* repo_src, repo_report =
-         match repo_file with
-         | Some path ->
-           let* _repo, prep, load_report =
-             Scaguard.Service.load_repository ~config ~path ()
-           in
-           Ok (`Prepared prep, Some ("repository load", "repository_load", load_report))
-         | None ->
-           let* families = Experiments.Common.families_of_strings repo_names in
-           let rng = Sutil.Rng.create seed in
-           let* repo, report =
-             Experiments.Common.repository_service
-               ~config:(with_salt (repo_salt ~seed repo_names) config)
-               ~rng families
-           in
-           Ok (`Repo repo, Some ("repository build", "repository_build", report))
-       in
+       let* r = repository ~seed config in
        let* samples = samples_res ~seed names in
-       let target_jobs =
-         (* benign samples are re-derived from the seed alone (no shared rng
-            stream), so the seed is a sufficient salt here *)
-         Array.of_list (List.map job_of_sample samples)
-       in
-       let config' = with_salt (string_of_int seed) config in
+       (* benign samples are re-derived from the seed alone (no shared rng
+          stream), so the seed is a sufficient salt here *)
+       let target_jobs = Array.of_list (List.map Experiments.Common.job samples) in
        let* _models, verdicts, report =
-         match repo_src with
-         | `Prepared prep ->
-           Scaguard.Service.screen_prepared config' prep target_jobs
-         | `Repo repo -> Scaguard.Service.screen config' repo target_jobs
+         Scaguard.Service.screen_prepared (C.seeded ~seed config) r.prepared
+           target_jobs
        in
        List.iteri
          (fun i name ->
            let v = verdicts.(i) in
-           match v.Scaguard.Detector.best_family with
-           | Some f ->
-             Printf.printf "%-24s ATTACK %-6s (%6.2f%%)\n" name f
-               (100.0 *. v.Scaguard.Detector.best_score)
-           | None ->
-             Printf.printf "%-24s benign        (best %6.2f%%)\n" name
-               (100.0 *. v.Scaguard.Detector.best_score))
+           print_verdict_line name v.Scaguard.Detector.best_family
+             v.Scaguard.Detector.best_score)
          names;
        (if stats then
+          let title, key =
+            if r.file = None then ("repository build", "repository_build")
+            else ("repository load", "repository_load")
+          in
           match report_format with
           | `Text ->
-            Option.iter
-              (fun (title, _, r) ->
-                Format.printf "%s:@.%a@." title Scaguard.Service.pp_report r)
-              repo_report;
+            Format.printf "%s:@.%a@." title Scaguard.Service.pp_report r.report;
             Format.printf "%a@." Scaguard.Service.pp_report report
           | `Json ->
-            let buf = Buffer.create 512 in
-            Buffer.add_string buf "{";
-            Option.iter
-              (fun (_, json_key, r) ->
-                Buffer.add_string buf (Printf.sprintf "%S:" json_key);
-                Buffer.add_string buf (Scaguard.Service.report_to_json r);
-                Buffer.add_string buf ",")
-              repo_report;
-            Buffer.add_string buf "\"run\":";
-            Buffer.add_string buf (Scaguard.Service.report_to_json report);
-            Buffer.add_string buf "}";
-            print_endline (Buffer.contents buf));
+            print_endline
+              (Scaguard.Json.to_string
+                 (Scaguard.Json.Obj
+                    [
+                      (key, Scaguard.Service.report_to_json r.report);
+                      ("run", Scaguard.Service.report_to_json report);
+                    ])));
        if log_out <> None then begin
          let attacks =
            Array.fold_left
-             (fun n (v : Scaguard.Detector.verdict) ->
-               if Option.is_some v.Scaguard.Detector.best_family then n + 1
-               else n)
+             (fun n v -> if Scaguard.Detector.is_attack v then n + 1 else n)
              0 verdicts
          in
          Scaguard.Log.info "batch.done"
@@ -707,37 +696,8 @@ let detect_batch_cmd =
            "scaguard: detect-batch: %d of %d targets classified as attacks"
            attacks (Array.length verdicts)
        end;
-       let* () = write_observability ~trace_out ~metrics_out in
+       let* () = write_observability obs in
        write_event_capture ~log_out ~provenance_out
-  in
-  let domains_t =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "domains" ] ~docv:"N"
-          ~doc:"Worker domains (default: the recommended domain count).")
-  in
-  let band_t =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "band" ] ~docv:"B"
-          ~doc:"Sakoe-Chiba band for the DTW (off by default; exact).")
-  in
-  let no_prune_t =
-    Arg.(
-      value & flag
-      & info [ "no-prune" ]
-          ~doc:"Disable the exact lower-bound pruning cascade (identical \
-                verdicts, more DP work; for benchmarking).")
-  in
-  let repo_file_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "repo-file" ] ~docv:"FILE"
-          ~doc:"Load the PoC repository from a file written by `build-repo` \
-                instead of rebuilding it from --repo.")
   in
   let stats_t =
     Arg.(
@@ -746,75 +706,31 @@ let detect_batch_cmd =
           ~doc:"Print the run report: stage timings, engine counters and \
                 cache counters.")
   in
-  let trace_out_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:"Record spans (pipeline stages, pool tasks, per-pair \
-                classification, cache lookups) and write a Chrome \
-                trace-event JSON file — load it in ui.perfetto.dev or \
-                chrome://tracing.")
-  in
-  let metrics_out_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-out" ] ~docv:"FILE"
-          ~doc:"Record counters and latency histograms and write them in \
-                Prometheus text exposition format.")
-  in
-  let span_sample_rate_t =
-    Arg.(
-      value & opt float 1.0
-      & info [ "span-sample-rate" ] ~docv:"R"
-          ~doc:"Fraction of per-task spans to record, in [0,1] (default 1): \
-                1 records every task, 0.1 every tenth, 0 only the coarse \
-                stage spans.  Sampling is deterministic by task index.")
-  in
   let log_out_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "log-out" ] ~docv:"FILE"
-          ~doc:"Capture structured log events (severity, monotonic \
-                timestamp, trace id, typed fields) and write them as JSON \
-                lines — the machine-readable twin of the stderr lines.")
+    opt_arg Arg.string "log-out" "FILE"
+      "Capture structured log events (severity, monotonic timestamp, trace \
+       id, typed fields) and write them as JSON lines — the \
+       machine-readable twin of the stderr lines."
   in
   let log_level_t =
-    Arg.(
-      value
-      & opt
-          (some
-             (enum
-                [
-                  ("debug", Scaguard.Log.Debug);
-                  ("info", Scaguard.Log.Info);
-                  ("warn", Scaguard.Log.Warn);
-                  ("error", Scaguard.Log.Error);
-                ]))
-          None
-      & info [ "log-level" ] ~docv:"LEVEL"
-          ~doc:"Minimum severity captured into $(b,--log-out) (default: the \
-                config file's $(b,log_level), or $(b,info)).")
+    opt_arg
+      (Arg.enum
+         [
+           ("debug", Scaguard.Log.Debug);
+           ("info", Scaguard.Log.Info);
+           ("warn", Scaguard.Log.Warn);
+           ("error", Scaguard.Log.Error);
+         ])
+      "log-level" "LEVEL"
+      "Minimum severity captured into $(b,--log-out) (default: the config \
+       file's $(b,log_level), or $(b,info))."
   in
   let provenance_out_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "provenance-out" ] ~docv:"FILE"
-          ~doc:"Capture one decision-provenance record per target (ensemble \
-                path, index pruning, candidate outcomes, final score bits) \
-                and write them as JSON lines.  Pure observation: verdicts \
-                are bit-identical with this on or off.")
-  in
-  let trace_id_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-id" ] ~docv:"ID"
-          ~doc:"Opaque correlation token stamped on every span, log event \
-                and provenance record this run emits.")
+    opt_arg Arg.string "provenance-out" "FILE"
+      "Capture one decision-provenance record per target (ensemble path, \
+       index pruning, candidate outcomes, final score bits) and write them \
+       as JSON lines.  Pure observation: verdicts are bit-identical with \
+       this on or off."
   in
   let report_format_t =
     Arg.(
@@ -824,21 +740,15 @@ let detect_batch_cmd =
           ~doc:"How $(b,--stats) renders the run report: $(b,text) (aligned \
                 tables) or $(b,json) (one machine-readable object).")
   in
-  let progs_t =
-    Arg.(
-      non_empty & pos_all string []
-      & info [] ~docv:"PROGRAM" ~doc:"Programs to classify (see `list`).")
-  in
   Cmd.v
     (cmd_info "detect-batch"
        ~doc:"Classify many programs against a PoC repository in one parallel \
              batch (identical verdicts to `detect`, one per line).")
     Term.(
-      const run $ seed_t $ repo_t $ repo_file_t $ threshold_t $ alpha_t
-      $ band_t $ jobs_t $ cache_dir_t $ domains_t $ no_prune_t $ index_t
-      $ index_leaf_t $ index_pivots_t $ config_file_t $ stats_t $ trace_out_t
-      $ metrics_out_t $ span_sample_rate_t $ log_out_t $ log_level_t
-      $ provenance_out_t $ trace_id_t $ report_format_t $ progs_t)
+      const run $ seed_t $ config_t $ repository_t $ observability_t $ stats_t
+      $ log_out_t $ log_level_t $ provenance_out_t $ trace_id_t
+      $ report_format_t
+      $ programs_t "Programs to classify (see `list`).")
 
 (* ---- explain (verdict provenance) -------------------------------------------------- *)
 
@@ -923,59 +833,19 @@ let render_provenance (r : Scaguard.Provenance.t) =
             ms))
 
 let explain_cmd =
-  let run seed repo_names repo_file threshold alpha config_file trace_id json
-      names =
+  let run seed config repository trace_id json names =
     handle
-    @@ let* config =
-         assemble_config ~config_file ~threshold ~alpha ~band:None ~jobs:None
-           ~domains:None ~cache_dir:None ~no_prune:false ~index:None
-           ~index_leaf:None ~index_pivots:None
-       in
+    @@ let* config = config in
        Scaguard.Obs.set_trace_id trace_id;
-       let* prepared =
-         match repo_file with
-         | Some path ->
-           let* _repo, prep, _ =
-             Scaguard.Service.load_repository ~config ~path ()
-           in
-           Ok prep
-         | None ->
-           let* families = Experiments.Common.families_of_strings repo_names in
-           let rng = Sutil.Rng.create seed in
-           let* repo, _ =
-             Experiments.Common.repository_service
-               ~config:(with_salt (repo_salt ~seed repo_names) config)
-               ~rng families
-           in
-           Ok
-             (Scaguard.Detector.prepare
-                ?index:(Scaguard.Service.spec_of_config config)
-                repo)
-       in
+       let* r = repository ~seed config in
        let* samples = samples_res ~seed names in
-       let jobs = Array.of_list (List.map job_of_sample samples) in
-       let config' = with_salt (string_of_int seed) config in
+       let jobs = Array.of_list (List.map Experiments.Common.job samples) in
        let* _models, _verdicts, _report, records =
-         Scaguard.Service.explain config' prepared jobs
+         Scaguard.Service.explain (C.seeded ~seed config) r.prepared jobs
        in
        if json then print_string (Scaguard.Provenance.to_jsonl records)
        else List.iter render_provenance records;
        Ok ()
-  in
-  let repo_file_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "repo-file" ] ~docv:"FILE"
-          ~doc:"Load the PoC repository from a file written by `build-repo` \
-                instead of rebuilding it from $(b,--repo).")
-  in
-  let trace_id_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-id" ] ~docv:"ID"
-          ~doc:"Opaque correlation token stamped on every record.")
   in
   let json_t =
     Arg.(
@@ -984,11 +854,6 @@ let explain_cmd =
           ~doc:"Emit the raw provenance records as JSON lines instead of the \
                 human rendering (the same codec the serve protocol's \
                 $(b,explain) verb uses).")
-  in
-  let progs_t =
-    Arg.(
-      non_empty & pos_all string []
-      & info [] ~docv:"PROGRAM" ~doc:"Programs to explain (see `list`).")
   in
   Cmd.v
     (cmd_info "explain"
@@ -999,27 +864,18 @@ let explain_cmd =
              and outcome, and the final score.  Verdicts are bit-identical \
              to `detect-batch` — provenance capture is pure observation.")
     Term.(
-      const run $ seed_t $ repo_t $ repo_file_t $ threshold_t $ alpha_t
-      $ config_file_t $ trace_id_t $ json_t $ progs_t)
+      const run $ seed_t $ config_t $ repository_t $ trace_id_t $ json_t
+      $ programs_t "Programs to explain (see `list`).")
 
-(* ---- build-repo / repo-backed detect ---------------------------------------------- *)
+(* ---- build-repo -------------------------------------------------------------------- *)
 
 let build_repo_cmd =
-  let run seed repo_names jobs cache_dir config_file format index index_leaf
-      index_pivots save_config path =
+  let run seed repo_names config format save_config path =
     handle
-    @@ let* config =
-         assemble_config ~config_file ~threshold:None ~alpha:None ~band:None
-           ~jobs ~domains:None ~cache_dir ~no_prune:false ~index ~index_leaf
-           ~index_pivots
-       in
+    @@ let* config = config in
+       let* config, repo, report = build_families ~seed repo_names config in
        let config =
-         with_format format (with_salt (repo_salt ~seed repo_names) config)
-       in
-       let* families = Experiments.Common.families_of_strings repo_names in
-       let rng = Sutil.Rng.create seed in
-       let* repo, report =
-         Experiments.Common.repository_service ~config ~rng families
+         match format with None -> config | Some f -> { config with C.repo_format = f }
        in
        let* _save_report = Scaguard.Service.save_repository config ~path repo in
        Printf.printf "wrote %d PoC models to %s (%s format)\n"
@@ -1045,20 +901,15 @@ let build_repo_cmd =
       & info [] ~docv:"FILE" ~doc:"Output repository file.")
   in
   let save_config_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "save-config" ] ~docv:"FILE"
-          ~doc:"Also persist the effective configuration (threshold, limits, \
-                cache, salt) next to the repository, for later $(b,--config) \
-                runs.")
+    opt_arg Arg.string "save-config" "FILE"
+      "Also persist the effective configuration (threshold, limits, cache, \
+       salt) next to the repository, for later $(b,--config) runs."
   in
   Cmd.v
     (cmd_info "build-repo"
        ~doc:"Build a PoC-model repository and save it to a file.")
     Term.(
-      const run $ seed_t $ repo_t $ jobs_t $ cache_dir_t $ config_file_t
-      $ format_t $ index_t $ index_leaf_t $ index_pivots_t $ save_config_t
+      const run $ seed_t $ repo_t $ config_t $ format_t $ save_config_t
       $ path_t)
 
 (* ---- migrate-repo ------------------------------------------------------------------ *)
@@ -1132,34 +983,6 @@ let migrate_repo_cmd =
              model.")
     Term.(const run $ format_t $ in_t $ out_t)
 
-let detect_file_cmd =
-  let run seed path threshold alpha config_file name =
-    handle
-    @@ let* config =
-         assemble_config ~config_file ~threshold ~alpha ~band:None ~jobs:None
-           ~domains:None ~cache_dir:None ~no_prune:false ~index:None
-           ~index_leaf:None ~index_pivots:None
-       in
-       let* repo = Scaguard.Persist.load_repository_result ~path in
-       let* s = sample_res ~seed name in
-       let* model =
-         build_one (with_salt (string_of_int seed) config) (job_of_sample s)
-       in
-       classify_one config repo model
-  in
-  let path_t =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"FILE" ~doc:"Repository file written by build-repo.")
-  in
-  Cmd.v
-    (cmd_info "detect-with"
-       ~doc:"Classify a program against a saved repository file.")
-    Term.(
-      const run $ seed_t $ path_t $ threshold_t $ alpha_t $ config_file_t
-      $ name_arg 1 "Program name.")
-
 (* ---- assemble / disasm / detect-binary ---------------------------------------------- *)
 
 let assemble_cmd =
@@ -1202,21 +1025,11 @@ let disasm_cmd =
     Term.(const run $ binfile_t 0)
 
 let detect_binary_cmd =
-  let run seed repo_names threshold alpha config_file with_victim path =
+  let run seed config repository with_victim path =
     handle
-    @@ let* config =
-         assemble_config ~config_file ~threshold ~alpha ~band:None ~jobs:None
-           ~domains:None ~cache_dir:None ~no_prune:false ~index:None
-           ~index_leaf:None ~index_pivots:None
-       in
+    @@ let* config = config in
        let* prog = io ~path (fun () -> Isa.Binary.read_file ~path) in
-       let* families = Experiments.Common.families_of_strings repo_names in
-       let rng = Sutil.Rng.create seed in
-       let* repo, _ =
-         Experiments.Common.repository_service
-           ~config:(with_salt (repo_salt ~seed repo_names) config)
-           ~rng families
-       in
+       let* r = repository ~seed config in
        let victim =
          if with_victim then Some (Workloads.Victim.shared_lib ()) else None
        in
@@ -1224,19 +1037,13 @@ let detect_binary_cmd =
          build_one config
            (Scaguard.Pipeline.job ?victim ~name:(Filename.basename path) prog)
        in
-       classify_one config repo model
-  in
-  let victim_t =
-    Arg.(
-      value & flag
-      & info [ "with-victim" ] ~doc:"Co-run the shared-library victim.")
+       classify_one config r.prepared model
   in
   Cmd.v
     (cmd_info "detect-binary"
        ~doc:"Run the full pipeline on a binary file and classify it.")
     Term.(
-      const run $ seed_t $ repo_t $ threshold_t $ alpha_t $ config_file_t
-      $ victim_t $ binfile_t 0)
+      const run $ seed_t $ config_t $ repository_t $ with_victim_t $ binfile_t 0)
 
 (* ---- compile ----------------------------------------------------------------------- *)
 
@@ -1279,12 +1086,6 @@ let compile_cmd =
   let opt_t =
     Arg.(value & flag & info [ "O" ] ~doc:"Enable the optimizing pipeline.")
   in
-  let victim_t =
-    Arg.(
-      value & flag
-      & info [ "with-victim" ]
-          ~doc:"Co-run the shared-library victim (for compiled attacks).")
-  in
   let path_t =
     Arg.(
       required
@@ -1292,7 +1093,7 @@ let compile_cmd =
       & info [] ~docv:"FILE" ~doc:"MinC source file.")
   in
   Cmd.v (cmd_info "compile" ~doc:"Compile and run a MinC source file.")
-    Term.(const run $ opt_t $ victim_t $ path_t)
+    Term.(const run $ opt_t $ with_victim_t $ path_t)
 
 (* ---- dot ------------------------------------------------------------------------- *)
 
@@ -1494,10 +1295,8 @@ let tcp_t =
         ~doc:"Listen on (serve) or connect to (client) a TCP address.")
 
 let serve_cmd =
-  let run seed repo_names repo_file threshold alpha band jobs cache_dir domains
-      no_prune index index_leaf index_pivots config_file queue_capacity max_line
-      deadline_ms socket tcp stdio metrics_on trace_out metrics_out
-      span_sample_rate =
+  let run seed config repository queue_capacity max_line deadline_ms socket tcp
+      stdio metrics_on obs =
     handle
     @@ let* endpoint =
          match (socket, tcp, stdio) with
@@ -1515,40 +1314,18 @@ let serve_cmd =
                   expected = "at most one endpoint";
                 })
        in
-       let* config =
-         assemble_config ~config_file ~threshold ~alpha ~band ~jobs ~domains
-           ~cache_dir ~no_prune ~index ~index_leaf ~index_pivots
-       in
-       let* () = setup_observability ~trace_out ~metrics_out ~span_sample_rate in
+       let* config = config in
+       let* () = setup_observability obs in
        (* the protocol's `metrics` verb reads the live registry, so --metrics
           turns collection on even without a --metrics-out file *)
        if metrics_on then Scaguard.Obs.set_metrics true;
-       let* prepared, repo_path =
-         match repo_file with
-         | Some path ->
-           let* _repo, prep, _ =
-             Scaguard.Service.load_repository ~config ~path ()
-           in
-           Ok (prep, Some path)
-         | None ->
-           let* families = Experiments.Common.families_of_strings repo_names in
-           let rng = Sutil.Rng.create seed in
-           let* repo, _ =
-             Experiments.Common.repository_service
-               ~config:(with_salt (repo_salt ~seed repo_names) config)
-               ~rng families
-           in
-           Ok
-             ( Scaguard.Detector.prepare
-                 ?index:(Scaguard.Service.spec_of_config config)
-                 repo,
-               None )
-       in
+       let* r = repository ~seed config in
+       let prepared = r.prepared in
        let resolve ~seed name =
-         Result.map job_of_sample (sample_res ~seed name)
+         Result.map Experiments.Common.job (sample_res ~seed name)
        in
        let* server =
-         Scaguard.Server.create ~config ~resolve ~prepared ?repo_path
+         Scaguard.Server.create ~config ~resolve ~prepared ?repo_path:r.file
            ~queue_capacity ~max_line ~default_deadline_ms:deadline_ms ()
        in
        (* the banner mirrors to stderr so --stdio keeps stdout protocol-clean *)
@@ -1577,39 +1354,7 @@ let serve_cmd =
          "scaguard serve: drained after %d requests (up %.1f s)"
          (Scaguard.Server.served server)
          (Scaguard.Server.uptime_s server);
-       write_observability ~trace_out ~metrics_out
-  in
-  let domains_t =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "domains" ] ~docv:"N"
-          ~doc:"Worker domains for unstreamed batches (default: the \
-                recommended domain count).")
-  in
-  let band_t =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "band" ] ~docv:"B"
-          ~doc:"Sakoe-Chiba band for the DTW (off by default; exact).")
-  in
-  let no_prune_t =
-    Arg.(
-      value & flag
-      & info [ "no-prune" ]
-          ~doc:"Disable the exact lower-bound pruning cascade.")
-  in
-  let repo_file_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "repo-file" ] ~docv:"FILE"
-          ~doc:"Load the resident PoC repository from a file written by \
-                `build-repo` (the binary image's inline summaries make this \
-                the fast path); without it the repository is rebuilt from \
-                $(b,--repo).  Also the default path for the protocol's \
-                $(b,reload) verb.")
+       write_observability obs
   in
   let queue_capacity_t =
     Arg.(
@@ -1649,29 +1394,6 @@ let serve_cmd =
           ~doc:"Collect Prometheus metrics for the protocol's $(b,metrics) \
                 verb (implied by $(b,--metrics-out)).")
   in
-  let trace_out_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:"Record spans (one per request, plus the engine's) and write \
-                a Chrome trace-event JSON file at shutdown.")
-  in
-  let metrics_out_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-out" ] ~docv:"FILE"
-          ~doc:"Write the metrics registry in Prometheus text exposition \
-                format at shutdown (scrape the $(b,metrics) verb for live \
-                values).")
-  in
-  let span_sample_rate_t =
-    Arg.(
-      value & opt float 1.0
-      & info [ "span-sample-rate" ] ~docv:"R"
-          ~doc:"Fraction of per-task spans to record, in [0,1].")
-  in
   Cmd.v
     (cmd_info "serve"
        ~doc:"Run the resident detection daemon: load the PoC repository \
@@ -1682,11 +1404,9 @@ let serve_cmd =
              Verdicts are bit-identical to `detect-batch`.  The wire \
              protocol is specified in docs/SERVER.md.")
     Term.(
-      const run $ seed_t $ repo_t $ repo_file_t $ threshold_t $ alpha_t
-      $ band_t $ jobs_t $ cache_dir_t $ domains_t $ no_prune_t $ index_t
-      $ index_leaf_t $ index_pivots_t $ config_file_t $ queue_capacity_t
+      const run $ seed_t $ config_t $ repository_t $ queue_capacity_t
       $ max_line_t $ deadline_ms_t $ socket_t $ tcp_t $ stdio_flag_t
-      $ metrics_flag_t $ trace_out_t $ metrics_out_t $ span_sample_rate_t)
+      $ metrics_flag_t $ observability_t)
 
 (* ---- client --------------------------------------------------------------------- *)
 
@@ -1699,38 +1419,25 @@ let exit_of_error_code = function
   | _ -> 2 (* parse, io, internal *)
 
 let client_cmd =
-  let module J = Scaguard.Server.Json in
+  let module J = Scaguard.Json in
   let connect ~socket ~tcp =
-    let sys_io path f =
-      match f () with
-      | fd -> Ok fd
-      | exception Unix.Unix_error (e, _, _) ->
-        Error (Scaguard.Err.Io { path; msg = Unix.error_message e })
+    let dial path domain addr =
+      let fail e = Error (Scaguard.Err.Io { path; msg = Unix.error_message e }) in
+      match Unix.socket domain Unix.SOCK_STREAM 0 with
+      | exception Unix.Unix_error (e, _, _) -> fail e
+      | fd -> (
+        match Unix.connect fd addr with
+        | () -> Ok fd
+        | exception Unix.Unix_error (e, _, _) ->
+          (try Unix.close fd with Unix.Unix_error _ -> ());
+          fail e)
     in
     match (socket, tcp) with
-    | Some path, None ->
-      sys_io path (fun () ->
-          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-          try
-            Unix.connect fd (Unix.ADDR_UNIX path);
-            fd
-          with e ->
-            (try Unix.close fd with Unix.Unix_error _ -> ());
-            raise e)
+    | Some path, None -> dial path Unix.PF_UNIX (Unix.ADDR_UNIX path)
     | None, Some hp ->
       let* host, port = parse_hostport hp in
-      sys_io hp (fun () ->
-          let addr =
-            try Unix.inet_addr_of_string host
-            with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-          in
-          let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-          try
-            Unix.connect fd (Unix.ADDR_INET (addr, port));
-            fd
-          with e ->
-            (try Unix.close fd with Unix.Unix_error _ -> ());
-            raise e)
+      let* addr = Scaguard.Server.resolve_host host in
+      dial hp Unix.PF_INET (Unix.ADDR_INET (addr, port))
     | _ ->
       Error
         (Scaguard.Err.Invalid_config
@@ -1742,8 +1449,10 @@ let client_cmd =
   in
   let build_request ~op ~targets ~seed ~deadline_ms ~no_stream ~path ~trace_id
       =
-    let need_targets body =
-      if targets = [] then
+    let opt key f = function Some v -> [ (key, f v) ] | None -> [] in
+    let* body =
+      match op with
+      | ("detect" | "screen" | "explain") when targets = [] ->
         Error
           (Scaguard.Err.Invalid_config
              {
@@ -1751,28 +1460,15 @@ let client_cmd =
                value = "(none)";
                expected = "at least one program name (see `scaguard list`)";
              })
-      else Ok body
-    in
-    let* body =
-      match op with
-      | "detect" ->
-        need_targets
+      | "detect" | "screen" | "explain" ->
+        Ok
           ([
              ("targets", J.List (List.map (fun t -> J.Str t) targets));
              ("seed", J.Num (float_of_int seed));
            ]
-          @ if no_stream then [ ("stream", J.Bool false) ] else [])
-      | "screen" | "explain" ->
-        need_targets
-          [
-            ("targets", J.List (List.map (fun t -> J.Str t) targets));
-            ("seed", J.Num (float_of_int seed));
-          ]
+          @ if op = "detect" && no_stream then [ ("stream", J.Bool false) ] else [])
       | "stats" | "metrics" | "ping" | "shutdown" -> Ok []
-      | "reload" -> (
-        match path with
-        | Some p -> Ok [ ("path", J.Str p) ]
-        | None -> Ok [])
+      | "reload" -> Ok (opt "path" (fun p -> J.Str p) path)
       | other ->
         Error
           (Scaguard.Err.Invalid_config
@@ -1784,18 +1480,11 @@ let client_cmd =
                   shutdown";
              })
     in
-    let deadline =
-      match deadline_ms with
-      | Some d -> [ ("deadline_ms", J.Num (float_of_int d)) ]
-      | None -> []
-    in
-    let trace =
-      match trace_id with
-      | Some t -> [ ("trace_id", J.Str t) ]
-      | None -> []
-    in
     Ok
-      (J.Obj ((("id", J.Num 1.0) :: ("op", J.Str op) :: body) @ deadline @ trace))
+      (J.Obj
+         ((("id", J.Num 1.0) :: ("op", J.Str op) :: body)
+         @ opt "deadline_ms" (fun d -> J.Num (float_of_int d)) deadline_ms
+         @ opt "trace_id" (fun t -> J.Str t) trace_id))
   in
   (* One reply frame -> terminal output.  Verdict events print in
      detect-batch's exact format so CI can diff the two outputs. *)
@@ -1804,14 +1493,10 @@ let client_cmd =
     | Some (J.Str "verdict") -> begin
       let str k = match J.member k frame with Some (J.Str s) -> s | _ -> "" in
       let num k = match J.member k frame with Some (J.Num f) -> f | _ -> 0.0 in
-      let target = str "target" and score = num "score" in
-      (match J.member "attack" frame with
-      | Some (J.Bool true) ->
-        Printf.printf "%-24s ATTACK %-6s (%6.2f%%)\n" target (str "family")
-          (100.0 *. score)
-      | _ ->
-        Printf.printf "%-24s benign        (best %6.2f%%)\n" target
-          (100.0 *. score));
+      let attack = J.member "attack" frame = Some (J.Bool true) in
+      print_verdict_line (str "target")
+        (if attack then Some (str "family") else None)
+        (num "score");
       `Continue
     end
     | Some _ -> `Continue
@@ -1910,16 +1595,6 @@ let client_cmd =
           ~doc:"For $(b,reload): the repository file to swap in (default: \
                 the file the server was started from).")
   in
-  let trace_id_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-id" ] ~docv:"ID"
-          ~doc:"Opaque correlation token sent in the request envelope; the \
-                server echoes it in every reply frame and stamps it on the \
-                spans, log events and provenance records the request \
-                produces.")
-  in
   let verb_t =
     Arg.(
       required
@@ -1957,7 +1632,7 @@ let () =
           [
             list_cmd; leak_cmd; model_cmd; similarity_cmd; compare_cmd;
             detect_cmd; explain_cmd;
-            detect_batch_cmd; build_repo_cmd; migrate_repo_cmd; detect_file_cmd;
+            detect_batch_cmd; build_repo_cmd; migrate_repo_cmd;
             dot_cmd; compile_cmd; assemble_cmd; disasm_cmd; detect_binary_cmd;
             heatmap_cmd; export_dataset_cmd; scadet_cmd; serve_cmd; client_cmd;
           ]))

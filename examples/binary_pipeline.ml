@@ -1,8 +1,10 @@
 (* The end-to-end binary workflow §V describes for a server cluster:
    (1) a repository of PoC models is curated once and saved to disk;
    (2) untrusted binaries arrive as files;
-   (3) the whole batch is loaded, sandbox-executed, modelled, and
-       classified in one Scaguard.Service.screen call.
+   (3) the repository file is loaded back, already prepared for
+       classification (Scaguard.Service.load_repository), and the whole
+       batch is sandbox-executed, modelled, and classified in one
+       Scaguard.Service.screen_prepared call.
 
      dune exec examples/binary_pipeline.exe *)
 
@@ -26,7 +28,7 @@ let () =
          [ Workloads.Label.Fr_family; Workloads.Label.Pp_family;
            Workloads.Label.Spectre_fr; Workloads.Label.Spectre_pp ])
   in
-  or_die (Scaguard.Persist.save_repository_result ~path:repo_path repo);
+  ignore (or_die (Scaguard.Service.save_repository config ~path:repo_path repo));
   Printf.printf "repository: %d PoC models -> %s\n" (List.length repo) repo_path;
 
   (* --- 2. "someone ships us binaries" --------------------------------- *)
@@ -44,8 +46,8 @@ let () =
     (Filename.basename (fst (List.hd incoming)));
 
   (* --- 3. screen the whole batch --------------------------------------- *)
-  let loaded_repo =
-    or_die (Scaguard.Persist.load_repository_result ~path:repo_path)
+  let _repo, prepared, _ =
+    or_die (Scaguard.Service.load_repository ~config ~path:repo_path ())
   in
   let jobs =
     Array.of_list
@@ -60,7 +62,7 @@ let () =
          incoming)
   in
   let _, verdicts, _ =
-    or_die (Scaguard.Service.screen config loaded_repo jobs)
+    or_die (Scaguard.Service.screen_prepared config prepared jobs)
   in
   List.iteri
     (fun i (path, _) ->

@@ -65,7 +65,10 @@ let () =
       (Experiments.Common.repository_service ~config ~rng
          Workloads.Label.attack_labels)
   in
-  let verdicts, _ = or_die (Scaguard.Service.detect config repo models) in
+  let prepared = or_die (Scaguard.Service.prepare config repo) in
+  let verdicts, _ =
+    or_die (Scaguard.Service.detect_prepared config prepared models)
+  in
   List.iteri
     (fun i name ->
       let v = verdicts.(i) in

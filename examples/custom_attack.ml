@@ -100,12 +100,15 @@ let () =
       (Scaguard.Service.build config
          [| Scaguard.Pipeline.job ~victim ~name:(Isa.Program.name program) program |])
   in
-  let verdicts, _ = or_die (Scaguard.Service.detect config repo models) in
+  let prepared = or_die (Scaguard.Service.prepare config repo) in
+  let verdicts, _ =
+    or_die (Scaguard.Service.detect_prepared config prepared models)
+  in
   let v = verdicts.(0) in
   List.iter
     (fun (name, family, score) ->
       Printf.printf "similarity vs %s (%s): %.1f%%\n" name family (100.0 *. score))
-    (Scaguard.Detector.score_all repo models.(0));
+    (Scaguard.Detector.score_all prepared models.(0));
   match v.Scaguard.Detector.best_family with
   | Some f ->
     Printf.printf

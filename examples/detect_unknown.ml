@@ -1,7 +1,9 @@
 (* The deployment scenario of Section V: a server-cluster guard checks
    untrusted programs before installation.  A repository of PoC models is
    built once; each incoming program is executed in the sandbox, modelled,
-   and classified by similarity — one Scaguard.Service.screen call.
+   and classified by similarity — the repository prepared once
+   (Scaguard.Service.prepare), then one Scaguard.Service.screen_prepared
+   call.
 
      dune exec examples/detect_unknown.exe *)
 
@@ -30,17 +32,13 @@ let () =
 
   (* Screen the whole batch: build every model, classify every model, one
      report for the run. *)
-  let jobs =
-    Array.of_list
-      (List.map
-         (fun (s : Workloads.Dataset.sample) ->
-           Scaguard.Pipeline.job ?settings:s.Workloads.Dataset.settings
-             ~init:s.Workloads.Dataset.init ?victim:s.Workloads.Dataset.victim
-             ~name:s.Workloads.Dataset.name s.Workloads.Dataset.program)
-         shuffled)
-  in
+  let jobs = Array.of_list (List.map Experiments.Common.job shuffled) in
+  let config = Scaguard.Config.default in
   let verdicts, report =
-    match Scaguard.Service.screen Scaguard.Config.default repo jobs with
+    match
+      Result.bind (Scaguard.Service.prepare config repo) (fun prepared ->
+          Scaguard.Service.screen_prepared config prepared jobs)
+    with
     | Ok (_models, verdicts, report) -> (verdicts, report)
     | Error e ->
       prerr_endline (Scaguard.Err.to_string e);

@@ -43,14 +43,17 @@ let () =
              spec.Workloads.Attacks.program;
          |])
   in
-  let verdicts, _ = or_die (Scaguard.Service.detect config repo models) in
+  let prepared = or_die (Scaguard.Service.prepare config repo) in
+  let verdicts, _ =
+    or_die (Scaguard.Service.detect_prepared config prepared models)
+  in
   let v = verdicts.(0) in
   Printf.printf
     "Detection with a repository containing ONLY Flush+Reload (E2):\n";
   List.iter
     (fun (name, family, score) ->
       Printf.printf "  vs %s (%s): %.1f%%\n" name family (100.0 *. score))
-    (Scaguard.Detector.score_all repo models.(0));
+    (Scaguard.Detector.score_all prepared models.(0));
   (match v.Scaguard.Detector.best_family with
   | Some f ->
     Printf.printf

@@ -44,6 +44,10 @@ let families_of_strings names =
              ^ String.concat ", " (List.map L.to_string L.all);
          })
 
+let job (s : D.sample) =
+  Scaguard.Pipeline.job ?settings:s.D.settings ~init:s.D.init
+    ?victim:s.D.victim ~name:s.D.name s.D.program
+
 let repository_service ~config ~rng families =
   if families = [] then Error Scaguard.Err.Empty_repository
   else
@@ -57,15 +61,8 @@ let repository_service ~config ~rng families =
         (fun family -> D.with_harness ~rng (D.of_spec (poc_of_family family)))
         families
     in
-    let jobs =
-      (* No per-job salt: jobs pick up [config.salt] inside the service. *)
-      Array.of_list
-        (List.map
-           (fun (s : D.sample) ->
-             Scaguard.Pipeline.job ?settings:s.D.settings ~init:s.D.init
-               ?victim:s.D.victim ~name:s.D.name s.D.program)
-           samples)
-    in
+    (* no per-job salt: jobs pick up [config.salt] inside the service *)
+    let jobs = Array.of_list (List.map job samples) in
     Result.map
       (fun (models, report) ->
         ( List.mapi

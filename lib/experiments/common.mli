@@ -27,6 +27,10 @@ val families_of_strings :
     name (a typo must not silently shrink the repository);
     [Error Empty_repository] on an empty list. *)
 
+val job : Workloads.Dataset.sample -> Scaguard.Pipeline.job
+(** The model-building job of a sample: its program with its own exec
+    settings, init and victim, and no salt of its own. *)
+
 val repository_service :
   config:Scaguard.Config.t ->
   rng:Sutil.Rng.t ->

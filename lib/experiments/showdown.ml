@@ -186,26 +186,65 @@ let to_table t =
 let class_name i = L.to_string (Common.label_of_int i)
 
 let row_to_json r =
+  let module J = Scaguard.Json in
+  let num f = J.Num f and int n = J.Num (float_of_int n) in
+  let scores (s : Ml.Metrics.scores) =
+    J.Obj
+      [
+        ("precision", num s.Ml.Metrics.precision);
+        ("recall", num s.Ml.Metrics.recall);
+        ("f1", num s.Ml.Metrics.f1);
+        ("accuracy", num s.Ml.Metrics.accuracy);
+      ]
+  in
+  let class_scores (c : Ml.Metrics.class_scores) =
+    J.Obj
+      [
+        ("class", J.Str (class_name c.Ml.Metrics.cls));
+        ("support", int c.Ml.Metrics.support);
+        ("tp", int c.Ml.Metrics.tp);
+        ("fp", int c.Ml.Metrics.fp);
+        ("fn", int c.Ml.Metrics.fn);
+        ("precision", num c.Ml.Metrics.c_precision);
+        ("recall", num c.Ml.Metrics.c_recall);
+        ("f1", num c.Ml.Metrics.c_f1);
+      ]
+  in
   let ensemble =
     match r.ensemble with
-    | None -> "null"
+    | None -> J.Null
     | Some s ->
-      Printf.sprintf
-        {|{"screened":%d,"fast_rejects":%d,"slow_path":%d,"slow_confirms":%d,"slow_path_rate":%.17g}|}
-        s.Detect.Ensemble.screened s.Detect.Ensemble.fast_rejects
-        s.Detect.Ensemble.slow_path s.Detect.Ensemble.slow_confirms
-        (Detect.Ensemble.slow_path_rate s)
+      J.Obj
+        [
+          ("screened", int s.Detect.Ensemble.screened);
+          ("fast_rejects", int s.Detect.Ensemble.fast_rejects);
+          ("slow_path", int s.Detect.Ensemble.slow_path);
+          ("slow_confirms", int s.Detect.Ensemble.slow_confirms);
+          ("slow_path_rate", num (Detect.Ensemble.slow_path_rate s));
+        ]
   in
-  Printf.sprintf
-    {|{"key":%S,"name":%S,"scores":%s,"per_class":%s,"detection":%s,"train_s":%.17g,"predict_s":%.17g,"tested":%d,"throughput":%.17g,"ensemble":%s}|}
-    r.key r.name
-    (Ml.Metrics.to_json r.scores)
-    (Ml.Metrics.class_scores_to_json ~name:class_name r.per_class)
-    (Ml.Metrics.to_json r.detection)
-    r.train_s r.predict_s r.tested r.throughput ensemble
+  J.Obj
+    [
+      ("key", J.Str r.key);
+      ("name", J.Str r.name);
+      ("scores", scores r.scores);
+      ("per_class", J.List (List.map class_scores r.per_class));
+      ("detection", scores r.detection);
+      ("train_s", num r.train_s);
+      ("predict_s", num r.predict_s);
+      ("tested", int r.tested);
+      ("throughput", num r.throughput);
+      ("ensemble", ensemble);
+    ]
 
 let to_json t =
-  Printf.sprintf
-    {|{"per_family":%d,"train":%d,"test":%d,"tau":%.17g,"prep_s":%.17g,"detectors":[%s]}|}
-    t.per_family t.train_size t.test_size t.tau t.prep_s
-    (String.concat "," (List.map row_to_json t.rows))
+  let module J = Scaguard.Json in
+  J.Obj
+    [
+      ("per_family", J.Num (float_of_int t.per_family));
+      ("train", J.Num (float_of_int t.train_size));
+      ("test", J.Num (float_of_int t.test_size));
+      ("tau", J.Num t.tau);
+      ("prep_s", J.Num t.prep_s);
+      ("detectors", J.List (List.map row_to_json t.rows));
+    ]

@@ -48,4 +48,6 @@ val evaluate :
     @raise Invalid_argument on an unknown detector key. *)
 
 val to_table : t -> Sutil.Table.t
-val to_json : t -> string
+val to_json : t -> Scaguard.Json.t
+(** The whole result as one JSON object ([scaguard compare --json], the
+    bench's [BENCH_compare.json]); every float reads back bit for bit. *)

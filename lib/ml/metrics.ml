@@ -82,24 +82,6 @@ let confusion ~classes pairs =
     pairs;
   m
 
-(* %.17g round-trips every float exactly (the config files use the same
-   format). *)
-let to_json s =
-  Printf.sprintf
-    {|{"precision":%.17g,"recall":%.17g,"f1":%.17g,"accuracy":%.17g}|}
-    s.precision s.recall s.f1 s.accuracy
-
-let default_class_name = string_of_int
-
-let class_scores_to_json ?(name = default_class_name) per_class =
-  let one c =
-    Printf.sprintf
-      {|{"class":%s,"support":%d,"tp":%d,"fp":%d,"fn":%d,"precision":%.17g,"recall":%.17g,"f1":%.17g}|}
-      (Printf.sprintf "%S" (name c.cls))
-      c.support c.tp c.fp c.fn c.c_precision c.c_recall c.c_f1
-  in
-  "[" ^ String.concat "," (List.map one per_class) ^ "]"
-
 let pp fmt s =
   Format.fprintf fmt "P=%.2f%% R=%.2f%% F1=%.2f%% acc=%.2f%%"
     (100.0 *. s.precision) (100.0 *. s.recall) (100.0 *. s.f1)

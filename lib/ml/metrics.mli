@@ -36,11 +36,4 @@ val confusion : classes:int list -> (int * int) list -> int array array
 (** [confusion.(i).(j)] counts samples of actual class [classes[i]] predicted
     as [classes[j]]; predictions outside [classes] are dropped. *)
 
-val to_json : scores -> string
-(** One JSON object, floats in [%.17g] (read back exactly). *)
-
-val class_scores_to_json : ?name:(int -> string) -> class_scores list -> string
-(** JSON array of per-class objects; [name] renders the class int (default
-    [string_of_int]) into the ["class"] field. *)
-
 val pp : Format.formatter -> scores -> unit

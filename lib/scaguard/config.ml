@@ -61,6 +61,16 @@ let default =
     log_level = Log.Info;
   }
 
+let seeded ?families ~seed c =
+  if c.salt <> "" then c
+  else
+    let salt =
+      match families with
+      | None -> string_of_int seed
+      | Some fs -> Printf.sprintf "%d:%s" seed (String.concat "," fs)
+    in
+    { c with salt }
+
 (* -- field validation -------------------------------------------------------- *)
 
 let invalid field value expected =

@@ -9,8 +9,9 @@
     round-trip exactly).
 
     {!default} reproduces today's behaviour knob for knob: running
-    {!Service.build}/{!Service.detect} with it is bit-identical to the bare
-    [Pipeline.build_models_batch] / [Engine.classify_batch] composition. *)
+    {!Service.build}/{!Service.detect_prepared} with it is bit-identical to
+    the bare [Pipeline.build_models_batch] / [Engine.classify_batch]
+    composition. *)
 
 type repo_format = Text | Binary
 (** On-disk repository format: the line-oriented text format (diffable,
@@ -92,6 +93,15 @@ val default : t
     alpha/band overrides, pruning on, paper modeling limits,
     [Cache.Config.cst_probe], [Cpu.Exec.default_settings], default domain
     count, no cache, empty salt. *)
+
+val seeded : ?families:string list -> seed:int -> t -> t
+(** The front-ends' seed→salt policy: the config with salt
+    [string_of_int seed] — or ["seed:f1,f2,..."] for a PoC repository built
+    from [families], whose harness kernels are drawn from one rng stream in
+    family-list order — unless the config already carries a salt, which an
+    operator's config file always wins.  The CLI and the serve daemon both
+    derive their salts here, so the same seed gives the same cache keys and
+    index seeds everywhere. *)
 
 (** {1 Field validation}
 

@@ -21,15 +21,6 @@ let compare_scored (n1, f1, s1) (n2, f2, s2) =
 
 let empty_verdict = { best_matches = []; best_family = None; best_score = 0.0 }
 
-let score_all ?alpha ?ws ?band repository target =
-  List.map
-    (fun p ->
-      ( p.model.Model.name,
-        p.family,
-        Dtw.compare_models ?ws ?band ?alpha p.model target ))
-    repository
-  |> List.sort compare_scored
-
 type prepared = {
   pocs : (poc * Dtw.summary) array;
   index : Vpindex.t option;
@@ -188,10 +179,9 @@ let classify_prepared ?(threshold = default_threshold) ?alpha ?ws ?band
     { best_matches; best_family; best_score = b }
   end
 
-let score_all_prepared ?alpha ?ws ?band prep target =
+let score_all ?alpha ?ws ?band prep target =
   (* every score is reported, so there is nothing sound to skip: the index
-     (when present) is deliberately not consulted, and the result is
-     bit-identical to score_all on the underlying repository *)
+     (when present) is deliberately not consulted *)
   let st = Dtw.summarize target in
   Array.to_list prep.pocs
   |> List.map (fun (p, sp) ->
@@ -205,17 +195,3 @@ let classify ?threshold ?alpha ?ws ?band ?prune repository target =
     target
 
 let is_attack v = Option.is_some v.best_family
-
-let classify_batch ?threshold ?alpha ?band ?domains ?prune ?index repository
-    targets =
-  let tasks = Array.length targets in
-  let out = Array.make tasks empty_verdict in
-  let d = Sutil.Pool.domains_for ?domains tasks in
-  let wss = Array.init d (fun _ -> Dtw.workspace ()) in
-  let prep = prepare ?index repository in
-  ignore
-    (Sutil.Pool.run ~domains:d ~tasks (fun ~worker i ->
-         out.(i) <-
-           classify_prepared ?threshold ?alpha ?band ?prune ~ws:wss.(worker)
-             prep targets.(i)));
-  out

@@ -9,7 +9,10 @@
     score and its ties — which is what lets {!classify} skip, via the exact
     lower-bound cascade in {!Dtw}, any PoC provably unable to affect the
     outcome.  The full score matrix remains available through {!score_all}
-    (display, debugging, calibration), at full cost. *)
+    (display, debugging, calibration), at full cost.
+
+    Batches go through {!Engine.classify_batch} and the typed front door
+    through {!Service}; both score each target with {!classify_prepared}. *)
 
 type poc = { family : string; model : Model.t }
 
@@ -33,14 +36,6 @@ val default_threshold : float
     sweep methodology over this implementation yields a plateau around
     55–65%, hence 60%. *)
 
-val score_all :
-  ?alpha:float -> ?ws:Dtw.workspace -> ?band:int ->
-  repository -> Model.t -> (string * string * float) list
-(** The full score matrix against every PoC, sorted score descending (then
-    family, then model name).  Always computes every pair exactly — no
-    pruning — since every score is reported.  The head of the list agrees
-    with the [best_matches] head of {!classify} on the same inputs. *)
-
 val classify :
   ?threshold:float -> ?alpha:float -> ?ws:Dtw.workspace -> ?band:int ->
   ?prune:bool -> repository -> Model.t -> verdict
@@ -53,7 +48,11 @@ val classify :
     PoC is skipped only when provably below the running best.  Verdicts are
     bit-identical with pruning on or off (a tested invariant); pruning
     auto-disables for [alpha] outside [\[0,1\]], where the bounds are not
-    sound. *)
+    sound.
+
+    This is the one-shot form: {!prepare} followed by {!classify_prepared}.
+    Its [~prune:false] run is the reference scan the fast paths are checked
+    against. *)
 
 type prepared
 (** A repository with precomputed {!Dtw.summary}s, ready to classify many
@@ -107,23 +106,14 @@ val classify_prepared :
     tested invariant).  [ixc] accumulates the index counters reported by
     {!Engine}. *)
 
-val score_all_prepared :
+val score_all :
   ?alpha:float -> ?ws:Dtw.workspace -> ?band:int ->
   prepared -> Model.t -> (string * string * float) list
-(** {!score_all} against a pre-summarized repository — bit-identical.  Every
-    score is reported, so the index is deliberately not consulted: there is
-    nothing sound to skip. *)
-
-val classify_batch :
-  ?threshold:float -> ?alpha:float -> ?band:int -> ?domains:int ->
-  ?prune:bool -> ?index:Vpindex.spec -> repository -> Model.t array ->
-  verdict array
-(** Classify every target, in parallel across [domains] OCaml domains
-    (default {!Sutil.Pool.default_domains}); the repository is prepared once
-    and each worker reuses one {!Dtw.workspace}.  Verdicts are identical —
-    including score bits and ordering — to mapping {!classify} over the
-    targets sequentially.  See {!Engine.classify_batch} for the instrumented
-    variant. *)
+(** The full score matrix against every PoC, sorted score descending (then
+    family, then model name).  Always computes every pair exactly — no
+    pruning, and the index is deliberately not consulted — since every score
+    is reported.  With the same [alpha] and [band], the head of the list
+    agrees with the [best_matches] head of {!classify_prepared}. *)
 
 val is_attack : verdict -> bool
 

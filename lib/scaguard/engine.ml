@@ -62,8 +62,7 @@ let publish_stats s =
   Obs.Registry.add pairs_pruned_index_total s.pairs_pruned_index;
   Obs.Registry.add index_nodes_visited_total s.nodes_visited
 
-let classify_batch_prepared ?threshold ?alpha ?band ?domains ?prune prep
-    targets =
+let classify_batch ?threshold ?alpha ?band ?domains ?prune prep targets =
   let tasks = Array.length targets in
   let d = Sutil.Pool.domains_for ?domains tasks in
   let wss = Array.init d (fun _ -> Dtw.workspace ()) in
@@ -115,11 +114,6 @@ let classify_batch_prepared ?threshold ?alpha ?band ?domains ?prune prep
   in
   if Obs.metrics () then publish_stats stats;
   (out, stats)
-
-let classify_batch ?threshold ?alpha ?band ?domains ?prune ?index repository
-    targets =
-  classify_batch_prepared ?threshold ?alpha ?band ?domains ?prune
-    (Detector.prepare ?index repository) targets
 
 let pp_stats fmt s =
   Format.fprintf fmt

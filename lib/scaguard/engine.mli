@@ -2,7 +2,7 @@
 
     Deployment (§V of the paper) screens many programs against a fixed PoC
     repository; online detectors live or die on per-sample scoring latency.
-    This engine summarizes the repository once ({!Detector.prepare}), fans
+    This engine takes a repository summarized once ({!Detector.prepare}), fans
     {!Detector.classify_prepared} out over a pool of OCaml 5 domains
     (a shared atomic work queue, so uneven model sizes balance dynamically),
     gives each worker one reusable {!Dtw.workspace} so the DTW + Levenshtein
@@ -48,24 +48,14 @@ type stats = {
 
 val classify_batch :
   ?threshold:float -> ?alpha:float -> ?band:int -> ?domains:int ->
-  ?prune:bool -> ?index:Vpindex.spec ->
-  Detector.repository -> Model.t array -> Detector.verdict array * stats
-(** Classify every target against the repository.  [domains] defaults to
-    {!Sutil.Pool.default_domains} (clamped to the batch size); [prune]
-    (default [true]) toggles the exact lower-bound cascade — verdicts are
-    bit-identical either way, only the counters move.  [index] builds the
-    repository index during preparation ({!Detector.prepare}); verdicts are
-    again bit-identical with or without it. *)
-
-val classify_batch_prepared :
-  ?threshold:float -> ?alpha:float -> ?band:int -> ?domains:int ->
   ?prune:bool ->
   Detector.prepared -> Model.t array -> Detector.verdict array * stats
-(** {!classify_batch} against an already-prepared repository — the
-    instant-start path of the binary repository image, where
-    {!Persist.load_repository_prepared_result} hands back the summaries
-    without a {!Detector.prepare} pass.  Verdicts and counters are identical
-    to {!classify_batch} on the repository the [prepared] was built from. *)
+(** Classify every target against the prepared repository.  [domains]
+    defaults to {!Sutil.Pool.default_domains} (clamped to the batch size);
+    [prune] (default [true]) toggles the exact lower-bound cascade — verdicts
+    are bit-identical either way, only the counters move.  An index built
+    into the [prepared] ({!Detector.prepare} [~index]) is used when pruning;
+    verdicts are again bit-identical with or without it. *)
 
 val utilization : stats -> float
 (** [cpu / (wall * domains)], clamped to [\[0,1\]]: 1.0 means every worker

@@ -1,9 +1,8 @@
-(* Strict, dependency-free JSON for the wire protocol, the structured
-   event log and the provenance records.  Extracted verbatim from the
-   serve daemon (Server re-exports it as [Server.Json], so existing
-   protocol code keeps compiling).  The parser is strict on purpose: a
-   hostile frame can fail one request but never desynchronize a stream
-   or smuggle raw control bytes into a reply. *)
+(* Strict, dependency-free JSON: the one codec behind the wire protocol,
+   the structured event log, the provenance records, the trace file, the
+   run report and the bench artifacts.  The parser is strict on purpose: a
+   hostile frame can fail one request but never desynchronize a stream or
+   smuggle raw control bytes into a reply. *)
 
 type t =
   | Null
@@ -222,9 +221,6 @@ let parse s =
   | v -> Ok v
   | exception Fail (p, msg) -> Error (Printf.sprintf "%s at byte %d" msg p)
 
-(* Same escaping as [Obs.Json.escape], duplicated here because this module
-   sits below [Obs] in the dependency order (Obs -> Persist -> Detector ->
-   Provenance -> Json). *)
 let escape s =
   let buf = Buffer.create (String.length s + 8) in
   String.iter

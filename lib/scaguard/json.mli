@@ -1,6 +1,8 @@
-(** A minimal strict JSON reader/writer — the wire format of the serve
-    protocol ({!Server}), the structured event log ({!Log}) and the
-    provenance records ({!Provenance}); no external JSON dependency.  The
+(** A minimal strict JSON reader/writer — the one JSON codec of the stack:
+    the wire format of the serve protocol ({!Server}), the structured event
+    log ({!Log}), the provenance records ({!Provenance}), the Chrome trace
+    ({!Obs.Trace_writer}) and the run report ({!Service.report_to_json});
+    no external JSON dependency.  The
     parser rejects trailing garbage, raw control characters in strings,
     lone surrogates, non-finite numbers and nesting deeper than
     {!max_depth} levels — a hostile frame can fail a request but never

@@ -53,7 +53,6 @@ let capture_on = ref false
 let capture_level = ref Debug
 let stderr_level : level option ref = ref (Some Info)
 let default_capacity = 8192
-let capacity = ref default_capacity
 
 let enabled () = !capture_on
 let set_capture b = capture_on := b
@@ -62,40 +61,17 @@ let set_level l = capture_level := l
 let mirror_level () = !stderr_level
 let set_mirror_level l = stderr_level := l
 
-let set_capacity n =
-  if n < 1 then invalid_arg "Log.set_capacity: capacity must be >= 1";
-  capacity := n
-
 (* ---- the bounded sink ------------------------------------------------------- *)
 
-let sink : event list Atomic.t = Atomic.make []
+let sink : event Sutil.Sink.t = Sutil.Sink.create ~capacity:default_capacity ()
 let seq_counter = Atomic.make 0
-let length = Atomic.make 0
-let dropped_counter = Atomic.make 0
-
-let rec push_event e =
-  let cur = Atomic.get sink in
-  if not (Atomic.compare_and_set sink cur (e :: cur)) then push_event e
-
-let capture e =
-  (* bound first, push second: the length counter may transiently overshoot
-     under contention, which errs on the side of dropping — never of
-     unbounded growth or blocking *)
-  if Atomic.fetch_and_add length 1 < !capacity then push_event e
-  else begin
-    ignore (Atomic.fetch_and_add length (-1));
-    ignore (Atomic.fetch_and_add dropped_counter 1)
-  end
-
-let dropped () = Atomic.get dropped_counter
+let set_capacity n = Sutil.Sink.set_capacity sink n
+let dropped () = Sutil.Sink.dropped sink
 
 let events () =
-  List.sort (fun a b -> compare a.seq b.seq) (Atomic.get sink)
+  List.sort (fun a b -> compare a.seq b.seq) (Sutil.Sink.items sink)
 
-let clear () =
-  Atomic.set sink [];
-  Atomic.set length 0;
-  Atomic.set dropped_counter 0
+let clear () = Sutil.Sink.clear sink
 
 (* ---- emission --------------------------------------------------------------- *)
 
@@ -113,7 +89,7 @@ let event ?trace_id ?(fields = []) lvl name message =
     let trace_id =
       match trace_id with Some _ as t -> t | None -> Obs.trace_id ()
     in
-    capture
+    Sutil.Sink.push sink
       {
         seq = Atomic.fetch_and_add seq_counter 1;
         ts_ns = Obs.Clock.now_ns ();
@@ -199,7 +175,7 @@ let to_jsonl evs =
              Json.Str
                (Printf.sprintf
                   "%d events dropped: capture buffer full (capacity %d)" d
-                  !capacity) );
+                  (Sutil.Sink.capacity sink)) );
            ("dropped", Json.Num (float_of_int d));
          ]);
     Buffer.add_char buf '\n'

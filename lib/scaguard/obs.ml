@@ -22,32 +22,6 @@ module Clock = struct
   let elapsed_s ~since = ns_to_s (elapsed_ns ~since)
 end
 
-(* ---- minimal JSON emission -------------------------------------------------- *)
-
-module Json = struct
-  let escape s =
-    let buf = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-
-  let str s = "\"" ^ escape s ^ "\""
-
-  (* JSON numbers must be finite; clamp the rest to null. *)
-  let float f =
-    if Float.is_finite f then Printf.sprintf "%.17g" f else "null"
-end
-
 (* ---- metrics registry ------------------------------------------------------- *)
 
 module Registry = struct
@@ -369,13 +343,9 @@ type span = {
   args : (string * string) list;
 }
 
-(* Completed spans go on a Treiber stack: lock-free push from any domain,
-   drained and time-sorted only when the trace is written. *)
-let span_log : span list Atomic.t = Atomic.make []
-
-let rec push_span s =
-  let cur = Atomic.get span_log in
-  if not (Atomic.compare_and_set span_log cur (s :: cur)) then push_span s
+(* Completed spans go on an unbounded lock-free sink, pushed from any
+   domain, drained and time-sorted only when the trace is written. *)
+let span_log : span Sutil.Sink.t = Sutil.Sink.create ()
 
 let emit_span ?(cat = "scaguard") ?tid ?(args = []) ~name ~ts_ns ~dur_ns () =
   if !tracing_on then
@@ -387,7 +357,7 @@ let emit_span ?(cat = "scaguard") ?tid ?(args = []) ~name ~ts_ns ~dur_ns () =
       | Some t -> ("trace_id", t) :: args
       | None -> args
     in
-    push_span { name; cat; tid; ts_ns; dur_ns; args }
+    Sutil.Sink.push span_log { name; cat; tid; ts_ns; dur_ns; args }
 
 let with_span ?cat ?tid ?args name f =
   if !tracing_on then begin
@@ -406,9 +376,9 @@ let spans () =
       match Int64.compare a.ts_ns b.ts_ns with
       | 0 -> compare (a.tid, a.name) (b.tid, b.name)
       | c -> c)
-    (Atomic.get span_log)
+    (Sutil.Sink.items span_log)
 
-let clear_spans () = Atomic.set span_log []
+let clear_spans () = Sutil.Sink.clear span_log
 
 (* ---- trace writer ----------------------------------------------------------- *)
 
@@ -416,20 +386,24 @@ module Trace_writer = struct
   (* Chrome trace-event format, "X" (complete) events with microsecond
      timestamps — loads directly in chrome://tracing and ui.perfetto.dev. *)
 
-  let event buf (s : span) =
-    let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-    add "{\"name\":%s,\"cat\":%s,\"ph\":\"X\",\"pid\":1,\"tid\":%d" (Json.str s.name)
-      (Json.str s.cat) s.tid;
-    add ",\"ts\":%s,\"dur\":%s" (Json.float (Clock.ns_to_us s.ts_ns))
-      (Json.float (Clock.ns_to_us s.dur_ns));
-    (match s.args with
-    | [] -> ()
-    | args ->
-      add ",\"args\":{%s}"
-        (String.concat ","
-           (List.map (fun (k, v) -> Json.str k ^ ":" ^ Json.str v) args)));
-    add "}"
+  let event (s : span) =
+    Json.Obj
+      ([
+         ("name", Json.Str s.name);
+         ("cat", Json.Str s.cat);
+         ("ph", Json.Str "X");
+         ("pid", Json.Num 1.0);
+         ("tid", Json.Num (float_of_int s.tid));
+         ("ts", Json.Num (Clock.ns_to_us s.ts_ns));
+         ("dur", Json.Num (Clock.ns_to_us s.dur_ns));
+       ]
+      @
+      match s.args with
+      | [] -> []
+      | args ->
+        [ ("args", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) args)) ])
 
+  (* one event per line, so a trace diffs and greps line by line *)
   let to_json spans =
     let buf = Buffer.create 4096 in
     Buffer.add_string buf "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
@@ -437,7 +411,7 @@ module Trace_writer = struct
       (fun i s ->
         if i > 0 then Buffer.add_char buf ',';
         Buffer.add_string buf "\n  ";
-        event buf s)
+        Json.to_buf buf (event s))
       spans;
     Buffer.add_string buf "\n]}\n";
     Buffer.contents buf

@@ -315,16 +315,3 @@ val pool_probe : stage:string -> Sutil.Pool.probe option
     task and its next), honoring the sample rate; [None] when tracing is
     off, so un-traced pools pay nothing.  Use one probe per [Pool.run]
     call. *)
-
-(** {1 JSON helpers} *)
-
-module Json : sig
-  val escape : string -> string
-  (** Escape a string's contents for inclusion inside JSON quotes. *)
-
-  val str : string -> string
-  (** Quote + escape. *)
-
-  val float : float -> string
-  (** Finite floats as shortest-roundtrip decimals; non-finite as [null]. *)
-end

@@ -74,23 +74,6 @@ let timed_build ~name i build =
   end
   else build ()
 
-let analyze_batch ?domains ?max_paths ?max_len ?cst_config inputs =
-  batch ?domains (Array.length inputs) (fun ~measurer i ->
-      let name, program, exec = inputs.(i) in
-      timed_build ~name i (fun () ->
-          analyze ?max_paths ?max_len ?cst_config ~measurer ~name ~program exec))
-
-let run_and_analyze_batch ?domains ?max_paths ?max_len ?cst_config jobs =
-  batch ?domains (Array.length jobs) (fun ~measurer i ->
-      let j = jobs.(i) in
-      timed_build ~name:j.job_name i (fun () ->
-          let exec =
-            Cpu.Exec.run ?settings:j.settings ?init:j.init ?victim:j.victim
-              j.program
-          in
-          analyze ?max_paths ?max_len ?cst_config ~measurer ~name:j.job_name
-            ~program:j.program exec))
-
 let build_models_batch ?domains ?cache ?max_paths ?max_len ?cst_config jobs =
   batch ?domains (Array.length jobs) (fun ~measurer i ->
       let j = jobs.(i) in

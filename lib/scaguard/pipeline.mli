@@ -8,14 +8,14 @@
     {!Detector.classify} (one-off) or {!Engine.classify_batch} (batch
     screening — see [docs/PERFORMANCE.md]).
 
-    {b Batch building.}  The [_batch] entry points fan the whole chain over
-    a {!Sutil.Pool} of domains.  Each task is independent of every other
-    (its own execution, CFG, identification, graph and model; per-worker
-    scratch only for the CST probe simulator), so the batch results are
-    {e byte-identical} to running the sequential functions in a loop — a
-    property the bench's modeling stage asserts on every run.
-    {!build_models_batch} can additionally consult a {!Model_cache},
-    skipping execution and modeling entirely for cached programs. *)
+    {b Batch building.}  {!build_models_batch} fans the whole chain over a
+    {!Sutil.Pool} of domains.  Each task is independent of every other (its
+    own execution, CFG, identification, graph and model; per-worker scratch
+    only for the CST probe simulator), so the batch models are
+    {e byte-identical} to running {!run_and_analyze} in a loop — a property
+    the bench's modeling stage asserts on every run.  It can additionally
+    consult a {!Model_cache}, skipping execution and modeling entirely for
+    cached programs. *)
 
 type analysis = {
   name : string;            (** the analyzed program's name *)
@@ -64,28 +64,14 @@ val job :
   ?victim:Isa.Program.t * (Cpu.Machine.t -> unit) ->
   ?salt:string -> name:string -> Isa.Program.t -> job
 
-val analyze_batch :
-  ?domains:int ->
-  ?max_paths:int -> ?max_len:int -> ?cst_config:Cache.Config.t ->
-  (string * Isa.Program.t * Cpu.Exec.result) array -> analysis array
-(** {!analyze} over already-collected executions, fanned over [domains]
-    workers (default {!Sutil.Pool.default_domains}).  [results.(i)] is
-    byte-identical to [analyze ~name ~program exec] on [inputs.(i)]. *)
-
-val run_and_analyze_batch :
-  ?domains:int ->
-  ?max_paths:int -> ?max_len:int -> ?cst_config:Cache.Config.t ->
-  job array -> analysis array
-(** Execute and analyze every job; [results.(i)] is byte-identical to
-    {!run_and_analyze} on [jobs.(i)]. *)
-
 val build_models_batch :
   ?domains:int ->
   ?cache:Model_cache.t ->
   ?max_paths:int -> ?max_len:int -> ?cst_config:Cache.Config.t ->
   job array -> Model.t array
-(** Like {!run_and_analyze_batch} but keeping only the models — and, with
-    [cache], consulting it first: a hit skips execution and modeling
+(** Execute and model every job, fanned over [domains] workers (default
+    {!Sutil.Pool.default_domains}) — and, with [cache], consulting the cache
+    first: a hit skips execution and modeling
     entirely, a miss builds then stores.  Cached or not, [models.(i)] is
     byte-identical ({!Persist.model_to_string}) to a fresh sequential
     build of [jobs.(i)]. *)

@@ -9,8 +9,8 @@
 
    The capture discipline copies [Obs]: a plain-ref switch read once at
    [Detector.classify_prepared] entry (zero allocation when off — the
-   builder simply is not created), a lock-free bounded Treiber-stack sink
-   safe from every engine worker domain, and strict observation purity —
+   builder simply is not created), a lock-free bounded [Sutil.Sink] safe
+   from every engine worker domain, and strict observation purity —
    the detection path never reads anything back from here, so verdicts are
    bit-identical with capture on or off (qcheck-asserted).
 
@@ -73,37 +73,14 @@ let enabled () = !capture_on
 let set_capture b = capture_on := b
 
 let default_capacity = 16384
-let capacity = ref default_capacity
-
-let set_capacity n =
-  if n < 1 then invalid_arg "Provenance.set_capacity: capacity must be >= 1";
-  capacity := n
-
-let sink : t list Atomic.t = Atomic.make []
+let sink : t Sutil.Sink.t = Sutil.Sink.create ~capacity:default_capacity ()
 let seq_counter = Atomic.make 0
-let length = Atomic.make 0
-let dropped_counter = Atomic.make 0
-
-let rec push_record r =
-  let cur = Atomic.get sink in
-  if not (Atomic.compare_and_set sink cur (r :: cur)) then push_record r
-
-let emit r =
-  if Atomic.fetch_and_add length 1 < !capacity then push_record r
-  else begin
-    ignore (Atomic.fetch_and_add length (-1));
-    ignore (Atomic.fetch_and_add dropped_counter 1)
-  end
-
-let dropped () = Atomic.get dropped_counter
-
-let records () =
-  List.sort (fun a b -> compare a.seq b.seq) (Atomic.get sink)
-
-let clear () =
-  Atomic.set sink [];
-  Atomic.set length 0;
-  Atomic.set dropped_counter 0
+let set_capacity n = Sutil.Sink.set_capacity sink n
+let emit r = Sutil.Sink.push sink r
+let dropped () = Sutil.Sink.dropped sink
+let by_seq rs = List.sort (fun a b -> compare a.seq b.seq) rs
+let records () = by_seq (Sutil.Sink.items sink)
+let clear () = Sutil.Sink.clear sink
 
 (* Capture exactly the records [f] produces: force the switch on, swap in a
    fresh sink, restore both afterwards.  Other domains must only emit
@@ -111,21 +88,14 @@ let clear () =
    which owns all execution, and for the CLI) — records pushed concurrently
    from outside it would land in [f]'s capture. *)
 let with_capture f =
-  let saved_records = Atomic.exchange sink [] in
-  let saved_length = Atomic.exchange length 0 in
   let saved_on = !capture_on in
   capture_on := true;
-  let restore () =
-    capture_on := saved_on;
-    let mine = Atomic.exchange sink saved_records in
-    ignore (Atomic.exchange length saved_length);
-    List.sort (fun a b -> compare a.seq b.seq) mine
+  let v, mine =
+    Fun.protect
+      ~finally:(fun () -> capture_on := saved_on)
+      (fun () -> Sutil.Sink.isolate sink f)
   in
-  match f () with
-  | v -> (v, restore ())
-  | exception e ->
-    ignore (restore ());
-    raise e
+  (v, by_seq mine)
 
 (* ---- the ensemble handoff --------------------------------------------------- *)
 

@@ -1,20 +1,13 @@
 (* The resident streaming detection daemon behind `scaguard serve`.
 
-   Layering (bottom up): Json (strict parse + compact print), Framer
-   (newline framing with a hard line ceiling), the protocol types
+   Layering (bottom up): Framer (newline framing with a hard line
+   ceiling) over the shared strict Json codec, the protocol types
    (parse_request / frame builders), then the server core — a bounded
    request queue drained by a single thread, so requests execute strictly
    in arrival order and `reload` can never race an in-flight detection.
    The transports (stdio / Unix socket / TCP) are thin pump loops over
    connect/feed/step.  docs/SERVER.md is the normative wire spec; keep the
    two in lockstep. *)
-
-(* ---- JSON ------------------------------------------------------------------- *)
-
-(* The strict JSON layer lives in its own module now (Log and Provenance
-   share it); the alias keeps [Server.Json] working for every existing
-   protocol consumer. *)
-module Json = Json
 
 (* ---- framing ---------------------------------------------------------------- *)
 
@@ -482,14 +475,6 @@ let accumulate t (report : Service.report) =
 
 (* ---- request execution ----- *)
 
-(* The CLI's salt policy, replicated so serve verdicts reproduce
-   detect-batch's bit for bit: a CLI-derived salt never clobbers one the
-   operator set in the config. *)
-let salted t seed =
-  if t.config.Config.salt = "" then
-    { t.config with Config.salt = string_of_int seed }
-  else t.config
-
 let err_frame ?extras ~id e = frame_error ?extras ~id (error_code_of_err e) (Err.to_string e)
 
 let wall_ms ~arrival_ns =
@@ -507,7 +492,8 @@ let resolve_all t ~seed targets =
 
 let do_detect t conn ?trace ~id ~arrival_ns ~deadline ~targets ~seed ~stream ()
     =
-  let config = salted t seed in
+  (* the CLI's own salt policy, so serve verdicts reproduce detect-batch's *)
+  let config = Config.seeded ~seed t.config in
   let total = List.length targets in
   let attacks = ref 0 in
   let emit_verdict target v =
@@ -581,7 +567,7 @@ let do_detect t conn ?trace ~id ~arrival_ns ~deadline ~targets ~seed ~stream ()
   end
 
 let do_screen t conn ?trace ~id ~arrival_ns ~targets ~seed () =
-  let config = salted t seed in
+  let config = Config.seeded ~seed t.config in
   match resolve_all t ~seed targets with
   | Error (name, e) ->
     emit_frame ?trace conn (err_frame ~extras:[ ("target", Json.Str name) ] ~id e)
@@ -609,7 +595,7 @@ let do_screen t conn ?trace ~id ~arrival_ns ~targets ~seed () =
            ]))
 
 let do_explain t conn ?trace ~id ~arrival_ns ~targets ~seed () =
-  let config = salted t seed in
+  let config = Config.seeded ~seed t.config in
   match resolve_all t ~seed targets with
   | Error (name, e) ->
     emit_frame ?trace conn (err_frame ~extras:[ ("target", Json.Str name) ] ~id e)
@@ -1074,18 +1060,21 @@ let serve_unix t path =
     serve_listener t listener ~cleanup:(fun () ->
         try Unix.unlink path with Unix.Unix_error _ -> ())
 
-let serve_tcp t host port =
-  let addr =
-    match Unix.inet_addr_of_string host with
-    | a -> Ok a
-    | exception Failure _ -> (
+let resolve_host host =
+  let unresolved () = Error (Err.Io { path = host; msg = "cannot resolve host" }) in
+  match Unix.inet_addr_of_string host with
+  | a -> Ok a
+  | exception Failure _ ->
+    let name = String.lowercase_ascii host in
+    if name = "invalid" || String.ends_with ~suffix:".invalid" name then
+      unresolved ()
+    else (
       match Unix.gethostbyname host with
-      | { Unix.h_addr_list = [||]; _ } | (exception Not_found) ->
-        Error
-          (Err.Io { path = host; msg = "cannot resolve host" })
+      | { Unix.h_addr_list = [||]; _ } | (exception Not_found) -> unresolved ()
       | { Unix.h_addr_list; _ } -> Ok h_addr_list.(0))
-  in
-  match addr with
+
+let serve_tcp t host port =
+  match resolve_host host with
   | Error e -> Error e
   | Ok addr -> (
     let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in

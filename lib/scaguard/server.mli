@@ -23,15 +23,9 @@
     one.  Verdicts are bit-identical to [scaguard detect-batch] on the same
     targets and configuration (asserted by [bench: serve] and by CI).
 
-    The lower layers ({!Framer}, {!Json}, {!parse_request},
+    The lower layers ({!Framer}, {!parse_request},
     {!connect}/{!feed}/{!step}) are exposed so tests and benches can drive
     the protocol in-process without sockets. *)
-
-(** {1 JSON} *)
-
-module Json = Json
-(** The strict JSON reader/writer the protocol frames use, re-exported
-    from {!Scaguard.Json} (where {!Log} and {!Provenance} share it). *)
 
 (** {1 Framing} *)
 
@@ -225,6 +219,13 @@ type endpoint =
   | Tcp of { host : string; port : int }
 
 val endpoint_to_string : endpoint -> string
+
+val resolve_host : string -> (Unix.inet_addr, Err.t) result
+(** The address of a TCP host: a numeric address as written, else the
+    first address the system resolver returns.  Names under the reserved
+    [.invalid] domain (RFC 6761) fail without a lookup.  An unknown host is
+    [Error (Io _)], never an exception — [serve --tcp] and
+    [client --tcp] both resolve through here. *)
 
 val serve_channels : t -> ic:in_channel -> oc:out_channel -> (unit, Err.t) result
 (** The stdio loop over explicit channels (what [Stdio] uses with

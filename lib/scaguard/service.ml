@@ -130,78 +130,86 @@ let pp_report ppf r =
 (* ---- JSON report ------------------------------------------------------------ *)
 
 let report_to_json r =
-  let buf = Buffer.create 1024 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let field_sep first = if !first then first := false else add "," in
-  add "{";
-  add "\"built\":%d,\"classified\":%d" r.built r.classified;
-  add ",\"timings\":[";
-  List.iteri
-    (fun i (t : timing) ->
-      if i > 0 then add ",";
-      add "{\"stage\":%s,\"wall_s\":%s,\"cpu_s\":%s}" (Obs.Json.str t.stage)
-        (Obs.Json.float t.wall_s) (Obs.Json.float t.cpu_s))
-    r.timings;
-  add "]";
-  (match r.cache with
-  | None -> ()
-  | Some c ->
-    add ",\"cache\":{\"dir\":%s,\"hits\":%d,\"misses\":%d,\"stale\":%d}"
-      (Obs.Json.str c.dir) c.hits c.misses c.stale);
-  (match r.engine with
-  | None -> ()
-  | Some (s : Engine.stats) ->
-    add
-      ",\"engine\":{\"domains\":%d,\"targets\":%d,\"pairs\":%d,\"cells\":%d,\
-       \"pairs_pruned_lb\":%d,\"pairs_abandoned\":%d,\"cells_saved\":%d,\
-       \"lb_evals\":%d,\"pairs_pruned_index\":%d,\"nodes_visited\":%d,\
-       \"wall_s\":%s,\"cpu_s\":%s,\"per_worker\":[%s]}"
-      s.Engine.domains s.Engine.targets s.Engine.pairs s.Engine.cells
-      s.Engine.pairs_pruned_lb s.Engine.pairs_abandoned s.Engine.cells_saved
-      s.Engine.lb_evals s.Engine.pairs_pruned_index s.Engine.nodes_visited
-      (Obs.Json.float s.Engine.wall_s)
-      (Obs.Json.float s.Engine.cpu_s)
-      (String.concat ","
-         (Array.to_list (Array.map string_of_int s.Engine.per_worker))));
-  (match r.metrics with
-  | None -> ()
-  | Some snap ->
-    add ",\"metrics\":[";
-    let first = ref true in
-    List.iter
-      (fun (e : Obs.Registry.snapshot_entry) ->
-        field_sep first;
-        add "{\"name\":%s" (Obs.Json.str e.Obs.Registry.entry_name);
-        (match e.Obs.Registry.entry_labels with
-        | [] -> ()
-        | labels ->
-          add ",\"labels\":{%s}"
-            (String.concat ","
-               (List.map
-                  (fun (k, v) -> Obs.Json.str k ^ ":" ^ Obs.Json.str v)
-                  labels)));
-        (match e.Obs.Registry.entry_value with
-        | Obs.Registry.Counter_value v -> add ",\"value\":%d" v
-        | Obs.Registry.Gauge_value v -> add ",\"value\":%s" (Obs.Json.float v)
-        | Obs.Registry.Histogram_value h ->
-          add ",\"count\":%d,\"sum\":%s,\"buckets\":[" h.Obs.Registry.count
-            (Obs.Json.float h.Obs.Registry.sum);
-          Array.iteri
-            (fun i c ->
-              if i > 0 then add ",";
-              let le =
-                if i < Array.length h.Obs.Registry.bounds then
-                  Obs.Json.float h.Obs.Registry.bounds.(i)
-                else "\"+Inf\""
-              in
-              add "{\"le\":%s,\"count\":%d}" le c)
-            h.Obs.Registry.counts;
-          add "]");
-        add "}")
-      (stable_snapshot snap);
-    add "]");
-  add "}";
-  Buffer.contents buf
+  let num f = Json.Num f and int n = Json.Num (float_of_int n) in
+  let labels = function
+    | [] -> []
+    | ls -> [ ("labels", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) ls)) ]
+  in
+  let metric (e : Obs.Registry.snapshot_entry) =
+    let value =
+      match e.Obs.Registry.entry_value with
+      | Obs.Registry.Counter_value v -> [ ("value", int v) ]
+      | Obs.Registry.Gauge_value v -> [ ("value", num v) ]
+      | Obs.Registry.Histogram_value h ->
+        let bounds = h.Obs.Registry.bounds in
+        let bucket i c =
+          let le =
+            if i < Array.length bounds then num bounds.(i) else Json.Str "+Inf"
+          in
+          Json.Obj [ ("le", le); ("count", int c) ]
+        in
+        [
+          ("count", int h.Obs.Registry.count);
+          ("sum", num h.Obs.Registry.sum);
+          ( "buckets",
+            Json.List (Array.to_list (Array.mapi bucket h.Obs.Registry.counts)) );
+        ]
+    in
+    Json.Obj
+      ((("name", Json.Str e.Obs.Registry.entry_name)
+        :: labels e.Obs.Registry.entry_labels)
+      @ value)
+  in
+  let optional key f = function None -> [] | Some v -> [ (key, f v) ] in
+  Json.Obj
+    ([
+       ("built", int r.built);
+       ("classified", int r.classified);
+       ( "timings",
+         Json.List
+           (List.map
+              (fun (t : timing) ->
+                Json.Obj
+                  [
+                    ("stage", Json.Str t.stage);
+                    ("wall_s", num t.wall_s);
+                    ("cpu_s", num t.cpu_s);
+                  ])
+              r.timings) );
+     ]
+    @ optional "cache"
+        (fun c ->
+          Json.Obj
+            [
+              ("dir", Json.Str c.dir);
+              ("hits", int c.hits);
+              ("misses", int c.misses);
+              ("stale", int c.stale);
+            ])
+        r.cache
+    @ optional "engine"
+        (fun (s : Engine.stats) ->
+          Json.Obj
+            [
+              ("domains", int s.Engine.domains);
+              ("targets", int s.Engine.targets);
+              ("pairs", int s.Engine.pairs);
+              ("cells", int s.Engine.cells);
+              ("pairs_pruned_lb", int s.Engine.pairs_pruned_lb);
+              ("pairs_abandoned", int s.Engine.pairs_abandoned);
+              ("cells_saved", int s.Engine.cells_saved);
+              ("lb_evals", int s.Engine.lb_evals);
+              ("pairs_pruned_index", int s.Engine.pairs_pruned_index);
+              ("nodes_visited", int s.Engine.nodes_visited);
+              ("wall_s", num s.Engine.wall_s);
+              ("cpu_s", num s.Engine.cpu_s);
+              ( "per_worker",
+                Json.List (Array.to_list (Array.map int s.Engine.per_worker)) );
+            ])
+        r.engine
+    @ optional "metrics"
+        (fun snap -> Json.List (List.map metric (stable_snapshot snap)))
+        r.metrics)
 
 (* ---- stages ----------------------------------------------------------------- *)
 
@@ -228,18 +236,26 @@ let cache_of_config (config : Config.t) =
   | None -> Ok None
   | Some dir -> Result.map Option.some (Model_cache.create_result ~dir)
 
-let cache_stats_of cache =
-  Option.map
-    (fun c ->
-      {
-        dir = Model_cache.dir c;
-        hits = Model_cache.hits c;
-        misses = Model_cache.misses c;
-        stale = Model_cache.stale c;
-      })
-    cache
-
-let metrics_snapshot () = if Obs.metrics () then Some (Obs.snapshot ()) else None
+(* A run's report: counts, the cache's counters, the engine's stats, and a
+   metrics snapshot when collection is on. *)
+let report ?(built = 0) ?(classified = 0) ?cache ?engine timings =
+  {
+    built;
+    classified;
+    cache =
+      Option.map
+        (fun c ->
+          {
+            dir = Model_cache.dir c;
+            hits = Model_cache.hits c;
+            misses = Model_cache.misses c;
+            stale = Model_cache.stale c;
+          })
+        cache;
+    engine;
+    timings;
+    metrics = (if Obs.metrics () then Some (Obs.snapshot ()) else None);
+  }
 
 (* The config's index policy as a Vpindex build spec; [None] means linear.
    The construction seed comes from the salt, so two operators with the same
@@ -282,44 +298,11 @@ let build config jobs =
   let* config = Config.validate config in
   let* cache = cache_of_config config in
   let timing, models = build_stage config cache jobs in
-  Ok
-    ( models,
-      {
-        built = Array.length models;
-        classified = 0;
-        cache = cache_stats_of cache;
-        engine = None;
-        timings = [ timing ];
-        metrics = metrics_snapshot ();
-      } )
+  Ok (models, report ~built:(Array.length models) ?cache [ timing ])
 
-let detect_stage (config : Config.t) repo targets =
+let detect_stage (config : Config.t) prep targets =
   timed "detect" (fun () ->
       Engine.classify_batch ~threshold:config.Config.threshold
-        ?alpha:config.Config.alpha ?band:config.Config.band
-        ?domains:config.Config.domains ~prune:config.Config.prune
-        ?index:(spec_of_config config) repo targets)
-
-let detect_report ?(timings = []) targets stats =
-  {
-    built = 0;
-    classified = Array.length targets;
-    cache = None;
-    engine = Some stats;
-    timings;
-    metrics = metrics_snapshot ();
-  }
-
-let detect config repo targets =
-  let* config = Config.validate config in
-  if repo = [] then Error Err.Empty_repository
-  else
-    let timing, (verdicts, stats) = detect_stage config repo targets in
-    Ok (verdicts, detect_report ~timings:[ timing ] targets stats)
-
-let detect_prepared_stage (config : Config.t) prep targets =
-  timed "detect" (fun () ->
-      Engine.classify_batch_prepared ~threshold:config.Config.threshold
         ?alpha:config.Config.alpha ?band:config.Config.band
         ?domains:config.Config.domains ~prune:config.Config.prune prep targets)
 
@@ -327,20 +310,15 @@ let detect_prepared config prep targets =
   let* config = Config.validate config in
   if Detector.prepared_size prep = 0 then Error Err.Empty_repository
   else
-    let timing, (verdicts, stats) = detect_prepared_stage config prep targets in
-    Ok (verdicts, detect_report ~timings:[ timing ] targets stats)
+    let timing, (verdicts, stats) = detect_stage config prep targets in
+    Ok
+      (verdicts, report ~classified:(Array.length targets) ~engine:stats [ timing ])
 
 (* ---- repository IO ----------------------------------------------------------- *)
 
-let io_report ?built timing =
-  {
-    built = Option.value built ~default:0;
-    classified = 0;
-    cache = None;
-    engine = None;
-    timings = [ timing ];
-    metrics = metrics_snapshot ();
-  }
+let prepare config repo =
+  let* config = Config.validate config in
+  Ok (Detector.prepare ?index:(spec_of_config config) repo)
 
 let save_repository config ~path repo =
   let* config = Config.validate config in
@@ -352,14 +330,13 @@ let save_repository config ~path repo =
           (* binary images embed the repository index so loads skip the
              rebuild; the text format has no index section *)
           let index =
-            match spec_of_config config with
-            | None -> None
-            | Some spec -> Detector.prepared_index (Detector.prepare ~index:spec repo)
+            Option.bind (spec_of_config config) (fun spec ->
+                Detector.prepared_index (Detector.prepare ~index:spec repo))
           in
           Persist.save_repository_bin_result ?index ~path repo)
   in
   let* () = result in
-  Ok (io_report timing)
+  Ok (report [ timing ])
 
 (* With [config], the loaded repository honours the config's index policy:
    an index embedded in the image is kept (Auto/Vp) or dropped (Off), and a
@@ -385,26 +362,7 @@ let load_repository ?config ~path () =
             Detector.attach_index prep
               (Vpindex.build spec (Detector.prepared_summaries prep))))
   in
-  Ok (repo, prep, io_report ~built:(List.length repo) timing)
-
-let screen_report ~cache ~build_timing ~detect_timing models stats =
-  {
-    built = Array.length models;
-    classified = Array.length models;
-    cache = cache_stats_of cache;
-    engine = Some stats;
-    timings = [ build_timing; detect_timing ];
-    metrics = metrics_snapshot ();
-  }
-
-let screen config repo jobs =
-  let* config = Config.validate config in
-  if repo = [] then Error Err.Empty_repository
-  else
-    let* cache = cache_of_config config in
-    let build_timing, models = build_stage config cache jobs in
-    let detect_timing, (verdicts, stats) = detect_stage config repo models in
-    Ok (models, verdicts, screen_report ~cache ~build_timing ~detect_timing models stats)
+  Ok (repo, prep, report ~built:(List.length repo) [ timing ])
 
 let screen_prepared config prep jobs =
   let* config = Config.validate config in
@@ -412,10 +370,13 @@ let screen_prepared config prep jobs =
   else
     let* cache = cache_of_config config in
     let build_timing, models = build_stage config cache jobs in
-    let detect_timing, (verdicts, stats) =
-      detect_prepared_stage config prep models
-    in
-    Ok (models, verdicts, screen_report ~cache ~build_timing ~detect_timing models stats)
+    let detect_timing, (verdicts, stats) = detect_stage config prep models in
+    let n = Array.length models in
+    Ok
+      ( models,
+        verdicts,
+        report ~built:n ~classified:n ?cache ~engine:stats
+          [ build_timing; detect_timing ] )
 
 let explain config prep jobs =
   (* capture is forced on only for this run, and restored after — the

@@ -1,14 +1,17 @@
 (** The service facade: one validated {!Config.t} in, models/verdicts plus a
     unified run {!report} out, every failure a typed {!Err.t}.
 
-    Every front-end (CLI, bench, experiments, examples) goes through these
-    three entry points instead of hand-composing
+    A repository becomes a {!Detector.prepared} in exactly two places:
+    {!load_repository} (files) and {!prepare} (in memory), both under the
+    config's index policy.  Every front-end (CLI, serve, bench,
+    experiments, examples) then classifies through {!detect_prepared} or
+    {!screen_prepared} instead of hand-composing
     [Pipeline.build_models_batch] + [Engine.classify_batch] with ten
     optional arguments.  The facade adds {e no} behaviour of its own:
     {!build} results are byte-identical ({!Persist.model_to_string}) and
-    {!detect} verdicts bit-identical (score bits and tie order) to the
-    manual composition with the same knobs — asserted by the test suite and
-    by the bench on every run. *)
+    {!detect_prepared} verdicts bit-identical (score bits and tie order) to
+    the manual composition with the same knobs — asserted by the test suite
+    and by the bench on every run. *)
 
 type cache_stats = { dir : string; hits : int; misses : int; stale : int }
 (** Hit/miss/stale counters of the {!Model_cache} this run opened —
@@ -38,10 +41,11 @@ val pp_report : Format.formatter -> report -> unit
     histogram (estimated from the buckets via
     {!Sutil.Stats.percentile_of_buckets}). *)
 
-val report_to_json : report -> string
+val report_to_json : report -> Json.t
 (** The same report as a single JSON object ([built], [classified],
     [timings], and [cache]/[engine]/[metrics] when present) for
-    machine-readable output ([--report-format json]). *)
+    machine-readable output ([--report-format json]).  Floats print through
+    {!Json.to_string}, so they read back bit for bit. *)
 
 val build :
   Config.t -> Pipeline.job array -> (Model.t array * report, Err.t) result
@@ -53,25 +57,15 @@ val build :
     [""].  Errors: [Invalid_config] (bad config field), [Io]
     (cache directory unusable). *)
 
-val detect :
-  Config.t ->
-  Detector.repository ->
-  Model.t array ->
-  (Detector.verdict array * report, Err.t) result
-(** Score every target model against the repository on the batch engine,
-    with [config]'s threshold/alpha/band/prune/domains.  Errors:
-    [Invalid_config], [Empty_repository]. *)
-
 val detect_prepared :
   Config.t ->
   Detector.prepared ->
   Model.t array ->
   (Detector.verdict array * report, Err.t) result
-(** {!detect} against an already-prepared repository — pairs with
-    {!load_repository} so a binary image's inline summaries go straight to
-    the engine with no {!Detector.prepare} pass.  Verdicts are bit-identical
-    to {!detect} on the repository the [prepared] was built from.  Errors:
-    [Invalid_config], [Empty_repository]. *)
+(** Score every target model against the prepared repository on the batch
+    engine ({!Engine.classify_batch}), with [config]'s
+    threshold/alpha/band/prune/domains.  Errors: [Invalid_config],
+    [Empty_repository]. *)
 
 val spec_of_config : Config.t -> Vpindex.spec option
 (** The config's repository-index policy as a {!Vpindex} build spec —
@@ -79,6 +73,14 @@ val spec_of_config : Config.t -> Vpindex.spec option
     and pivot counts from the config, and the construction seed derived from
     the salt ({!Vpindex.seed_of_salt}), so identical configs build
     byte-identical indexes. *)
+
+val prepare :
+  Config.t -> Detector.repository -> (Detector.prepared, Err.t) result
+(** Prepare an in-memory repository under [config]'s index policy
+    ({!spec_of_config}) — the in-memory twin of {!load_repository}, and with
+    it the only way the front-ends turn a repository into a
+    {!Detector.prepared}.  An empty repository prepares fine; detecting
+    against it is the [Empty_repository] error.  Errors: [Invalid_config]. *)
 
 val save_repository :
   Config.t -> path:string -> Detector.repository -> (report, Err.t) result
@@ -102,24 +104,15 @@ val load_repository :
     built here.  Without [config] the file decides (an embedded index is
     used, none is built).  Errors: [Io], [Parse], [Invalid_config]. *)
 
-val screen :
-  Config.t ->
-  Detector.repository ->
-  Pipeline.job array ->
-  (Model.t array * Detector.verdict array * report, Err.t) result
-(** {!build} the jobs, then {!detect} the resulting models: the §V
-    deployment loop in one call.  The report carries both stages' timings,
-    the build's cache counters and the detect's engine counters. *)
-
 val screen_prepared :
   Config.t ->
   Detector.prepared ->
   Pipeline.job array ->
   (Model.t array * Detector.verdict array * report, Err.t) result
-(** {!screen} against an already-prepared repository (e.g. from
-    {!load_repository}) — identical models, verdicts and counters; no
-    re-summarization.  Errors: [Invalid_config], [Empty_repository],
-    [Io]. *)
+(** {!build} the jobs, then {!detect_prepared} the resulting models: the §V
+    deployment loop in one call.  The report carries both stages' timings,
+    the build's cache counters and the detect's engine counters.  Errors:
+    [Invalid_config], [Empty_repository], [Io]. *)
 
 val explain :
   Config.t ->

@@ -374,11 +374,13 @@ let test_ensemble_counters () =
 
 (* ---- showdown smoke ----------------------------------------------------------- *)
 
+let showdown =
+  lazy
+    (E.Showdown.evaluate ~rng:(Sutil.Rng.create 416) ~per_family:2 ~tau:2.0
+       ~detectors:[ "scaguard"; "ensemble" ] ())
+
 let test_showdown_shape () =
-  let t =
-    E.Showdown.evaluate ~rng:(Sutil.Rng.create 416) ~per_family:2 ~tau:2.0
-      ~detectors:[ "scaguard"; "ensemble" ] ()
-  in
+  let t = Lazy.force showdown in
   check_int "two rows" 2 (List.length t.E.Showdown.rows);
   let en =
     List.find (fun r -> r.E.Showdown.key = "ensemble") t.E.Showdown.rows
@@ -386,7 +388,72 @@ let test_showdown_shape () =
   check_bool "ensemble carries stats" true (Option.is_some en.E.Showdown.ensemble);
   check_bool "table renders" true
     (String.length (Sutil.Table.render (E.Showdown.to_table t)) > 0);
-  check_bool "json non-empty" true (String.length (E.Showdown.to_json t) > 0)
+  check_bool "json non-empty" true
+    (String.length (Scaguard.Json.to_string (E.Showdown.to_json t)) > 0)
+
+(* The JSON artifact reads back exactly: every float field of the parsed
+   text has the bits of the record it was printed from. *)
+let test_showdown_json_exact () =
+  let module J = Scaguard.Json in
+  let t = Lazy.force showdown in
+  let doc =
+    match J.parse (J.to_string (E.Showdown.to_json t)) with
+    | Ok d -> d
+    | Error m -> Alcotest.failf "showdown JSON does not parse: %s" m
+  in
+  let get k o =
+    match J.member k o with
+    | Some v -> v
+    | None -> Alcotest.failf "showdown JSON lacks %S" k
+  in
+  let bits what k o x =
+    match get k o with
+    | J.Num y ->
+      check_bool
+        (Printf.sprintf "%s.%s bit-identical" what k)
+        true
+        (Int64.bits_of_float x = Int64.bits_of_float y)
+    | _ -> Alcotest.failf "%s.%s is not a number" what k
+  in
+  let scores what o (s : Ml.Metrics.scores) =
+    bits what "precision" o s.Ml.Metrics.precision;
+    bits what "recall" o s.Ml.Metrics.recall;
+    bits what "f1" o s.Ml.Metrics.f1;
+    bits what "accuracy" o s.Ml.Metrics.accuracy
+  in
+  bits "showdown" "tau" doc t.E.Showdown.tau;
+  bits "showdown" "prep_s" doc t.E.Showdown.prep_s;
+  let rows =
+    match get "detectors" doc with
+    | J.List l -> l
+    | _ -> Alcotest.fail "detectors is not a list"
+  in
+  check_int "one object per row" (List.length t.E.Showdown.rows)
+    (List.length rows);
+  List.iter2
+    (fun (r : E.Showdown.row) o ->
+      let what = r.E.Showdown.key in
+      scores (what ^ ".scores") (get "scores" o) r.E.Showdown.scores;
+      scores (what ^ ".detection") (get "detection" o) r.E.Showdown.detection;
+      bits what "train_s" o r.E.Showdown.train_s;
+      bits what "predict_s" o r.E.Showdown.predict_s;
+      bits what "throughput" o r.E.Showdown.throughput;
+      (match get "per_class" o with
+      | J.List cs ->
+        List.iter2
+          (fun (c : Ml.Metrics.class_scores) co ->
+            let what = what ^ ".per_class" in
+            bits what "precision" co c.Ml.Metrics.c_precision;
+            bits what "recall" co c.Ml.Metrics.c_recall;
+            bits what "f1" co c.Ml.Metrics.c_f1)
+          r.E.Showdown.per_class cs
+      | _ -> Alcotest.fail "per_class is not a list");
+      match r.E.Showdown.ensemble with
+      | None -> check_bool (what ^ ".ensemble is null") true (get "ensemble" o = J.Null)
+      | Some s ->
+        bits (what ^ ".ensemble") "slow_path_rate" (get "ensemble" o)
+          (Detect.Ensemble.slow_path_rate s))
+    t.E.Showdown.rows rows
 
 let () =
   Alcotest.run "detect"
@@ -404,5 +471,10 @@ let () =
           QCheck_alcotest.to_alcotest ~long:true ensemble_tau0_prop;
           Alcotest.test_case "counters" `Quick test_ensemble_counters;
         ] );
-      ("showdown", [ Alcotest.test_case "shape" `Slow test_showdown_shape ]);
+      ( "showdown",
+        [
+          Alcotest.test_case "shape" `Slow test_showdown_shape;
+          Alcotest.test_case "json floats read back exactly" `Slow
+            test_showdown_json_exact;
+        ] );
     ]

@@ -97,33 +97,6 @@ let test_per_class_breakdown () =
     (avg (fun r -> r.Ml.Metrics.c_f1))
     s.Ml.Metrics.f1
 
-let contains haystack needle =
-  let n = String.length needle and h = String.length haystack in
-  n = 0
-  || (h >= n
-     && List.exists
-          (fun i -> String.sub haystack i n = needle)
-          (List.init (h - n + 1) Fun.id))
-
-let test_metrics_to_json () =
-  let s = Ml.Metrics.evaluate ~classes:[ 0; 1 ] [ (0, 0); (1, 1); (1, 0) ] in
-  let json = Ml.Metrics.to_json s in
-  List.iter
-    (fun k ->
-      check_bool ("json carries " ^ k) true (contains json ("\"" ^ k ^ "\":")))
-    [ "precision"; "recall"; "f1"; "accuracy" ];
-  (* accuracy 2/3 rendered at full precision, readable back exactly *)
-  check_bool "full-precision accuracy" true
-    (contains json (Printf.sprintf "\"accuracy\":%.17g" (2.0 /. 3.0)));
-  let rows = Ml.Metrics.per_class ~classes:[ 0; 1 ] [ (0, 0); (1, 1) ] in
-  let arr =
-    Ml.Metrics.class_scores_to_json ~name:(Printf.sprintf "c%d") rows
-  in
-  check_bool "per-class json names classes" true
-    (contains arr "\"class\":\"c1\"");
-  check_bool "per-class json carries support" true
-    (contains arr "\"support\":1")
-
 (* ---- synthetic data ----------------------------------------------------------- *)
 
 (* Two Gaussian-ish blobs separated along the first dimension. *)
@@ -269,7 +242,6 @@ let () =
           Alcotest.test_case "confusion matrix" `Quick test_confusion_matrix;
           Alcotest.test_case "per-class breakdown" `Quick
             test_per_class_breakdown;
-          Alcotest.test_case "json export" `Quick test_metrics_to_json;
         ] );
       ( "svm",
         [

@@ -330,134 +330,10 @@ let test_spans () =
 
 (* -- trace JSON validity ---------------------------------------------------- *)
 
-(* A tiny recursive-descent JSON parser — enough to prove the trace file is
-   well-formed JSON with the Chrome trace-event shape, without a JSON
-   dependency. *)
-module Json_check = struct
-  type v =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of v list
-    | Obj of (string * v) list
-
-  exception Bad of string
-
-  let parse (s : string) : v =
-    let n = String.length s in
-    let pos = ref 0 in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let advance () = incr pos in
-    let fail m = raise (Bad (Printf.sprintf "%s at byte %d" m !pos)) in
-    let rec skip_ws () =
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r') -> advance (); skip_ws ()
-      | _ -> ()
-    in
-    let expect c =
-      if peek () = Some c then advance ()
-      else fail (Printf.sprintf "expected %c" c)
-    in
-    let literal word v =
-      String.iter (fun c -> expect c) word;
-      v
-    in
-    let string_lit () =
-      expect '"';
-      let buf = Buffer.create 16 in
-      let rec go () =
-        match peek () with
-        | None -> fail "unterminated string"
-        | Some '"' -> advance ()
-        | Some '\\' ->
-          advance ();
-          (match peek () with
-          | Some ('"' | '\\' | '/') ->
-            Buffer.add_char buf (Option.get (peek ()));
-            advance ()
-          | Some 'n' -> Buffer.add_char buf '\n'; advance ()
-          | Some 't' -> Buffer.add_char buf '\t'; advance ()
-          | Some 'r' -> Buffer.add_char buf '\r'; advance ()
-          | Some 'b' | Some 'f' -> advance ()
-          | Some 'u' ->
-            advance ();
-            for _ = 1 to 4 do
-              match peek () with
-              | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> advance ()
-              | _ -> fail "bad \\u escape"
-            done
-          | _ -> fail "bad escape");
-          go ()
-        | Some c -> Buffer.add_char buf c; advance (); go ()
-      in
-      go ();
-      Buffer.contents buf
-    in
-    let number () =
-      let start = !pos in
-      let num_char = function
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      in
-      while (match peek () with Some c -> num_char c | None -> false) do
-        advance ()
-      done;
-      match float_of_string_opt (String.sub s start (!pos - start)) with
-      | Some f -> f
-      | None -> fail "bad number"
-    in
-    let rec value () =
-      skip_ws ();
-      match peek () with
-      | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then (advance (); Obj [])
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let k = string_lit () in
-            skip_ws ();
-            expect ':';
-            let v = value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); members ((k, v) :: acc)
-            | Some '}' -> advance (); Obj (List.rev ((k, v) :: acc))
-            | _ -> fail "expected , or }"
-          in
-          members []
-        end
-      | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then (advance (); Arr [])
-        else begin
-          let rec elements acc =
-            let v = value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); elements (v :: acc)
-            | Some ']' -> advance (); Arr (List.rev (v :: acc))
-            | _ -> fail "expected , or ]"
-          in
-          elements []
-        end
-      | Some '"' -> Str (string_lit ())
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some 'n' -> literal "null" Null
-      | Some _ -> Num (number ())
-      | None -> fail "unexpected end"
-    in
-    let v = value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage";
-    v
-end
-
+(* The trace must be well-formed JSON with the Chrome trace-event shape; it
+   is read back with the strict parser every other artifact uses. *)
 let test_trace_json () =
+  let module J = SG.Json in
   with_obs ~tracing:true ~metrics:false (fun () ->
       Obs.with_span ~cat:"stage" "stage:one" (fun () -> ());
       Obs.emit_span ~cat:"engine" ~tid:3
@@ -466,33 +342,33 @@ let test_trace_json () =
         ~ts_ns:(Obs.Clock.now_ns ()) ~dur_ns:1234L ();
       let json = Obs.Trace_writer.to_json (Obs.spans ()) in
       let v =
-        try Json_check.parse json
-        with Json_check.Bad m -> Alcotest.failf "trace is not valid JSON: %s" m
+        match J.parse json with
+        | Ok v -> v
+        | Error m -> Alcotest.failf "trace is not valid JSON: %s" m
       in
-      match v with
-      | Json_check.Obj fields ->
-        let events =
-          match List.assoc_opt "traceEvents" fields with
-          | Some (Json_check.Arr evs) -> evs
-          | _ -> Alcotest.fail "no traceEvents array"
-        in
-        check_int "both spans exported" 2 (List.length events);
-        List.iter
-          (fun ev ->
-            match ev with
-            | Json_check.Obj f ->
-              let num k =
-                match List.assoc_opt k f with
-                | Some (Json_check.Num x) -> x
-                | _ -> Alcotest.failf "event field %s missing" k
-              in
-              check_bool "ts is non-negative" true (num "ts" >= 0.0);
-              check_bool "dur is non-negative" true (num "dur" >= 0.0);
-              check_bool "ph is X" true
-                (List.assoc_opt "ph" f = Some (Json_check.Str "X"))
-            | _ -> Alcotest.fail "event is not an object")
-          events
-      | _ -> Alcotest.fail "trace is not a JSON object")
+      let events =
+        match J.member "traceEvents" v with
+        | Some (J.List evs) -> evs
+        | _ -> Alcotest.fail "no traceEvents array"
+      in
+      check_int "both spans exported" 2 (List.length events);
+      List.iter
+        (fun ev ->
+          let num k =
+            match J.member k ev with
+            | Some (J.Num x) -> x
+            | _ -> Alcotest.failf "event field %s missing" k
+          in
+          check_bool "ts is non-negative" true (num "ts" >= 0.0);
+          check_bool "dur is non-negative" true (num "dur" >= 0.0);
+          check_bool "ph is X" true (J.member "ph" ev = Some (J.Str "X")))
+        events;
+      check_bool "escaped arg reads back" true
+        (List.exists
+           (fun ev ->
+             Option.bind (J.member "args" ev) (J.member "target")
+             = Some (J.Str "FR \"quoted\"\n"))
+           events))
 
 (* -- observation never changes results -------------------------------------- *)
 
@@ -524,8 +400,9 @@ let prop_observation_is_pure =
       let jobs = obs_jobs () in
       let rng = Sutil.Rng.create 77 in
       let repo =
-        Experiments.Common.repository ~rng
-          [ Workloads.Label.Fr_family; Workloads.Label.Pp_family ]
+        SG.Detector.prepare
+          (Experiments.Common.repository ~rng
+             [ Workloads.Label.Fr_family; Workloads.Label.Pp_family ])
       in
       let baseline_models =
         with_obs ~tracing:false ~metrics:false (fun () ->

@@ -312,7 +312,7 @@ let prop_capture_is_pure =
     QCheck.(triple bool bool (pair bool (int_range 1 4)))
     (fun (prov, log, (prune, domains)) ->
       let jobs = prov_jobs () in
-      let repo = prov_repo () in
+      let repo = SG.Detector.prepare (prov_repo ()) in
       let baseline_models, baseline_verdicts =
         with_capture ~prov:false ~log:false (fun () ->
             let models = SG.Pipeline.build_models_batch ~domains jobs in

@@ -253,22 +253,29 @@ let test_detector_classifies_variant () =
 
 let test_detector_scores_sorted () =
   let target = model_of_spec (A.evict_reload ()) in
-  let all = SG.Detector.score_all (Lazy.force repo) target in
-  let scores = List.map (fun (_, _, s) -> s) all in
-  check_bool "descending" true (List.sort (fun a b -> compare b a) scores = scores);
-  check_int "two pocs" 2 (List.length scores);
-  (* the verdict's best ties agree with the head of the full matrix *)
-  let v = SG.Detector.classify (Lazy.force repo) target in
-  check_float "best_score = head of score_all"
-    (match scores with s :: _ -> s | [] -> nan)
-    v.SG.Detector.best_score;
-  check_bool "best_matches is the head of score_all" true
-    (match (all, v.SG.Detector.best_matches) with
-    | a :: _, b :: _ -> a = b
-    | _ -> false);
+  let prep = SG.Detector.prepare (Lazy.force repo) in
+  (* the verdict's best ties agree with the head of the full matrix under
+     the same alpha — the table `detect` prints above its verdict *)
   List.iter
-    (fun (_, _, s) -> check_float "every match at best_score" v.SG.Detector.best_score s)
-    v.SG.Detector.best_matches
+    (fun alpha ->
+      let all = SG.Detector.score_all ?alpha prep target in
+      let scores = List.map (fun (_, _, s) -> s) all in
+      check_bool "descending" true
+        (List.sort (fun a b -> compare b a) scores = scores);
+      check_int "two pocs" 2 (List.length scores);
+      let v = SG.Detector.classify_prepared ?alpha prep target in
+      check_float "best_score = head of score_all"
+        (match scores with s :: _ -> s | [] -> nan)
+        v.SG.Detector.best_score;
+      check_bool "best_matches is the head of score_all" true
+        (match (all, v.SG.Detector.best_matches) with
+        | a :: _, b :: _ -> a = b
+        | _ -> false);
+      List.iter
+        (fun (_, _, s) ->
+          check_float "every match at best_score" v.SG.Detector.best_score s)
+        v.SG.Detector.best_matches)
+    [ None; Some 0.9; Some 0.0 ]
 
 let test_detector_rejects_benign () =
   let benign =
@@ -527,10 +534,10 @@ let test_batch_matches_sequential () =
     |]
   in
   let seq = Array.map (SG.Detector.classify repository) targets in
-  let par = SG.Detector.classify_batch ~domains:4 repository targets in
-  check_bool "Detector.classify_batch byte-identical" true (par = seq);
-  let par2, stats = SG.Engine.classify_batch ~domains:4 repository targets in
-  check_bool "Engine.classify_batch byte-identical" true (par2 = seq);
+  let par, stats =
+    SG.Engine.classify_batch ~domains:4 (SG.Detector.prepare repository) targets
+  in
+  check_bool "Engine.classify_batch byte-identical" true (par = seq);
   check_int "pairs = targets x pocs"
     (Array.length targets * List.length repository)
     stats.SG.Engine.pairs;
@@ -630,9 +637,11 @@ let prop_batch_equals_sequential =
       in
       let targets = Array.of_list targets in
       let seq = Array.map (SG.Detector.classify repository) targets in
-      let par = SG.Detector.classify_batch ~domains:3 repository targets in
-      let eng, _ = SG.Engine.classify_batch ~domains:3 repository targets in
-      par = seq && eng = seq)
+      let eng, _ =
+        SG.Engine.classify_batch ~domains:3 (SG.Detector.prepare repository)
+          targets
+      in
+      eng = seq)
 
 (* ---- Pruning cascade (exactness invariants) -------------------------------------------- *)
 
@@ -700,11 +709,10 @@ let prop_engine_prune_identical =
         List.map (fun (family, model) -> { SG.Detector.family; model }) pocs
       in
       let targets = Array.of_list targets in
-      let on, son =
-        SG.Engine.classify_batch ~domains:3 ~prune:true repository targets
-      in
+      let prep = SG.Detector.prepare repository in
+      let on, son = SG.Engine.classify_batch ~domains:3 ~prune:true prep targets in
       let off, soff =
-        SG.Engine.classify_batch ~domains:3 ~prune:false repository targets
+        SG.Engine.classify_batch ~domains:3 ~prune:false prep targets
       in
       on = off
       (* pairs counts considered pairs, pruned or not *)
@@ -766,8 +774,8 @@ let prop_indexed_classify_identical ~name ~count ~lo ~hi =
         (fun target ->
           SG.Detector.classify_prepared ~alpha ?band indexed target
           = SG.Detector.classify_prepared ~alpha ?band linear target
-          && SG.Detector.score_all_prepared ~alpha ?band indexed target
-             = SG.Detector.score_all_prepared ~alpha ?band linear target)
+          && SG.Detector.score_all ~alpha ?band indexed target
+             = SG.Detector.score_all ~alpha ?band linear target)
         targets)
 
 let prop_index_flat_identical =
@@ -1312,39 +1320,17 @@ let test_entries_array_memoized () =
   check_bool "one array, shared" true
     (SG.Model.entries_array m == SG.Model.entries_array m)
 
-let test_analyze_batch_matches_sequential () =
+let test_build_batch_matches_sequential () =
   let samples = batch_samples () in
-  (* over pre-collected executions (analysis on one exec is deterministic) *)
-  let inputs =
-    Array.of_list
-      (List.map (fun (s : D.sample) -> (s.D.name, s.D.program, D.run s)) samples)
-  in
-  let batch = SG.Pipeline.analyze_batch ~domains:4 inputs in
-  Array.iteri
-    (fun i (a : SG.Pipeline.analysis) ->
-      let name, program, exec = inputs.(i) in
-      let seq = SG.Pipeline.analyze ~name ~program exec in
-      Alcotest.(check string) "analyze_batch model"
-        (model_bytes seq.SG.Pipeline.model)
-        (model_bytes a.SG.Pipeline.model))
-    batch;
-  (* executing inside the batch too *)
   let jobs = Array.of_list (List.map job_of_sample samples) in
-  let batch2 = SG.Pipeline.run_and_analyze_batch ~domains:4 jobs in
+  let models = SG.Pipeline.build_models_batch ~domains:4 jobs in
   List.iteri
     (fun i (s : D.sample) ->
       let seq = analyze_sample s in
-      Alcotest.(check string) "run_and_analyze_batch model"
-        (model_bytes seq.SG.Pipeline.model)
-        (model_bytes batch2.(i).SG.Pipeline.model))
-    samples;
-  let models = SG.Pipeline.build_models_batch ~domains:2 jobs in
-  Array.iteri
-    (fun i m ->
       Alcotest.(check string) "build_models_batch model"
-        (model_bytes batch2.(i).SG.Pipeline.model)
-        (model_bytes m))
-    models
+        (model_bytes seq.SG.Pipeline.model)
+        (model_bytes models.(i)))
+    samples
 
 let with_temp_cache f =
   let dir = Filename.temp_file "scaguard" ".cache" in
@@ -1654,7 +1640,7 @@ let () =
           Alcotest.test_case "entries array memoized" `Quick
             test_entries_array_memoized;
           Alcotest.test_case "batch matches sequential" `Quick
-            test_analyze_batch_matches_sequential;
+            test_build_batch_matches_sequential;
           Alcotest.test_case "cache hit bit-identical" `Quick
             test_model_cache_hit_bit_identical;
           Alcotest.test_case "stale entry falls back" `Quick

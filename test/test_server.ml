@@ -7,7 +7,7 @@
 
 module SG = Scaguard
 module Server = Scaguard.Server
-module J = Scaguard.Server.Json
+module J = Scaguard.Json
 module C = Scaguard.Config
 
 let check_int = Alcotest.(check int)
@@ -396,6 +396,33 @@ let test_default_deadline () =
   | [ f ] -> check_string "server default applies" "deadline" (error_code_of_frame f)
   | _ -> Alcotest.fail "expected one frame"
 
+(* A budget too large for int64 nanoseconds means "far future", so the
+   request completes; wrapping would give it a 448384 ns deadline. *)
+let test_huge_deadline () =
+  let t = make_server () in
+  let conn, frames = recording_conn t in
+  Server.feed t conn "{\"id\":1,\"op\":\"ping\",\"deadline_ms\":18446744073710}\n";
+  Unix.sleepf 0.001;
+  check_bool "one step" true (Server.step t = `Worked);
+  match frames () with
+  | [ f ] -> check_bool "request completes" true (J.member "ok" f = Some (J.Bool true))
+  | fs -> Alcotest.failf "expected 1 frame, got %d" (List.length fs)
+
+(* One resolver serves both `serve --tcp` and `client --tcp`: an unknown
+   host is a typed Io error, never an escaping Not_found.  Reserved
+   .invalid names fail without a lookup, so this needs no network. *)
+let test_resolve_host () =
+  (match Server.resolve_host "127.0.0.1" with
+  | Ok a -> check_string "numeric host" "127.0.0.1" (Unix.string_of_inet_addr a)
+  | Error e -> Alcotest.failf "numeric host: %s" (SG.Err.to_string e));
+  List.iter
+    (fun host ->
+      match Server.resolve_host host with
+      | Error (SG.Err.Io { path; _ }) -> check_string "error names the host" host path
+      | Error e -> Alcotest.failf "%s: wrong error %s" host (SG.Err.to_string e)
+      | Ok _ -> Alcotest.failf "%s resolved" host)
+    [ "nosuchhost.invalid"; "A.B.INVALID"; "invalid" ]
+
 (* reload swaps the repository between queued requests without dropping
    any: a detect queued before and one after the reload both complete, in
    order. *)
@@ -727,7 +754,7 @@ let test_stdio_end_to_end () =
     let score =
       match member_exn "score" verdict with J.Num f -> f | _ -> 0.0
     in
-    check_bool "stdio verdict matches Service.detect bits" true
+    check_bool "stdio verdict matches Service.screen_prepared bits" true
       (Int64.bits_of_float score
       = Int64.bits_of_float verdicts.(0).SG.Detector.best_score);
     check_bool "done ok" true (J.member "ok" done_frame = Some (J.Bool true));
@@ -771,6 +798,10 @@ let () =
           Alcotest.test_case "deadline expiry" `Quick test_deadline_expiry;
           Alcotest.test_case "server default deadline" `Quick
             test_default_deadline;
+          Alcotest.test_case "huge deadline is far future" `Quick
+            test_huge_deadline;
+          Alcotest.test_case "unknown host is an io error" `Quick
+            test_resolve_host;
           Alcotest.test_case "reload keeps queued requests" `Slow
             test_reload_keeps_queue;
           Alcotest.test_case "reload matches a fresh daemon" `Slow

@@ -1,5 +1,5 @@
 (* The service facade: Config round-trips and validation, Err taxonomy, and
-   the core guarantee that Service.build / Service.detect add no behaviour —
+   the core guarantee that Service.build / Service.detect_prepared add no behaviour —
    byte-identical models, bit-identical verdicts — over the manual
    Pipeline + Engine composition. *)
 
@@ -261,9 +261,10 @@ let test_detect_identical () =
       [ Workloads.Label.Fr_family; Workloads.Label.Pp_family ]
   in
   let targets = SG.Pipeline.build_models_batch (test_jobs ()) in
-  let manual, _ = SG.Engine.classify_batch repo targets in
+  let manual, _ = SG.Engine.classify_batch (SG.Detector.prepare repo) targets in
+  let prep = ok_exn (SG.Service.prepare SG.Config.default repo) in
   let verdicts, report =
-    ok_exn (SG.Service.detect SG.Config.default repo targets)
+    ok_exn (SG.Service.detect_prepared SG.Config.default prep targets)
   in
   check_bool "verdicts bit-identical to the manual composition" true
     (manual = verdicts);
@@ -281,11 +282,14 @@ let test_screen_composes () =
     Experiments.Common.repository ~rng [ Workloads.Label.Fr_family ]
   in
   let jobs = test_jobs () in
+  let prep = ok_exn (SG.Service.prepare SG.Config.default repo) in
   let models, verdicts, report =
-    ok_exn (SG.Service.screen SG.Config.default repo jobs)
+    ok_exn (SG.Service.screen_prepared SG.Config.default prep jobs)
   in
   let models', _ = ok_exn (SG.Service.build SG.Config.default jobs) in
-  let verdicts', _ = ok_exn (SG.Service.detect SG.Config.default repo models') in
+  let verdicts', _ =
+    ok_exn (SG.Service.detect_prepared SG.Config.default prep models')
+  in
   check_bool "screen builds the same models" true
     (strings models = strings models');
   check_bool "screen reaches the same verdicts" true (verdicts = verdicts');
@@ -313,9 +317,10 @@ let test_config_knobs_flow_through () =
   let targets = SG.Pipeline.build_models_batch (test_jobs ()) in
   let manual, _ =
     SG.Engine.classify_batch ~threshold:0.4 ~alpha:0.9 ~band:6 ~domains:2
-      ~prune:false repo targets
+      ~prune:false (SG.Detector.prepare repo) targets
   in
-  let verdicts, _ = ok_exn (SG.Service.detect config repo targets) in
+  let prep = ok_exn (SG.Service.prepare config repo) in
+  let verdicts, _ = ok_exn (SG.Service.detect_prepared config prep targets) in
   check_bool "knobbed verdicts identical" true (manual = verdicts)
 
 let test_build_with_cache () =
@@ -347,7 +352,12 @@ let test_save_load_formats () =
       [ Workloads.Label.Fr_family; Workloads.Label.Pp_family ]
   in
   let targets = SG.Pipeline.build_models_batch (test_jobs ()) in
-  let reference, _ = ok_exn (SG.Service.detect SG.Config.default repo targets) in
+  let reference, _ =
+    ok_exn
+      (SG.Service.detect_prepared SG.Config.default
+         (ok_exn (SG.Service.prepare SG.Config.default repo))
+         targets)
+  in
   with_tmp_dir (fun dir ->
       List.iter
         (fun fmt ->
@@ -376,7 +386,7 @@ let test_save_load_formats () =
             ok_exn (SG.Service.detect_prepared SG.Config.default prep targets)
           in
           check_bool
-            ("detect_prepared = detect ("
+            ("loaded detect_prepared = in-memory ("
             ^ SG.Config.repo_format_to_string fmt ^ ")")
             true
             (verdicts = reference))
@@ -394,7 +404,10 @@ let test_service_error_paths () =
   | Error (SG.Err.Invalid_config { field = "threshold"; _ }) -> ()
   | Ok _ -> Alcotest.fail "NaN threshold accepted"
   | Error e -> Alcotest.failf "wrong error: %s" (SG.Err.to_string e));
-  (match SG.Service.detect SG.Config.default [] [| |] with
+  (match
+     Result.bind (SG.Service.prepare SG.Config.default []) (fun prep ->
+         SG.Service.detect_prepared SG.Config.default prep [||])
+   with
   | Error SG.Err.Empty_repository -> ()
   | Ok _ -> Alcotest.fail "empty repository accepted"
   | Error e -> Alcotest.failf "wrong error: %s" (SG.Err.to_string e));
@@ -411,6 +424,84 @@ let test_service_error_paths () =
       | Error (SG.Err.Invalid_config _ | SG.Err.Io _) -> ()
       | Ok _ -> Alcotest.fail "file as cache_dir accepted"
       | Error e -> Alcotest.failf "wrong error: %s" (SG.Err.to_string e))
+
+(* -- Report JSON ------------------------------------------------------------- *)
+
+(* A fixed report exercising every section: timings, cache, engine stats and
+   counter/gauge/histogram metrics, with strings that need escaping and
+   floats that need all 17 digits.  The golden string pins the report's
+   bytes — keys, order, escaping, number format — that --report-format json
+   consumers read. *)
+let golden_report =
+  let e name labels v =
+    {
+      SG.Obs.Registry.entry_name = name;
+      entry_labels = labels;
+      entry_help = "h";
+      entry_value = v;
+    }
+  in
+  {
+    SG.Service.built = 3;
+    classified = 2;
+    cache =
+      Some
+        {
+          SG.Service.dir = "/var/cache/\"sg\"\\models\n";
+          hits = 1;
+          misses = 2;
+          stale = 4;
+        };
+    engine =
+      Some
+        {
+          SG.Engine.domains = 2;
+          targets = 2;
+          pairs = 8;
+          cells = 1234;
+          pairs_pruned_lb = 3;
+          pairs_abandoned = 1;
+          cells_saved = 456;
+          lb_evals = 8;
+          nodes_visited = 5;
+          pairs_pruned_index = 7;
+          wall_s = 0.0125;
+          cpu_s = 1.0 /. 3.0;
+          per_worker = [| 1; 1 |];
+        };
+    timings =
+      [
+        { SG.Service.stage = "build"; wall_s = 0.5; cpu_s = 0.75 };
+        { SG.Service.stage = "detect"; wall_s = 2.0 /. 3.0; cpu_s = 1e-9 };
+      ];
+    metrics =
+      Some
+        [
+          e "scaguard_z_total" [ ("op", "de\"tect") ]
+            (SG.Obs.Registry.Counter_value 42);
+          e "scaguard_gauge" [] (SG.Obs.Registry.Gauge_value 2.5);
+          e "scaguard_a_seconds" [ ("stage", "build"); ("k", "v") ]
+            (SG.Obs.Registry.Histogram_value
+               {
+                 SG.Obs.Registry.bounds = [| 0.001; 0.1 |];
+                 counts = [| 1; 2; 3 |];
+                 sum = 0.123456789;
+                 count = 6;
+               });
+          e "scaguard_gauge" [ ("x", "y") ] (SG.Obs.Registry.Gauge_value (-0.1));
+        ];
+  }
+
+let golden_report_json =
+  {|{"built":3,"classified":2,"timings":[{"stage":"build","wall_s":0.5,"cpu_s":0.75},{"stage":"detect","wall_s":0.66666666666666663,"cpu_s":1.0000000000000001e-09}],"cache":{"dir":"/var/cache/\"sg\"\\models\n","hits":1,"misses":2,"stale":4},"engine":{"domains":2,"targets":2,"pairs":8,"cells":1234,"pairs_pruned_lb":3,"pairs_abandoned":1,"cells_saved":456,"lb_evals":8,"pairs_pruned_index":7,"nodes_visited":5,"wall_s":0.012500000000000001,"cpu_s":0.33333333333333331,"per_worker":[1,1]},"metrics":[{"name":"scaguard_a_seconds","labels":{"stage":"build","k":"v"},"count":6,"sum":0.123456789,"buckets":[{"le":0.001,"count":1},{"le":0.10000000000000001,"count":2},{"le":"+Inf","count":3}]},{"name":"scaguard_gauge","value":2.5},{"name":"scaguard_gauge","labels":{"x":"y"},"value":-0.10000000000000001},{"name":"scaguard_z_total","labels":{"op":"de\"tect"},"value":42}]}|}
+
+let test_report_json_golden () =
+  let json = SG.Service.report_to_json golden_report in
+  check_string "report JSON matches the golden string" golden_report_json
+    (SG.Json.to_string json);
+  match SG.Json.parse golden_report_json with
+  | Ok v -> check_bool "golden string parses to the same value" true (v = json)
+  | Error m -> Alcotest.failf "golden string does not parse: %s" m
 
 (* -- Persist result variants ------------------------------------------------ *)
 
@@ -507,4 +598,6 @@ let () =
           Alcotest.test_case "persist parse locations" `Quick
             test_persist_parse_locations;
         ] );
+      ( "report json",
+        [ Alcotest.test_case "golden string" `Quick test_report_json_golden ] );
     ]

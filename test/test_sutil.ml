@@ -337,6 +337,35 @@ let test_bqueue_invalid () =
     (Invalid_argument "Bqueue.create: capacity 0 < 1") (fun () ->
       ignore (Sutil.Bqueue.create ~capacity:0))
 
+(* -- sink --------------------------------------------------------------------- *)
+
+(* Pushes from several domains at once: a bounded sink never holds more than
+   its capacity, and every push is either held or counted as dropped. *)
+let test_sink_concurrent_bound () =
+  let domains = 4 and per = 5_000 and capacity = 7_000 in
+  let s = Sutil.Sink.create ~capacity () in
+  List.iter Domain.join
+    (List.init domains (fun d ->
+         Domain.spawn (fun () ->
+             for i = 1 to per do
+               Sutil.Sink.push s ((d * per) + i)
+             done)));
+  let held = List.length (Sutil.Sink.items s) in
+  Alcotest.(check bool) "never above capacity" true (held <= capacity);
+  Alcotest.(check int) "held + dropped = pushed" (domains * per)
+    (held + Sutil.Sink.dropped s);
+  let unbounded = Sutil.Sink.create () in
+  Sutil.Sink.push unbounded 0;
+  let (), mine =
+    Sutil.Sink.isolate unbounded (fun () -> Sutil.Sink.push unbounded 1)
+  in
+  Alcotest.(check (list int)) "isolate returns only its own items" [ 1 ] mine;
+  Alcotest.(check (list int)) "isolate restores the sink" [ 0 ]
+    (Sutil.Sink.items unbounded);
+  Alcotest.check_raises "capacity must be positive"
+    (Invalid_argument "Sink: capacity must be >= 1") (fun () ->
+      ignore (Sutil.Sink.create ~capacity:0 ()))
+
 (* -- deadline ----------------------------------------------------------------- *)
 
 let test_deadline () =
@@ -358,6 +387,31 @@ let test_deadline () =
   let far = Sutil.Deadline.after ~now_ns:Int64.max_int ~budget_ms:max_int in
   Alcotest.(check bool) "saturating add" false
     (Sutil.Deadline.expired ~now_ns:1L far)
+
+(* a budget whose nanosecond count overflows int64 saturates to the far
+   future; wrapping would turn 18446744073710 ms into a 448384 ns deadline *)
+let test_deadline_no_wrap () =
+  let now = 1_000_000_000L in
+  let week_ns = Int64.mul 604_800L 1_000_000_000L in
+  List.iter
+    (fun budget_ms ->
+      let d = Sutil.Deadline.after ~now_ns:now ~budget_ms in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d ms not expired a week later" budget_ms)
+        false
+        (Sutil.Deadline.expired ~now_ns:(Int64.add now week_ns) d);
+      Alcotest.(check bool)
+        (Printf.sprintf "%d ms not expired at max_int - 1" budget_ms)
+        false
+        (Sutil.Deadline.expired ~now_ns:(Int64.pred Int64.max_int) d))
+    [ 9_223_372_036_855; 18_446_744_073_710; max_int / 2; max_int ];
+  (* the largest budget that still fits is exact *)
+  let edge = 9_223_372_036_854 in
+  match Sutil.Deadline.remaining_ns ~now_ns:0L (Sutil.Deadline.after ~now_ns:0L ~budget_ms:edge) with
+  | Some r ->
+    Alcotest.(check bool) "largest exact budget" true
+      (r = Int64.mul (Int64.of_int edge) 1_000_000L)
+  | None -> Alcotest.fail "deadline has a remaining"
 
 let () =
   Alcotest.run "sutil"
@@ -414,6 +468,14 @@ let () =
           Alcotest.test_case "ring wraparound" `Quick test_bqueue_wraparound;
           Alcotest.test_case "invalid capacity" `Quick test_bqueue_invalid;
         ] );
+      ( "sink",
+        [
+          Alcotest.test_case "bound under concurrent pushes" `Quick
+            test_sink_concurrent_bound;
+        ] );
       ( "deadline",
-        [ Alcotest.test_case "budget arithmetic" `Quick test_deadline ] );
+        [
+          Alcotest.test_case "budget arithmetic" `Quick test_deadline;
+          Alcotest.test_case "huge budgets saturate" `Quick test_deadline_no_wrap;
+        ] );
     ]
