@@ -618,7 +618,8 @@ let persist () =
   | Ok decoded ->
     if Scaguard.Persist.repository_to_string decoded <> text then
       fail "persist: text -> binary -> text round-trip not byte-identical");
-  (* cold-start: save both formats, time the loads from disk *)
+  (* cold-start: save both formats, the image with a forced index, and time
+     the loads from disk *)
   let tmp suffix =
     Filename.temp_file "scaguard-bench-repo" suffix
   in
@@ -627,9 +628,17 @@ let persist () =
     | Ok v -> v
     | Error e -> fail "persist: %s failed: %s" what (Scaguard.Err.to_string e)
   in
+  let reference_prep = Scaguard.Detector.prepare repo in
+  let index =
+    Scaguard.Vpindex.build
+      { Scaguard.Vpindex.default_spec with
+        Scaguard.Vpindex.mode = Scaguard.Vpindex.Force }
+      (Scaguard.Detector.prepared_summaries reference_prep)
+  in
   ok "text save" (Scaguard.Persist.save_repository_result ~path:text_path repo);
   ok "binary save"
-    (Scaguard.Persist.save_repository_bin_result ~path:bin_path repo);
+    (Scaguard.Persist.save_repository_bin_result ?index ~path:bin_path repo);
+  let bin_size = (Unix.stat bin_path).Unix.st_size in
   let heap f =
     (* live-words delta with the loaded value held alive: the in-memory
        footprint of one loaded repository *)
@@ -662,17 +671,9 @@ let persist () =
         ok "binary load"
           (Scaguard.Persist.load_repository_prepared_result ~path:bin_path))
   in
-  let img, img_open_dt =
-    time (fun () -> ok "image open" (Scaguard.Persist.open_image_result ~path:bin_path))
-  in
-  let first_name = (fst (Scaguard.Persist.image_pocs img).(0)) in
-  let _one, img_one_dt =
-    time (fun () ->
-        ok "image load" (Scaguard.Persist.image_load_prepared_result img ~name:first_name))
-  in
   (* verdict bit-identity across every load path: classify the PoC models
-     themselves against (a) the in-memory repository, (b) the text load,
-     (c) the binary load's inline summaries, (d) a lazily-assembled image *)
+     themselves against (a) the in-memory repository, linearly, (b) the text
+     load, (c) the binary load, searched through its re-derived index *)
   let targets =
     Array.of_list
       (List.filteri (fun i _ -> i < 8) repo
@@ -681,20 +682,12 @@ let persist () =
   let verdicts_of prep =
     Array.map (Scaguard.Detector.classify_prepared prep) targets
   in
-  let reference = verdicts_of (Scaguard.Detector.prepare repo) in
+  let reference = verdicts_of reference_prep in
   let check_identical what = check_verdicts ("persist: " ^ what) reference in
-  check_identical "text-loaded"
-    (verdicts_of (Scaguard.Detector.prepare (fst text_loaded)));
-  check_identical "binary-loaded (inline summaries)"
-    (verdicts_of (snd bin_loaded));
-  let lazy_prep =
-    Scaguard.Detector.prepare_summarized
-      (Array.map
-         (fun (name, _) ->
-           ok "lazy load" (Scaguard.Persist.image_load_prepared_result img ~name))
-         (Scaguard.Persist.image_pocs img))
-  in
-  check_identical "lazy image" (verdicts_of lazy_prep);
+  check_identical "text-loaded" (verdicts_of (snd text_loaded));
+  if Scaguard.Detector.prepared_index (snd bin_loaded) = None then
+    fail "persist: the binary load lost the image's index";
+  check_identical "binary-loaded (indexed)" (verdicts_of (snd bin_loaded));
   List.iter (fun p -> try Sys.remove p with Sys_error _ -> ())
     [ text_path; bin_path ];
   let t =
@@ -712,19 +705,16 @@ let persist () =
       ]
   in
   row "text" (String.length text) text_load_dt (Some text_heap);
-  row "binary" (String.length bin) bin_load_dt (Some bin_heap);
-  row "binary (open index)" (String.length bin) img_open_dt None;
-  row "binary (index + 1 model)" (String.length bin)
-    (img_open_dt +. img_one_dt) None;
+  row "binary (indexed)" bin_size bin_load_dt (Some bin_heap);
   emit_table ~artifact:"persist" t;
   Printf.printf
-    "size: binary is %.0f%% of text\n\
-     cold start: text load+prepare %.4fs, binary load %.4fs (%.2fx), lazy \
-     single-model %.4fs\n\
-     verdicts: text, binary (inline summaries) and lazy-image loads \
-     bit-identical to the in-memory repository (%d targets x %d PoCs)\n"
-    (100.0 *. float_of_int (String.length bin) /. float_of_int (String.length text))
-    text_load_dt bin_load_dt (text_load_dt /. bin_load_dt) img_one_dt
+    "size: binary (indexed) is %.0f%% of text\n\
+     cold start: text load+prepare %.4fs, binary load+prepare+index %.4fs \
+     (%.2fx)\n\
+     verdicts: text and indexed binary loads bit-identical to the in-memory \
+     linear scan (%d targets x %d PoCs)\n"
+    (100.0 *. float_of_int bin_size /. float_of_int (String.length text))
+    text_load_dt bin_load_dt (text_load_dt /. bin_load_dt)
     (Array.length targets) n
 
 (* ---- Index: sublinear repository search ------------------------------------------- *)
@@ -834,7 +824,8 @@ let index_bench () =
       ~title:"Repository index: visited fraction and speedup"
       [
         "models"; "targets"; "build (s)"; "linear (s)"; "indexed (s)";
-        "speedup"; "visited"; "pruned by index"; "nodes";
+        "speedup"; "visited"; "pruned by index"; "nodes"; "image (bytes)";
+        "load (s)";
       ]
   in
   let json_rows = ref [] in
@@ -870,6 +861,21 @@ let index_bench () =
       in
       if ix = None then fail "index: Force build returned no index";
       let prep_ix = Scaguard.Detector.attach_index prep_lin ix in
+      (* cold start of the indexed image: an eager load re-derives every
+         summary and index bound from the models *)
+      let path = Filename.temp_file "scaguard-bench-index" ".img" in
+      (match Scaguard.Persist.save_repository_bin_result ?index:ix ~path repo with
+      | Ok () -> ()
+      | Error e -> fail "index: save failed: %s" (Scaguard.Err.to_string e));
+      let image_bytes = (Unix.stat path).Unix.st_size in
+      let loaded, load_dt =
+        time (fun () -> Scaguard.Persist.load_repository_prepared_result ~path)
+      in
+      Sys.remove path;
+      (match loaded with
+      | Ok (_, prep) when Scaguard.Detector.prepared_index prep <> None -> ()
+      | Ok _ -> fail "index: the image loaded without its index"
+      | Error e -> fail "index: load failed: %s" (Scaguard.Err.to_string e));
       let ws_lin = Scaguard.Dtw.workspace () in
       let v_lin, lin_dt =
         time (fun () ->
@@ -908,6 +914,8 @@ let index_bench () =
           Printf.sprintf "%.1f%%" (100.0 *. visited);
           string_of_int ixc.Scaguard.Vpindex.pairs_pruned_index;
           string_of_int ixc.Scaguard.Vpindex.nodes_visited;
+          string_of_int image_bytes;
+          Printf.sprintf "%.4f" load_dt;
         ];
       json_rows :=
         Scaguard.Json.Obj
@@ -924,6 +932,8 @@ let index_bench () =
             ("visited_fraction", jnum visited);
             ("pairs_pruned_index", jint ixc.Scaguard.Vpindex.pairs_pruned_index);
             ("nodes_visited", jint ixc.Scaguard.Vpindex.nodes_visited);
+            ("image_bytes", jint image_bytes);
+            ("load_s", jnum load_dt);
             ("identical", Scaguard.Json.Bool true);
           ]
         :: !json_rows)

@@ -133,9 +133,9 @@ let opt_arg kind name docv doc =
 let format_t =
   opt_arg (Arg.enum [ ("text", C.Text); ("binary", C.Binary) ]) "format" "FMT"
     "Repository file format: $(b,text) (line-oriented, diffable) or \
-     $(b,binary) (compact SCAGBIN image with inline summaries and an index \
-     for instant loads).  Loading always auto-detects the format; this flag \
-     only selects what gets written."
+     $(b,binary) (compact SCAGBIN image, which also keeps the repository \
+     index's shape so loads skip the index rebuild).  Loading always \
+     auto-detects the format; this flag only selects what gets written."
 
 let with_victim_t =
   Arg.(
@@ -156,7 +156,7 @@ let trace_id_t =
    accepted range. *)
 let config_t =
   let assemble config_file threshold alpha band jobs domains cache_dir no_prune
-      index index_leaf index_pivots =
+      index =
     let* base =
       match config_file with None -> Ok C.default | Some path -> C.load ~path
     in
@@ -177,14 +177,6 @@ let config_t =
         checked (some (C.check_domains ~field:"--domains")) domains base.C.domains
       | None -> checked (some (C.check_domains ~field:"--jobs")) jobs base.C.domains
     in
-    let* index_leaf =
-      checked (C.check_index_leaf ~field:"--index-leaf") index_leaf
-        base.C.index_leaf
-    in
-    let* index_pivots =
-      checked (C.check_index_pivots ~field:"--index-pivots") index_pivots
-        base.C.index_pivots
-    in
     C.validate
       {
         base with
@@ -195,8 +187,6 @@ let config_t =
         cache_dir = (match cache_dir with Some _ -> cache_dir | None -> base.C.cache_dir);
         prune = base.C.prune && not no_prune;
         index = Option.value index ~default:base.C.index;
-        index_leaf;
-        index_pivots;
       }
   in
   let index_mode_conv =
@@ -234,13 +224,7 @@ let config_t =
          lower-bound cascade, $(b,auto) (the default) builds the \
          vantage-point index once the repository is large enough to repay \
          it, $(b,vp) always builds it.  Verdicts and scores are bit-identical \
-         in every mode; only the work counters move."
-    $ opt_arg Arg.int "index-leaf" "N"
-        "Index leaf size: stop splitting index nodes below N models (min 2, \
-         default 16)."
-    $ opt_arg Arg.int "index-pivots" "N"
-        "Vantage-point candidates scored per index split (min 1, default 5).  \
-         More candidates give tighter splits at a higher one-off build cost.")
+         in every mode; only the work counters move.")
 
 let repo_t =
   Arg.(
@@ -286,9 +270,9 @@ let repository_t =
   Term.(
     const resolve $ repo_t
     $ opt_arg Arg.string "repo-file" "FILE"
-        "Load the PoC repository from a file written by `build-repo` (the \
-         binary image's inline summaries make this the fast path) instead \
-         of rebuilding it from $(b,--repo).  Under $(b,serve) also the \
+        "Load the PoC repository from a file written by `build-repo` \
+         (either format; the binary image is the fast path) instead of \
+         rebuilding it from $(b,--repo).  Under $(b,serve) also the \
          default path of the protocol's $(b,reload) verb.")
 
 let name_arg p doc =
@@ -923,26 +907,37 @@ let migrate_repo_cmd =
        let in_format =
          if Scaguard.Persist.is_binary in_bytes then C.Binary else C.Text
        in
-       let* repo =
-         if in_format = C.Binary then
-           Scaguard.Persist.repository_of_bytes_result ~file:in_path in_bytes
-         else
-           Scaguard.Persist.repository_of_string_result ~file:in_path in_bytes
+       (* an input index stays an index: the vp policy keeps a v3 shape and
+          rebuilds a v2 section, which loads skip *)
+       let index =
+         if Scaguard.Persist.has_index_section in_bytes then C.Index_vp
+         else C.Index_off
+       in
+       let* repo, prep, _ =
+         Scaguard.Service.load_repository ~config:{ C.default with C.index }
+           ~path:in_path ()
        in
        let format = Option.value format ~default:C.Binary in
        let* () =
          match format with
          | C.Text -> Scaguard.Persist.save_repository_result ~path:out_path repo
          | C.Binary ->
-           Scaguard.Persist.save_repository_bin_result ~path:out_path repo
+           Scaguard.Persist.save_repository_bin_result
+             ?index:(Scaguard.Detector.prepared_index prep) ~path:out_path repo
        in
        (* Paranoia that costs one read: reload what we just wrote and check
-          it is the same repository, so a migration can never silently
-          corrupt the models. *)
-       let* check = Scaguard.Persist.load_repository_result ~path:out_path in
+          it is the same repository (and index), so a migration can never
+          silently corrupt the models. *)
+       let* check, check_prep =
+         Scaguard.Persist.load_repository_prepared_result ~path:out_path
+       in
+       let shape p =
+         Option.map Scaguard.Vpindex.to_bytes (Scaguard.Detector.prepared_index p)
+       in
        if
          Scaguard.Persist.repository_to_string check
          <> Scaguard.Persist.repository_to_string repo
+         || (format = C.Binary && shape check_prep <> shape prep)
        then
          Error
            (Scaguard.Err.Parse
@@ -978,9 +973,10 @@ let migrate_repo_cmd =
   Cmd.v
     (cmd_info "migrate-repo"
        ~doc:"Convert a repository file between the text format and the \
-             binary image (default: to binary).  The result is verified by \
-             reloading it and checking it matches the input model for \
-             model.")
+             binary image (default: to binary).  A binary input's repository \
+             index is kept in binary output (a v2 image's index is rebuilt). \
+             The result is verified by reloading it and checking it matches \
+             the input model for model, index included.")
     Term.(const run $ format_t $ in_t $ out_t)
 
 (* ---- assemble / disasm / detect-binary ---------------------------------------------- *)

@@ -90,10 +90,11 @@ let expect r expected =
 
 (* Every counted element occupies at least one byte downstream, so a count
    larger than what remains is corruption — reject it before Array.init can
-   turn it into a giant allocation. *)
+   turn it into a giant allocation.  A nine-group varint can set the sign
+   bit, so negative counts are corruption too. *)
 let count r ~what =
   let n = uint r in
-  if n > remaining r then
+  if n < 0 || n > remaining r then
     fail r "corrupt %s count %d (only %d bytes remain)" what n (remaining r);
   n
 

@@ -62,9 +62,9 @@ val expect : reader -> string -> unit
 (** Consume exactly the given bytes or fail. *)
 
 val count : reader -> what:string -> int
-(** An element count: a {!uint} additionally checked against the bytes
-    remaining (every counted element occupies at least one byte), so a
-    corrupt length can never provoke a huge allocation. *)
+(** An element count: a {!uint} additionally checked to be non-negative
+    and at most the bytes remaining (every counted element occupies at least
+    one byte), so a corrupt length can never provoke a huge allocation. *)
 
 val fail : reader -> ('a, unit, string, 'b) format4 -> 'a
 (** Abort the parse with a message anchored at the current offset.  Only

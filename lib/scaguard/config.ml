@@ -34,8 +34,6 @@ type t = {
   salt : string;
   repo_format : repo_format;
   index : index_mode;
-  index_leaf : int;
-  index_pivots : int;
   ensemble_tau : float;
   log_level : Log.level;
 }
@@ -55,8 +53,6 @@ let default =
     salt = "";
     repo_format = Text;
     index = Index_auto;
-    index_leaf = Vpindex.default_spec.Vpindex.leaf;
-    index_pivots = Vpindex.default_spec.Vpindex.pivots;
     ensemble_tau = 2.0;
     log_level = Log.Info;
   }
@@ -102,14 +98,6 @@ let check_max_paths ?field n =
 
 let check_max_len ?field n =
   check_min ~default_field:"max_len" ~min:1 ~expected:"an integer >= 1" ?field n
-
-let check_index_leaf ?field n =
-  check_min ~default_field:"index_leaf" ~min:2 ~expected:"a leaf size >= 2"
-    ?field n
-
-let check_index_pivots ?field n =
-  check_min ~default_field:"index_pivots" ~min:1
-    ~expected:"a pivot count >= 1" ?field n
 
 (* [x >= 0. && x <= max_float] is false for NaN and infinity. *)
 let check_ensemble_tau ?(field = "ensemble_tau") x =
@@ -181,8 +169,6 @@ let validate c =
     | Some d -> Result.map Option.some (check_line ~field:"cache_dir" d)
   in
   let* _ = check_line ~field:"salt" c.salt in
-  let* _ = check_index_leaf c.index_leaf in
-  let* _ = check_index_pivots c.index_pivots in
   let* _ = check_ensemble_tau c.ensemble_tau in
   Ok c
 
@@ -216,8 +202,6 @@ let to_string c =
   add "salt=%s\n" c.salt;
   add "repo_format=%s\n" (repo_format_to_string c.repo_format);
   add "index=%s\n" (index_mode_to_string c.index);
-  add "index_leaf=%d\n" c.index_leaf;
-  add "index_pivots=%d\n" c.index_pivots;
   add "ensemble_tau=%.17g\n" c.ensemble_tau;
   add "log_level=%s\n" (Log.level_to_string c.log_level);
   Buffer.contents b
@@ -318,8 +302,12 @@ let of_string s =
                   match index_mode_of_string v with
                   | Some m -> { cur with index = m }
                   | None -> stopf ln "bad index %S (use off, auto or vp)" v)
-                | "index_leaf" -> { cur with index_leaf = int_v ln v }
-                | "index_pivots" -> { cur with index_pivots = int_v ln v }
+                | "index_leaf" | "index_pivots" ->
+                  (* retired knobs: every config saved before the index
+                     stopped recording its leaf size and pivot count has
+                     both keys, so they still parse but change nothing *)
+                  ignore (int_v ln v);
+                  cur
                 | "ensemble_tau" -> { cur with ensemble_tau = float_v ln v }
                 | "log_level" -> (
                   match Log.level_of_string v with

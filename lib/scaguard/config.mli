@@ -15,8 +15,8 @@
 
 type repo_format = Text | Binary
 (** On-disk repository format: the line-oriented text format (diffable,
-    backward compatible) or the compact ["SCAGBIN"] binary image with inline
-    summaries and a lazy-load index (see {!Persist}).  Loads always sniff
+    backward compatible) or the compact ["SCAGBIN"] binary image, which can
+    also carry the repository index's shape (see {!Persist}).  Loads always sniff
     the file, so this knob only selects what {e saves} write. *)
 
 val repo_format_to_string : repo_format -> string
@@ -68,12 +68,6 @@ type t = {
       (** format {!Service.save_repository} (and [build-repo]) writes;
           default [Text] *)
   index : index_mode;  (** repository index policy; default [Index_auto] *)
-  index_leaf : int;
-      (** max models per index tree leaf (≥ 2); default
-          [Vpindex.default_spec.leaf] (16) *)
-  index_pivots : int;
-      (** pivot candidates sampled per index split (≥ 1); default
-          [Vpindex.default_spec.pivots] (5) *)
   ensemble_tau : float;
       (** screening threshold of the two-tier ensemble detector
           ([Detect.Ensemble]): runs whose largest benign-profile z-score
@@ -128,12 +122,6 @@ val check_max_paths : ?field:string -> int -> (int, Err.t) result
 val check_max_len : ?field:string -> int -> (int, Err.t) result
 (** At least 1. *)
 
-val check_index_leaf : ?field:string -> int -> (int, Err.t) result
-(** At least 2. *)
-
-val check_index_pivots : ?field:string -> int -> (int, Err.t) result
-(** At least 1. *)
-
 val check_ensemble_tau : ?field:string -> float -> (float, Err.t) result
 (** Finite and non-negative (a z-score bound, so it is not confined to
     [0, 1]). *)
@@ -149,7 +137,9 @@ val validate : t -> (t, Err.t) result
     Human-readable [key=value] lines under a [scaguard-config 1] header.
     [of_string (to_string c) = Ok c] for every valid [c] (floats are printed
     round-trip exactly); omitted keys keep their {!default}, unknown keys are
-    a {!Err.Parse} error with the line number. *)
+    a {!Err.Parse} error with the line number.  The retired [index_leaf] and
+    [index_pivots] keys, which older saves carry, are parsed as integers
+    and ignored. *)
 
 val to_string : t -> string
 

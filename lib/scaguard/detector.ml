@@ -37,13 +37,6 @@ let prepare ?index repository =
   in
   { pocs; index = build_index index pocs }
 
-(* The binary repository image loads each PoC together with its summary
-   (magnitudes are stored inline), so Persist can hand back a prepared
-   repository without a summarization pass. *)
-let prepare_summarized ?index pocs =
-  let pocs = Array.copy pocs in
-  { pocs; index = build_index index pocs }
-
 let prepared_size prep = Array.length prep.pocs
 
 let prepared_index prep = prep.index

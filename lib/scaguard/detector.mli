@@ -65,16 +65,6 @@ val prepare : ?index:Vpindex.spec -> repository -> prepared
     ({!Vpindex.build} — which may still decline under [Auto] on a small
     repository). *)
 
-val prepare_summarized :
-  ?index:Vpindex.spec -> (poc * Dtw.summary) array -> prepared
-(** Assemble a prepared repository from PoCs whose summaries already exist —
-    the instant-start path of the binary repository image, where
-    {!Persist.load_repository_prepared_result} reads the summaries inline
-    and {!prepare} would only recompute what the file carries.  Each summary
-    must be {!Dtw.summarize} (or {!Dtw.summarize_with} with that model's
-    stored magnitudes) of its paired PoC's model; array order is the
-    repository order.  The array is copied.  [index] as in {!prepare}. *)
-
 val prepared_size : prepared -> int
 (** Number of PoCs in the prepared repository. *)
 
@@ -87,9 +77,10 @@ val prepared_summaries : prepared -> Dtw.summary array
 
 val attach_index : prepared -> Vpindex.t option -> prepared
 (** Replace the prepared repository's index — the no-rebuild path of the
-    binary image, where the index is deserialized rather than rebuilt.  The
-    caller vouches that the index was built over this exact repository (the
-    image's integrity assumption); only the sizes are checked.
+    binary image, whose index shape {!Vpindex.of_bytes_result} decodes over
+    this repository's own summaries.  The caller vouches that the index was
+    built or decoded over exactly this repository; only the sizes are
+    checked.
     @raise Invalid_argument on a size mismatch. *)
 
 val classify_prepared :

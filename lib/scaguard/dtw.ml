@@ -210,29 +210,15 @@ type summary = {
   s_sorted_mags : float array;  (* s_mags, ascending *)
 }
 
-let of_mags m s_mags =
+let summarize m =
   let s_entries = Model.entries_array m in
   let s_lens = Array.map (fun e -> Array.length e.Model.tokens) s_entries in
+  let s_mags =
+    Array.map (fun e -> Cst.change_magnitude e.Model.cst) s_entries
+  in
   let s_sorted_mags = Array.copy s_mags in
   Array.sort Float.compare s_sorted_mags;
   { s_model = m; s_entries; s_lens; s_mags; s_sorted_mags }
-
-let summarize m =
-  let entries = Model.entries_array m in
-  of_mags m (Array.map (fun e -> Cst.change_magnitude e.Model.cst) entries)
-
-(* The binary repository image stores each model's magnitudes inline; they
-   are pure functions of the (exactly round-tripped) CST floats, so handing
-   them back here rebuilds the summary [summarize] would have computed,
-   without touching Cst on the load path. *)
-let summarize_with ~mags m =
-  let n = Array.length (Model.entries_array m) in
-  if Array.length mags <> n then
-    invalid_arg
-      (Printf.sprintf
-         "Dtw.summarize_with: %d magnitudes for a %d-entry model"
-         (Array.length mags) n);
-  of_mags m (Array.copy mags)
 
 let summary_model s = s.s_model
 let summary_size s = Array.length s.s_entries

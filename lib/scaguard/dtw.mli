@@ -121,15 +121,6 @@ type summary
 
 val summarize : Model.t -> summary
 
-val summarize_with : mags:float array -> Model.t -> summary
-(** [summarize], but with the per-entry cache-change magnitudes supplied by
-    the caller instead of recomputed from the CSTs.  The binary repository
-    image ({!Persist}) stores them inline; since they round-trip as exact
-    float bits, the reconstructed summary is identical to [summarize model]
-    and {!Detector.prepare} becomes a no-op on load.
-    @raise Invalid_argument if [mags] has a different length than the
-    model's entry list. *)
-
 val summary_model : summary -> Model.t
 
 val summary_size : summary -> int

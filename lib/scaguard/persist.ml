@@ -23,16 +23,14 @@
      "SCAGBIN" <version u8> <kind u8 'R'|'M'>
      string table: count + length-prefixed strings (tokens, names, families)
      model index:  count + per model (name id, family id, blob length)
+     index section: presence byte + the repository index's tree shape
      model blobs:  entries (block, first_time, 4 CST doubles, token ids)
-                   followed by the per-entry cache-change magnitudes
 
    Floats travel as exact bit patterns and token ids point into the
    embedded string table (interned ids are process-local and never leave
-   the process), so text -> binary -> text is byte-identical.  The index
-   maps each model to its blob's offset, which is what makes lazy per-model
-   loading ([image]) possible, and the inline magnitudes are what let
-   [load_repository_prepared_result] hand back a summarized repository with
-   no {!Detector.prepare} work at all.
+   the process), so text -> binary -> text is byte-identical.  The image
+   stores nothing the loader can derive: summaries come from
+   {!Detector.prepare} and every index bound from the loaded summaries.
 
    Loads sniff the leading bytes, so every [load_*] entry point accepts
    either format. *)
@@ -175,11 +173,10 @@ let parse_entry c =
       | None -> stop ?line:(here c) "bad cst token %S in %S" tok cst_line
     in
     match List.map float_or_fail (String.split_on_char ' ' cst_line) with
-    | [ ao; io; ao'; io' ] ->
-      {
-        Cst.before = Cache.State.make ~ao ~io;
-        after = Cache.State.make ~ao:ao' ~io:io';
-      }
+    | [ ao; io; ao'; io' ] -> (
+      match (Cache.State.make ~ao ~io, Cache.State.make ~ao:ao' ~io:io') with
+      | before, after -> { Cst.before; after }
+      | exception Invalid_argument m -> stop ?line:(here c) "bad cst: %s" m)
     | _ -> stop ?line:(here c) "bad cst line %S" cst_line
   in
   let count =
@@ -242,23 +239,22 @@ let run_parser ?file parse s =
 let model_of_string_result ?file s = run_parser ?file parse_model s
 let repository_of_string_result ?file s = run_parser ?file parse_repository s
 
-let ok_or_failwith = function
-  | Ok v -> v
-  | Error e -> failwith (Err.to_string e)
-
-let model_of_string s = ok_or_failwith (model_of_string_result s)
-let repository_of_string s = ok_or_failwith (repository_of_string_result s)
-
 (* -- binary format ------------------------------------------------------------ *)
 
 let bin_magic = "SCAGBIN"
 
-(* v1: header, string table, model index, blobs.
-   v2: an optional repository-index section (u8 presence byte + the
-   length-prefixed Vpindex encoding) between the model index and the blobs.
-   Readers accept both; writers emit v2 (a v2 file without the section is
-   byte-wise v1 plus one zero byte). *)
-let bin_version = 2
+(* v1: header, string table, model index, blobs; each blob ends with its
+   entries' cache-change magnitudes.
+   v2: an optional repository-index section (u8 presence byte + a
+   length-prefixed index encoding that stored every bound) between the model
+   index and the blobs.
+   v3: blobs drop the magnitudes and the index section stores only the
+   tree's shape; the loader derives both from the CSTs.
+   Readers accept all three.  They read past v1/v2 magnitudes and skip a v2
+   index section as if it were absent: its stored bounds cannot be checked
+   without re-deriving them, and the shape to re-derive them over is only in
+   v3.  Writers emit v3. *)
+let bin_version = 3
 let bin_version_min = 1
 let kind_repository = Char.code 'R'
 let kind_model = Char.code 'M'
@@ -289,9 +285,8 @@ let add_table buf t =
   Binfmt.add_uint buf (Array.length strings);
   Array.iter (Binfmt.add_string buf) strings
 
-(* One model's payload: the entries (tokens as string-table ids, CST floats
-   as exact bits) followed by the per-entry cache-change magnitudes — the
-   inline summary that makes Detector.prepare a no-op on load. *)
+(* One model's payload: the entries, tokens as string-table ids and CST
+   floats as exact bits. *)
 let model_blob table (m : Model.t) =
   let buf = Buffer.create 1024 in
   let entries = Model.entries_array m in
@@ -309,10 +304,6 @@ let model_blob table (m : Model.t) =
       Array.iter
         (fun tok -> Binfmt.add_uint buf (sid_of table tok))
         e.Model.normalized)
-    entries;
-  Array.iter
-    (fun (e : Model.entry) ->
-      Binfmt.add_float buf (Cst.change_magnitude e.Model.cst))
     entries;
   Buffer.contents buf
 
@@ -390,18 +381,17 @@ let parse_table r =
 
 let parse_sid r strings =
   let i = Binfmt.uint r in
-  if i >= Array.length strings then
+  if i < 0 || i >= Array.length strings then
     Binfmt.fail r "string id %d out of range (table has %d)" i
       (Array.length strings);
   strings.(i)
 
-(* Decode one model blob.  Returns the model paired with its summary,
-   rebuilt from the inline magnitudes via Dtw.summarize_with — identical to
-   Dtw.summarize because the CST floats round-trip bit-exactly. *)
-let parse_model_blob r strings ~name =
+(* Decode one model blob.  Blobs before v3 end with one stored magnitude per
+   entry, which is read past: magnitudes are always derived from the CSTs. *)
+let parse_model_blob r strings ~version ~name =
   let n_entries = Binfmt.count r ~what:"entry" in
   let entries =
-    Array.init n_entries (fun _ ->
+    List.init n_entries (fun _ ->
         let block = Binfmt.int r in
         let first_time = Binfmt.int r in
         let ao = Binfmt.float r in
@@ -420,9 +410,8 @@ let parse_model_blob r strings ~name =
         let normalized = Array.init n_tokens (fun _ -> parse_sid r strings) in
         Model.make_entry ~block ~instrs:[] ~normalized ~cst ~first_time)
   in
-  let mags = Array.init n_entries (fun _ -> Binfmt.float r) in
-  let model = Model.make ~name (Array.to_list entries) in
-  (model, Dtw.summarize_with ~mags model)
+  if version < 3 then for _ = 1 to n_entries do ignore (Binfmt.float r) done;
+  Model.make ~name entries
 
 type index_entry = { ix_name : string; ix_family : string; ix_len : int }
 
@@ -443,23 +432,18 @@ let check_blob_bytes r index =
       "corrupt model index: blobs cover %d bytes but %d remain" total
       (Binfmt.remaining r)
 
-(* The v2 repository-index section.  v1 images simply lack it — the absence
-   of an index is never an error, only its corruption is. *)
-let parse_vpindex_section r ~version ~size =
-  if version < 2 then None
+type index_section = Absent | Skipped | Shape of string
+
+(* The repository-index section: v1 images lack it, and a v2 section is
+   skipped.  A v3 shape is decoded once the summaries exist. *)
+let parse_index_section r ~version =
+  if version < 2 then Absent
   else
     match Binfmt.u8 r with
-    | 0 -> None
-    | 1 -> (
+    | 0 -> Absent
+    | 1 ->
       let bytes = Binfmt.string r in
-      match Vpindex.of_bytes_result bytes with
-      | Error e -> Binfmt.fail r "corrupt repository index: %s" (Err.to_string e)
-      | Ok ix ->
-        if Vpindex.size ix <> size then
-          Binfmt.fail r
-            "repository index covers %d models but the image has %d"
-            (Vpindex.size ix) size;
-        Some ix)
+      if version = 2 then Skipped else Shape bytes
     | b -> Binfmt.fail r "bad repository-index presence byte %d" b
 
 (* Parse the whole image eagerly; every blob must consume exactly the length
@@ -468,113 +452,58 @@ let parse_repository_bin r =
   let version = parse_header r ~kind:kind_repository in
   let strings = parse_table r in
   let index = parse_index r strings in
-  let vpindex =
-    parse_vpindex_section r ~version ~size:(Array.length index)
-  in
+  let section = parse_index_section r ~version in
   check_blob_bytes r index;
-  let pairs =
+  let repo =
     Array.to_list
       (Array.map
          (fun e ->
            let start = Binfmt.pos r in
-           let model, summary = parse_model_blob r strings ~name:e.ix_name in
+           let model = parse_model_blob r strings ~version ~name:e.ix_name in
            if Binfmt.pos r - start <> e.ix_len then
              Binfmt.fail r
                "model %S blob length mismatch (index said %d, read %d)"
                e.ix_name e.ix_len
                (Binfmt.pos r - start);
-           ({ Detector.family = e.ix_family; model }, summary))
+           { Detector.family = e.ix_family; model })
          index)
   in
-  (pairs, vpindex)
+  (repo, section)
 
 let parse_model_bin r =
-  let _version = parse_header r ~kind:kind_model in
+  let version = parse_header r ~kind:kind_model in
   let strings = parse_table r in
   let name = parse_sid r strings in
-  let model, _summary = parse_model_blob r strings ~name in
+  let model = parse_model_blob r strings ~version ~name in
   if Binfmt.remaining r <> 0 then
     Binfmt.fail r "trailing garbage after model (%d bytes)" (Binfmt.remaining r);
   model
 
-let repository_of_bytes_indexed_result ?file s =
-  Binfmt.run ?file parse_repository_bin s
-
-let repository_of_bytes_prepared_result ?file s =
-  Result.map fst (repository_of_bytes_indexed_result ?file s)
+let ( let* ) = Result.bind
 
 let repository_of_bytes_result ?file s =
-  Result.map (List.map fst) (repository_of_bytes_prepared_result ?file s)
+  Result.map fst (Binfmt.run ?file parse_repository_bin s)
+
+let repository_of_bytes_prepared_result ?file s =
+  let* repo, section = Binfmt.run ?file parse_repository_bin s in
+  let prep = Detector.prepare repo in
+  match section with
+  | Absent | Skipped -> Ok (repo, prep)
+  | Shape bytes -> (
+    match
+      Vpindex.of_bytes_result ?file (Detector.prepared_summaries prep) bytes
+    with
+    | Ok ix -> Ok (repo, Detector.attach_index prep (Some ix))
+    | Error (Err.Parse p) ->
+      Error (Err.Parse { p with msg = "corrupt repository index: " ^ p.msg })
+    | Error e -> Error e)
+
+let has_index_section s =
+  match Binfmt.run parse_repository_bin s with
+  | Ok (_, (Skipped | Shape _)) -> true
+  | Ok (_, Absent) | Error _ -> false
 
 let model_of_bytes_result ?file s = Binfmt.run ?file parse_model_bin s
-
-(* -- the lazy image ------------------------------------------------------------ *)
-
-type image = {
-  img_path : string;
-  img_data : string;
-  img_strings : string array;
-  img_index : (index_entry * int) array;  (* entry, absolute blob offset *)
-  img_vpindex : Vpindex.t option;
-}
-
-let parse_image ~path data r =
-  let version = parse_header r ~kind:kind_repository in
-  let strings = parse_table r in
-  let index = parse_index r strings in
-  let vpindex =
-    parse_vpindex_section r ~version ~size:(Array.length index)
-  in
-  check_blob_bytes r index;
-  let off = ref (Binfmt.pos r) in
-  let img_index =
-    Array.map
-      (fun e ->
-        let o = !off in
-        off := o + e.ix_len;
-        (e, o))
-      index
-  in
-  {
-    img_path = path;
-    img_data = data;
-    img_strings = strings;
-    img_index;
-    img_vpindex = vpindex;
-  }
-
-let image_path img = img.img_path
-let image_size img = Array.length img.img_index
-let image_vpindex img = img.img_vpindex
-
-let image_pocs img =
-  Array.map (fun (e, _) -> (e.ix_name, e.ix_family)) img.img_index
-
-let image_load_prepared_result img ~name =
-  match
-    Array.find_opt (fun (e, _) -> e.ix_name = name) img.img_index
-  with
-  | None ->
-    Error
-      (Err.Parse
-         {
-           file = Some img.img_path;
-           line = None;
-           msg = Printf.sprintf "no model named %S in the image index" name;
-         })
-  | Some (e, off) ->
-    Binfmt.run ~file:img.img_path
-      (fun r ->
-        let model, summary =
-          parse_model_blob r img.img_strings ~name:e.ix_name
-        in
-        if Binfmt.remaining r <> 0 then
-          Binfmt.fail r "model %S blob length mismatch" e.ix_name;
-        ({ Detector.family = e.ix_family; model }, summary))
-      (String.sub img.img_data off e.ix_len)
-
-let image_load_result img ~name =
-  Result.map fst (image_load_prepared_result img ~name)
 
 (* -- atomic IO ----------------------------------------------------------------- *)
 
@@ -641,8 +570,6 @@ let io_result ~path f =
   | exception Unix.Unix_error (e, _, _) ->
     Error (Err.Io { path; msg = Unix.error_message e })
 
-let ( let* ) = Result.bind
-
 (* Loads sniff: the binary magic can never collide with the text headers. *)
 let load_repository_result ~path =
   let* s = io_result ~path (fun () -> read_file ~path) in
@@ -651,10 +578,7 @@ let load_repository_result ~path =
 
 let load_repository_prepared_result ~path =
   let* s = io_result ~path (fun () -> read_file ~path) in
-  if is_binary s then
-    let* pairs, vpindex = repository_of_bytes_indexed_result ~file:path s in
-    let prep = Detector.prepare_summarized (Array.of_list pairs) in
-    Ok (List.map fst pairs, Detector.attach_index prep vpindex)
+  if is_binary s then repository_of_bytes_prepared_result ~file:path s
   else
     let* repo = run_parser ~file:path parse_repository s in
     Ok (repo, Detector.prepare repo)
@@ -663,10 +587,6 @@ let load_model_result ~path =
   let* s = io_result ~path (fun () -> read_file ~path) in
   if is_binary s then model_of_bytes_result ~file:path s
   else run_parser ~file:path parse_model s
-
-let open_image_result ~path =
-  let* s = io_result ~path (fun () -> read_file ~path) in
-  Binfmt.run ~file:path (parse_image ~path s) s
 
 let save_repository_result ~path repo =
   io_result ~path (fun () -> write_atomic ~path (repository_to_string repo))
@@ -680,21 +600,3 @@ let save_model_result ~path m =
 
 let save_model_bin_result ~path m =
   io_result ~path (fun () -> write_atomic ~path (model_to_bytes m))
-
-let raise_load_error = function
-  | Err.Io { msg; _ } -> raise (Sys_error msg)
-  | e -> failwith (Err.to_string e)
-
-let save_repository ~path repo = write_atomic ~path (repository_to_string repo)
-
-let load_repository ~path =
-  match load_repository_result ~path with
-  | Ok repo -> repo
-  | Error e -> raise_load_error e
-
-let save_model ~path m = write_atomic ~path (model_to_string m)
-
-let load_model ~path =
-  match load_model_result ~path with
-  | Ok m -> m
-  | Error e -> raise_load_error e

@@ -12,19 +12,17 @@
     - {b Binary}: ["SCAGBIN"] magic + version header, an embedded string
       table (interned token ids are process-local, so the image carries its
       own strings), varint-packed token sequences, floats as exact bit
-      patterns, a model index (name → blob offset) enabling lazy per-model
-      loads, and the per-entry cache-change magnitudes stored inline so
-      {!Detector.prepare} is a no-op on load.  See DESIGN.md for the
-      byte-level spec.
+      patterns, a model index (name, family, blob length) and, optionally,
+      the shape of the repository index.  It stores nothing the loader can
+      derive: summaries and index bounds are recomputed on load.  See
+      DESIGN.md for the byte-level spec.
 
     Every [load_*] entry point sniffs the leading bytes and accepts either
     format; the binary magic cannot collide with the text headers.
 
-    Every operation comes in two flavours: a [_result] variant returning
-    typed {!Err.t} errors — text parse failures carry the file name and
-    1-based line number, binary ones the file name and byte offset — and a
-    compatibility variant that raises [Failure] (parse) or [Sys_error] (IO)
-    like it always has.  No entry point leaks [Unix.Unix_error] or raw
+    Every operation returns typed {!Err.t} errors — text parse failures
+    carry the file name and 1-based line number, binary ones the file name
+    and byte offset.  No entry point leaks [Unix.Unix_error] or raw
     [failwith]s from the writers.
 
     Loaded models carry empty [instrs] lists — similarity comparison only
@@ -40,17 +38,11 @@ val model_of_string_result : ?file:string -> string -> (Model.t, Err.t) result
     error location.  Text format only (file loads sniff, string parsing is
     explicit — use {!model_of_bytes_result} for binary bytes). *)
 
-val model_of_string : string -> Model.t
-(** @raise Failure on malformed input. *)
-
 val repository_to_string : Detector.repository -> string
 (** Text encoding; total, like {!model_to_string}. *)
 
 val repository_of_string_result :
   ?file:string -> string -> (Detector.repository, Err.t) result
-
-val repository_of_string : string -> Detector.repository
-(** @raise Failure on malformed input. *)
 
 (** {1 Binary encoding} *)
 
@@ -74,18 +66,19 @@ val repository_of_bytes_result :
 val repository_of_bytes_prepared_result :
   ?file:string ->
   string ->
-  ((Detector.poc * Dtw.summary) list, Err.t) result
-(** Like {!repository_of_bytes_result}, but each PoC comes with its
-    {!Dtw.summary} rebuilt from the magnitudes stored inline in the image —
-    identical to [Dtw.summarize] of the model, with no summarization work. *)
+  (Detector.repository * Detector.prepared, Err.t) result
+(** {!repository_of_bytes_result} plus the repository {!Detector.prepare}d,
+    with the image's index attached when it carries a v3 index shape: the
+    bounds are re-derived from the summaries ({!Vpindex.of_bytes_result}),
+    so no byte of the image can make pruning unsound.  v1 images, v2 images
+    (whose index section, if any, is skipped) and images saved without an
+    index load with no index.  Never raises: every corruption is
+    [Error (Parse _)]. *)
 
-val repository_of_bytes_indexed_result :
-  ?file:string ->
-  string ->
-  ((Detector.poc * Dtw.summary) list * Vpindex.t option, Err.t) result
-(** {!repository_of_bytes_prepared_result} plus the repository index when
-    the image carries one ([None] for v1 images and v2 images saved without
-    an index — absence is never an error, only corruption is). *)
+val has_index_section : string -> bool
+(** Whether the bytes are a binary repository image saved with an index
+    section — including a v2 section, which loads skip.  [false] for text
+    and for bytes that do not parse. *)
 
 val model_to_bytes : Model.t -> string
 (** Single-model binary encoding (the {!Model_cache} entry format). *)
@@ -107,10 +100,6 @@ val save_repository_bin_result :
 (** {!save_repository_result}, binary image format.  [index] as in
     {!repository_to_bytes}. *)
 
-val save_repository : path:string -> Detector.repository -> unit
-(** Like {!save_repository_result}.
-    @raise Sys_error on IO problems. *)
-
 val load_repository_result :
   path:string -> (Detector.repository, Err.t) result
 (** Sniffs the format: binary images and text files both load.
@@ -122,16 +111,12 @@ val load_repository_result :
 val load_repository_prepared_result :
   path:string ->
   (Detector.repository * Detector.prepared, Err.t) result
-(** {!load_repository_result} plus a ready-to-classify {!Detector.prepared}.
-    For binary images the summaries come straight off the file (no
-    {!Detector.prepare} work — the instant-start path), and an embedded
-    repository index is attached without a rebuild; for text files this
-    simply runs {!Detector.prepare} after parsing.  Either way the prepared
-    repository classifies bit-identically to [Detector.prepare repo]. *)
-
-val load_repository : path:string -> Detector.repository
-(** @raise Sys_error / Failure on IO or parse problems (parse messages
-    include the file name and line number / byte offset). *)
+(** {!load_repository_result} plus a ready-to-classify {!Detector.prepared}
+    — {!repository_of_bytes_prepared_result} for binary images, so an
+    embedded v3 index shape is attached without a rebuild, and
+    {!Detector.prepare} after parsing for text files.  Either way the
+    prepared repository classifies bit-identically to
+    [Detector.prepare repo]. *)
 
 val save_model_result : path:string -> Model.t -> (unit, Err.t) result
 (** One model to one file, text format; atomic like
@@ -140,52 +125,10 @@ val save_model_result : path:string -> Model.t -> (unit, Err.t) result
 val save_model_bin_result : path:string -> Model.t -> (unit, Err.t) result
 (** {!save_model_result}, binary format. *)
 
-val save_model : path:string -> Model.t -> unit
-(** @raise Sys_error on IO problems. *)
-
 val load_model_result : path:string -> (Model.t, Err.t) result
 (** Sniffs the format like {!load_repository_result}.  The loaded model's
     tokens are re-interned in this process; interned ids are never part of
     either on-disk format. *)
-
-val load_model : path:string -> Model.t
-(** @raise Sys_error / Failure on IO or parse problems. *)
-
-(** {1 Lazy repository images}
-
-    A binary image's model index maps each model name to its blob's offset,
-    so individual PoCs load without decoding the rest of the file.  Opening
-    an image reads the file once and decodes only the header, string table
-    and index; each {!image_load_result} then decodes exactly one blob. *)
-
-type image
-
-val open_image_result : path:string -> (image, Err.t) result
-(** [Error (Parse _)] when the file is not a binary repository image (text
-    repositories have no index — load them eagerly instead). *)
-
-val image_path : image -> string
-
-val image_size : image -> int
-(** Number of models in the index. *)
-
-val image_pocs : image -> (string * string) array
-(** [(model name, family)] pairs in file (= repository) order, straight from
-    the index — no blob decoding. *)
-
-val image_vpindex : image -> Vpindex.t option
-(** The repository index embedded in the image, when present — decoded at
-    {!open_image_result} time (it lives before the blobs), so an opened
-    image cold-starts straight into indexed classification. *)
-
-val image_load_result :
-  image -> name:string -> (Detector.poc, Err.t) result
-(** Decode exactly one model's blob.  [Error (Parse _)] when [name] is not
-    in the index or its blob is corrupt. *)
-
-val image_load_prepared_result :
-  image -> name:string -> (Detector.poc * Dtw.summary, Err.t) result
-(** {!image_load_result} plus the summary stored inline in the blob. *)
 
 (** {1 Shared file plumbing}
 
@@ -193,8 +136,8 @@ val image_load_prepared_result :
     system persists goes through the same atomic writer. *)
 
 val bin_version : int
-(** The SCAGBIN container version this build writes (readers accept older
-    versions too).  Exported as the [format_version] label of the
+(** The SCAGBIN container version this build writes (3; readers accept
+    versions 1 and 2 too).  Exported as the [format_version] label of the
     [scaguard_build_info] gauge, so a scrape identifies what a process
     would emit. *)
 

@@ -3,8 +3,8 @@
     The batch stack pays repository load, {!Detector.prepare} and process
     start-up on every invocation; this module keeps all of that resident.  A
     server holds one validated {!Config.t}, one {!Detector.prepared}
-    repository (the binary image's inline summaries make loading it
-    near-free — see {!Service.load_repository}) and a name→job resolver, and
+    repository (loaded once, from either format — see
+    {!Service.load_repository}) and a name→job resolver, and
     speaks a newline-framed JSON protocol over stdio, a Unix socket or TCP:
     [detect] / [screen] / [explain] / [stats] / [metrics] / [reload] /
     [ping] / [shutdown] requests with ids, a bounded request queue with

@@ -263,9 +263,8 @@ let report ?(built = 0) ?(classified = 0) ?cache ?engine timings =
 let spec_of_config (config : Config.t) =
   let spec mode =
     {
+      Vpindex.default_spec with
       Vpindex.mode;
-      leaf = config.Config.index_leaf;
-      pivots = config.Config.index_pivots;
       seed = Vpindex.seed_of_salt config.Config.salt;
     }
   in

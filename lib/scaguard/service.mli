@@ -69,8 +69,8 @@ val detect_prepared :
 
 val spec_of_config : Config.t -> Vpindex.spec option
 (** The config's repository-index policy as a {!Vpindex} build spec —
-    [None] for [Index_off], [Auto]/[Force] for [Index_auto]/[Index_vp], leaf
-    and pivot counts from the config, and the construction seed derived from
+    [None] for [Index_off], [Auto]/[Force] for [Index_auto]/[Index_vp], the
+    default leaf and pivot counts, and the construction seed derived from
     the salt ({!Vpindex.seed_of_salt}), so identical configs build
     byte-identical indexes. *)
 
@@ -96,13 +96,14 @@ val load_repository :
   unit ->
   (Detector.repository * Detector.prepared * report, Err.t) result
 (** Load a repository (either format, sniffed) together with its
-    {!Detector.prepared} — free for binary images, a [prepare] pass for text
-    files — and a report carrying a ["load"] timing with [built] set to the
-    repository size.  With [config], the prepared repository honours the
-    config's index policy: an index embedded in the image is kept
+    {!Detector.prepared} ({!Persist.load_repository_prepared_result}) and a
+    report carrying a ["load"] timing with [built] set to the repository
+    size.  With [config], the prepared repository honours the config's index
+    policy: an index embedded in the image is kept
     ([Index_auto]/[Index_vp]) or dropped ([Index_off]), and a missing one is
-    built here.  Without [config] the file decides (an embedded index is
-    used, none is built).  Errors: [Io], [Parse], [Invalid_config]. *)
+    built here — as for a v2 image, whose index section loads skip.
+    Without [config] the file decides (an embedded index is used, none is
+    built).  Errors: [Io], [Parse], [Invalid_config]. *)
 
 val screen_prepared :
   Config.t ->

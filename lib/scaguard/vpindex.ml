@@ -8,7 +8,7 @@
    ingredients pooled over its whole subtree — entry-count ranges,
    cache-change magnitude ranges, first/last-entry pools, and small interval
    sketches of the pooled magnitudes and token counts — from which
-   [node_bound] computes a provable lower bound on the normalized DTW
+   [pool_bound] computes a provable lower bound on the normalized DTW
    distance between the target and EVERY member of the subtree, by the same
    three arguments as {!Dtw.lower_bound} (range gap, LB_Kim, row bound)
    relaxed over the pools.  A subtree is skipped only when that bound
@@ -25,15 +25,19 @@
 
    Construction is sequential and seeded (Sutil.Rng on [spec.seed]), so
    building the same repository twice — in any process, under any domain
-   count — yields byte-identical indexes ([to_bytes]). *)
+   count — yields byte-identical indexes ([to_bytes]).
+
+   The serialized form is only the tree's shape (node nesting and leaf
+   member positions).  Decoding re-derives every pool from the loaded
+   summaries with the same [member_of]/[leaf_node]/[branch_node] that
+   construction uses, so no byte of a stored index can make a bound
+   unsound. *)
 
 type mode = Auto | Force
 
 type spec = { mode : mode; leaf : int; pivots : int; seed : int }
 
-let default_leaf = 16
-let default_pivots = 5
-let default_spec = { mode = Auto; leaf = default_leaf; pivots = default_pivots; seed = 0 }
+let default_spec = { mode = Auto; leaf = 16; pivots = 5; seed = 0 }
 
 (* Auto: repositories below this size classify in microseconds anyway; the
    index only pays for itself past a few hundred models. *)
@@ -62,48 +66,39 @@ let seed_of_salt salt =
     salt;
   Int64.to_int (Int64.logand !h Int64.max_int)
 
-type member = {
-  idx : int;  (* position in the prepared repository *)
-  m_n : int;  (* entry count; members are always non-empty *)
-  m_first_len : int;
-  m_first_mag : float;
-  m_last_len : int;
-  m_last_mag : float;
-  m_mag_lo : float;
-  m_mag_hi : float;
-  m_mag_sk : (float * float) array;  (* ascending disjoint covering intervals *)
-  m_len_sk : (int * int) array;
+(* The scoring ingredients pooled over a set of models: every member's entry
+   count lies in [n_min, n_max], every entry magnitude in [mag_lo, mag_hi],
+   every first (resp. last) entry inside the f_ (resp. l_) ranges, and the
+   sketches cover every magnitude and token count.  A member's pool is its
+   own exact values; a node's pool merges its children's. *)
+type pool = {
+  n_min : int;
+  n_max : int;
+  mag_lo : float;
+  mag_hi : float;
+  f_len_lo : int;
+  f_len_hi : int;
+  f_mag_lo : float;
+  f_mag_hi : float;
+  l_len_lo : int;
+  l_len_hi : int;
+  l_mag_lo : float;
+  l_mag_hi : float;
+  mag_sk : (float * float) array;  (* ascending disjoint covering intervals *)
+  len_sk : (int * int) array;
 }
 
-type node = {
-  g_count : int;  (* members in the subtree *)
-  g_n_min : int;
-  g_n_max : int;
-  g_mag_lo : float;
-  g_mag_hi : float;
-  (* first/last-entry pools: every member's first (resp. last) entry falls
-     inside these ranges *)
-  g_f_len_lo : int;
-  g_f_len_hi : int;
-  g_f_mag_lo : float;
-  g_f_mag_hi : float;
-  g_l_len_lo : int;
-  g_l_len_hi : int;
-  g_l_mag_lo : float;
-  g_l_mag_hi : float;
-  g_mag_sk : (float * float) array;
-  g_len_sk : (int * int) array;
-  kind : kind;
-}
+(* [idx] is the position in the prepared repository; members are always
+   non-empty models *)
+type member = { idx : int; screen : pool }
 
+type node = { count : int; (* members in the subtree *) pool : pool; kind : kind }
 and kind = Leaf of member array | Branch of node array
 
 type t = {
-  spec : spec;
   size : int;          (* repository size, empties included *)
   empties : int array; (* indices of empty models: always scored, never pruned *)
   root : node option;
-  node_count : int;
 }
 
 type counters = {
@@ -113,22 +108,6 @@ type counters = {
 
 let counters () = { nodes_visited = 0; pairs_pruned_index = 0 }
 let size t = t.size
-let spec t = t.spec
-
-let rec count_nodes n =
-  match n.kind with
-  | Leaf _ -> 1
-  | Branch cs -> Array.fold_left (fun acc c -> acc + count_nodes c) 1 cs
-
-let node_count t = t.node_count
-
-let depth t =
-  let rec go n =
-    match n.kind with
-    | Leaf _ -> 1
-    | Branch cs -> 1 + Array.fold_left (fun acc c -> max acc (go c)) 0 cs
-  in
-  match t.root with None -> 0 | Some r -> go r
 
 (* ---- interval sketches ------------------------------------------------------- *)
 
@@ -271,61 +250,64 @@ let dist_int_sketch l1 sk =
 let member_of idx summary =
   let lens = Dtw.summary_lens summary and mags = Dtw.summary_mags summary in
   let n = Array.length lens in
+  let first_len = lens.(0) and last_len = lens.(n - 1) in
+  let first_mag = mags.(0) and last_mag = mags.(n - 1) in
   {
     idx;
-    m_n = n;
-    m_first_len = lens.(0);
-    m_first_mag = mags.(0);
-    m_last_len = lens.(n - 1);
-    m_last_mag = mags.(n - 1);
-    m_mag_lo = Array.fold_left Float.min mags.(0) mags;
-    m_mag_hi = Array.fold_left Float.max mags.(0) mags;
-    m_mag_sk = sketch_of_floats sketch_k mags;
-    m_len_sk = sketch_of_ints sketch_k lens;
+    screen =
+      {
+        n_min = n;
+        n_max = n;
+        mag_lo = Array.fold_left Float.min mags.(0) mags;
+        mag_hi = Array.fold_left Float.max mags.(0) mags;
+        f_len_lo = first_len;
+        f_len_hi = first_len;
+        f_mag_lo = first_mag;
+        f_mag_hi = first_mag;
+        l_len_lo = last_len;
+        l_len_hi = last_len;
+        l_mag_lo = last_mag;
+        l_mag_hi = last_mag;
+        mag_sk = sketch_of_floats sketch_k mags;
+        len_sk = sketch_of_ints sketch_k lens;
+      };
   }
 
-(* Node aggregates are computed directly over the subtree's member set (not
-   merged from children) except for the sketches, which merge to bound the
-   build cost. *)
-let aggregate members child_mag_sks child_len_sks kind =
-  let m0 = members.(0) in
-  let fold f init proj = Array.fold_left (fun acc m -> f acc (proj m)) init members in
+(* Min, max and the count sum are exact, so merging child pools gives the
+   same bits as pooling the subtree's members directly. *)
+let merge_pools pools =
+  let p0 = pools.(0) in
+  let fold f proj = Array.fold_left (fun acc p -> f acc (proj p)) (proj p0) pools in
   {
-    g_count = Array.length members;
-    g_n_min = fold min m0.m_n (fun m -> m.m_n);
-    g_n_max = fold max m0.m_n (fun m -> m.m_n);
-    g_mag_lo = fold Float.min m0.m_mag_lo (fun m -> m.m_mag_lo);
-    g_mag_hi = fold Float.max m0.m_mag_hi (fun m -> m.m_mag_hi);
-    g_f_len_lo = fold min m0.m_first_len (fun m -> m.m_first_len);
-    g_f_len_hi = fold max m0.m_first_len (fun m -> m.m_first_len);
-    g_f_mag_lo = fold Float.min m0.m_first_mag (fun m -> m.m_first_mag);
-    g_f_mag_hi = fold Float.max m0.m_first_mag (fun m -> m.m_first_mag);
-    g_l_len_lo = fold min m0.m_last_len (fun m -> m.m_last_len);
-    g_l_len_hi = fold max m0.m_last_len (fun m -> m.m_last_len);
-    g_l_mag_lo = fold Float.min m0.m_last_mag (fun m -> m.m_last_mag);
-    g_l_mag_hi = fold Float.max m0.m_last_mag (fun m -> m.m_last_mag);
-    g_mag_sk = merge_float_sketches sketch_k child_mag_sks;
-    g_len_sk = merge_int_sketches sketch_k child_len_sks;
-    kind;
+    n_min = fold min (fun p -> p.n_min);
+    n_max = fold max (fun p -> p.n_max);
+    mag_lo = fold Float.min (fun p -> p.mag_lo);
+    mag_hi = fold Float.max (fun p -> p.mag_hi);
+    f_len_lo = fold min (fun p -> p.f_len_lo);
+    f_len_hi = fold max (fun p -> p.f_len_hi);
+    f_mag_lo = fold Float.min (fun p -> p.f_mag_lo);
+    f_mag_hi = fold Float.max (fun p -> p.f_mag_hi);
+    l_len_lo = fold min (fun p -> p.l_len_lo);
+    l_len_hi = fold max (fun p -> p.l_len_hi);
+    l_mag_lo = fold Float.min (fun p -> p.l_mag_lo);
+    l_mag_hi = fold Float.max (fun p -> p.l_mag_hi);
+    mag_sk = merge_float_sketches sketch_k (Array.map (fun p -> p.mag_sk) pools);
+    len_sk = merge_int_sketches sketch_k (Array.map (fun p -> p.len_sk) pools);
   }
 
 let leaf_node members =
-  aggregate members
-    (Array.map (fun m -> m.m_mag_sk) members)
-    (Array.map (fun m -> m.m_len_sk) members)
-    (Leaf members)
-
-let rec node_members n =
-  match n.kind with
-  | Leaf ms -> Array.to_list ms
-  | Branch cs -> List.concat_map node_members (Array.to_list cs)
+  {
+    count = Array.length members;
+    pool = merge_pools (Array.map (fun m -> m.screen) members);
+    kind = Leaf members;
+  }
 
 let branch_node children =
-  let members = Array.of_list (List.concat_map node_members (Array.to_list children)) in
-  aggregate members
-    (Array.map (fun c -> c.g_mag_sk) children)
-    (Array.map (fun c -> c.g_len_sk) children)
-    (Branch children)
+  {
+    count = Array.fold_left (fun acc c -> acc + c.count) 0 children;
+    pool = merge_pools (Array.map (fun c -> c.pool) children);
+    kind = Branch children;
+  }
 
 (* ---- construction ------------------------------------------------------------ *)
 
@@ -434,18 +416,25 @@ let check_spec spec =
   if spec.pivots < 1 then
     invalid_arg (Printf.sprintf "Vpindex.build: pivots %d < 1" spec.pivots)
 
+(* Empty models stay out of the tree: their positions are a function of the
+   summaries alone, in build and decode alike. *)
+let empty_positions summaries =
+  List.init (Array.length summaries) Fun.id
+  |> List.filter (fun i -> Dtw.summary_size summaries.(i) = 0)
+  |> Array.of_list
+
 let build spec summaries =
   check_spec spec;
   let size = Array.length summaries in
   if spec.mode = Auto && size < auto_min then None
   else begin
-    let empties = ref [] and filled = ref [] in
-    Array.iteri
-      (fun i s ->
-        if Dtw.summary_size s = 0 then empties := i :: !empties
-        else filled := (member_of i s, s) :: !filled)
-      summaries;
-    let pairs = Array.of_list (List.rev !filled) in
+    let pairs =
+      List.init size Fun.id
+      |> List.filter_map (fun i ->
+             let s = summaries.(i) in
+             if Dtw.summary_size s = 0 then None else Some (member_of i s, s))
+      |> Array.of_list
+    in
     let root =
       if Array.length pairs = 0 then None
       else if Array.length pairs <= flat_max then Some (build_flat pairs)
@@ -453,15 +442,7 @@ let build spec summaries =
         let rng = Sutil.Rng.create spec.seed in
         Some (build_vp ~rng ~leaf:spec.leaf ~pivots:spec.pivots pairs)
     in
-    let node_count = match root with None -> 0 | Some r -> count_nodes r in
-    Some
-      {
-        spec;
-        size;
-        empties = Array.of_list (List.rev !empties);
-        root;
-        node_count;
-      }
+    Some { size; empties = empty_positions summaries; root }
   end
 
 (* ---- query-time bounds ------------------------------------------------------- *)
@@ -506,29 +487,29 @@ let entry_bound_pool p l1 m1 ~len_lo ~len_hi ~mag_lo ~mag_hi =
    ranges/sketches; the result is capped at 1.0 so a member whose effective
    distance is the out-of-band/empty conventional 1.0 can never be pruned
    while the best score is still 0. *)
-let pool_bound p ~n_min ~n_max ~mag_lo ~mag_hi ~f_len_lo ~f_len_hi ~f_mag_lo
-    ~f_mag_hi ~l_len_lo ~l_len_hi ~l_mag_lo ~l_mag_hi ~mag_sk ~len_sk =
-  let lmax = float_of_int (p.t_n + n_max - 1) in
+let pool_bound p q =
+  let lmax = float_of_int (p.t_n + q.n_max - 1) in
   (* stage A: disjoint magnitude ranges force a per-step cost *)
   let gap =
     Float.max 0.0
-      (Float.max (p.t_mag_lo -. mag_hi) (mag_lo -. p.t_mag_hi))
+      (Float.max (p.t_mag_lo -. q.mag_hi) (q.mag_lo -. p.t_mag_hi))
   in
   let lb = ref (p.beta *. gap) in
   (* LB_Kim over the first/last pools *)
   let flb =
-    entry_bound_pool p p.t_lens.(0) p.t_mags.(0) ~len_lo:f_len_lo
-      ~len_hi:f_len_hi ~mag_lo:f_mag_lo ~mag_hi:f_mag_hi
+    entry_bound_pool p p.t_lens.(0) p.t_mags.(0) ~len_lo:q.f_len_lo
+      ~len_hi:q.f_len_hi ~mag_lo:q.f_mag_lo ~mag_hi:q.f_mag_hi
   in
   let llb =
     entry_bound_pool p
       p.t_lens.(p.t_n - 1)
       p.t_mags.(p.t_n - 1)
-      ~len_lo:l_len_lo ~len_hi:l_len_hi ~mag_lo:l_mag_lo ~mag_hi:l_mag_hi
+      ~len_lo:q.l_len_lo ~len_hi:q.l_len_hi ~mag_lo:q.l_mag_lo
+      ~mag_hi:q.l_mag_hi
   in
   let kim =
     let summed = (flb +. llb) /. lmax in
-    if p.t_n = 1 && n_min = 1 then
+    if p.t_n = 1 && q.n_min = 1 then
       (* a single-entry member's first and last entries coincide, so only
          one of the two costs is unavoidable (but it is not divided) *)
       Float.min (Float.max flb llb) summed
@@ -541,26 +522,12 @@ let pool_bound p ~n_min ~n_max ~mag_lo ~mag_hi ~f_len_lo ~f_len_hi ~f_mag_lo
   for i = 0 to p.t_n - 1 do
     rows :=
       !rows
-      +. (p.alpha *. dist_int_sketch p.t_lens.(i) len_sk)
-      +. (p.beta *. dist_float_sketch p.t_mags.(i) mag_sk)
+      +. (p.alpha *. dist_int_sketch p.t_lens.(i) q.len_sk)
+      +. (p.beta *. dist_float_sketch p.t_mags.(i) q.mag_sk)
   done;
   let row_bound = !rows /. lmax in
   if row_bound > !lb then lb := row_bound;
   Float.min 1.0 !lb
-
-let node_bound p n =
-  pool_bound p ~n_min:n.g_n_min ~n_max:n.g_n_max ~mag_lo:n.g_mag_lo
-    ~mag_hi:n.g_mag_hi ~f_len_lo:n.g_f_len_lo ~f_len_hi:n.g_f_len_hi
-    ~f_mag_lo:n.g_f_mag_lo ~f_mag_hi:n.g_f_mag_hi ~l_len_lo:n.g_l_len_lo
-    ~l_len_hi:n.g_l_len_hi ~l_mag_lo:n.g_l_mag_lo ~l_mag_hi:n.g_l_mag_hi
-    ~mag_sk:n.g_mag_sk ~len_sk:n.g_len_sk
-
-let member_screen p m =
-  pool_bound p ~n_min:m.m_n ~n_max:m.m_n ~mag_lo:m.m_mag_lo ~mag_hi:m.m_mag_hi
-    ~f_len_lo:m.m_first_len ~f_len_hi:m.m_first_len ~f_mag_lo:m.m_first_mag
-    ~f_mag_hi:m.m_first_mag ~l_len_lo:m.m_last_len ~l_len_hi:m.m_last_len
-    ~l_mag_lo:m.m_last_mag ~l_mag_hi:m.m_last_mag ~mag_sk:m.m_mag_sk
-    ~len_sk:m.m_len_sk
 
 (* ---- best-first search ------------------------------------------------------- *)
 
@@ -674,7 +641,7 @@ let search ?(alpha = Distance.default_alpha) ?ixc ?trace t st ~dmax ~visit =
       let heap = Heap.create () in
       let seq = ref 0 in
       let push n =
-        Heap.push heap (node_bound p n, !seq, n);
+        Heap.push heap (pool_bound p n.pool, !seq, n);
         incr seq
       in
       push root;
@@ -687,7 +654,7 @@ let search ?(alpha = Distance.default_alpha) ?ixc ?trace t st ~dmax ~visit =
             (* the heap is ordered by bound, so everything still queued is
                provably out too: prune it all and stop *)
             let rest =
-              Heap.fold (fun acc (_, _, n') -> acc + n'.g_count) n.g_count heap
+              Heap.fold (fun acc (_, _, n') -> acc + n'.count) n.count heap
             in
             pruned rest;
             emit (Provenance.Subtree_pruned { bound = b; members = rest });
@@ -695,13 +662,13 @@ let search ?(alpha = Distance.default_alpha) ?ixc ?trace t st ~dmax ~visit =
           end
           else begin
             visited ();
-            emit (Provenance.Node_visited { bound = b; members = n.g_count });
+            emit (Provenance.Node_visited { bound = b; members = n.count });
             match n.kind with
             | Branch cs -> Array.iter push cs
             | Leaf ms ->
               Array.iter
                 (fun m ->
-                  let ms_bound = member_screen p m in
+                  let ms_bound = pool_bound p m.screen in
                   if ms_bound > dmax () then begin
                     pruned 1;
                     emit (Provenance.Member_pruned { bound = ms_bound })
@@ -714,217 +681,64 @@ let search ?(alpha = Distance.default_alpha) ?ixc ?trace t st ~dmax ~visit =
 
 (* ---- serialization ----------------------------------------------------------- *)
 
-(* Encoded with the Binfmt primitives; embedded verbatim (length-prefixed)
-   in the SCAGBIN v2 repository image's optional index section.  The
-   encoding starts with its own version byte so the section can evolve
-   independently of the container. *)
-let index_codec_version = 1
-
-let add_float_sk buf sk =
-  Binfmt.add_uint buf (Array.length sk);
-  Array.iter
-    (fun (lo, hi) ->
-      Binfmt.add_float buf lo;
-      Binfmt.add_float buf hi)
-    sk
-
-let add_int_sk buf sk =
-  Binfmt.add_uint buf (Array.length sk);
-  Array.iter
-    (fun (lo, hi) ->
-      Binfmt.add_uint buf lo;
-      Binfmt.add_uint buf hi)
-    sk
-
-let add_member buf m =
-  Binfmt.add_uint buf m.idx;
-  Binfmt.add_uint buf m.m_n;
-  Binfmt.add_uint buf m.m_first_len;
-  Binfmt.add_float buf m.m_first_mag;
-  Binfmt.add_uint buf m.m_last_len;
-  Binfmt.add_float buf m.m_last_mag;
-  Binfmt.add_float buf m.m_mag_lo;
-  Binfmt.add_float buf m.m_mag_hi;
-  add_float_sk buf m.m_mag_sk;
-  add_int_sk buf m.m_len_sk
-
-let rec add_node buf n =
-  Binfmt.add_uint buf n.g_count;
-  Binfmt.add_uint buf n.g_n_min;
-  Binfmt.add_uint buf n.g_n_max;
-  Binfmt.add_float buf n.g_mag_lo;
-  Binfmt.add_float buf n.g_mag_hi;
-  Binfmt.add_uint buf n.g_f_len_lo;
-  Binfmt.add_uint buf n.g_f_len_hi;
-  Binfmt.add_float buf n.g_f_mag_lo;
-  Binfmt.add_float buf n.g_f_mag_hi;
-  Binfmt.add_uint buf n.g_l_len_lo;
-  Binfmt.add_uint buf n.g_l_len_hi;
-  Binfmt.add_float buf n.g_l_mag_lo;
-  Binfmt.add_float buf n.g_l_mag_hi;
-  add_float_sk buf n.g_mag_sk;
-  add_int_sk buf n.g_len_sk;
-  match n.kind with
-  | Leaf ms ->
-    Binfmt.add_u8 buf 0;
-    Binfmt.add_uint buf (Array.length ms);
-    Array.iter (add_member buf) ms
-  | Branch cs ->
-    Binfmt.add_u8 buf 1;
-    Binfmt.add_uint buf (Array.length cs);
-    Array.iter (add_node buf) cs
-
+(* Only the tree's shape is stored, in preorder: a node is a kind byte (0 leaf,
+   1 branch) and a count, followed by that many member positions (leaf) or
+   child nodes (branch).  An index with no tree (every model empty) encodes
+   as the empty string.  Every pool is re-derived on decode. *)
 let to_bytes t =
-  let buf = Buffer.create 4096 in
-  Binfmt.add_u8 buf index_codec_version;
-  Binfmt.add_u8 buf (match t.spec.mode with Auto -> 0 | Force -> 1);
-  Binfmt.add_uint buf t.spec.leaf;
-  Binfmt.add_uint buf t.spec.pivots;
-  Binfmt.add_int buf t.spec.seed;
-  Binfmt.add_uint buf t.size;
-  Binfmt.add_uint buf (Array.length t.empties);
-  Array.iter (Binfmt.add_uint buf) t.empties;
-  (match t.root with
-  | None -> Binfmt.add_u8 buf 0
-  | Some root ->
-    Binfmt.add_u8 buf 1;
-    add_node buf root);
+  let buf = Buffer.create 256 in
+  let rec add n =
+    match n.kind with
+    | Leaf ms ->
+      Binfmt.add_u8 buf 0;
+      Binfmt.add_uint buf (Array.length ms);
+      Array.iter (fun m -> Binfmt.add_uint buf m.idx) ms
+    | Branch cs ->
+      Binfmt.add_u8 buf 1;
+      Binfmt.add_uint buf (Array.length cs);
+      Array.iter add cs
+  in
+  Option.iter add t.root;
   Buffer.contents buf
 
-let parse_float_sk r =
-  let n = Binfmt.count r ~what:"sketch interval" in
-  Array.init n (fun _ ->
-      let lo = Binfmt.float r in
-      let hi = Binfmt.float r in
-      (lo, hi))
-
-let parse_int_sk r =
-  let n = Binfmt.count r ~what:"sketch interval" in
-  Array.init n (fun _ ->
-      let lo = Binfmt.uint r in
-      let hi = Binfmt.uint r in
-      (lo, hi))
-
-let parse_member r ~size =
-  let idx = Binfmt.uint r in
-  if idx >= size then
-    Binfmt.fail r "index member %d out of range (repository has %d)" idx size;
-  let m_n = Binfmt.uint r in
-  let m_first_len = Binfmt.uint r in
-  let m_first_mag = Binfmt.float r in
-  let m_last_len = Binfmt.uint r in
-  let m_last_mag = Binfmt.float r in
-  let m_mag_lo = Binfmt.float r in
-  let m_mag_hi = Binfmt.float r in
-  let m_mag_sk = parse_float_sk r in
-  let m_len_sk = parse_int_sk r in
-  {
-    idx;
-    m_n;
-    m_first_len;
-    m_first_mag;
-    m_last_len;
-    m_last_mag;
-    m_mag_lo;
-    m_mag_hi;
-    m_mag_sk;
-    m_len_sk;
-  }
-
-let rec parse_node r ~size =
-  let g_count = Binfmt.uint r in
-  let g_n_min = Binfmt.uint r in
-  let g_n_max = Binfmt.uint r in
-  let g_mag_lo = Binfmt.float r in
-  let g_mag_hi = Binfmt.float r in
-  let g_f_len_lo = Binfmt.uint r in
-  let g_f_len_hi = Binfmt.uint r in
-  let g_f_mag_lo = Binfmt.float r in
-  let g_f_mag_hi = Binfmt.float r in
-  let g_l_len_lo = Binfmt.uint r in
-  let g_l_len_hi = Binfmt.uint r in
-  let g_l_mag_lo = Binfmt.float r in
-  let g_l_mag_hi = Binfmt.float r in
-  let g_mag_sk = parse_float_sk r in
-  let g_len_sk = parse_int_sk r in
-  let kind =
-    match Binfmt.u8 r with
-    | 0 ->
-      let n = Binfmt.count r ~what:"index leaf member" in
-      Leaf (Array.init n (fun _ -> parse_member r ~size))
-    | 1 ->
-      let n = Binfmt.count r ~what:"index child" in
-      Branch (Array.init n (fun _ -> parse_node r ~size))
-    | k -> Binfmt.fail r "bad index node kind %d" k
+(* The shape must partition the non-empty models exactly: every position
+   once, no empty leaf, no branch with fewer than two children.  Such a tree
+   is at most as deep as it has members, which also bounds the recursion. *)
+let of_bytes_result ?file summaries s =
+  let size = Array.length summaries in
+  let empties = empty_positions summaries in
+  let members = size - Array.length empties in
+  let filled i = Dtw.summary_size summaries.(i) > 0 in
+  let seen = Array.make size false in
+  let parse r =
+    let rec node depth =
+      if depth > members then
+        Binfmt.fail r "index shape nests deeper than its %d members" members;
+      match Binfmt.u8 r with
+      | 0 ->
+        let n = Binfmt.count r ~what:"index leaf member" in
+        if n = 0 then Binfmt.fail r "empty index leaf";
+        leaf_node
+          (Array.init n (fun _ ->
+               let i = Binfmt.uint r in
+               if i < 0 || i >= size || not (filled i) then
+                 Binfmt.fail r "index member %d is not a non-empty model" i;
+               if seen.(i) then Binfmt.fail r "index lists model %d twice" i;
+               seen.(i) <- true;
+               member_of i summaries.(i)))
+      | 1 ->
+        let n = Binfmt.count r ~what:"index child" in
+        if n < 2 then Binfmt.fail r "index branch with %d children" n;
+        branch_node (Array.init n (fun _ -> node (depth + 1)))
+      | k -> Binfmt.fail r "bad index node kind %d" k
+    in
+    let root = if Binfmt.remaining r = 0 then None else Some (node 1) in
+    if Binfmt.remaining r <> 0 then
+      Binfmt.fail r "trailing garbage after index (%d bytes)" (Binfmt.remaining r);
+    Array.iteri
+      (fun i seen ->
+        if filled i && not seen then Binfmt.fail r "index omits model %d" i)
+      seen;
+    { size; empties; root }
   in
-  let node =
-    {
-      g_count;
-      g_n_min;
-      g_n_max;
-      g_mag_lo;
-      g_mag_hi;
-      g_f_len_lo;
-      g_f_len_hi;
-      g_f_mag_lo;
-      g_f_mag_hi;
-      g_l_len_lo;
-      g_l_len_hi;
-      g_l_mag_lo;
-      g_l_mag_hi;
-      g_mag_sk;
-      g_len_sk;
-      kind;
-    }
-  in
-  let members =
-    match kind with
-    | Leaf ms -> Array.length ms
-    | Branch cs -> Array.fold_left (fun acc c -> acc + c.g_count) 0 cs
-  in
-  if members <> g_count then
-    Binfmt.fail r "index node claims %d members but holds %d" g_count members;
-  node
-
-let parse_t r =
-  let v = Binfmt.u8 r in
-  if v <> index_codec_version then
-    Binfmt.fail r "unsupported index encoding version %d (this build reads %d)"
-      v index_codec_version;
-  let mode =
-    match Binfmt.u8 r with
-    | 0 -> Auto
-    | 1 -> Force
-    | m -> Binfmt.fail r "bad index mode %d" m
-  in
-  let leaf = Binfmt.uint r in
-  let pivots = Binfmt.uint r in
-  let seed = Binfmt.int r in
-  let size = Binfmt.uint r in
-  let n_empties = Binfmt.count r ~what:"empty-model index" in
-  let empties =
-    Array.init n_empties (fun _ ->
-        let i = Binfmt.uint r in
-        if i >= size then
-          Binfmt.fail r "empty-model index %d out of range (repository has %d)"
-            i size;
-        i)
-  in
-  let root =
-    match Binfmt.u8 r with
-    | 0 -> None
-    | 1 -> Some (parse_node r ~size)
-    | k -> Binfmt.fail r "bad index root marker %d" k
-  in
-  let covered =
-    Array.length empties + match root with None -> 0 | Some n -> n.g_count
-  in
-  if covered <> size then
-    Binfmt.fail r "index covers %d models but the repository has %d" covered
-      size;
-  if Binfmt.remaining r <> 0 then
-    Binfmt.fail r "trailing garbage after index (%d bytes)" (Binfmt.remaining r);
-  let node_count = match root with None -> 0 | Some n -> count_nodes n in
-  { spec = { mode; leaf; pivots; seed }; size; empties; root; node_count }
-
-let of_bytes_result ?file s = Binfmt.run ?file parse_t s
+  Binfmt.run ?file parse s

@@ -112,23 +112,22 @@ val search :
 val size : t -> int
 (** Repository size the index was built over (empty models included). *)
 
-val spec : t -> spec
-
-val node_count : t -> int
-(** Total tree nodes (0 for an index over an all-empty repository). *)
-
-val depth : t -> int
-(** Longest root-to-leaf path (1 = a single flat node). *)
-
 (** {1 Serialization}
 
-    The encoded form is embedded (length-prefixed) in the SCAGBIN v2
-    repository image's optional index section; it carries its own version
-    byte so the encoding can evolve independently of the container. *)
+    The encoded form is embedded (length-prefixed) in the SCAGBIN v3
+    repository image's optional index section.  It stores only the tree's
+    shape: the nesting of its nodes and each leaf's member positions.  Every
+    member screen and node bound is re-derived on decode from the loaded
+    summaries, so the stored bytes can never make pruning unsound. *)
 
 val to_bytes : t -> string
 
-val of_bytes_result : ?file:string -> string -> (t, Err.t) result
-(** Decode {!to_bytes} output.  Validates structure: member indexes in
-    range, node member counts consistent, full coverage of the declared
-    repository size, no trailing bytes. *)
+val of_bytes_result :
+  ?file:string -> Dtw.summary array -> string -> (t, Err.t) result
+(** Decode {!to_bytes} output over the repository's summaries, in
+    repository order, recomputing every bound with the functions {!build}
+    uses, so [of_bytes_result summaries (to_bytes ix) = Ok ix] for an [ix]
+    built over [summaries].  The shape must partition the non-empty models
+    exactly: each position appears once, no leaf is empty and every branch
+    has at least two children; empty models are read off the summaries.
+    Anything else is [Error (Parse _)]. *)

@@ -19,6 +19,10 @@ let fr_analysis =
 
 let model_of_spec spec = (analyze_sample (D.of_spec spec)).SG.Pipeline.model
 
+(* Persist returns typed results everywhere; tests that expect success
+   unwrap them here *)
+let ok_exn = function Ok v -> v | Error e -> failwith (SG.Err.to_string e)
+
 (* ---- Relevant ------------------------------------------------------------- *)
 
 let test_identification_finds_ground_truth () =
@@ -596,7 +600,9 @@ let prop_persist_roundtrip =
   QCheck.Test.make ~name:"persist round-trips arbitrary models" ~count:200
     model_arb
     (fun m ->
-      let m' = SG.Persist.model_of_string (SG.Persist.model_to_string m) in
+      let m' =
+        ok_exn (SG.Persist.model_of_string_result (SG.Persist.model_to_string m))
+      in
       m.SG.Model.name = m'.SG.Model.name
       && List.length m.SG.Model.entries = List.length m'.SG.Model.entries
       && List.for_all2 entry_equal m.SG.Model.entries m'.SG.Model.entries)
@@ -611,8 +617,9 @@ let prop_persist_repository_roundtrip =
         List.map (fun (family, model) -> { SG.Detector.family; model }) pocs
       in
       let loaded =
-        SG.Persist.repository_of_string
-          (SG.Persist.repository_to_string repository)
+        ok_exn
+          (SG.Persist.repository_of_string_result
+             (SG.Persist.repository_to_string repository))
       in
       List.length repository = List.length loaded
       && List.for_all2
@@ -835,20 +842,23 @@ let prop_index_build_deterministic =
       | _ -> false)
 
 let prop_index_bytes_roundtrip =
-  QCheck.Test.make ~name:"index serialization round-trips byte-identically"
+  QCheck.Test.make ~name:"index serialization round-trips structurally"
     ~count:20
-    QCheck.(pair (list_of_size (Gen.int_range 0 80) model_arb) index_spec_arb)
+    QCheck.(
+      pair
+        (list_of_size
+           (Gen.oneof [ Gen.int_range 0 8; Gen.int_range 66 80 ])
+           model_arb)
+        index_spec_arb)
     (fun (models, spec) ->
       let summaries =
         Array.of_list (List.map SG.Dtw.summarize models)
       in
       match SG.Vpindex.build spec summaries with
       | None -> false
-      | Some ix -> (
-        let bytes = SG.Vpindex.to_bytes ix in
-        match SG.Vpindex.of_bytes_result bytes with
-        | Error e -> QCheck.Test.fail_report (SG.Err.to_string e)
-        | Ok ix' -> SG.Vpindex.to_bytes ix' = bytes))
+      | Some ix ->
+        (* the shape alone re-derives every bound bit for bit *)
+        SG.Vpindex.of_bytes_result summaries (SG.Vpindex.to_bytes ix) = Ok ix)
 
 let prop_persist_index_section =
   QCheck.Test.make
@@ -859,28 +869,19 @@ let prop_persist_index_section =
       let repository =
         List.map (fun (family, model) -> { SG.Detector.family; model }) pocs
       in
-      let prep = SG.Detector.prepare ~index:spec repository in
-      let ix = SG.Detector.prepared_index prep in
-      (match
-         SG.Persist.repository_of_bytes_indexed_result
-           (SG.Persist.repository_to_bytes repository)
-       with
-      | Ok (_, None) -> true
-      | _ -> QCheck.Test.fail_report "index appeared out of nowhere")
-      &&
-      match
-        SG.Persist.repository_of_bytes_indexed_result
-          (SG.Persist.repository_to_bytes ?index:ix repository)
-      with
-      | Error e -> QCheck.Test.fail_report (SG.Err.to_string e)
-      | Ok (pairs, loaded) -> (
-        List.length pairs = List.length repository
-        &&
-        match (ix, loaded) with
-        | Some ix, Some loaded ->
-          SG.Vpindex.to_bytes loaded = SG.Vpindex.to_bytes ix
-        | None, None -> true
-        | _ -> false))
+      let ix =
+        SG.Detector.prepared_index (SG.Detector.prepare ~index:spec repository)
+      in
+      let loaded_index bytes =
+        match SG.Persist.repository_of_bytes_prepared_result bytes with
+        | Error e -> QCheck.Test.fail_report (SG.Err.to_string e)
+        | Ok (loaded, prep) ->
+          if List.length loaded <> List.length repository then
+            QCheck.Test.fail_report "wrong repository size";
+          SG.Detector.prepared_index prep
+      in
+      loaded_index (SG.Persist.repository_to_bytes repository) = None
+      && loaded_index (SG.Persist.repository_to_bytes ?index:ix repository) = ix)
 
 let test_index_auto_thresholds () =
   let repository = Lazy.force repo in
@@ -897,47 +898,249 @@ let test_index_auto_thresholds () =
     check_int "index covers the repository" (List.length repository)
       (SG.Vpindex.size ix)
 
-(* A genuine version-1 image: the v2 encodings with and without an index
-   agree byte for byte up to the presence byte (the header, string table and
-   model index precede it and do not depend on the index), so the presence
-   byte sits exactly at their first divergence.  Dropping it and stamping
-   version 1 reconstructs the pre-index wire format, which the reader must
-   still accept — old images keep loading. *)
+(* ---- Image integrity ------------------------------------------------------------------- *)
+
+(* The suite's 4-PoC repository: one PoC per attack family, as in the CLI's
+   default repository. *)
+let repo4 =
+  lazy
+    (Lazy.force repo
+    @ List.map
+        (fun (family, spec) -> { SG.Detector.family; model = model_of_spec spec })
+        [ ("S-FR", A.spectre_fr ~style:A.Classic ()); ("S-PP", A.spectre_pp ()) ])
+
+let fr_mastik = lazy (model_of_spec (A.flush_reload ~style:A.Mastik ()))
+
+let targets4 =
+  lazy
+    (Lazy.force fr_mastik
+    :: List.map (fun (p : SG.Detector.poc) -> p.SG.Detector.model) (Lazy.force repo4))
+
+let force_spec = { SG.Vpindex.default_spec with SG.Vpindex.mode = SG.Vpindex.Force }
+
+(* Images of [repo4] written by the SCAGBIN v2 writer, which still stored
+   magnitudes and index bounds: poc4-v2.scagbin and poc4-v2-index.scagbin
+   (saved with a forced index), and poc4-v1.scagbin, which is
+   poc4-v2.scagbin without its index-presence byte and stamped version 1. *)
+let fixture name = SG.Persist.read_file ~path:(Filename.concat "fixtures" name)
+
+let offsets_of sub s =
+  let n = String.length s and m = String.length sub in
+  List.filter (fun i -> String.sub s i m = sub) (List.init (max 0 (n - m + 1)) Fun.id)
+
+let splice s at ~len replacement =
+  String.sub s 0 at ^ replacement ^ String.sub s (at + len) (String.length s - at - len)
+
+(* An image must load to exactly [repo4] and classify like it. *)
+let check_loads_like_repo4 what bytes =
+  let repository = Lazy.force repo4 in
+  let loaded, prep = ok_exn (SG.Persist.repository_of_bytes_prepared_result bytes) in
+  Alcotest.(check string) (what ^ " loads the repository")
+    (SG.Persist.repository_to_string repository)
+    (SG.Persist.repository_to_string loaded);
+  List.iter
+    (fun target ->
+      check_bool (what ^ " classifies like the repository") true
+        (SG.Detector.classify_prepared prep target
+        = SG.Detector.classify repository target))
+    (Lazy.force targets4);
+  prep
+
 let test_persist_v1_image_loads () =
-  let repository = Lazy.force repo in
-  let spec =
-    { SG.Vpindex.default_spec with SG.Vpindex.mode = SG.Vpindex.Force }
+  let prep = check_loads_like_repo4 "v1 image" (fixture "poc4-v1.scagbin") in
+  check_bool "v1 image has no index" true (SG.Detector.prepared_index prep = None)
+
+(* A v2 index section is skipped as if absent (its stored bounds cannot be
+   trusted), so the config's policy decides; only the section's presence is
+   reported, for migrate-repo to rebuild an index. *)
+let test_persist_v2_images_load () =
+  List.iter
+    (fun (name, indexed) ->
+      let bytes = fixture name in
+      let prep = check_loads_like_repo4 name bytes in
+      check_bool "v2 index section skipped" true
+        (SG.Detector.prepared_index prep = None);
+      check_bool "index section reported" indexed
+        (SG.Persist.has_index_section bytes);
+      let config = { SG.Config.default with SG.Config.index = SG.Config.Index_vp } in
+      let _, prep, _ =
+        ok_exn
+          (SG.Service.load_repository ~config
+             ~path:(Filename.concat "fixtures" name) ())
+      in
+      check_bool "the config's policy builds an index" true
+        (SG.Detector.prepared_index prep <> None))
+    [ ("poc4-v2.scagbin", false); ("poc4-v2-index.scagbin", true) ]
+
+let float_bytes fs =
+  String.concat ""
+    (List.map
+       (fun f ->
+         let b = Bytes.create 8 in
+         Bytes.set_int64_le b 0 (Int64.bits_of_float f);
+         Bytes.to_string b)
+       (Array.to_list fs))
+
+(* Regression: the v2 loader trusted the magnitudes stored after each blob,
+   so rewriting the FR-F PoC's (its CST floats untouched) turned fr-mastik's
+   FR-F verdict into S-FR.  Magnitudes are now always derived. *)
+let test_v2_magnitudes_ignored () =
+  let repository = Lazy.force repo4 in
+  let fr = (List.hd repository).SG.Detector.model in
+  let mags = SG.Dtw.summary_mags (SG.Dtw.summarize fr) in
+  let stored = float_bytes mags in
+  let image = fixture "poc4-v2.scagbin" in
+  let at =
+    match offsets_of stored image with
+    | [ at ] -> at
+    | l -> Alcotest.failf "FR-F magnitudes found %d times" (List.length l)
   in
-  let ix =
-    SG.Detector.prepared_index (SG.Detector.prepare ~index:spec repository)
+  let forged =
+    splice image at ~len:(String.length stored)
+      (float_bytes (Array.map (fun _ -> 1000.0) mags))
   in
-  check_bool "index built" true (ix <> None);
-  let plain = SG.Persist.repository_to_bytes repository in
-  let indexed = SG.Persist.repository_to_bytes ?index:ix repository in
-  let diverge = ref 0 in
-  while
-    !diverge < String.length plain
-    && !diverge < String.length indexed
-    && plain.[!diverge] = indexed.[!diverge]
-  do
-    incr diverge
-  done;
-  let off = !diverge in
-  Alcotest.(check char) "presence byte off" '\x00' plain.[off];
-  Alcotest.(check char) "presence byte on" '\x01' indexed.[off];
-  let v1 =
-    Bytes.of_string
-      (String.sub plain 0 off
-      ^ String.sub plain (off + 1) (String.length plain - off - 1))
+  let _, prep = ok_exn (SG.Persist.repository_of_bytes_prepared_result forged) in
+  let indexed =
+    SG.Detector.attach_index prep
+      (SG.Vpindex.build force_spec (SG.Detector.prepared_summaries prep))
   in
-  Bytes.set v1 7 '\x01';
-  match SG.Persist.repository_of_bytes_indexed_result (Bytes.to_string v1) with
-  | Error e -> Alcotest.fail ("v1 image rejected: " ^ SG.Err.to_string e)
-  | Ok (pairs, loaded) ->
-    check_bool "v1 image has no index" true (loaded = None);
-    Alcotest.(check string) "v1 image round-trips"
-      (SG.Persist.repository_to_string repository)
-      (SG.Persist.repository_to_string (List.map fst pairs))
+  let target = Lazy.force fr_mastik in
+  let expected = SG.Detector.classify repository target in
+  Alcotest.(check (option string)) "fr-mastik is FR-F" (Some "FR-F")
+    expected.SG.Detector.best_family;
+  check_bool "linear verdict unchanged" true
+    (SG.Detector.classify_prepared prep target = expected);
+  check_bool "indexed verdict unchanged" true
+    (SG.Detector.classify_prepared indexed target = expected)
+
+(* Regression: one byte of a v2 index could list PoC 2 twice and PoC 0
+   never, and pruning trusted it.  A v3 shape must partition the models. *)
+let test_shape_duplicate_member () =
+  let repository = Lazy.force repo4 in
+  let prep = SG.Detector.prepare ~index:force_spec repository in
+  let ix = Option.get (SG.Detector.prepared_index prep) in
+  let shape = SG.Vpindex.to_bytes ix in
+  (* every kind, count and position is below 128, so each is one byte *)
+  let forged = Bytes.of_string shape in
+  let rec walk i =
+    let n = Char.code shape.[i + 1] in
+    if shape.[i] = '\000' then begin
+      for j = i + 2 to i + 1 + n do
+        if shape.[j] = '\000' then Bytes.set forged j '\002'
+      done;
+      i + 2 + n
+    end
+    else List.fold_left (fun j _ -> walk j) (i + 2) (List.init n Fun.id)
+  in
+  check_int "walked the whole shape" (String.length shape) (walk 0);
+  let forged = Bytes.to_string forged in
+  (match SG.Vpindex.of_bytes_result (SG.Detector.prepared_summaries prep) forged with
+  | Error (SG.Err.Parse _) -> ()
+  | _ -> Alcotest.fail "a shape listing position 2 twice decoded");
+  let section s = "\001" ^ String.make 1 (Char.chr (String.length s)) ^ s in
+  let image = SG.Persist.repository_to_bytes ~index:ix repository in
+  let at =
+    match offsets_of (section shape) image with
+    | [ at ] -> at
+    | l -> Alcotest.failf "index section found %d times" (List.length l)
+  in
+  match
+    SG.Persist.repository_of_bytes_prepared_result
+      (splice image at ~len:(String.length shape + 2) (section forged))
+  with
+  | Error (SG.Err.Parse _) -> ()
+  | _ -> Alcotest.fail "an image whose shape lists position 2 twice loaded"
+
+type mutation =
+  | Flip of int * int
+  | Overwrite of int * char
+  | Insert of int * char
+  | Delete of int
+  | Truncate of int
+
+let mutation_gen =
+  QCheck.Gen.(
+    let* pos = int_bound 1_000_000 in
+    let* c = char in
+    oneof
+      [
+        map (fun bit -> Flip (pos, bit)) (int_bound 7);
+        return (Overwrite (pos, c));
+        return (Insert (pos, c));
+        return (Delete pos);
+        return (Truncate pos);
+      ])
+
+let show_mutation = function
+  | Flip (i, b) -> Printf.sprintf "flip bit %d at %d" b i
+  | Overwrite (i, c) -> Printf.sprintf "overwrite %C at %d" c i
+  | Insert (i, c) -> Printf.sprintf "insert %C at %d" c i
+  | Delete i -> Printf.sprintf "delete at %d" i
+  | Truncate i -> Printf.sprintf "truncate at %d" i
+
+(* positions are taken modulo the image length, so one generator serves
+   every image *)
+let mutate s m =
+  let n = String.length s in
+  match m with
+  | Flip (i, bit) ->
+    let i = i mod n in
+    splice s i ~len:1 (String.make 1 (Char.chr (Char.code s.[i] lxor (1 lsl bit))))
+  | Overwrite (i, c) -> splice s (i mod n) ~len:1 (String.make 1 c)
+  | Insert (i, c) -> splice s (i mod (n + 1)) ~len:0 (String.make 1 c)
+  | Delete i -> splice s (i mod n) ~len:1 ""
+  | Truncate i -> String.sub s 0 (i mod n)
+
+(* A mutated image either fails with a typed error or loads a repository
+   whose prepared (possibly indexed) classification equals the reference
+   scan over the very models it loaded. *)
+let mutant_sound image targets m =
+  match SG.Persist.repository_of_bytes_prepared_result (mutate image m) with
+  | Error (SG.Err.Parse _) -> true
+  | Error e ->
+    QCheck.Test.fail_reportf "%s: untyped error %s" (show_mutation m)
+      (SG.Err.to_string e)
+  | Ok (loaded, prep) ->
+    List.for_all
+      (fun target ->
+        SG.Detector.classify_prepared prep target
+        = SG.Detector.classify ~prune:false loaded target
+        || QCheck.Test.fail_reportf "%s changed a verdict" (show_mutation m))
+      targets
+
+let mutations_arb k =
+  QCheck.make
+    ~print:(fun ms -> String.concat "; " (List.map show_mutation ms))
+    (QCheck.Gen.list_repeat k mutation_gen)
+
+let prop_mutated_poc4_image =
+  QCheck.Test.make
+    ~name:"mutated 4-PoC image: Ok classifies like the reference, else Err"
+    ~count:40 (mutations_arb 25)
+    (fun ms ->
+      let repository = Lazy.force repo4 in
+      let ix =
+        SG.Detector.prepared_index
+          (SG.Detector.prepare ~index:force_spec repository)
+      in
+      let image = SG.Persist.repository_to_bytes ?index:ix repository in
+      List.for_all (mutant_sound image (Lazy.force targets4)) ms)
+
+let prop_mutated_tree_image =
+  QCheck.Test.make
+    ~name:"mutated vp-tree image: Ok classifies like the reference, else Err"
+    ~count:8
+    QCheck.(
+      triple (indexed_repo_arb ~lo:66 ~hi:80)
+        (pair (list_of_size (Gen.int_range 1 3) model_arb) index_spec_arb)
+        (mutations_arb 25))
+    (fun (pocs, (targets, spec), ms) ->
+      let repository =
+        List.map (fun (family, model) -> { SG.Detector.family; model }) pocs
+      in
+      let ix = SG.Detector.prepared_index (SG.Detector.prepare ~index:spec repository) in
+      let image = SG.Persist.repository_to_bytes ?index:ix repository in
+      List.for_all (mutant_sound image targets) ms)
 
 (* ---- Engine stats conventions (bug: nan/infinity on zero-duration batches) ------------- *)
 
@@ -980,14 +1183,15 @@ let test_persist_rejects_malformed_cst () =
     Printf.sprintf "cstbbs 1\nname x\nentry 0 0\n%s\ntokens 0\nend\n" cst_line
   in
   let rejects s =
-    try
-      ignore (SG.Persist.model_of_string (model_with s));
-      false
-    with Failure _ -> true
+    match SG.Persist.model_of_string_result (model_with s) with
+    | Error (SG.Err.Parse _) -> true
+    | _ -> false
   in
   check_bool "junk token among four floats" true (rejects "cst 1 2 junk 3 4");
   check_bool "too few floats" true (rejects "cst 1 2 3");
   check_bool "trailing junk" true (rejects "cst 0 1 0 1 nonsense");
+  (* regression: an out-of-range occupancy escaped as Invalid_argument *)
+  check_bool "occupancy out of range" true (rejects "cst 5 5 0 0");
   check_bool "well-formed still accepted" true (not (rejects "cst 0 1 0 1"))
 
 let test_persist_save_atomic () =
@@ -1003,9 +1207,9 @@ let test_persist_save_atomic () =
     (fun () ->
       (* overwriting an existing repository goes through rename, and no temp
          files are left behind *)
-      SG.Persist.save_repository ~path repository;
-      SG.Persist.save_repository ~path repository;
-      let loaded = SG.Persist.load_repository ~path in
+      ok_exn (SG.Persist.save_repository_result ~path repository);
+      ok_exn (SG.Persist.save_repository_result ~path repository);
+      let loaded = ok_exn (SG.Persist.load_repository_result ~path) in
       check_int "poc count" (List.length repository) (List.length loaded);
       let leftovers =
         Array.to_list (Sys.readdir dir)
@@ -1017,7 +1221,9 @@ let test_persist_save_atomic () =
 
 let test_persist_model_roundtrip () =
   let m = (Lazy.force fr_analysis).SG.Pipeline.model in
-  let m' = SG.Persist.model_of_string (SG.Persist.model_to_string m) in
+  let m' =
+    ok_exn (SG.Persist.model_of_string_result (SG.Persist.model_to_string m))
+  in
   Alcotest.(check string) "name" m.SG.Model.name m'.SG.Model.name;
   check_int "entries" (SG.Model.length m) (SG.Model.length m');
   check_float "similarity 1 after roundtrip" 1.0 (SG.Dtw.compare_models m m');
@@ -1034,8 +1240,8 @@ let test_persist_repository_roundtrip () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      SG.Persist.save_repository ~path repo;
-      let loaded = SG.Persist.load_repository ~path in
+      ok_exn (SG.Persist.save_repository_result ~path repo);
+      let loaded = ok_exn (SG.Persist.load_repository_result ~path) in
       check_int "poc count" (List.length repo) (List.length loaded);
       (* classification through the loaded repository is identical *)
       let target = model_of_spec (A.evict_reload ()) in
@@ -1046,15 +1252,14 @@ let test_persist_repository_roundtrip () =
       check_float "same score" v1.SG.Detector.best_score v2.SG.Detector.best_score)
 
 let test_persist_rejects_garbage () =
+  let parse_error = function Error (SG.Err.Parse _) -> true | _ -> false in
   check_bool "bad magic" true
-    (try ignore (SG.Persist.model_of_string "nonsense"); false
-     with Failure _ -> true);
+    (parse_error (SG.Persist.model_of_string_result "nonsense"));
   check_bool "bad repo magic" true
-    (try ignore (SG.Persist.repository_of_string "cstbbs 1"); false
-     with Failure _ -> true);
+    (parse_error (SG.Persist.repository_of_string_result "cstbbs 1"));
   check_bool "truncated" true
-    (try ignore (SG.Persist.model_of_string "cstbbs 1\nname x\nentry 0 0"); false
-     with Failure _ -> true)
+    (parse_error
+       (SG.Persist.model_of_string_result "cstbbs 1\nname x\nentry 0 0"))
 
 (* ---- Binary format (SCAGBIN) --------------------------------------------------------- *)
 
@@ -1093,12 +1298,11 @@ let prop_persist_binary_repository_roundtrip =
         SG.Persist.repository_to_string loaded
         = SG.Persist.repository_to_string repository
         &&
-        (* the inline summaries feed prepare_summarized: verdicts must be
-           bit-identical to classifying the original repository *)
+        (* the prepared load classifies bit-identically to the original
+           repository *)
         (match SG.Persist.repository_of_bytes_prepared_result bytes with
         | Error e -> QCheck.Test.fail_report (SG.Err.to_string e)
-        | Ok pairs ->
-          let prep = SG.Detector.prepare_summarized (Array.of_list pairs) in
+        | Ok (_, prep) ->
           SG.Detector.classify_prepared prep target
           = SG.Detector.classify repository target))
 
@@ -1116,7 +1320,9 @@ let test_persist_newline_tokens () =
       ~first_time:7
   in
   let m = SG.Model.make ~name:"evil\nname" [ entry ] in
-  let m' = SG.Persist.model_of_string (SG.Persist.model_to_string m) in
+  let m' =
+    ok_exn (SG.Persist.model_of_string_result (SG.Persist.model_to_string m))
+  in
   Alcotest.(check string) "name survives" m.SG.Model.name m'.SG.Model.name;
   List.iter2
     (fun a b ->
@@ -1125,8 +1331,9 @@ let test_persist_newline_tokens () =
     m.SG.Model.entries m'.SG.Model.entries;
   let repository = [ { SG.Detector.family = "fam\nnl"; model = m } ] in
   let text_rt =
-    SG.Persist.repository_of_string
-      (SG.Persist.repository_to_string repository)
+    ok_exn
+      (SG.Persist.repository_of_string_result
+         (SG.Persist.repository_to_string repository))
   in
   Alcotest.(check string) "family survives" "fam\nnl"
     (List.hd text_rt).SG.Detector.family;
@@ -1150,7 +1357,7 @@ let test_persist_newline_tokens () =
           (match save ~path repository with
           | Ok () -> ()
           | Error e -> Alcotest.fail (SG.Err.to_string e));
-          let loaded = SG.Persist.load_repository ~path in
+          let loaded = ok_exn (SG.Persist.load_repository_result ~path) in
           Alcotest.(check string) "file roundtrip"
             (SG.Persist.repository_to_string repository)
             (SG.Persist.repository_to_string loaded)))
@@ -1210,71 +1417,6 @@ let test_persist_binary_errors () =
       | Error e ->
         Alcotest.fail ("error lost file context: " ^ SG.Err.to_string e)
       | Ok _ -> Alcotest.fail "truncated file accepted")
-
-let test_persist_image_lazy () =
-  let repository = Lazy.force repo in
-  let path = Filename.temp_file "scaguard" ".repo" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      (match SG.Persist.save_repository_bin_result ~path repository with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail (SG.Err.to_string e));
-      match SG.Persist.open_image_result ~path with
-      | Error e -> Alcotest.fail (SG.Err.to_string e)
-      | Ok image ->
-        check_int "index size" (List.length repository)
-          (SG.Persist.image_size image);
-        let pocs = SG.Persist.image_pocs image in
-        List.iteri
-          (fun i (poc : SG.Detector.poc) ->
-            let name, family = pocs.(i) in
-            Alcotest.(check string) "index name order"
-              poc.SG.Detector.model.SG.Model.name name;
-            Alcotest.(check string) "index family order"
-              poc.SG.Detector.family family)
-          repository;
-        (* each lazily-loaded model is byte-identical to the original *)
-        let pairs =
-          List.map
-            (fun (poc : SG.Detector.poc) ->
-              match
-                SG.Persist.image_load_prepared_result image
-                  ~name:poc.SG.Detector.model.SG.Model.name
-              with
-              | Error e -> Alcotest.fail (SG.Err.to_string e)
-              | Ok ((loaded, _) as pair) ->
-                Alcotest.(check string) "lazy load byte-identical"
-                  (model_bytes poc.SG.Detector.model)
-                  (model_bytes loaded.SG.Detector.model);
-                pair)
-            repository
-        in
-        (* verdicts through the lazily-assembled prepared repository are
-           bit-identical to the eager path *)
-        let prep = SG.Detector.prepare_summarized (Array.of_list pairs) in
-        List.iter
-          (fun spec ->
-            let target = model_of_spec spec in
-            check_bool "lazy verdict = eager verdict" true
-              (SG.Detector.classify_prepared prep target
-              = SG.Detector.classify repository target))
-          [ A.flush_reload ~style:A.Mastik (); A.evict_reload () ];
-        (match SG.Persist.image_load_result image ~name:"no such model" with
-        | Error (SG.Err.Parse _) -> ()
-        | Error e ->
-          Alcotest.fail ("unexpected error kind: " ^ SG.Err.to_string e)
-        | Ok _ -> Alcotest.fail "absent name loaded"));
-  (* a text repository has no index: open_image must refuse, not raise *)
-  let text_path = Filename.temp_file "scaguard" ".repo" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove text_path)
-    (fun () ->
-      SG.Persist.save_repository ~path:text_path repository;
-      match SG.Persist.open_image_result ~path:text_path with
-      | Error (SG.Err.Parse _) -> ()
-      | Error e -> Alcotest.fail ("unexpected error kind: " ^ SG.Err.to_string e)
-      | Ok _ -> Alcotest.fail "text file opened as image")
 
 let test_persist_save_io_error () =
   let repository = Lazy.force repo in
@@ -1575,6 +1717,14 @@ let () =
           Alcotest.test_case "auto thresholds" `Quick test_index_auto_thresholds;
           Alcotest.test_case "version-1 images still load" `Quick
             test_persist_v1_image_loads;
+          Alcotest.test_case "version-2 images still load" `Quick
+            test_persist_v2_images_load;
+          Alcotest.test_case "v2 magnitudes are ignored" `Quick
+            test_v2_magnitudes_ignored;
+          Alcotest.test_case "duplicate shape member fails" `Quick
+            test_shape_duplicate_member;
+          QCheck_alcotest.to_alcotest prop_mutated_poc4_image;
+          QCheck_alcotest.to_alcotest prop_mutated_tree_image;
         ] );
       ( "model",
         [
@@ -1625,7 +1775,6 @@ let () =
             test_persist_newline_tokens;
           Alcotest.test_case "binary corruption is a typed error" `Quick
             test_persist_binary_errors;
-          Alcotest.test_case "lazy image loads" `Quick test_persist_image_lazy;
           Alcotest.test_case "save into missing dir is Io" `Quick
             test_persist_save_io_error;
           QCheck_alcotest.to_alcotest prop_persist_roundtrip;

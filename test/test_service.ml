@@ -59,8 +59,6 @@ let config_gen : SG.Config.t QCheck.Gen.t =
   let* index =
     oneofl [ SG.Config.Index_off; SG.Config.Index_auto; SG.Config.Index_vp ]
   in
-  let* index_leaf = int_range 2 64 in
-  let* index_pivots = int_range 1 16 in
   let* ensemble_tau = float_range 0.0 8.0 in
   let* log_level =
     oneofl [ SG.Log.Debug; SG.Log.Info; SG.Log.Warn; SG.Log.Error ]
@@ -81,8 +79,6 @@ let config_gen : SG.Config.t QCheck.Gen.t =
       salt;
       repo_format;
       index;
-      index_leaf;
-      index_pivots;
       ensemble_tau;
       log_level;
     }
@@ -194,7 +190,22 @@ let test_config_of_string_errors () =
         SG.Config.default with
         SG.Config.threshold = 0.5;
         SG.Config.band = Some 3;
-      })
+      });
+  (* a config saved before the index leaf size and pivot count were retired
+     (build-repo --save-config) still loads: both keys parse, change nothing *)
+  let saved =
+    "scaguard-config 1\nthreshold=0.59999999999999998\nprune=true\n\
+     cst_sets=61\ncst_ways=2\ncst_line_bits=6\nexec_spec_window=48\n\
+     exec_quantum=64\nexec_victim_quantum=64\nexec_fuel=2000000\n\
+     salt=2026:FR-F,PP-F,S-FR,S-PP\nrepo_format=text\nindex=auto\n\
+     index_leaf=16\nindex_pivots=5\nensemble_tau=2\nlog_level=info\n"
+  in
+  check_bool "retired index keys are ignored" true
+    (ok_exn (SG.Config.of_string saved)
+    = { SG.Config.default with SG.Config.salt = "2026:FR-F,PP-F,S-FR,S-PP" });
+  Alcotest.(check (option int))
+    "a retired key still needs an integer" (Some 2)
+    (parse_line (SG.Config.of_string "scaguard-config 1\nindex_leaf=many\n"))
 
 let test_config_save_load () =
   with_tmp_dir (fun dir ->
