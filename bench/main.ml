@@ -340,12 +340,12 @@ let engine () =
   (* parallel path, pruning off: parallelism never changes results *)
   let domains = worker_domains () in
   let prep = Scaguard.Detector.prepare repo in
-  let par, stats =
+  let par, _, stats =
     Scaguard.Engine.classify_batch ~prune:false ~domains prep targets
   in
   check_identical "parallel" seq par;
   (* parallel path, pruning on: the cascade never changes results either *)
-  let pruned, pstats =
+  let pruned, _, pstats =
     Scaguard.Engine.classify_batch ~prune:true ~domains prep targets
   in
   check_identical "pruned" par pruned;
@@ -355,7 +355,7 @@ let engine () =
   and prev_metrics = Scaguard.Obs.metrics () in
   Scaguard.Obs.set_tracing true;
   Scaguard.Obs.set_metrics true;
-  let observed, _ =
+  let observed, _, _ =
     Scaguard.Engine.classify_batch ~prune:true ~domains prep targets
   in
   Scaguard.Obs.set_tracing prev_tracing;
@@ -949,11 +949,12 @@ let index_bench () =
 (* ---- Obs: overhead and purity of the observation switches ------------------------- *)
 
 (* One classification batch timed under every observation switch in turn —
-   tracing, metrics, structured-log capture, provenance capture — against an
-   all-off baseline.  Each mode's verdicts must be bit-identical to the
-   baseline's (observation purity), and the per-switch overhead is reported
-   and written to BENCH_obs.json.  The headline number is provenance: its
-   target is < 5% throughput overhead at per-family 16. *)
+   tracing, metrics, structured-log capture — and with provenance requested
+   ([Engine.classify_batch ~explain:true]), against an all-off baseline.
+   Each mode's verdicts must be bit-identical to the baseline's (observation
+   purity), and the per-mode overhead is reported and written to
+   BENCH_obs.json.  The headline number is provenance: its target is < 5%
+   throughput overhead at per-family 16. *)
 let obs_bench () =
   section "Obs: overhead and purity of the observation switches";
   let module L = Workloads.Label in
@@ -984,36 +985,40 @@ let obs_bench () =
   let pairs = batch * List.length repo in
   Printf.printf "batch: %d targets x %d PoCs = %d pairs\n%!" batch
     (List.length repo) pairs;
-  let ws = Scaguard.Dtw.workspace () in
   let prev_tracing = Scaguard.Obs.tracing ()
   and prev_metrics = Scaguard.Obs.metrics () in
   let all_off () =
     Scaguard.Obs.set_tracing false;
     Scaguard.Obs.set_metrics false;
-    Scaguard.Log.set_capture false;
-    Scaguard.Provenance.set_capture false
+    Scaguard.Log.set_capture false
   in
-  let classify_all () =
-    Array.map (Scaguard.Detector.classify_prepared ~ws prep) targets
+  let classify_all ~explain () =
+    let v, records, _ =
+      Scaguard.Engine.classify_batch ~domains:1 ~explain prep targets
+    in
+    if explain && Array.length records <> batch then
+      fail "obs: %d provenance records for %d targets" (Array.length records)
+        batch;
+    v
   in
   all_off ();
   (* several warm passes: the first touches of the summaries, the workspace
      growth and the allocator all happen outside the timed windows *)
   for _ = 1 to 3 do
-    ignore (classify_all ())
+    ignore (classify_all ~explain:false ())
   done;
   (* round-robin timing: every round runs one pass of every mode in turn, so
      clock drift, allocator state and frequency scaling hit all modes
      equally instead of penalizing whichever ran last; each mode keeps its
-     best pass.  The capture sinks are cleared before every pass so no pass
-     ever measures a saturated (dropping) sink. *)
+     best pass.  The log sink is cleared before every pass so no pass ever
+     measures a saturated (dropping) sink. *)
   let mode_list =
     [|
-      ("baseline", fun () -> ());
-      ("tracing", fun () -> Scaguard.Obs.set_tracing true);
-      ("metrics", fun () -> Scaguard.Obs.set_metrics true);
-      ("log", fun () -> Scaguard.Log.set_capture true);
-      ("provenance", fun () -> Scaguard.Provenance.set_capture true);
+      ("baseline", (fun () -> ()), false);
+      ("tracing", (fun () -> Scaguard.Obs.set_tracing true), false);
+      ("metrics", (fun () -> Scaguard.Obs.set_metrics true), false);
+      ("log", (fun () -> Scaguard.Log.set_capture true), false);
+      ("provenance", (fun () -> ()), true);
     |]
   in
   let n_modes = Array.length mode_list in
@@ -1022,14 +1027,13 @@ let obs_bench () =
   let rounds = 5 in
   for _round = 1 to rounds do
     Array.iteri
-      (fun i (_, apply) ->
+      (fun i (_, apply, explain) ->
         all_off ();
         apply ();
-        Scaguard.Provenance.clear ();
         Scaguard.Log.clear ();
         Scaguard.Obs.reset ();
         let t0 = Scaguard.Obs.Clock.now_ns () in
-        let v = classify_all () in
+        let v = classify_all ~explain () in
         let dt = Scaguard.Obs.Clock.elapsed_s ~since:t0 in
         if dt < best.(i) then best.(i) <- dt;
         verdicts.(i) <- v)
@@ -1042,7 +1046,7 @@ let obs_bench () =
     List.filteri (fun i _ -> i > 0)
       (Array.to_list
          (Array.mapi
-            (fun i (name, _) ->
+            (fun i (name, _, _) ->
               check_identical name verdicts.(i);
               (name, best.(i)))
             mode_list))
@@ -1095,7 +1099,6 @@ let obs_bench () =
         :: !json_rows)
     timed;
   all_off ();
-  Scaguard.Provenance.clear ();
   Scaguard.Log.clear ();
   Scaguard.Obs.reset ();
   Scaguard.Obs.set_tracing prev_tracing;
@@ -1110,7 +1113,7 @@ let obs_bench () =
          ("pairs", jint pairs);
          ("modes", Scaguard.Json.List (List.rev !json_rows));
        ]);
-  Printf.printf "verdicts: bit-identical to the all-off baseline under every switch\n";
+  Printf.printf "verdicts: bit-identical to the all-off baseline in every mode\n";
   Printf.printf "provenance overhead: %+.1f%% (target < 5%%)\n" !prov_overhead;
   if !prov_overhead >= 5.0 then
     Printf.printf

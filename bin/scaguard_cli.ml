@@ -144,6 +144,25 @@ let with_victim_t =
         ~doc:"Co-run the shared-library victim (for compiled or assembled \
               attacks).")
 
+(* --per-family sizes a generated dataset (compare, export-dataset); below 1
+   there is nothing to train on or export.  Checked like the Config integer
+   flags. *)
+let per_family_t ~default ~doc =
+  let check n =
+    if n >= 1 then Ok n
+    else
+      Error
+        (Scaguard.Err.Invalid_config
+           {
+             field = "--per-family";
+             value = string_of_int n;
+             expected = "an integer >= 1";
+           })
+  in
+  Term.(
+    const check
+    $ Arg.(value & opt int default & info [ "per-family" ] ~docv:"N" ~doc))
+
 let trace_id_t =
   opt_arg Arg.string "trace-id" "ID"
     "Opaque correlation token stamped on every span, log event and \
@@ -477,7 +496,8 @@ let similarity_cmd =
 let compare_cmd =
   let run seed per_family screen_tau json detector_keys =
     handle
-    @@ let* tau =
+    @@ let* per_family = per_family in
+       let* tau =
          match screen_tau with
          | None -> Ok None
          | Some t ->
@@ -514,13 +534,6 @@ let compare_cmd =
        end;
        Ok ()
   in
-  let per_family_t =
-    Arg.(
-      value & opt int 8
-      & info [ "per-family" ] ~docv:"N"
-          ~doc:"Mutated samples per attack family (benign gets 2N plus the \
-                MinC kernels).")
-  in
   let screen_tau_t =
     Arg.(
       value
@@ -550,7 +563,11 @@ let compare_cmd =
              one generated dataset and print the accuracy/F1/latency/\
              throughput table.")
     Term.(
-      const run $ seed_t $ per_family_t $ screen_tau_t $ json_t $ detectors_t)
+      const run $ seed_t
+      $ per_family_t ~default:8
+          ~doc:"Mutated samples per attack family (benign gets 2N plus the \
+                MinC kernels)."
+      $ screen_tau_t $ json_t $ detectors_t)
 
 (* ---- detect --------------------------------------------------------------------- *)
 
@@ -573,20 +590,17 @@ let detect_cmd =
 
 (* ---- detect-batch (the parallel engine) ------------------------------------------- *)
 
-(* Structured-event and provenance capture for detect-batch: both are pure
-   observation (verdicts are bit-identical with them on or off), so like the
-   Obs switches they need no plumbing through Config.t beyond the capture
-   level. *)
-let setup_event_capture ~log_out ~provenance_out ~trace_id
+(* Structured-event capture for detect-batch is pure observation (verdicts
+   are bit-identical with it on or off), so like the Obs switches it needs no
+   plumbing through Config.t beyond the capture level. *)
+let setup_event_capture ~log_out ~trace_id
     ~log_level:(lvl : Scaguard.Log.level) =
   Scaguard.Log.set_capture (log_out <> None);
   Scaguard.Log.set_level lvl;
   Scaguard.Log.clear ();
-  Scaguard.Provenance.set_capture (provenance_out <> None);
-  Scaguard.Provenance.clear ();
   Scaguard.Obs.set_trace_id trace_id
 
-let write_event_capture ~log_out ~provenance_out =
+let write_event_capture ~log_out ~provenance_out records =
   let* () =
     match log_out with
     | None -> Ok ()
@@ -600,14 +614,13 @@ let write_event_capture ~log_out ~provenance_out =
   match provenance_out with
   | None -> Ok ()
   | Some path ->
-    let records = Scaguard.Provenance.records () in
     let* () =
       io ~path (fun () ->
           Scaguard.Persist.write_atomic ~path
             (Scaguard.Provenance.to_jsonl records))
     in
     Printf.printf "wrote %d provenance records to %s (JSON lines)\n"
-      (List.length records) path;
+      (Array.length records) path;
     Ok ()
 
 let detect_batch_cmd =
@@ -621,8 +634,7 @@ let detect_batch_cmd =
          | Some l -> { config with C.log_level = l }
        in
        let* () = setup_observability obs in
-       setup_event_capture ~log_out ~provenance_out ~trace_id
-         ~log_level:config.C.log_level;
+       setup_event_capture ~log_out ~trace_id ~log_level:config.C.log_level;
        if log_out <> None then
          Scaguard.Log.info "batch.start"
            ~fields:
@@ -637,9 +649,14 @@ let detect_batch_cmd =
        (* benign samples are re-derived from the seed alone (no shared rng
           stream), so the seed is a sufficient salt here *)
        let target_jobs = Array.of_list (List.map Experiments.Common.job samples) in
-       let* _models, verdicts, report =
-         Scaguard.Service.screen_prepared (C.seeded ~seed config) r.prepared
-           target_jobs
+       (* --provenance-out asks the same engine run for its records *)
+       let* _models, verdicts, report, records =
+         let config = C.seeded ~seed config in
+         if provenance_out = None then
+           Result.map
+             (fun (m, v, r) -> (m, v, r, [||]))
+             (Scaguard.Service.screen_prepared config r.prepared target_jobs)
+         else Scaguard.Service.explain config r.prepared target_jobs
        in
        List.iteri
          (fun i name ->
@@ -681,7 +698,7 @@ let detect_batch_cmd =
            attacks (Array.length verdicts)
        end;
        let* () = write_observability obs in
-       write_event_capture ~log_out ~provenance_out
+       write_event_capture ~log_out ~provenance_out records
   in
   let stats_t =
     Arg.(
@@ -711,10 +728,9 @@ let detect_batch_cmd =
   in
   let provenance_out_t =
     opt_arg Arg.string "provenance-out" "FILE"
-      "Capture one decision-provenance record per target (ensemble path, \
-       index pruning, candidate outcomes, final score bits) and write them \
-       as JSON lines.  Pure observation: verdicts are bit-identical with \
-       this on or off."
+      "Write one decision-provenance record per target (index pruning, \
+       candidate outcomes, final score bits) as JSON lines, in target order. \
+       Pure observation: verdicts are bit-identical with this on or off."
   in
   let report_format_t =
     Arg.(
@@ -739,28 +755,15 @@ let detect_batch_cmd =
 let render_provenance (r : Scaguard.Provenance.t) =
   let open Scaguard.Provenance in
   let verdict =
-    match (r.best_family, r.path) with
-    | Some f, _ -> Printf.sprintf "ATTACK %s" f
-    | None, Fast_rejected -> "benign (fast-rejected)"
-    | None, _ -> "benign"
+    match r.best_family with
+    | Some f -> Printf.sprintf "ATTACK %s" f
+    | None -> "benign"
   in
-  let path =
-    match r.path with
-    | Linear -> "linear scan"
-    | Indexed -> "indexed"
-    | Fast_rejected -> "fast-reject"
-  in
+  let path = match r.path with Linear -> "linear scan" | Indexed -> "indexed" in
   Printf.printf "%s: %s  (best %.2f%% vs threshold %.0f%%) [%s, %.3f ms%s]\n"
     r.target verdict (100.0 *. r.best_score) (100.0 *. r.threshold) path
     (Int64.to_float r.duration_ns /. 1e6)
     (match r.trace_id with Some t -> ", trace " ^ t | None -> "");
-  (match r.ensemble with
-  | None -> ()
-  | Some e ->
-    Printf.printf "  screen: |z| %.2f %s tau %.2f -> %s\n" e.screen_z
-      (if e.escalated then ">=" else "<")
-      e.tau
-      (if e.escalated then "escalated to DTW" else "fast-rejected"));
   (match r.index_events with
   | [] -> ()
   | evs ->
@@ -828,7 +831,7 @@ let explain_cmd =
          Scaguard.Service.explain (C.seeded ~seed config) r.prepared jobs
        in
        if json then print_string (Scaguard.Provenance.to_jsonl records)
-       else List.iter render_provenance records;
+       else Array.iter render_provenance records;
        Ok ()
   in
   let json_t =
@@ -842,11 +845,11 @@ let explain_cmd =
   Cmd.v
     (cmd_info "explain"
        ~doc:"Classify programs like `detect-batch` and print each verdict's \
-             decision provenance: the path taken (linear, indexed or \
-             ensemble fast-reject), the index nodes visited and subtrees \
-             pruned with their bounds, every candidate PoC's lower bound \
-             and outcome, and the final score.  Verdicts are bit-identical \
-             to `detect-batch` — provenance capture is pure observation.")
+             decision provenance, in argument order: the path taken (linear \
+             or indexed), the index nodes visited and subtrees pruned with \
+             their bounds, every candidate PoC's lower bound and outcome, \
+             and the final score.  Verdicts are bit-identical to \
+             `detect-batch` — provenance is pure observation.")
     Term.(
       const run $ seed_t $ config_t $ repository_t $ trace_id_t $ json_t
       $ programs_t "Programs to explain (see `list`).")
@@ -1130,7 +1133,8 @@ let dot_cmd =
 let export_dataset_cmd =
   let run seed per_family dir =
     handle
-    @@ let* () =
+    @@ let* per_family = per_family in
+       let* () =
          io ~path:dir (fun () ->
              try Unix.mkdir dir 0o755
              with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
@@ -1161,12 +1165,6 @@ let export_dataset_cmd =
          (List.length samples) dir;
        Ok ()
   in
-  let per_family_t =
-    Arg.(
-      value & opt int 16
-      & info [ "per-family" ] ~docv:"N"
-          ~doc:"Samples per attack type (and benign count).")
-  in
   let dir_t =
     Arg.(
       required
@@ -1176,7 +1174,11 @@ let export_dataset_cmd =
   Cmd.v
     (cmd_info "export-dataset"
        ~doc:"Write the Table II/III dataset as binary files with a manifest.")
-    Term.(const run $ seed_t $ per_family_t $ dir_t)
+    Term.(
+      const run $ seed_t
+      $ per_family_t ~default:16
+          ~doc:"Samples per attack type (and benign count)."
+      $ dir_t)
 
 (* ---- heatmap --------------------------------------------------------------------- *)
 

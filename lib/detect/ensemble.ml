@@ -118,42 +118,12 @@ let score m run =
   if suspicious m run then Adapters.Scaguard_dtw.score m.scaguard run
   else None
 
-(* Fast-rejected runs never reach DTW, so their verdict is the empty one:
+(* A fast-rejected run never reaches DTW, so its verdict is the empty one:
    no matches, no family, score 0. *)
-let rejected_verdict =
-  {
-    Scaguard.Detector.best_matches = [];
-    best_family = None;
-    best_score = 0.0;
-  }
-
-(* Classification is the provenanced path: the screen outcome is noted in
-   domain-local state just before the decision, so an escalated run's DTW
-   record (finished on this same domain) carries it; a fast-rejected run
-   never reaches the detector, so the record is emitted here.  Pure
-   observation — the decision itself is computed exactly as [suspicious]
-   computes it, and nothing is read back. *)
 let classify m run =
-  incr screened;
-  bump Scaguard.Obs.Metrics.ensemble_screened_total 1;
-  let z = screen_z m run in
-  let escalated = not (z < m.tau) in
-  if Scaguard.Provenance.enabled () then
-    Scaguard.Provenance.note_ensemble ~screen_z:z ~tau:m.tau ~escalated;
-  if escalated then begin
-    incr slow_path;
-    bump Scaguard.Obs.Metrics.ensemble_slow_path_total 1;
+  if suspicious m run then begin
     let v = Adapters.Scaguard_dtw.classify m.scaguard run in
     if Scaguard.Detector.is_attack v then confirm ();
     v
   end
-  else begin
-    incr fast_rejects;
-    bump Scaguard.Obs.Metrics.ensemble_fast_rejects_total 1;
-    if Scaguard.Provenance.enabled () then
-      Scaguard.Provenance.emit_fast_reject ~target:(Run.name run)
-        ~threshold:
-          (Option.value m.scaguard.Adapters.Scaguard_dtw.threshold
-             ~default:Scaguard.Detector.default_threshold);
-    rejected_verdict
-  end
+  else Scaguard.Detector.empty_verdict

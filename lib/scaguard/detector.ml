@@ -54,25 +54,11 @@ let attach_index prep index =
   { prep with index }
 
 let classify_prepared ?(threshold = default_threshold) ?alpha ?ws ?band
-    ?(prune = true) ?ixc prep target =
+    ?(prune = true) ?ixc ?prov prep target =
   let k = Array.length prep.pocs in
-  (* provenance is pure observation: the builder (created only when the
-     switch is on — one ref load, zero allocation otherwise) is written to
-     but never read on this path, so the verdict is bit-identical with
-     capture on or off.  The k = 0 case still records (and consumes any
-     pending ensemble note), so every classification has a record. *)
-  let prov =
-    if Provenance.enabled () then
-      Some (Provenance.start ~target:target.Model.name ~threshold)
-    else None
-  in
-  if k = 0 then begin
-    (match prov with
-    | None -> ()
-    | Some b ->
-      Provenance.finish b ~best_matches:[] ~best_family:None ~best_score:0.0);
-    empty_verdict
-  end
+  (* provenance is pure observation: [prov] is written to but never read on
+     this path, so the verdict is bit-identical with or without it *)
+  if k = 0 then empty_verdict
   else begin
     (* the bounds are only sound for a convex blend of the two cost terms;
        exotic ablation alphas fall back to full scoring *)
@@ -126,11 +112,11 @@ let classify_prepared ?(threshold = default_threshold) ?alpha ?ws ?band
         else infinity
       in
       let trace =
-        match prov with
-        | None -> None
-        | Some b ->
-          Provenance.set_path b Provenance.Indexed;
-          Some (fun ev -> Provenance.index_event b ev)
+        Option.map
+          (fun b ->
+            Provenance.set_path b Provenance.Indexed;
+            Provenance.index_event b)
+          prov
       in
       Vpindex.search ?alpha ?ixc ?trace ix st ~dmax ~visit:(fun i -> score i)
     | _ ->
@@ -166,9 +152,6 @@ let classify_prepared ?(threshold = default_threshold) ?alpha ?ws ?band
         | [] -> None
       else None
     in
-    (match prov with
-    | None -> ()
-    | Some pb -> Provenance.finish pb ~best_matches ~best_family ~best_score:b);
     { best_matches; best_family; best_score = b }
   end
 

@@ -85,7 +85,8 @@ val attach_index : prepared -> Vpindex.t option -> prepared
 
 val classify_prepared :
   ?threshold:float -> ?alpha:float -> ?ws:Dtw.workspace -> ?band:int ->
-  ?prune:bool -> ?ixc:Vpindex.counters -> prepared -> Model.t -> verdict
+  ?prune:bool -> ?ixc:Vpindex.counters -> ?prov:Provenance.builder ->
+  prepared -> Model.t -> verdict
 (** {!classify} against a pre-summarized repository — bit-identical results,
     minus the per-call summarization cost.
 
@@ -95,7 +96,13 @@ val classify_prepared :
     subtrees provably below the running best are skipped without evaluating
     per-pair lower bounds.  Verdicts remain bit-identical either way (a
     tested invariant).  [ixc] accumulates the index counters reported by
-    {!Engine}. *)
+    {!Engine}.
+
+    [prov] receives the decision trail (path, index events, candidate
+    outcomes); it is written and never read, so the verdict is
+    bit-identical with or without it.  Sealing the record with the verdict
+    is the caller's job ({!Provenance.finish}, as
+    {!Engine.classify_batch} [~explain] does). *)
 
 val score_all :
   ?alpha:float -> ?ws:Dtw.workspace -> ?band:int ->

@@ -62,28 +62,45 @@ let publish_stats s =
   Obs.Registry.add pairs_pruned_index_total s.pairs_pruned_index;
   Obs.Registry.add index_nodes_visited_total s.nodes_visited
 
-let classify_batch ?threshold ?alpha ?band ?domains ?prune prep targets =
+let classify_batch ?(threshold = Detector.default_threshold) ?alpha ?band
+    ?domains ?prune ?(explain = false) prep targets =
   let tasks = Array.length targets in
   let d = Sutil.Pool.domains_for ?domains tasks in
   let wss = Array.init d (fun _ -> Dtw.workspace ()) in
   let ixcs = Array.init d (fun _ -> Vpindex.counters ()) in
   let out = Array.make tasks Detector.empty_verdict in
+  (* slot i holds target i's record, whichever worker sealed it *)
+  let records = Array.make (if explain then tasks else 0) None in
+  let classify ~worker i =
+    let target = targets.(i) in
+    let prov =
+      if explain then Some (Provenance.start ~target:target.Model.name ~threshold)
+      else None
+    in
+    let v =
+      Detector.classify_prepared ~threshold ?alpha ?band ?prune
+        ~ws:wss.(worker) ~ixc:ixcs.(worker) ?prov prep target
+    in
+    (match prov with
+    | None -> ()
+    | Some b ->
+      records.(i) <-
+        Some
+          (Provenance.finish b ~seq:i ~best_matches:v.Detector.best_matches
+             ~best_family:v.Detector.best_family
+             ~best_score:v.Detector.best_score));
+    v
+  in
   let observing = Obs.enabled () in
   let probe = if observing then Obs.pool_probe ~stage:"engine" else None in
   let wall0 = Obs.Clock.now_ns () and cpu0 = Sys.time () in
   let per_worker =
     Sutil.Pool.run ~domains:d ?probe ~tasks (fun ~worker i ->
-        let ws = wss.(worker) and ixc = ixcs.(worker) in
         if observing then
           classify_observed
-            ~classify:(fun () ->
-              Detector.classify_prepared ?threshold ?alpha ?band ?prune ~ws
-                ~ixc prep targets.(i))
-            ~ws ~worker ~target:targets.(i) i out
-        else
-          out.(i) <-
-            Detector.classify_prepared ?threshold ?alpha ?band ?prune ~ws ~ixc
-              prep targets.(i))
+            ~classify:(fun () -> classify ~worker i)
+            ~ws:wss.(worker) ~worker ~target:targets.(i) i out
+        else out.(i) <- classify ~worker i)
   in
   let wall_s = Obs.Clock.elapsed_s ~since:wall0
   and cpu_s = Sys.time () -. cpu0 in
@@ -113,7 +130,7 @@ let classify_batch ?threshold ?alpha ?band ?domains ?prune prep targets =
     }
   in
   if Obs.metrics () then publish_stats stats;
-  (out, stats)
+  (out, Array.map Option.get records, stats)
 
 let pp_stats fmt s =
   Format.fprintf fmt

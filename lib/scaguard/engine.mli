@@ -48,14 +48,20 @@ type stats = {
 
 val classify_batch :
   ?threshold:float -> ?alpha:float -> ?band:int -> ?domains:int ->
-  ?prune:bool ->
-  Detector.prepared -> Model.t array -> Detector.verdict array * stats
+  ?prune:bool -> ?explain:bool ->
+  Detector.prepared -> Model.t array ->
+  Detector.verdict array * Provenance.t array * stats
 (** Classify every target against the prepared repository.  [domains]
     defaults to {!Sutil.Pool.default_domains} (clamped to the batch size);
     [prune] (default [true]) toggles the exact lower-bound cascade — verdicts
     are bit-identical either way, only the counters move.  An index built
     into the [prepared] ({!Detector.prepare} [~index]) is used when pruning;
-    verdicts are again bit-identical with or without it. *)
+    verdicts are again bit-identical with or without it.
+
+    With [explain] (default [false]) the records array is index-aligned
+    with the verdicts: record [i] explains target [i] and has [seq = i],
+    whichever worker classified it.  Without it the array is empty.
+    Verdicts and counters are identical either way. *)
 
 val utilization : stats -> float
 (** [cpu / (wall * domains)], clamped to [\[0,1\]]: 1.0 means every worker

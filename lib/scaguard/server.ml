@@ -600,8 +600,8 @@ let do_explain t conn ?trace ~id ~arrival_ns ~targets ~seed () =
   | Error (name, e) ->
     emit_frame ?trace conn (err_frame ~extras:[ ("target", Json.Str name) ] ~id e)
   | Ok jobs -> (
-    (* same screen_prepared run (bit-identical verdicts — capture is pure
-       observation), plus one provenance record per target *)
+    (* the screen_prepared engine run (bit-identical verdicts), plus one
+       provenance record per target, in target order *)
     match Service.explain config t.prepared jobs with
     | Error e -> emit_frame ?trace conn (err_frame ~id e)
     | Ok (_models, verdicts, report, records) ->
@@ -619,7 +619,9 @@ let do_explain t conn ?trace ~id ~arrival_ns ~targets ~seed () =
              ("op", Json.Str "explain");
              ("targets", jint (List.length targets));
              ("attacks", jint attacks);
-             ("records", Json.List (List.map Provenance.to_json records));
+             ( "records",
+               Json.List (Array.to_list (Array.map Provenance.to_json records))
+             );
              ("wall_ms", Json.Num (wall_ms ~arrival_ns));
            ]))
 

@@ -93,11 +93,12 @@ type request_body =
           reply with one summary frame (counts + attack names) and no
           per-target verdict frames. *)
   | Explain of { targets : string list; seed : int }
-      (** {!Screen} with provenance capture forced on
+      (** {!Screen} with provenance records requested
           ({!Service.explain}): the same engine run and bit-identical
-          verdicts, replied as one frame whose [records] array holds one
-          {!Provenance.t} JSON object per target — ensemble path, index
-          pruning, candidate outcomes and final score bits. *)
+          verdicts, replied as one frame whose [records] array is
+          index-aligned with [targets] — one {!Provenance.t} JSON object
+          per target: index pruning, candidate outcomes and final score
+          bits. *)
   | Stats  (** server self-description: queue, counters, latency quantiles *)
   | Metrics  (** the {!Obs} registry as Prometheus text exposition *)
   | Reload of { path : string option }

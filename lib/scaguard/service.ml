@@ -299,17 +299,18 @@ let build config jobs =
   let timing, models = build_stage config cache jobs in
   Ok (models, report ~built:(Array.length models) ?cache [ timing ])
 
-let detect_stage (config : Config.t) prep targets =
+let detect_stage ?explain (config : Config.t) prep targets =
   timed "detect" (fun () ->
       Engine.classify_batch ~threshold:config.Config.threshold
         ?alpha:config.Config.alpha ?band:config.Config.band
-        ?domains:config.Config.domains ~prune:config.Config.prune prep targets)
+        ?domains:config.Config.domains ~prune:config.Config.prune ?explain prep
+        targets)
 
 let detect_prepared config prep targets =
   let* config = Config.validate config in
   if Detector.prepared_size prep = 0 then Error Err.Empty_repository
   else
-    let timing, (verdicts, stats) = detect_stage config prep targets in
+    let timing, (verdicts, _, stats) = detect_stage config prep targets in
     Ok
       (verdicts, report ~classified:(Array.length targets) ~engine:stats [ timing ])
 
@@ -363,26 +364,25 @@ let load_repository ?config ~path () =
   in
   Ok (repo, prep, report ~built:(List.length repo) [ timing ])
 
-let screen_prepared config prep jobs =
+let screen ?explain config prep jobs =
   let* config = Config.validate config in
   if Detector.prepared_size prep = 0 then Error Err.Empty_repository
   else
     let* cache = cache_of_config config in
     let build_timing, models = build_stage config cache jobs in
-    let detect_timing, (verdicts, stats) = detect_stage config prep models in
+    let detect_timing, (verdicts, records, stats) =
+      detect_stage ?explain config prep models
+    in
     let n = Array.length models in
     Ok
       ( models,
         verdicts,
         report ~built:n ~classified:n ?cache ~engine:stats
-          [ build_timing; detect_timing ] )
+          [ build_timing; detect_timing ],
+        records )
 
-let explain config prep jobs =
-  (* capture is forced on only for this run, and restored after — the
-     verdicts themselves are bit-identical either way (observation purity),
-     so explain can safely serve interleaved with ordinary detection *)
-  let result, records =
-    Provenance.with_capture (fun () -> screen_prepared config prep jobs)
-  in
-  let* models, verdicts, report = result in
-  Ok (models, verdicts, report, records)
+let screen_prepared config prep jobs =
+  let* models, verdicts, report, _ = screen config prep jobs in
+  Ok (models, verdicts, report)
+
+let explain config prep jobs = screen ~explain:true config prep jobs

@@ -119,14 +119,12 @@ val explain :
   Config.t ->
   Detector.prepared ->
   Pipeline.job array ->
-  ( Model.t array
-    * Detector.verdict array
-    * report
-    * Provenance.t list,
+  ( Model.t array * Detector.verdict array * report * Provenance.t array,
     Err.t )
   result
-(** {!screen_prepared} with provenance capture forced on for the duration
-    of the call (and restored afterwards): the same models, verdicts and
-    report — bit-identical, capture is pure observation — plus one
-    {!Provenance.t} record per target explaining the verdict.  Backs
-    [scaguard explain] and the serve protocol's [explain] verb. *)
+(** {!screen_prepared} on the same engine run with [~explain:true]
+    ({!Engine.classify_batch}): the same models, verdicts and report —
+    bit-identical — plus one {!Provenance.t} per job, index-aligned with
+    the jobs ([seq] is the job's position).  Backs [scaguard explain],
+    [detect-batch --provenance-out] and the serve protocol's [explain]
+    verb. *)

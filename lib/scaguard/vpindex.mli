@@ -106,7 +106,7 @@ val search :
     Visit order is deterministic.  An empty target visits every position
     (all scores are 0.0; no bound applies).  [trace], when given, receives
     each traversal decision (node visits, subtree cut-offs and member
-    prunes, with the bounds that justified them) for provenance capture —
+    prunes, with the bounds that justified them) for a provenance record —
     pure observation, never read back into the search. *)
 
 val size : t -> int

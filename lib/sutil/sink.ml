@@ -45,17 +45,3 @@ let clear t =
   Atomic.set t.items [];
   Atomic.set t.length 0;
   Atomic.set t.dropped 0
-
-let isolate t f =
-  let saved_items = Atomic.exchange t.items [] in
-  let saved_length = Atomic.exchange t.length 0 in
-  let restore () =
-    let mine = Atomic.exchange t.items saved_items in
-    Atomic.set t.length saved_length;
-    mine
-  in
-  match f () with
-  | v -> (v, restore ())
-  | exception e ->
-    ignore (restore ());
-    raise e

@@ -1,10 +1,9 @@
 (** A lock-free collection sink, optionally bounded.
 
-    The capture buffer behind the span tracer, the structured event log and
-    the provenance records: a Treiber stack that any domain may push to
-    without a lock.  A bounded sink counts a push beyond its capacity in
-    {!dropped} and discards it, so emission never blocks and never grows
-    without limit.  Items come back unordered; callers that need emission
+    The capture buffer behind the span tracer and the structured event log:
+    a Treiber stack that any domain may push to without a lock.  A bounded
+    sink counts a push beyond its capacity in {!dropped} and discards it, so
+    emission never blocks and never grows without limit.  Items come back unordered; callers that need emission
     order stamp their items with a sequence number and sort. *)
 
 type 'a t
@@ -34,10 +33,3 @@ val dropped : 'a t -> int
 
 val clear : 'a t -> unit
 (** Empty the sink and zero {!dropped}. *)
-
-val isolate : 'a t -> (unit -> 'b) -> 'b * 'a list
-(** [isolate t f] runs [f] against an empty sink and returns its result
-    with exactly the items pushed meanwhile; what the sink held before is
-    restored afterwards (also when [f] raises, which discards [f]'s items
-    and re-raises).  Pushes from other domains during [f] land in [f]'s
-    items. *)

@@ -408,7 +408,7 @@ let prop_observation_is_pure =
         with_obs ~tracing:false ~metrics:false (fun () ->
             SG.Pipeline.build_models_batch ~domains jobs)
       in
-      let baseline_verdicts, _ =
+      let baseline_verdicts, _, _ =
         with_obs ~tracing:false ~metrics:false (fun () ->
             SG.Engine.classify_batch ~prune ~domains repo baseline_models)
       in
@@ -416,7 +416,7 @@ let prop_observation_is_pure =
         with_obs ~tracing ~metrics (fun () ->
             Obs.set_span_sample_rate rate;
             let models = SG.Pipeline.build_models_batch ~domains jobs in
-            let verdicts, _ =
+            let verdicts, _, _ =
               SG.Engine.classify_batch ~prune ~domains repo models
             in
             (models, verdicts))

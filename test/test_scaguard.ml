@@ -538,7 +538,7 @@ let test_batch_matches_sequential () =
     |]
   in
   let seq = Array.map (SG.Detector.classify repository) targets in
-  let par, stats =
+  let par, _, stats =
     SG.Engine.classify_batch ~domains:4 (SG.Detector.prepare repository) targets
   in
   check_bool "Engine.classify_batch byte-identical" true (par = seq);
@@ -644,7 +644,7 @@ let prop_batch_equals_sequential =
       in
       let targets = Array.of_list targets in
       let seq = Array.map (SG.Detector.classify repository) targets in
-      let eng, _ =
+      let eng, _, _ =
         SG.Engine.classify_batch ~domains:3 (SG.Detector.prepare repository)
           targets
       in
@@ -717,8 +717,10 @@ let prop_engine_prune_identical =
       in
       let targets = Array.of_list targets in
       let prep = SG.Detector.prepare repository in
-      let on, son = SG.Engine.classify_batch ~domains:3 ~prune:true prep targets in
-      let off, soff =
+      let on, _, son =
+        SG.Engine.classify_batch ~domains:3 ~prune:true prep targets
+      in
+      let off, _, soff =
         SG.Engine.classify_batch ~domains:3 ~prune:false prep targets
       in
       on = off

@@ -648,8 +648,9 @@ let test_trace_id_echo () =
   | fs -> Alcotest.failf "expected 3 frames, got %d" (List.length fs)
 
 (* The explain verb: screen's verdict summary plus one provenance record
-   per target — decodable, trace-stamped, and bit-identical in score to
-   Service.screen_prepared on the same batch. *)
+   per target, in target order — each the encoding of Service.explain's
+   record on the same jobs, up to the two run-dependent fields (the
+   duration and the worker's domain id). *)
 let test_explain_verb () =
   let seed = 7 in
   let targets = [ "fr-iaik"; "quicksort" ] in
@@ -666,8 +667,20 @@ let test_explain_verb () =
   let jobs =
     Array.of_list (List.map (fun n -> Result.get_ok (resolve ~seed n)) targets)
   in
-  let _, verdicts, _ =
-    Result.get_ok (SG.Service.screen_prepared config prepared jobs)
+  let expected =
+    SG.Obs.set_trace_id (Some "tr-ex");
+    Fun.protect
+      ~finally:(fun () -> SG.Obs.set_trace_id None)
+      (fun () ->
+        let _, _, _, records =
+          Result.get_ok (SG.Service.explain config prepared jobs)
+        in
+        records)
+  in
+  let masked = function
+    | J.Obj kvs ->
+      J.Obj (List.filter (fun (k, _) -> k <> "duration_ns" && k <> "worker") kvs)
+    | j -> j
   in
   match frames () with
   | [ reply ] ->
@@ -683,33 +696,14 @@ let test_explain_verb () =
     in
     check_int "one record per target" (List.length targets)
       (List.length records);
-    List.iter
-      (fun rj ->
-        match SG.Provenance.of_json rj with
-        | Error m -> Alcotest.failf "record does not decode: %s" m
-        | Ok r ->
-          check_bool "record carries the trace id" true
-            (r.SG.Provenance.trace_id = Some "tr-ex");
-          (* records carry the built model's canonical name, not the
-             request spelling — match through the resolved jobs *)
-          let i =
-            match
-              Array.find_index
-                (fun j -> j.SG.Pipeline.job_name = r.SG.Provenance.target)
-                jobs
-            with
-            | Some i -> i
-            | None -> Alcotest.failf "record for unknown target %s"
-                        r.SG.Provenance.target
-          in
-          check_bool
-            (Printf.sprintf "%s score bit-identical to screen_prepared"
-               r.SG.Provenance.target)
-            true
-            (Int64.bits_of_float r.SG.Provenance.best_score
-            = Int64.bits_of_float verdicts.(i).SG.Detector.best_score))
-      records;
-    check_bool "capture switch left off" false (SG.Provenance.enabled ())
+    List.iteri
+      (fun i rj ->
+        check_bool
+          (Printf.sprintf "record %d is Service.explain's record %d" i i)
+          true
+          (json_equal (masked rj)
+             (masked (SG.Provenance.to_json expected.(i)))))
+      records
   | fs -> Alcotest.failf "expected 1 frame, got %d" (List.length fs)
 
 (* -- stdio transport --------------------------------------------------------- *)

@@ -272,7 +272,9 @@ let test_detect_identical () =
       [ Workloads.Label.Fr_family; Workloads.Label.Pp_family ]
   in
   let targets = SG.Pipeline.build_models_batch (test_jobs ()) in
-  let manual, _ = SG.Engine.classify_batch (SG.Detector.prepare repo) targets in
+  let manual, _, _ =
+    SG.Engine.classify_batch (SG.Detector.prepare repo) targets
+  in
   let prep = ok_exn (SG.Service.prepare SG.Config.default repo) in
   let verdicts, report =
     ok_exn (SG.Service.detect_prepared SG.Config.default prep targets)
@@ -326,7 +328,7 @@ let test_config_knobs_flow_through () =
       [ Workloads.Label.Fr_family; Workloads.Label.Spectre_fr ]
   in
   let targets = SG.Pipeline.build_models_batch (test_jobs ()) in
-  let manual, _ =
+  let manual, _, _ =
     SG.Engine.classify_batch ~threshold:0.4 ~alpha:0.9 ~band:6 ~domains:2
       ~prune:false (SG.Detector.prepare repo) targets
   in

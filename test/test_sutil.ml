@@ -354,14 +354,6 @@ let test_sink_concurrent_bound () =
   Alcotest.(check bool) "never above capacity" true (held <= capacity);
   Alcotest.(check int) "held + dropped = pushed" (domains * per)
     (held + Sutil.Sink.dropped s);
-  let unbounded = Sutil.Sink.create () in
-  Sutil.Sink.push unbounded 0;
-  let (), mine =
-    Sutil.Sink.isolate unbounded (fun () -> Sutil.Sink.push unbounded 1)
-  in
-  Alcotest.(check (list int)) "isolate returns only its own items" [ 1 ] mine;
-  Alcotest.(check (list int)) "isolate restores the sink" [ 0 ]
-    (Sutil.Sink.items unbounded);
   Alcotest.check_raises "capacity must be positive"
     (Invalid_argument "Sink: capacity must be >= 1") (fun () ->
       ignore (Sutil.Sink.create ~capacity:0 ()))
