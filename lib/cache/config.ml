@@ -26,6 +26,3 @@ let l1d = make ~sets:64 ~ways:8 ()
 let l1i = make ~sets:64 ~ways:8 ()
 let llc = make ~sets:512 ~ways:16 ()
 let cst_probe = make ~sets:61 ~ways:2 ()
-
-let pp fmt t =
-  Format.fprintf fmt "%d sets x %d ways x %d B" t.sets t.ways (line_size t)

@@ -42,5 +42,3 @@ val cst_probe : t
     blocks (§III-A3): 61 sets (prime, so page- and way-stride access patterns
     do not alias into one set) x 2 ways — a block touching a few dozen lines
     moves the occupancy rates appreciably. *)
-
-val pp : Format.formatter -> t -> unit

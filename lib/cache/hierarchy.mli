@@ -17,11 +17,12 @@ val default_latencies : latencies
 
 type t
 
-type outcome = {
-  l1_hit : bool;
-  llc_hit : bool;       (** meaningful only when [l1_hit] is false *)
-  latency : int;        (** cycles *)
-}
+type level = L1 | Llc | Memory
+(** Where a lookup was served: its L1, the LLC, or memory.  Lookups return
+    this immediate and allocate nothing. *)
+
+val latency : t -> level -> int
+(** Cycles a lookup served at [level] costs. *)
 
 val create : ?l1d:Config.t -> ?l1i:Config.t -> ?llc:Config.t ->
   ?latencies:latencies -> ?policy:Policy.t -> ?inclusive:bool ->
@@ -39,36 +40,25 @@ val create_cross_core :
     peer's private L1s, as cache coherence does.  {!create} by contrast
     models SMT co-residency: one core, every level shared. *)
 
-val load : t -> owner:Owner.t -> int -> outcome
+val load : t -> owner:Owner.t -> int -> level
 (** Data load at a byte address; fills L1D and LLC on miss. *)
 
-val store : t -> owner:Owner.t -> int -> outcome
+val store : t -> owner:Owner.t -> int -> level
 (** Data store (write-allocate). *)
 
-val ifetch : t -> owner:Owner.t -> int -> outcome
+val ifetch : t -> owner:Owner.t -> int -> level
 (** Instruction fetch through L1I + LLC. *)
 
 val flush : t -> int -> int
 (** [flush t addr] invalidates the address's line in every level; returns the
     operation's latency (present vs absent timing). *)
 
-val prefetch : t -> owner:Owner.t -> int -> outcome
-(** Same cache effects as a load. *)
-
 val llc_state : t -> State.t
 (** The paper's [(AO, IO)] state, measured on the shared LLC. *)
-
-val l1d_state : t -> State.t
-
-val llc_set_of_addr : t -> int -> int
-(** LLC set index of an address — the granularity at which the attack-relevant
-    BB identification computes overlaps (§III-A1). *)
 
 val llc_cache : t -> Set_assoc.t
 val l1d_cache : t -> Set_assoc.t
 val l1i_cache : t -> Set_assoc.t
-
-val reset : t -> unit
 
 val fill_with : t -> owner:Owner.t -> unit
 (** Fill all levels entirely with lines of the given owner. *)

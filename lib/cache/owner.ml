@@ -9,5 +9,3 @@ let equal a b =
   match (a, b) with
   | Attacker, Attacker | Victim, Victim | System, System -> true
   | (Attacker | Victim | System), _ -> false
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -9,4 +9,3 @@ type t =
 
 val to_string : t -> string
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

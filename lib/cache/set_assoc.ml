@@ -1,34 +1,40 @@
-type line = {
-  mutable valid : bool;
-  mutable tag : int;
-  mutable owner : Owner.t;
-  mutable lru : int; (* larger = more recently used *)
-}
-
+(* Lines live in flat per-field arrays indexed by [set * ways + way]: a
+   lookup reads and writes them in place and allocates nothing (bar the
+   Random policy's boxed int64 state when it picks a victim). *)
 type t = {
   cfg : Config.t;
   policy : Policy.t;
-  lines : line array array; (* [set].[way] *)
+  ways : int;
+  valid : bool array;
+  tags : int array;
+  owners : Owner.t array;
+  stamps : int array; (* lru/fill stamp: larger = more recent *)
   mutable clock : int;
   mutable rnd : int64; (* state for the Random policy *)
+  mutable evicted : bool;
+  mutable evicted_addr : int;
+  mutable evicted_owner : Owner.t;
 }
 
-type access_result = { hit : bool; evicted : (int * Owner.t) option }
-
 let create ?(policy = Policy.Lru) cfg =
-  let mk_line _ = { valid = false; tag = 0; owner = Owner.System; lru = 0 } in
+  let n = Config.lines cfg in
   {
     cfg;
     policy;
-    lines = Array.init cfg.Config.sets (fun _ -> Array.init cfg.Config.ways mk_line);
+    ways = cfg.Config.ways;
+    valid = Array.make n false;
+    tags = Array.make n 0;
+    owners = Array.make n Owner.System;
+    stamps = Array.make n 0;
     clock = 0;
     rnd =
       (match policy with
       | Policy.Random seed -> Int64.of_int ((seed * 2) + 1)
       | Policy.Lru | Policy.Fifo -> 1L);
+    evicted = false;
+    evicted_addr = 0;
+    evicted_owner = Owner.System;
   }
-
-let policy t = t.policy
 
 let config t = t.cfg
 
@@ -36,25 +42,15 @@ let tick t =
   t.clock <- t.clock + 1;
   t.clock
 
-let find_way set_lines tag =
-  let n = Array.length set_lines in
-  let rec go i =
-    if i >= n then None
-    else if set_lines.(i).valid && set_lines.(i).tag = tag then Some i
-    else go (i + 1)
-  in
-  go 0
+(* First slot in [i, stop) holding [tag], or -1.  Top-level recursion, so
+   no closure is allocated per lookup. *)
+let rec find_from t tag i stop =
+  if i >= stop then -1
+  else if t.valid.(i) && t.tags.(i) = tag then i
+  else find_from t tag (i + 1) stop
 
-(* Oldest by the lru/fill stamp; invalid ways always win. *)
-let oldest_way set_lines =
-  let best = ref 0 in
-  Array.iteri
-    (fun i l ->
-      if not l.valid then (if set_lines.(!best).valid then best := i)
-      else if set_lines.(!best).valid && l.lru < set_lines.(!best).lru then
-        best := i)
-    set_lines;
-  !best
+let rec invalid_from t i stop =
+  if i >= stop then -1 else if not t.valid.(i) then i else invalid_from t (i + 1) stop
 
 let next_random t bound =
   (* splitmix64 step, reduced *)
@@ -65,83 +61,82 @@ let next_random t bound =
   Int64.to_int (Int64.shift_right_logical (Int64.logxor z (Int64.shift_right_logical z 31)) 2)
   mod bound
 
-let victim_way t set_lines =
-  (* invalid ways fill first under every policy *)
-  let invalid = ref (-1) in
-  Array.iteri (fun i l -> if (not l.valid) && !invalid < 0 then invalid := i) set_lines;
-  if !invalid >= 0 then !invalid
+(* Invalid ways fill first under every policy; in a full set LRU and FIFO
+   take the first way with the oldest stamp. *)
+let victim_slot t base =
+  let i = invalid_from t base (base + t.ways) in
+  if i >= 0 then i
   else
     match t.policy with
-    | Policy.Lru | Policy.Fifo -> oldest_way set_lines
-    | Policy.Random _ -> next_random t (Array.length set_lines)
-
-(* Reconstruct a line's base address from set index and tag, for eviction
-   reporting. *)
-let addr_of t set tag =
-  ((tag * t.cfg.Config.sets) + set) lsl t.cfg.Config.line_bits
+    | Policy.Lru | Policy.Fifo ->
+      let best = ref base in
+      for i = base + 1 to base + t.ways - 1 do
+        if t.stamps.(i) < t.stamps.(!best) then best := i
+      done;
+      !best
+    | Policy.Random _ -> base + next_random t t.ways
 
 let access t ~owner addr =
   let set = Config.set_of_addr t.cfg addr in
   let tag = Config.tag_of_addr t.cfg addr in
-  let set_lines = t.lines.(set) in
-  match find_way set_lines tag with
-  | Some w ->
-    let l = set_lines.(w) in
+  let base = set * t.ways in
+  let i = find_from t tag base (base + t.ways) in
+  if i >= 0 then begin
     (* FIFO keeps the fill stamp on hits; LRU refreshes it. *)
     (match t.policy with
-    | Policy.Lru | Policy.Random _ -> l.lru <- tick t
+    | Policy.Lru | Policy.Random _ -> t.stamps.(i) <- tick t
     | Policy.Fifo -> ());
-    l.owner <- owner;
-    { hit = true; evicted = None }
-  | None ->
-    let w = victim_way t set_lines in
-    let l = set_lines.(w) in
-    let evicted =
-      if l.valid then Some (addr_of t set l.tag, l.owner) else None
-    in
-    l.valid <- true;
-    l.tag <- tag;
-    l.owner <- owner;
-    l.lru <- tick t;
-    { hit = false; evicted }
+    t.owners.(i) <- owner;
+    t.evicted <- false;
+    true
+  end
+  else begin
+    let i = victim_slot t base in
+    t.evicted <- t.valid.(i);
+    if t.evicted then begin
+      (* the line's base address, rebuilt from its set and tag *)
+      t.evicted_addr <- ((t.tags.(i) * t.cfg.Config.sets) + set) lsl t.cfg.Config.line_bits;
+      t.evicted_owner <- t.owners.(i)
+    end;
+    t.valid.(i) <- true;
+    t.tags.(i) <- tag;
+    t.owners.(i) <- owner;
+    t.stamps.(i) <- tick t;
+    false
+  end
 
-let probe t addr =
-  let set = Config.set_of_addr t.cfg addr in
-  let tag = Config.tag_of_addr t.cfg addr in
-  Option.is_some (find_way t.lines.(set) tag)
+let evicted t = t.evicted
+let evicted_addr t = t.evicted_addr
+let evicted_owner t = t.evicted_owner
+
+let slot_of t addr =
+  let base = Config.set_of_addr t.cfg addr * t.ways in
+  find_from t (Config.tag_of_addr t.cfg addr) base (base + t.ways)
+
+let probe t addr = slot_of t addr >= 0
 
 let flush t addr =
-  let set = Config.set_of_addr t.cfg addr in
-  let tag = Config.tag_of_addr t.cfg addr in
-  match find_way t.lines.(set) tag with
-  | Some w ->
-    t.lines.(set).(w).valid <- false;
-    true
-  | None -> false
+  let i = slot_of t addr in
+  if i >= 0 then t.valid.(i) <- false;
+  i >= 0
 
 let fill_all t ~owner =
   Array.iteri
-    (fun set set_lines ->
-      Array.iteri
-        (fun way l ->
-          l.valid <- true;
-          (* Distinct tags per way so every line is a distinct address. *)
-          l.tag <- way + 1;
-          ignore set;
-          l.owner <- owner;
-          l.lru <- tick t)
-        set_lines)
-    t.lines
+    (fun i _ ->
+      t.valid.(i) <- true;
+      (* Distinct tags per way so every line is a distinct address. *)
+      t.tags.(i) <- (i mod t.ways) + 1;
+      t.owners.(i) <- owner;
+      t.stamps.(i) <- tick t)
+    t.valid
 
 let reset t =
-  Array.iter (Array.iter (fun l -> l.valid <- false)) t.lines;
+  Array.fill t.valid 0 (Array.length t.valid) false;
   t.clock <- 0
 
 let count_owned t owner =
   let n = ref 0 in
-  Array.iter
-    (Array.iter (fun l -> if l.valid && Owner.equal l.owner owner then incr n))
-    t.lines;
+  Array.iteri (fun i v -> if v && Owner.equal t.owners.(i) owner then incr n) t.valid;
   !n
 
 let occupancy t owner =
@@ -157,17 +152,14 @@ let state t =
   State.make ~ao ~io
 
 let owned_sets t owner =
-  let acc = ref [] in
-  for set = t.cfg.Config.sets - 1 downto 0 do
-    if
-      Array.exists
-        (fun l -> l.valid && Owner.equal l.owner owner)
-        t.lines.(set)
-    then acc := set :: !acc
-  done;
-  !acc
+  let owns set =
+    let rec go i =
+      i < (set + 1) * t.ways
+      && ((t.valid.(i) && Owner.equal t.owners.(i) owner) || go (i + 1))
+    in
+    go (set * t.ways)
+  in
+  List.filter owns (List.init t.cfg.Config.sets Fun.id)
 
 let valid_lines t =
-  let n = ref 0 in
-  Array.iter (Array.iter (fun l -> if l.valid then incr n)) t.lines;
-  !n
+  Array.fold_left (fun n v -> if v then n + 1 else n) 0 t.valid

@@ -3,26 +3,29 @@
 
 type t
 
-type access_result = {
-  hit : bool;
-  evicted : (int * Owner.t) option;
-    (** line address and owner of the victim line, when a fill evicted one *)
-}
-(** One lookup's outcome.  Victim selection on a full set follows the
-    cache's {!Policy.t}. *)
-
 val create : ?policy:Policy.t -> Config.t -> t
 (** [policy] defaults to {!Policy.Lru}. *)
 
 val config : t -> Config.t
-val policy : t -> Policy.t
 
-val access : t -> owner:Owner.t -> int -> access_result
-(** [access t ~owner addr] looks up the line of [addr]; on a miss the line is
-    filled (evicting the LRU way if the set is full) and ownership is
-    recorded; on a hit the line is promoted to MRU and ownership is
-    {e re-assigned} to [owner] (matching shared-memory attacks where the
-    attacker re-loads a victim-fetched line). *)
+val access : t -> owner:Owner.t -> int -> bool
+(** [access t ~owner addr] looks up the line of [addr] and returns whether
+    it hit.  On a miss the line is filled (evicting a way chosen by the
+    cache's {!Policy.t} if the set is full) and ownership is recorded; on a
+    hit the line is promoted to MRU and ownership is {e re-assigned} to
+    [owner] (matching shared-memory attacks where the attacker re-loads a
+    victim-fetched line).  Allocates nothing, except when the Random
+    policy draws a victim. *)
+
+val evicted : t -> bool
+(** Whether the latest {!access} missed and evicted a valid line. *)
+
+val evicted_addr : t -> int
+(** Line address of the line the latest {!access} evicted; meaningful only
+    when {!evicted} holds. *)
+
+val evicted_owner : t -> Owner.t
+(** Owner of that evicted line; meaningful only when {!evicted} holds. *)
 
 val probe : t -> int -> bool
 (** [probe t addr] reports presence without touching LRU state. *)

@@ -8,7 +8,6 @@ let make ~ao ~io =
       (Printf.sprintf "Cache.State.make: invalid occupancy (%f, %f)" ao io);
   { ao; io }
 
-let empty = { ao = 0.0; io = 0.0 }
 let full_other = { ao = 0.0; io = 1.0 }
 
 let change_magnitude ~before ~after =
@@ -19,8 +18,5 @@ let distance (s1, s1') (s2, s2') =
   let p1 = change_magnitude ~before:s1 ~after:s1' in
   let p2 = change_magnitude ~before:s2 ~after:s2' in
   abs_float (p2 -. p1)
-
-let equal ?(eps = 1e-9) a b =
-  abs_float (a.ao -. b.ao) <= eps && abs_float (a.io -. b.io) <= eps
 
 let pp fmt t = Format.fprintf fmt "(AO=%.4f, IO=%.4f)" t.ao t.io

@@ -9,9 +9,6 @@ val make : ao:float -> io:float -> t
 (** Checked constructor.
     @raise Invalid_argument unless [0 <= ao], [0 <= io], [ao + io <= 1 + eps]. *)
 
-val empty : t
-(** [(0, 0)] — an empty cache. *)
-
 val full_other : t
 (** [(0, 1)] — the paper's CST-measurement start state: cache full of
     non-attacker data. *)
@@ -23,5 +20,4 @@ val change_magnitude : before:t -> after:t -> float
 val distance : (t * t) -> (t * t) -> float
 (** [distance (s1, s1') (s2, s2')] is [|P2 - P1|], the paper's D_CSP. *)
 
-val equal : ?eps:float -> t -> t -> bool
 val pp : Format.formatter -> t -> unit

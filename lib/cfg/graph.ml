@@ -98,7 +98,9 @@ let block_of_index t i =
   t.blocks.(t.owner_of_index.(i))
 
 let block_of_addr t addr =
-  Option.map (block_of_index t) (P.index_of_addr t.program addr)
+  match P.index_of_addr t.program addr with
+  | Some i -> Some (block_of_index t i)
+  | None -> None
 
 let entry _ = 0
 

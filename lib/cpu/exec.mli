@@ -36,6 +36,10 @@ val fault_handler_label : string
 
 type result = {
   instructions : int;        (** main-program instructions retired *)
+  wrong_path_steps : int;
+    (** instructions executed transiently, down mispredicted paths and in
+        deferred-fault windows; not counted in [instructions] *)
+  victim_steps : int;        (** instructions the co-running victim executed *)
   cycles : int;              (** final value of the shared cycle clock *)
   halted_normally : bool;    (** [true] if the program reached [Halt]/fell off
                                  the end; [false] if fuel ran out *)
@@ -59,10 +63,3 @@ val run :
     [hierarchy] (SMT co-residency); pass the second half of
     {!Cache.Hierarchy.create_cross_core} as [victim_hierarchy] for the
     cross-core topology (private L1s, shared LLC). *)
-
-val run_addresses :
-  ?hierarchy:Cache.Hierarchy.t -> owner:Cache.Owner.t ->
-  (int * Hpc.Collector.access_kind) list -> Cache.Hierarchy.t
-(** [run_addresses ~owner accs] replays bare memory accesses through a cache
-    hierarchy (no program semantics) — the "cache simulator" role of CST
-    measurement (§III-A3).  Returns the hierarchy for state inspection. *)

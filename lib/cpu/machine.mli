@@ -36,12 +36,19 @@ val set_pc : t -> int -> unit
 val halted : t -> bool
 val set_halted : t -> bool -> unit
 
-val snapshot : t -> t
-(** Deep copy (used to fork transient execution). *)
+val shadow : t -> t
+(** [shadow t] is a copy-on-write view of [t] for wrong-path execution,
+    holding [t]'s current registers, flags and pc.  Its stores go to a small
+    overlay of its own and its loads fall through to [t], so [t] must not
+    be written while the shadow runs.  There is one level: a shadow of a
+    shadow is refused with [Invalid_argument]. *)
 
-val mem_size : t -> int
-(** Number of touched memory locations. *)
+val fork : t -> unit
+(** [fork s] restarts shadow [s] from its parent's current state, dropping
+    the previous wrong path's registers, flags and stores.
+    @raise Invalid_argument when [s] is not a shadow. *)
 
 val fold_mem : t -> init:'a -> f:(int -> int -> 'a -> 'a) -> 'a
 (** Fold over all touched memory locations (address, value) in unspecified
-    order — used by equivalence checks and diagnostics. *)
+    order — used by equivalence checks and diagnostics.  A shadow shows its
+    own stores over its parent's memory. *)

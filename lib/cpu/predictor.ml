@@ -22,7 +22,3 @@ let update t ~pc ~taken =
 
 let btb_seen t ~pc = Hashtbl.mem t.btb pc
 let btb_insert t ~pc = Hashtbl.replace t.btb pc ()
-
-let reset t =
-  Array.fill t.counters 0 (Array.length t.counters) 1;
-  Hashtbl.reset t.btb

@@ -21,5 +21,3 @@ val btb_seen : t -> pc:int -> bool
 (** Whether the branch at [pc] has a BTB entry. *)
 
 val btb_insert : t -> pc:int -> unit
-
-val reset : t -> unit

@@ -1,21 +1,10 @@
 (** Base instruction costs (cycles), excluding memory-hierarchy latency which
     {!Cache.Hierarchy} charges separately. *)
 
-val alu : int
-(** Simple ALU op / mov between registers. *)
-
-val imul : int
-val branch : int
-(** Correctly predicted branch. *)
-
 val mispredict_penalty : int
 (** Extra cycles charged when a conditional branch mispredicts. *)
 
-val fence : int
-(** mfence / lfence / cpuid. *)
-
-val rdtsc : int
-val nop : int
-
 val cost : Isa.Instr.t -> int
-(** Base cost of one instruction (memory latency not included). *)
+(** Base cost of one instruction (memory latency not included): 1 for ALU
+    ops, moves, correctly predicted branches and nop; 3 for imul; 20 for
+    mfence/lfence/cpuid; 25 for rdtsc/rdtscp. *)

@@ -33,6 +33,7 @@ type t = {
   test_size : int;
   tau : float;  (** the ensemble screening threshold used *)
   prep_s : float;  (** test-model forcing (shared, charged to no detector) *)
+  repeats : int;  (** predict phases timed per detector *)
 }
 
 val evaluate :
@@ -45,6 +46,11 @@ val evaluate :
 (** [detectors] defaults to every registry key in registry order (which is
     also rng-consumption order, so a fixed seed reproduces the table);
     [tau] defaults to {!Scaguard.Config.default}'s [ensemble_tau].
+    Each detector's predict phase is timed 7 times (the result's
+    [repeats]), each from a collected heap: after the first, the repeats
+    run round-robin over all detectors, and [predict_s] and [throughput]
+    come from the median.
+    Predictions are scored once, so the repeats move no accuracy figure.
     @raise Invalid_argument on an unknown detector key. *)
 
 val to_table : t -> Sutil.Table.t

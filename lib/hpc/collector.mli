@@ -16,15 +16,21 @@ type access = {
 
 type t
 
-val create : unit -> t
+val create : base:int -> length:int -> t
+(** A collector for a program of [length] instructions at [base]: every pc
+    it records is [base + 4 * i] with [0 <= i < length], so per-pc data is
+    held in dense arrays.  Queries at any other address answer as for a pc
+    that never ran. *)
 
 val record_event : t -> pc:int -> Event.t -> unit
+(** @raise Invalid_argument for a pc outside the program. *)
+
 val record_access : t -> pc:int -> target:int -> kind:access_kind -> time:int -> unit
 
 val note_executed : t -> pc:int -> time:int -> unit
 (** Record that the instruction at [pc] retired at [time]; keeps the first
     time per pc (the BB-ordering timestamp of §III-A3) and counts
-    executions. *)
+    executions.  @raise Invalid_argument for a pc outside the program. *)
 
 val exec_count : t -> pc:int -> int
 (** How many times the instruction at [pc] retired. *)
@@ -39,11 +45,15 @@ val total_counters : t -> Counters.t
 (** All events summed over the whole run — the whole-process view the
     learning-based baselines sample. *)
 
-val accesses : t -> access list
-(** All recorded accesses in chronological order. *)
+val fold_accesses_right :
+  t -> init:'a ->
+  f:(pc:int -> target:int -> kind:access_kind -> time:int -> 'a -> 'a) -> 'a
+(** Folds over the access log from the newest access to the oldest, so
+    consing onto [init] builds chronological lists.  Reads the log in
+    place. *)
 
-val accesses_of_pc : t -> pc:int -> access list
-(** Accesses performed by one instruction address, chronological. *)
+val accesses : t -> access list
+(** All recorded accesses in chronological order, as records. *)
 
 val first_time : t -> pc:int -> int option
 (** First retirement time of the instruction at [pc]. *)

@@ -24,10 +24,3 @@ let to_vector t = Array.map float_of_int t
 
 let reset t = Array.fill t 0 (Array.length t) 0
 let copy t = Array.copy t
-
-let pp fmt t =
-  Format.fprintf fmt "@[<h>%a@]"
-    (Format.pp_print_list
-       ~pp_sep:(fun f () -> Format.pp_print_string f "; ")
-       (fun f (e, n) -> Format.fprintf f "%s=%d" (Event.to_string e) n))
-    (to_assoc t)

@@ -24,4 +24,3 @@ val to_vector : t -> float array
 
 val reset : t -> unit
 val copy : t -> t
-val pp : Format.formatter -> t -> unit

@@ -54,5 +54,4 @@ let to_string = function
   | Cache_miss -> "Cache Miss"
   | Timestamp -> "Timestamp"
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)
 let equal a b = index a = index b

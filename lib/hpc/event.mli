@@ -33,5 +33,4 @@ val counted_in_hpc_value : t -> bool
     [Timestamp]). *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool

@@ -41,42 +41,40 @@ let identify ?(llc_set_of_addr = default_llc_set) cfg collector =
         if hpc_of_block.(b.BB.id) > 0.0 then Some b.BB.id else None)
       (G.blocks cfg)
   in
-  (* Collect data accesses (the Intel-PT stand-in) per block. *)
+  (* Collect data accesses (the Intel-PT stand-in) per block, reading the
+     log newest first so consing leaves each list chronological. *)
   let accesses_of_block = Array.make n [] in
-  List.iter
-    (fun (a : Hpc.Collector.access) ->
-      match G.block_of_addr cfg a.Hpc.Collector.pc with
+  Hpc.Collector.fold_accesses_right collector ~init:()
+    ~f:(fun ~pc ~target ~kind ~time:_ () ->
+      match G.block_of_addr cfg pc with
       | Some b ->
-        accesses_of_block.(b.BB.id) <-
-          (a.Hpc.Collector.target, a.Hpc.Collector.kind)
-          :: accesses_of_block.(b.BB.id)
-      | None -> ())
-    (Hpc.Collector.accesses collector);
-  Array.iteri
-    (fun i l -> accesses_of_block.(i) <- List.rev l)
-    accesses_of_block;
+        accesses_of_block.(b.BB.id) <- (target, kind) :: accesses_of_block.(b.BB.id)
+      | None -> ());
   (* Step 2: keep candidates touching a cache set that at least one other
      candidate also touches. *)
-  let sets_of_block b =
-    List.sort_uniq Int.compare
-      (List.map (fun (addr, _) -> llc_set_of_addr addr) accesses_of_block.(b))
+  let sets_of_block =
+    List.map
+      (fun b ->
+        ( b,
+          List.sort_uniq Int.compare
+            (List.map (fun (addr, _) -> llc_set_of_addr addr) accesses_of_block.(b)) ))
+      step1
   in
   let touch_count = Hashtbl.create 64 in
   List.iter
-    (fun b ->
+    (fun (_, sets) ->
       List.iter
         (fun s ->
           Hashtbl.replace touch_count s
             (1 + Option.value ~default:0 (Hashtbl.find_opt touch_count s)))
-        (sets_of_block b))
-    step1;
+        sets)
+    sets_of_block;
   let relevant =
-    List.filter
-      (fun b ->
-        List.exists
-          (fun s -> Option.value ~default:0 (Hashtbl.find_opt touch_count s) >= 2)
-          (sets_of_block b))
-      step1
+    List.filter_map
+      (fun (b, sets) ->
+        if List.exists (fun s -> Hashtbl.find touch_count s >= 2) sets then Some b
+        else None)
+      sets_of_block
   in
   { cfg; hpc_of_block; accesses_of_block; first_time_of_block; step1; relevant }
 

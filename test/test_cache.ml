@@ -48,9 +48,9 @@ let small () = SA.create (C.make ~sets:4 ~ways:2 ())
 let test_sa_hit_miss () =
   let c = small () in
   let r1 = SA.access c ~owner:Ow.Attacker 0 in
-  check_bool "first is miss" false r1.SA.hit;
+  check_bool "first is miss" false r1;
   let r2 = SA.access c ~owner:Ow.Attacker 0 in
-  check_bool "second is hit" true r2.SA.hit;
+  check_bool "second is hit" true r2;
   check_bool "probe sees it" true (SA.probe c 0);
   check_bool "other set absent" false (SA.probe c 64)
 
@@ -61,13 +61,10 @@ let test_sa_lru_eviction () =
   ignore (SA.access c ~owner:Ow.Attacker 0);
   ignore (SA.access c ~owner:Ow.Attacker 256);
   ignore (SA.access c ~owner:Ow.Attacker 0); (* refresh line 0 *)
-  let r = SA.access c ~owner:Ow.Attacker 512 in
-  check_bool "evicted something" true (Option.is_some r.SA.evicted);
-  (match r.SA.evicted with
-  | Some (addr, owner) ->
-    check_int "evicted LRU line 256" 256 addr;
-    check_bool "owner recorded" true (Ow.equal owner Ow.Attacker)
-  | None -> ());
+  check_bool "miss" false (SA.access c ~owner:Ow.Attacker 512);
+  check_bool "evicted something" true (SA.evicted c);
+  check_int "evicted LRU line 256" 256 (SA.evicted_addr c);
+  check_bool "owner recorded" true (Ow.equal (SA.evicted_owner c) Ow.Attacker);
   check_bool "line 0 survived" true (SA.probe c 0);
   check_bool "line 256 gone" false (SA.probe c 256)
 
@@ -147,13 +144,13 @@ let prop_lru_matches_reference =
           let set = C.set_of_addr cfg addr in
           match kind with
           | 0 ->
-            let r = SA.access cache ~owner:Ow.Attacker addr in
+            let hit = SA.access cache ~owner:Ow.Attacker addr in
             let model_hit = List.mem addr model.(set) in
             model.(set) <-
               addr :: List.filter (fun a -> a <> addr) model.(set);
             if List.length model.(set) > 2 then
               model.(set) <- List.filteri (fun i _ -> i < 2) model.(set);
-            r.SA.hit = model_hit
+            hit = model_hit
           | _ ->
             let was = List.mem addr model.(set) in
             model.(set) <- List.filter (fun a -> a <> addr) model.(set);
@@ -165,10 +162,10 @@ let prop_lru_matches_reference =
 let test_hierarchy_latencies () =
   let h = H.create () in
   let miss = H.load h ~owner:Ow.Attacker 0x1000 in
-  check_int "cold miss" H.default_latencies.H.memory miss.H.latency;
+  check_int "cold miss" H.default_latencies.H.memory (H.latency h miss);
   let hit = H.load h ~owner:Ow.Attacker 0x1000 in
-  check_bool "l1 hit" true hit.H.l1_hit;
-  check_int "l1 latency" H.default_latencies.H.l1_hit hit.H.latency
+  check_bool "l1 hit" true (hit = H.L1);
+  check_int "l1 latency" H.default_latencies.H.l1_hit (H.latency h hit)
 
 let test_hierarchy_llc_hit_after_l1_evict () =
   let h = H.create () in
@@ -179,9 +176,8 @@ let test_hierarchy_llc_hit_after_l1_evict () =
     ignore (H.load h ~owner:Ow.Attacker (0x1000 + (i * 4096)))
   done;
   let r = H.load h ~owner:Ow.Attacker 0x1000 in
-  check_bool "not in l1" false r.H.l1_hit;
-  check_bool "still in llc" true r.H.llc_hit;
-  check_int "llc latency" H.default_latencies.H.llc_hit r.H.latency
+  check_bool "not in l1, still in llc" true (r = H.Llc);
+  check_int "llc latency" H.default_latencies.H.llc_hit (H.latency h r)
 
 let test_hierarchy_flush_timing () =
   let h = H.create () in
@@ -214,17 +210,16 @@ let test_hierarchy_inclusive () =
   (* Back-invalidation must have removed it from L1 too: the reload misses
      everywhere. *)
   let r = H.load h ~owner:Ow.Attacker 0x3000 in
-  check_bool "l1 invalidated" false r.H.l1_hit;
-  check_bool "llc evicted" false r.H.llc_hit
+  check_bool "l1 invalidated, llc evicted" true (r = H.Memory)
 
 let test_hierarchy_ifetch_separate () =
   let h = H.create () in
   ignore (H.ifetch h ~owner:Ow.Attacker 0x4000);
   let r = H.ifetch h ~owner:Ow.Attacker 0x4000 in
-  check_bool "l1i hit" true r.H.l1_hit;
+  check_bool "l1i hit" true (r = H.L1);
   (* data side unaffected *)
   let d = H.load h ~owner:Ow.Attacker 0x4000 in
-  check_bool "l1d separate" false d.H.l1_hit
+  check_bool "l1d separate" false (d = H.L1)
 
 let test_hierarchy_fill_with () =
   let h = H.create () in
@@ -240,19 +235,19 @@ let test_hierarchy_non_inclusive () =
   done;
   (* LLC evicted the line but no back-invalidation: L1 still hits *)
   let r = H.load h ~owner:Ow.Attacker 0x3000 in
-  check_bool "l1 keeps the line" true r.H.l1_hit
+  check_bool "l1 keeps the line" true (r = H.L1)
 
 let test_hierarchy_prefetcher () =
   let h = H.create ~prefetch:true () in
   ignore (H.load h ~owner:Ow.Attacker 0x5000);
   (* the next line was prefetched: its demand load hits *)
   let r = H.load h ~owner:Ow.Attacker 0x5040 in
-  check_bool "next line prefetched" true r.H.l1_hit;
+  check_bool "next line prefetched" true (r = H.L1);
   (* no prefetcher by default *)
   let h2 = H.create () in
   ignore (H.load h2 ~owner:Ow.Attacker 0x5000);
   let r2 = H.load h2 ~owner:Ow.Attacker 0x5040 in
-  check_bool "default has no prefetcher" false r2.H.l1_hit
+  check_bool "default has no prefetcher" false (r2 = H.L1)
 
 let test_policy_fifo_no_refresh () =
   let c = SA.create ~policy:Cache.Policy.Fifo (C.make ~sets:1 ~ways:2 ()) in
@@ -277,8 +272,7 @@ let test_cross_core_flush_propagates () =
   (* attacker's clflush must invalidate the peer's private copy too *)
   ignore (H.flush a 0x6000);
   let r = H.load b ~owner:Ow.Victim 0x6000 in
-  check_bool "peer L1 invalidated" false r.H.l1_hit;
-  check_bool "LLC invalidated" false r.H.llc_hit
+  check_bool "peer L1 and LLC invalidated" true (r = H.Memory)
 
 let test_cross_core_private_l1s () =
   let a, b = H.create_cross_core () in
@@ -286,8 +280,7 @@ let test_cross_core_private_l1s () =
   (* the attacker's first load of the victim-cached line misses its private
      L1 but hits the shared LLC *)
   let r = H.load a ~owner:Ow.Attacker 0x7000 in
-  check_bool "attacker L1 miss" false r.H.l1_hit;
-  check_bool "shared LLC hit" true r.H.llc_hit
+  check_bool "attacker L1 miss, shared LLC hit" true (r = H.Llc)
 
 (* ---- State ------------------------------------------------------------------------- *)
 

@@ -33,12 +33,22 @@ let test_machine_regs_mem () =
 let test_machine_snapshot_isolated () =
   let m = M.create () in
   M.store m 1 10;
+  M.store m 2 20;
   M.set_reg m R.RBX 5;
-  let s = M.snapshot m in
+  let s = M.shadow m in
+  check_int "shadow starts from the parent's registers" 5 (M.get_reg s R.RBX);
   M.store s 1 99;
   M.set_reg s R.RBX 77;
   check_int "orig mem intact" 10 (M.load m 1);
-  check_int "orig reg intact" 5 (M.get_reg m R.RBX)
+  check_int "orig reg intact" 5 (M.get_reg m R.RBX);
+  check_int "shadow reads its own store" 99 (M.load s 1);
+  check_int "shadow reads through to the parent" 20 (M.load s 2);
+  M.set_reg m R.RBX 6;
+  M.fork s;
+  check_int "fork drops the shadow's stores" 10 (M.load s 1);
+  check_int "fork resyncs registers" 6 (M.get_reg s R.RBX);
+  check_bool "no nested shadow" true
+    (try ignore (M.shadow s); false with Invalid_argument _ -> true)
 
 let test_machine_conditions () =
   let m = M.create () in
@@ -221,7 +231,7 @@ let test_exec_prefetch_and_rmw () =
   check_int "rmw chain" 16 (M.load r.E.machine 0x16000);
   (* prefetch filled the line: a demand load hits *)
   let probe = Cache.Hierarchy.load r.E.hierarchy ~owner:Cache.Owner.Attacker 0x15000 in
-  check_bool "prefetched line cached" true probe.Cache.Hierarchy.l1_hit
+  check_bool "prefetched line cached" true (probe = Cache.Hierarchy.L1)
 
 let test_exec_push_mem_operand () =
   let r =
@@ -336,7 +346,7 @@ let test_transient_cache_effect_persists () =
   let addr = 0xC0000 + (1000 * 4096) in
   let probe = Cache.Hierarchy.load r.E.hierarchy ~owner:Cache.Owner.Attacker addr in
   check_bool "line cached by transient path" true
-    (probe.Cache.Hierarchy.l1_hit || probe.Cache.Hierarchy.llc_hit)
+    (probe <> Cache.Hierarchy.Memory)
 
 let test_no_transient_without_speculation () =
   let r =
@@ -346,7 +356,7 @@ let test_no_transient_without_speculation () =
   let addr = 0xC0000 + (1000 * 4096) in
   let probe = Cache.Hierarchy.load r.E.hierarchy ~owner:Cache.Owner.Attacker addr in
   check_bool "no transient fetch with window 0" false
-    (probe.Cache.Hierarchy.l1_hit || probe.Cache.Hierarchy.llc_hit)
+    (probe <> Cache.Hierarchy.Memory)
 
 let test_transient_register_squashed () =
   let r = run (spectre_gadget_prog ()) in
@@ -389,7 +399,7 @@ let test_fence_stops_transient () =
   let addr = 0xC0000 + (1000 * 4096) in
   let probe = Cache.Hierarchy.load r.E.hierarchy ~owner:Cache.Owner.Attacker addr in
   check_bool "fence blocked the transient load" false
-    (probe.Cache.Hierarchy.l1_hit || probe.Cache.Hierarchy.llc_hit)
+    (probe <> Cache.Hierarchy.Memory)
 
 (* ---- Protected memory / Meltdown window --------------------------------------------- *)
 
@@ -443,7 +453,7 @@ let test_fault_transient_footprint () =
       (0x200000 + (7 * 4096))
   in
   check_bool "secret-indexed line cached" true
-    (probe.Cache.Hierarchy.l1_hit || probe.Cache.Hierarchy.llc_hit);
+    (probe <> Cache.Hierarchy.Memory);
   check_int "architectural r12 stays 0" 0 (reg r R.R12)
 
 let test_fault_no_window_without_speculation () =
@@ -466,7 +476,7 @@ let test_fault_no_window_without_speculation () =
       (0x200000 + (7 * 4096))
   in
   check_bool "no footprint with window 0" false
-    (probe.Cache.Hierarchy.l1_hit || probe.Cache.Hierarchy.llc_hit)
+    (probe <> Cache.Hierarchy.Memory)
 
 let test_no_protection_by_default () =
   let init m = M.store m 0x70080 123 in
@@ -558,13 +568,28 @@ let test_access_trace_recorded () =
   let times = List.map (fun a -> a.Hpc.Collector.time) accs in
   check_bool "times increase" true (List.sort compare times = times)
 
-let test_run_addresses () =
-  let h =
-    E.run_addresses ~owner:Cache.Owner.Attacker
-      [ (0x100, Hpc.Collector.Load); (0x200, Hpc.Collector.Store) ]
+(* ---- work counters ------------------------------------------------------------------ *)
+
+(* [instructions] counts retired attacker instructions only; the wrong-path
+   and victim steps the simulator also pays for are counted beside it. *)
+let test_step_counters () =
+  let module A = Workloads.Attacks in
+  let spectre = A.spectre_fr ~rounds:2 ~style:A.Classic () in
+  let window = E.default_settings.E.spec_window in
+  let r = A.run_spec spectre in
+  let misses =
+    Hpc.Counters.get (Hpc.Collector.total_counters r.E.collector) Hpc.Event.Branch_miss
   in
-  let r = Cache.Hierarchy.load h ~owner:Cache.Owner.Attacker 0x100 in
-  check_bool "replayed line cached" true r.Cache.Hierarchy.l1_hit
+  check_bool "spectre runs a wrong path" true (r.E.wrong_path_steps > 0);
+  check_bool "at most one window per mispredict" true
+    (r.E.wrong_path_steps <= window * misses);
+  check_int "no victim, no victim steps" 0 r.E.victim_steps;
+  let no_spec = A.run_spec ~settings:{ E.default_settings with E.spec_window = 0 } spectre in
+  check_int "window 0, no wrong path" 0 no_spec.E.wrong_path_steps;
+  let fr = A.flush_reload ~rounds:2 ~style:A.Iaik () in
+  check_bool "victim steps counted" true ((A.run_spec fr).E.victim_steps > 0);
+  let alone = E.run ~init:fr.A.init fr.A.program in
+  check_int "victim steps need a victim" 0 alone.E.victim_steps
 
 (* ---- determinism ---------------------------------------------------------------------- *)
 
@@ -592,6 +617,264 @@ let prop_attack_runs_deterministic =
          Array.to_list (Workloads.Attacks.result_histogram r))
       in
       go () = go ())
+
+(* ---- reference simulator ---------------------------------------------------------- *)
+
+(* test/refsim holds the simulator as it stood before the allocation-free
+   rewrite.  Both simulators run the same program under the same knobs, and
+   every observable must agree: cycles, retired instructions, halt flags,
+   the collector's per-pc data and access log, the final architectural
+   state, and every cache level's contents. *)
+
+module W = Workloads
+
+type source = {
+  src : string;
+  program : P.t;
+  init : (M.t -> unit) option;
+  victim : W.Victim.t option;
+  settings : E.settings option;
+}
+
+let of_spec (s : W.Attacks.spec) =
+  { src = s.W.Attacks.name; program = s.W.Attacks.program; init = Some s.W.Attacks.init;
+    victim = s.W.Attacks.victim; settings = s.W.Attacks.settings }
+
+let of_sample (s : W.Dataset.sample) =
+  { src = s.W.Dataset.name; program = s.W.Dataset.program; init = Some s.W.Dataset.init;
+    victim = s.W.Dataset.victim; settings = s.W.Dataset.settings }
+
+let plain ?init ?victim src program = { src; program; init; victim; settings = None }
+
+(* Every attack style, every benign family, every mutation intensity, the
+   MinC corpus under both code generators, and harnessed dataset samples. *)
+let sources rng =
+  let attacks =
+    W.Attacks.
+      [
+        flush_reload ~rounds:2 ~style:Iaik (); flush_reload ~rounds:2 ~style:Mastik ();
+        flush_reload ~rounds:2 ~style:Nepoche (); flush_flush ~rounds:2 ();
+        evict_reload ~rounds:2 (); prime_probe ~rounds:2 ~style:Iaik ();
+        prime_probe ~rounds:2 ~style:Jzhang (); spectre_fr ~rounds:2 ~style:Idea ();
+        spectre_fr ~rounds:2 ~style:Good (); spectre_fr ~rounds:2 ~style:Classic ();
+        spectre_pp ~rounds:2 (); meltdown_fr ~rounds:2 ();
+      ]
+  in
+  let benign =
+    List.map
+      (fun (family, _) ->
+        let g = W.Benign.build family rng in
+        plain ~init:g.W.Benign.init g.W.Benign.name g.W.Benign.program)
+      W.Benign.families
+  in
+  let mutated =
+    List.map
+      (fun (tag, intensity) ->
+        let s = Sutil.Rng.choose rng attacks in
+        let name = s.W.Attacks.name ^ "-" ^ tag in
+        { (of_spec s) with
+          src = name;
+          program = W.Mutate.mutate ~intensity ~rng ~name s.W.Attacks.program })
+      [ ("light", W.Mutate.light); ("default", W.Mutate.default_intensity);
+        ("heavy", W.Mutate.heavy) ]
+  in
+  let minc =
+    List.concat_map
+      (fun optimize ->
+        let compile name src = Minc.Codegen.compile_source ~optimize ~name src in
+        plain ~victim:(W.Victim.shared_lib ()) "minc-fr"
+          (compile "minc-fr" Minc.Programs.flush_reload_source)
+        :: List.map (fun (name, src) -> plain name (compile name src))
+             Minc.Programs.benign_sources)
+      [ false; true ]
+  in
+  let label = Sutil.Rng.choose rng W.Label.attack_labels in
+  let dataset =
+    List.map of_sample
+      (W.Dataset.mutated_attacks ~rng ~count:1 label
+      @ W.Dataset.benign_samples ~rng ~count:1)
+  in
+  List.map of_spec attacks @ benign @ mutated @ minc @ dataset
+
+type knobs = {
+  policy : Cache.Policy.t;
+  prefetch : bool;
+  cross_core : bool;
+  victim : [ `Source | `None | `Idle ];
+  protect : (int * int) option; (* when the source sets no range *)
+  spec_window : int option; (* [None]: the source's window *)
+}
+
+let protect_ranges =
+  W.Layout.
+    [
+      None;
+      Some (kernel_base, kernel_base + kernel_size);
+      Some (shared_lib_base, shared_lib_base + (monitored_lines * monitored_stride));
+      Some (benign_data_base, benign_data_base + 4096);
+    ]
+
+(* Axis values cycle with different periods, so a sweep over the sources
+   meets each value of each axis several times. *)
+let knobs_of_int k =
+  let pick l i = List.nth l (i mod List.length l) in
+  {
+    policy = pick Cache.Policy.all k;
+    prefetch = k / 3 mod 2 = 1;
+    cross_core = k / 2 mod 2 = 1;
+    victim = pick [ `Source; `None; `Idle ] (k / 5);
+    protect = pick protect_ranges (k / 7);
+    spec_window = pick [ None; Some 0; None; Some 9 ] (k / 11);
+  }
+
+(* Job initializers are typed against Cpu.Machine: run them on a fresh
+   machine and copy its registers, flags and memory into the reference's. *)
+let copy_into ?stack_top f (rm : Refsim.Machine.t) =
+  let m = M.create ?stack_top () in
+  f m;
+  List.iter (fun r -> Refsim.Machine.set_reg rm r (M.get_reg m r)) R.all;
+  Refsim.Machine.set_flags rm ~zf:(M.zf m) ~sf:(M.sf m) ~cf:(M.cf m);
+  M.fold_mem m ~init:() ~f:(fun a v () -> Refsim.Machine.store rm a v)
+
+let victim_stack_top = 0x7FFE_0000 + (43 * 64)
+
+let sorted_mem fold m = List.sort compare (fold m ~init:[] ~f:(fun a v acc -> (a, v) :: acc))
+
+let run_both (s : source) (k : knobs) =
+  let base = Option.value s.settings ~default:E.default_settings in
+  let settings =
+    {
+      base with
+      E.spec_window = Option.value k.spec_window ~default:base.E.spec_window;
+      fuel = min base.E.fuel 60_000;
+      protected_range =
+        (match base.E.protected_range with Some r -> Some r | None -> k.protect);
+    }
+  in
+  let victim =
+    match k.victim with
+    | `Source -> s.victim
+    | `None -> None
+    | `Idle -> Some (W.Victim.idle ())
+  in
+  let policy = k.policy and prefetch = k.prefetch in
+  let hier, vhier =
+    if k.cross_core then
+      let a, b = Cache.Hierarchy.create_cross_core ~policy ~prefetch () in
+      (a, Some b)
+    else (Cache.Hierarchy.create ~policy ~prefetch (), None)
+  in
+  let rhier, rvhier =
+    if k.cross_core then
+      let a, b = Refsim.Hierarchy.create_cross_core ~policy ~prefetch () in
+      (a, Some b)
+    else (Refsim.Hierarchy.create ~policy ~prefetch (), None)
+  in
+  let r =
+    E.run ~settings ~hierarchy:hier ?victim_hierarchy:vhier ?init:s.init ?victim s.program
+  in
+  let rr =
+    Refsim.Exec.run ~settings ~hierarchy:rhier ?victim_hierarchy:rvhier
+      ?init:(Option.map (fun f -> copy_into f) s.init)
+      ?victim:
+        (Option.map
+           (fun (vp, vinit) -> (vp, copy_into ~stack_top:victim_stack_top vinit))
+           victim)
+      s.program
+  in
+  (r, rr, (hier, vhier), (rhier, rvhier))
+
+let same_as_reference (s : source) k =
+  let knobs = knobs_of_int k in
+  let r, rr, (hier, vhier), (rhier, rvhier) = run_both s knobs in
+  let module RE = Refsim.Exec in
+  let module RC = Refsim.Collector in
+  let module RM = Refsim.Machine in
+  let module RS = Refsim.Set_assoc in
+  let fail what =
+    QCheck.Test.fail_reportf "%s (knobs %d, %s): %s differs" s.src k
+      (Cache.Policy.to_string knobs.policy) what
+  in
+  let expect what ok = if not ok then fail what in
+  expect "instructions" (r.E.instructions = rr.RE.instructions);
+  expect "cycles" (r.E.cycles = rr.RE.cycles);
+  expect "halted_normally" (r.E.halted_normally = rr.RE.halted_normally);
+  let col = r.E.collector and rcol = rr.RE.collector in
+  for i = 0 to P.length s.program - 1 do
+    let pc = P.addr_of_index s.program i in
+    let bank c = Option.map Hpc.Counters.to_assoc c in
+    expect (Printf.sprintf "counters at 0x%x" pc)
+      (bank (Hpc.Collector.counters_at col ~pc) = bank (RC.counters_at rcol ~pc));
+    expect (Printf.sprintf "first time at 0x%x" pc)
+      (Hpc.Collector.first_time col ~pc = RC.first_time rcol ~pc);
+    expect (Printf.sprintf "exec count at 0x%x" pc)
+      (Hpc.Collector.exec_count col ~pc = RC.exec_count rcol ~pc)
+  done;
+  expect "total counters"
+    (Hpc.Counters.to_assoc (Hpc.Collector.total_counters col)
+    = Hpc.Counters.to_assoc (RC.total_counters rcol));
+  expect "executed pcs" (Hpc.Collector.executed_pcs col = RC.executed_pcs rcol);
+  expect "access count" (Hpc.Collector.access_count col = RC.access_count rcol);
+  let log =
+    List.map
+      (fun (a : Hpc.Collector.access) ->
+        Hpc.Collector.(a.pc, a.target, a.kind, a.time))
+      (Hpc.Collector.accesses col)
+  in
+  let rlog =
+    List.map (fun (a : RC.access) -> RC.(a.pc, a.target, a.kind, a.time)) (RC.accesses rcol)
+  in
+  expect "access log" (log = rlog);
+  let m = r.E.machine and rm = rr.RE.machine in
+  List.iter
+    (fun reg -> expect ("register " ^ R.to_string reg) (M.get_reg m reg = RM.get_reg rm reg))
+    R.all;
+  expect "flags" ((M.zf m, M.sf m, M.cf m) = (RM.zf rm, RM.sf rm, RM.cf rm));
+  expect "pc/halted" ((M.pc m, M.halted m) = (RM.pc rm, RM.halted rm));
+  expect "memory" (sorted_mem M.fold_mem m = sorted_mem RM.fold_mem rm);
+  let targets = List.sort_uniq compare (List.map (fun (_, t, _, _) -> t) rlog) in
+  let level name c rc =
+    expect (name ^ " valid lines") (Cache.Set_assoc.valid_lines c = RS.valid_lines rc);
+    List.iter
+      (fun o ->
+        expect
+          (name ^ " sets owned by " ^ Cache.Owner.to_string o)
+          (Cache.Set_assoc.owned_sets c o = RS.owned_sets rc o))
+      Cache.Owner.[ Attacker; Victim; System ];
+    let st = Cache.Set_assoc.state c and rst = RS.state rc in
+    expect (name ^ " state")
+      (Int64.bits_of_float st.Cache.State.ao = Int64.bits_of_float rst.Cache.State.ao
+      && Int64.bits_of_float st.Cache.State.io = Int64.bits_of_float rst.Cache.State.io);
+    expect (name ^ " presence")
+      (List.for_all (fun a -> Cache.Set_assoc.probe c a = RS.probe rc a) targets)
+  in
+  let levels tag h rh =
+    level (tag ^ "l1d") (Cache.Hierarchy.l1d_cache h) (Refsim.Hierarchy.l1d_cache rh);
+    level (tag ^ "l1i") (Cache.Hierarchy.l1i_cache h) (Refsim.Hierarchy.l1i_cache rh);
+    level (tag ^ "llc") (Cache.Hierarchy.llc_cache h) (Refsim.Hierarchy.llc_cache rh)
+  in
+  levels "" hier rhier;
+  (match (vhier, rvhier) with
+  | Some v, Some rv -> levels "victim " v rv
+  | _ -> ());
+  true
+
+let reference_sources = lazy (sources (Sutil.Rng.create 2026))
+
+(* each source under two knob settings *)
+let test_reference_sweep () =
+  let all = Lazy.force reference_sources in
+  let n = List.length all in
+  List.iteri
+    (fun k s -> ignore (same_as_reference s k && same_as_reference s (k + n)))
+    all
+
+let prop_reference =
+  QCheck.Test.make ~name:"simulator matches the reference" ~count:100
+    QCheck.(pair small_nat small_nat)
+    (fun (i, k) ->
+      let all = Lazy.force reference_sources in
+      same_as_reference (List.nth all (i mod List.length all)) k)
 
 let () =
   Alcotest.run "cpu"
@@ -656,6 +939,8 @@ let () =
           Alcotest.test_case "shares cache" `Quick test_victim_shares_cache;
           Alcotest.test_case "restarts" `Quick test_victim_restarts;
         ] );
+      ( "work",
+        [ Alcotest.test_case "wrong-path and victim steps" `Quick test_step_counters ] );
       ( "determinism",
         [
           QCheck_alcotest.to_alcotest prop_execution_deterministic;
@@ -665,6 +950,10 @@ let () =
         [
           Alcotest.test_case "events per pc" `Quick test_events_recorded_per_pc;
           Alcotest.test_case "access trace" `Quick test_access_trace_recorded;
-          Alcotest.test_case "run_addresses" `Quick test_run_addresses;
+        ] );
+      ( "reference",
+        [
+          Alcotest.test_case "every source" `Quick test_reference_sweep;
+          QCheck_alcotest.to_alcotest prop_reference;
         ] );
     ]
