@@ -1,10 +1,18 @@
 (* Lines live in flat per-field arrays indexed by [set * ways + way]: a
    lookup reads and writes them in place and allocates nothing (bar the
-   Random policy's boxed int64 state when it picks a victim). *)
+   Random policy's boxed int64 state when it picks a victim).  The address
+   geometry is precomputed: with a power-of-two set count and a non-empty
+   line offset, an address's set is a shift and a mask and its tag one
+   shift.  Otherwise a lookup divides, as Config does: the prime-sized CST
+   probe takes a modulo, and with [line_bits = 0] a negative address's tag
+   rounds toward zero, which no shift reproduces. *)
 type t = {
   cfg : Config.t;
   policy : Policy.t;
   ways : int;
+  shifts : bool; (* the shift-and-mask geometry applies *)
+  set_mask : int;
+  tag_shift : int;
   valid : bool array;
   tags : int array;
   owners : Owner.t array;
@@ -16,12 +24,20 @@ type t = {
   mutable evicted_owner : Owner.t;
 }
 
+let log2 n =
+  let rec go k = if 1 lsl k >= n then k else go (k + 1) in
+  go 0
+
 let create ?(policy = Policy.Lru) cfg =
   let n = Config.lines cfg in
+  let sets = cfg.Config.sets and line_bits = cfg.Config.line_bits in
   {
     cfg;
     policy;
     ways = cfg.Config.ways;
+    shifts = sets > 0 && sets land (sets - 1) = 0 && line_bits > 0;
+    set_mask = sets - 1;
+    tag_shift = line_bits + log2 sets;
     valid = Array.make n false;
     tags = Array.make n 0;
     owners = Array.make n Owner.System;
@@ -43,10 +59,11 @@ let tick t =
   t.clock
 
 (* First slot in [i, stop) holding [tag], or -1.  Top-level recursion, so
-   no closure is allocated per lookup. *)
+   no closure is allocated per lookup; the tag is tested first, as it rules
+   out most ways of a full set. *)
 let rec find_from t tag i stop =
   if i >= stop then -1
-  else if t.valid.(i) && t.tags.(i) = tag then i
+  else if t.tags.(i) = tag && t.valid.(i) then i
   else find_from t tag (i + 1) stop
 
 let rec invalid_from t i stop =
@@ -76,9 +93,16 @@ let victim_slot t base =
       !best
     | Policy.Random _ -> base + next_random t t.ways
 
+let set_of t addr =
+  if t.shifts then (addr lsr t.cfg.Config.line_bits) land t.set_mask
+  else Config.set_of_addr t.cfg addr
+
+let tag_of t addr =
+  if t.shifts then addr lsr t.tag_shift else Config.tag_of_addr t.cfg addr
+
 let access t ~owner addr =
-  let set = Config.set_of_addr t.cfg addr in
-  let tag = Config.tag_of_addr t.cfg addr in
+  let set = set_of t addr in
+  let tag = tag_of t addr in
   let base = set * t.ways in
   let i = find_from t tag base (base + t.ways) in
   if i >= 0 then begin
@@ -110,8 +134,8 @@ let evicted_addr t = t.evicted_addr
 let evicted_owner t = t.evicted_owner
 
 let slot_of t addr =
-  let base = Config.set_of_addr t.cfg addr * t.ways in
-  find_from t (Config.tag_of_addr t.cfg addr) base (base + t.ways)
+  let base = set_of t addr * t.ways in
+  find_from t (tag_of t addr) base (base + t.ways)
 
 let probe t addr = slot_of t addr >= 0
 

@@ -2,8 +2,10 @@ type t = { ao : float; io : float }
 
 let eps = 1e-9
 
+(* Written as the condition to hold, so a NaN, which fails every
+   comparison, is rejected too. *)
 let make ~ao ~io =
-  if ao < -.eps || io < -.eps || ao +. io > 1.0 +. 1e-6 then
+  if not (ao >= -.eps && io >= -.eps && ao +. io <= 1.0 +. 1e-6) then
     invalid_arg
       (Printf.sprintf "Cache.State.make: invalid occupancy (%f, %f)" ao io);
   { ao; io }

@@ -7,7 +7,8 @@ type t = { ao : float; io : float }
 
 val make : ao:float -> io:float -> t
 (** Checked constructor.
-    @raise Invalid_argument unless [0 <= ao], [0 <= io], [ao + io <= 1 + eps]. *)
+    @raise Invalid_argument unless [0 <= ao], [0 <= io], [ao + io <= 1 + eps];
+    in particular on a NaN or infinite occupancy. *)
 
 val full_other : t
 (** [(0, 1)] — the paper's CST-measurement start state: cache full of

@@ -7,41 +7,10 @@ val default_alpha : float
     [?alpha] default in this library (including the pruning bounds in
     {!Dtw}) refers to this value so they can never drift apart. *)
 
-val instruction_distance :
-  ?lev:Sutil.Levenshtein.workspace -> string array -> string array -> float
-(** D_IS: normalized Levenshtein over normalized instruction tokens,
-    in [\[0,1\]].  [lev] reuses the edit-distance row buffers (hot batch
-    path); results are identical with or without it. *)
-
-val csp_distance : Cst.t -> Cst.t -> float
-(** D_CSP, in [\[0,1\]]. *)
-
-val entry_distance :
-  ?lev:Sutil.Levenshtein.workspace ->
-  ?alpha:float -> Model.entry -> Model.entry -> float
+val entry_distance : ?alpha:float -> Model.entry -> Model.entry -> float
 (** [Distance(tau1, tau2) = alpha*D_IS + (1-alpha)*D_CSP]; the paper's
     definition is the plain mean ([alpha = 0.5], the default).  [alpha] is
     exposed for the ablation benches (1.0 = syntax only, 0.0 = cache
-    only).  The syntactic term runs over the entries' {e interned} tokens
-    ({!Model.entry.tokens}) — one int compare per DP cell — and is
-    bit-identical to {!entry_distance_strings}, the string-token
-    reference. *)
-
-val entry_distance_strings :
-  ?lev:Sutil.Levenshtein.workspace ->
-  ?alpha:float -> Model.entry -> Model.entry -> float
-(** The pre-interning reference cost: the same blend with the Levenshtein
-    term computed over the [normalized] string arrays.  Exists so tests and
-    the bench can assert "interning on = interning off" bit for bit; the
-    production scorers always use {!entry_distance}. *)
-
-val entry_lower_bound :
-  ?alpha:float -> int * float -> int * float -> float
-(** [entry_lower_bound (len1, mag1) (len2, mag2)]: O(1) lower bound on
-    {!entry_distance} computed from per-entry summaries only — each entry
-    reduced to its normalized-token count [len] and the cache-change
-    magnitude [mag] of its CST.  The syntactic term is bounded by
-    the Levenshtein length gap ([Sutil.Levenshtein.normalized_lower_bound]);
-    the semantic term [|mag1 - mag2|] is D_CSP {e exactly}.  Sound (never
-    exceeds the true distance) for [alpha] in [\[0,1\]]; the pruning cascade
-    in {!Dtw} disables itself outside that range. *)
+    only).  D_IS runs over the entries' interned tokens
+    ({!Model.entry.tokens}) and D_CSP is {!Cst.distance}.  This is the
+    definition: {!Dtw}'s scoring kernel computes it inline, bit for bit. *)

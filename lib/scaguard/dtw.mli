@@ -13,9 +13,10 @@
     Table V.  {!similarity_of_distance} still provides the paper's raw
     mapping for comparison.
 
-    {b Workspaces.}  The batch engine scores millions of pairs; [?ws] reuses
-    the DP rows (and the Levenshtein rows inside the entry cost) so the hot
-    path allocates nothing per pair.  A workspace also accumulates counters
+    {b Workspaces.}  The batch engine scores millions of pairs; [?ws] lends
+    one kernel its DP rows, its Levenshtein rows and the lower bound's
+    column minima, so once grown the kernel allocates a small constant per
+    call and nothing per cell.  A workspace also accumulates counters
     (pairs scored, DP cells computed, pairs pruned / abandoned, cells saved)
     for observability.  Results are bit-identical with or without a
     workspace.  A workspace must not be shared between concurrently running
@@ -68,54 +69,30 @@ val lb_evals : workspace -> int
     ({!Vpindex}) exists to shrink this count, so the engine reports it next
     to the pruning counters. *)
 
-val distance :
-  ?ws:workspace -> ?band:int -> ?cutoff:float ->
-  cost:('a -> 'b -> float) -> 'a array -> 'b array -> float
-(** Raw accumulated DTW distance, unit steps (match, insert, delete).
-    Both sequences empty → [0.]; exactly one empty → [infinity]; banded with
-    no in-band path → [infinity].
-
-    [cutoff] enables early abandonment: as soon as every cell of a DP row
-    exceeds [cutoff], the result is [infinity].  Since the row minimum
-    lower-bounds the final accumulated cost (every warping path crosses
-    every row, and costs are non-negative), [infinity] is returned {e only}
-    when the true distance exceeds [cutoff]; any finite result equals the
-    exact distance bit-for-bit. *)
-
-val normalized_distance :
-  ?ws:workspace -> ?band:int ->
-  cost:('a -> 'b -> float) -> 'a array -> 'b array -> float
-(** Accumulated cost divided by the optimal warping path's length; in
-    [\[0,1\]] when [cost] is.  Empty-sequence conventions as {!distance}
-    (one empty → [1.]). *)
-
 val similarity_of_distance : float -> float
 (** The paper's raw mapping [1 / (1 + d)]. *)
 
 val compare_models :
-  ?ws:workspace -> ?band:int -> ?alpha:float -> ?interned:bool ->
-  Model.t -> Model.t -> float
-(** Similarity score of two CST-BBS models: [1 - normalized_distance], in
-    [\[0,1\]].  [0.] whenever either model is empty — an empty model carries
-    no attack behavior, so it can never be a (perfect) match, not even
-    against another empty model.  [alpha] feeds {!Distance.entry_distance}
-    (ablations).  [interned] (default [true]) selects the interned-token
-    cost; [false] replays the string-token reference
-    ({!Distance.entry_distance_strings}) — scores are bit-identical either
-    way, and the flag exists so tests can assert that. *)
+  ?ws:workspace -> ?band:int -> ?alpha:float -> Model.t -> Model.t -> float
+(** Similarity score of two CST-BBS models: [1 - D/L], the accumulated
+    cost [D] of the cheapest warping path divided by that path's length
+    [L], in [\[0,1\]].  The step cost is {!Distance.entry_distance} under
+    [alpha] (ablations).  [0.] whenever either model is empty — an empty
+    model carries no attack behavior, so it can never be a (perfect) match,
+    not even against another empty model — and when no warping path fits
+    the band. *)
 
 val compare_models_raw :
-  ?ws:workspace -> ?band:int -> ?alpha:float -> ?interned:bool ->
-  Model.t -> Model.t -> float
+  ?ws:workspace -> ?band:int -> ?alpha:float -> Model.t -> Model.t -> float
 (** The paper's literal [1/(1+D)] on the raw accumulated distance (exposed
-    for the calibration bench).  Empty-model and [interned] conventions as
+    for the calibration bench).  Empty-model and band conventions as
     {!compare_models}. *)
 
 (** {1 Summaries and the exact lower-bound cascade} *)
 
 type summary
-(** A model plus precomputed scoring ingredients: its entries as an array,
-    per-entry normalized-token counts and cache-change magnitudes, and the
+(** A model plus precomputed scoring ingredients: per-entry interned
+    tokens, normalized-token counts and cache-change magnitudes, and the
     magnitudes sorted ascending.  Immutable — safe to share across
     domains; the engine summarizes the PoC repository once per batch. *)
 
@@ -154,9 +131,13 @@ val lower_bound : ?ws:workspace -> ?alpha:float -> summary -> summary -> float
     - {b row/column bound}, O(n*m) in cheap scalar operations (no
       Levenshtein DPs): a path visits every row and every column at least
       once, so the sum over rows (and over columns) of the cheapest
-      {!Distance.entry_lower_bound} is unavoidable.
+      per-entry bound is unavoidable.  The per-entry bound blends the
+      Levenshtein length gap [|len1 - len2| / max len1 len2] with the
+      magnitude difference [|mag1 - mag2|], which is D_CSP {e exactly};
+      each is computed once for both sums.
 
-    [ws] only lends its Levenshtein buffers to the LB_Kim entry costs.
+    [ws] lends its Levenshtein rows to the LB_Kim entry costs and its
+    column minima to the row/column bound.
     Sound for [alpha] in [\[0,1\]]; {!Detector.classify} disables pruning
     for [alpha] outside that range. *)
 

@@ -12,8 +12,8 @@ type entry = {
   tokens : int array;
     (** [normalized], interned through {!Sutil.Intern.global}: same length,
         and two tokens are equal iff the corresponding strings are.  The
-        Levenshtein inner loop of {!Distance.entry_distance} compares these
-        ints; ids are process-local, so they are never persisted. *)
+        Levenshtein inner loop of the DTW step cost compares these ints;
+        ids are process-local, so they are never persisted. *)
   cst : Cst.t;
   first_time : int;            (** first retirement timestamp; [max_int] for
                                    statically restored, never-executed blocks *)

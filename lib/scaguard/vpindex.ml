@@ -226,9 +226,9 @@ let dist_float_sketch x sk =
   if !best = infinity then 0.0 else !best
 
 (* min over l in [lo, hi] of |l1 - l| / max(l1, l) — the Levenshtein length
-   term of Distance.entry_lower_bound relaxed over a length range.  The term
-   is monotone on either side of the range, so the minimum sits at the
-   nearest endpoint. *)
+   term of Dtw.lower_bound's per-entry bound relaxed over a length range.
+   The term is monotone on either side of the range, so the minimum sits at
+   the nearest endpoint. *)
 let len_term_range l1 lo hi =
   if l1 >= lo && l1 <= hi then 0.0
   else if l1 < lo then
@@ -475,8 +475,8 @@ let probe ~alpha st =
 let mag_gap_range x lo hi =
   if x < lo then lo -. x else if x > hi then x -. hi else 0.0
 
-(* The per-entry bound of Distance.entry_lower_bound relaxed over an entry
-   pool given by a length range and a magnitude range. *)
+(* Dtw.lower_bound's per-entry bound relaxed over an entry pool given by a
+   length range and a magnitude range. *)
 let entry_bound_pool p l1 m1 ~len_lo ~len_hi ~mag_lo ~mag_hi =
   (p.alpha *. len_term_range l1 len_lo len_hi)
   +. (p.beta *. mag_gap_range m1 mag_lo mag_hi)

@@ -1,58 +1,21 @@
-(** Edit distance between sequences, used by the CST distance (§III-B1 of the
-    paper) on normalized instruction sequences.
-
-    Besides the exact distance, this module exposes the two ingredients the
-    detection engine's pruning cascade needs: a free {!lower_bound} (the
-    length gap — no edit script can be shorter than the number of
-    insertions it must at least perform) and a bounded-cost mode
-    ([?limit]) that stops the DP as soon as the result is provably capped. *)
+(** Edit distance between interned token sequences, the syntactic half of
+    the CST distance (§III-B1 of the paper) on normalized instruction
+    sequences.  Tokens are interned ({!Intern}), so two tokens are equal iff
+    their ids are. *)
 
 type workspace
 (** Reusable DP row buffers.  A workspace is owned by one caller at a time
-    (one per pool worker); it grows monotonically and never shrinks. *)
+    (one per pool worker); it grows monotonically and never shrinks.  Once
+    grown, a call allocates nothing. *)
 
 val workspace : unit -> workspace
 
-val distance :
-  ?ws:workspace -> ?limit:int -> equal:('a -> 'a -> bool) ->
-  'a array -> 'a array -> int
-(** [distance ~equal a b] is the Levenshtein (insert/delete/substitute, all
-    cost 1) distance between [a] and [b].  [ws] reuses row buffers across
-    calls; results are identical with or without it.
+val distance_ints : ws:workspace -> int array -> int array -> int
+(** The Levenshtein (insert/delete/substitute, all cost 1) distance.  When
+    the sequences were interned from string sequences out of one pool, it
+    equals the distance of the strings: interning is a bijection, so
+    equality, the only thing the DP consults, is preserved. *)
 
-    [limit] bounds the work: the result is
-    [min (distance a b) limit], and the DP abandons early — without
-    visiting the remaining rows — once every cell of the current row
-    reaches [limit] (later rows can only grow the row minimum, so the true
-    distance is already known to be [>= limit]).  A capped result is still
-    a valid {e lower bound} on the true distance, which is what the DTW
-    pruning cascade consumes. *)
-
-val distance_strings : ?ws:workspace -> ?limit:int -> string array -> string array -> int
-(** Specialization to string tokens with structural equality. *)
-
-val distance_ints : ?ws:workspace -> ?limit:int -> int array -> int array -> int
-(** Specialization to interned tokens ({!Intern}): the inner-loop compare is
-    one integer test.  When the int sequences were interned from string
-    sequences out of the same pool, the result equals {!distance_strings} on
-    the originals bit for bit — interning is a bijection, so equality (the
-    only thing the DP consults) is preserved. *)
-
-val normalized : ?ws:workspace -> equal:('a -> 'a -> bool) -> 'a array -> 'a array -> float
-(** [normalized ~equal a b] is
-    [distance a b / max (length a) (length b)], following the paper's
+val normalized_ints : ws:workspace -> int array -> int array -> float
+(** [distance_ints a b / max (length a) (length b)], following the paper's
     D_IS definition; [0.] when both are empty. *)
-
-val normalized_ints : ?ws:workspace -> int array -> int array -> float
-(** {!normalized} over interned tokens; equals {!normalized} with
-    [String.equal] on the pre-interning sequences bit for bit. *)
-
-val lower_bound : 'a array -> 'a array -> int
-(** [lower_bound a b = abs (length a - length b)]: an O(1) lower bound on
-    {!distance} — every edit script must bridge the length gap with
-    insertions or deletions. *)
-
-val normalized_lower_bound : 'a array -> 'a array -> float
-(** {!lower_bound} divided by [max (length a) (length b)]: an O(1) lower
-    bound on {!normalized} ([0.] when both are empty).  This is the
-    syntactic half of [Distance.entry_lower_bound]. *)

@@ -3,7 +3,6 @@
    Only module paths differ from the original, and [settings] is declared
    equal to Cpu.Exec.settings so one value drives both simulators. *)
 
-module Predictor = Cpu.Predictor
 module Timing = Cpu.Timing
 
 module I = Isa.Instr

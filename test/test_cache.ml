@@ -157,6 +157,50 @@ let prop_lru_matches_reference =
             SA.flush cache addr = was)
         ops)
 
+(* The precomputed set mask and tag shift against the reference copy,
+   which maps every address through Config: power-of-two and prime set
+   counts, [line_bits = 0] included, over negative addresses too.  A
+   negative address under [line_bits = 0] and a prime set count has a
+   negative set, and both copies refuse it with Invalid_argument. *)
+let prop_geometry_matches_reference =
+  QCheck.Test.make ~name:"set_assoc geometry matches the reference" ~count:300
+    QCheck.(
+      pair
+        (triple (oneofl [ 1; 4; 61; 64 ]) (oneofl [ 1; 2 ]) (oneofl [ 0; 1; 6 ]))
+        (list_of_size (Gen.int_range 0 120)
+           (pair (int_range 0 2)
+              (oneof
+                 [
+                   int_range (-300) 300;
+                   map (fun i -> i * 4096) (int_range (-20) 20);
+                   oneofl [ min_int; max_int; min_int + 64; max_int - 64 ];
+                 ]))))
+    (fun ((sets, ways, line_bits), ops) ->
+      let cfg = C.make ~sets ~ways ~line_bits () in
+      let c = SA.create cfg and r = Refsim.Set_assoc.create cfg in
+      let outcome f = try Some (f ()) with Invalid_argument _ -> None in
+      List.for_all
+        (fun (op, addr) ->
+          match op with
+          | 0 ->
+            let hit = outcome (fun () -> SA.access c ~owner:Ow.Attacker addr) in
+            let o = outcome (fun () -> Refsim.Set_assoc.access r ~owner:Ow.Attacker addr) in
+            (match (hit, o) with
+            | None, None -> true
+            | Some hit, Some o ->
+              hit = o.Refsim.Set_assoc.hit
+              && (match o.Refsim.Set_assoc.evicted with
+                 | None -> not (SA.evicted c)
+                 | Some (a, _) -> SA.evicted c && SA.evicted_addr c = a)
+            | _ -> false)
+          | 1 ->
+            outcome (fun () -> SA.probe c addr)
+            = outcome (fun () -> Refsim.Set_assoc.probe r addr)
+          | _ ->
+            outcome (fun () -> SA.flush c addr)
+            = outcome (fun () -> Refsim.Set_assoc.flush r addr))
+        ops)
+
 (* ---- Hierarchy -------------------------------------------------------------------- *)
 
 let test_hierarchy_latencies () =
@@ -294,6 +338,13 @@ let test_state_constructors () =
   let s = S.full_other in
   check_float "full io" 1.0 s.S.io
 
+let test_state_rejects_non_finite () =
+  List.iter
+    (fun (ao, io) ->
+      check_bool (Printf.sprintf "(%g, %g) rejected" ao io) true
+        (try ignore (S.make ~ao ~io); false with Invalid_argument _ -> true))
+    [ (Float.nan, 0.5); (0.5, Float.nan); (infinity, 0.0); (0.0, neg_infinity) ]
+
 let test_state_change_magnitude () =
   let before = S.make ~ao:0.0 ~io:1.0 in
   let after = S.make ~ao:0.25 ~io:0.75 in
@@ -326,6 +377,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_occupancy_invariant;
           QCheck_alcotest.to_alcotest prop_valid_lines_bounded;
           QCheck_alcotest.to_alcotest prop_lru_matches_reference;
+          QCheck_alcotest.to_alcotest prop_geometry_matches_reference;
         ] );
       ( "hierarchy",
         [
@@ -353,6 +405,7 @@ let () =
       ( "state",
         [
           Alcotest.test_case "constructors" `Quick test_state_constructors;
+          Alcotest.test_case "non-finite rejected" `Quick test_state_rejects_non_finite;
           Alcotest.test_case "change magnitude" `Quick test_state_change_magnitude;
           Alcotest.test_case "distance" `Quick test_state_distance;
         ] );

@@ -618,6 +618,73 @@ let prop_attack_runs_deterministic =
       in
       go () = go ())
 
+(* ---- Int_table ------------------------------------------------------------------- *)
+
+(* The int table against Hashtbl as a model.  Keys mix negative values,
+   min_int and max_int with 64- and 4096-byte strides off shared bases, so
+   home slots collide; a run of up to 400 operations from a 1-binding
+   start grows the table several times, and clears interleave. *)
+type itable_op = Replace of int * int | Find of int | Mem of int | Clear
+
+let itable_key_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl [ min_int; max_int; min_int + 1; max_int - 1; 0; -1; 1 ];
+        map (fun i -> 0x7FFF_0000 + (64 * i)) (int_range (-32) 32);
+        map (fun i -> 0x4000_0000 + (4096 * i)) (int_range (-32) 32);
+        map (fun i -> -(64 * i)) (int_range 0 64);
+        int_range (-50) 50;
+      ])
+
+let itable_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, map2 (fun k v -> Replace (k, v)) itable_key_gen (int_range (-5) 5));
+        (5, map (fun k -> Find k) itable_key_gen);
+        (3, map (fun k -> Mem k) itable_key_gen);
+        (1, return Clear);
+      ])
+
+let show_itable_op = function
+  | Replace (k, v) -> Printf.sprintf "replace %d %d" k v
+  | Find k -> Printf.sprintf "find %d" k
+  | Mem k -> Printf.sprintf "mem %d" k
+  | Clear -> "clear"
+
+let prop_int_table_model =
+  QCheck.Test.make ~name:"int table behaves like Hashtbl" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_itable_op ops))
+       QCheck.Gen.(list_size (int_range 0 400) itable_op_gen))
+    (fun ops ->
+      let t = Cpu.Int_table.create 1 and h = Hashtbl.create 16 in
+      let sorted_bindings () =
+        ( List.sort compare (Cpu.Int_table.fold (fun k v acc -> (k, v) :: acc) t []),
+          List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) h []) )
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Replace (k, v) ->
+            Cpu.Int_table.replace t k v;
+            Hashtbl.replace h k v;
+            true
+          | Find k ->
+            Cpu.Int_table.find t k ~default:99
+            = Option.value (Hashtbl.find_opt h k) ~default:99
+          | Mem k -> Cpu.Int_table.mem t k = Hashtbl.mem h k
+          | Clear ->
+            Cpu.Int_table.clear t;
+            Hashtbl.reset h;
+            true)
+          && Cpu.Int_table.length t = Hashtbl.length h)
+        ops
+      &&
+      let mine, model = sorted_bindings () in
+      mine = model)
+
 (* ---- reference simulator ---------------------------------------------------------- *)
 
 (* test/refsim holds the simulator as it stood before the allocation-free
@@ -951,6 +1018,7 @@ let () =
           Alcotest.test_case "events per pc" `Quick test_events_recorded_per_pc;
           Alcotest.test_case "access trace" `Quick test_access_trace_recorded;
         ] );
+      ("int table", [ QCheck_alcotest.to_alcotest prop_int_table_model ]);
       ( "reference",
         [
           Alcotest.test_case "every source" `Quick test_reference_sweep;

@@ -160,39 +160,50 @@ let test_entry_distance_alpha () =
 
 (* ---- Dtw ---------------------------------------------------------------------------- *)
 
-let cost a b = abs_float (a -. b)
+(* A model whose entries share one token and whose CSTs have the given
+   cache-change magnitudes, so at alpha = 0 a DTW step costs exactly the
+   magnitude difference.  Dyadic magnitudes keep every float exact. *)
+let mag_model mags =
+  SG.Model.make ~name:"mags"
+    (List.map
+       (fun x ->
+         SG.Model.make_entry ~block:0 ~instrs:[] ~normalized:[| "load m" |]
+           ~cst:
+             { SG.Cst.before = Cache.State.full_other;
+               after = Cache.State.make ~ao:x ~io:(1.0 -. x) }
+           ~first_time:0)
+       mags)
+
+(* 1/(1+D) of the raw accumulated distance D over magnitude sequences *)
+let raw_sim a b = SG.Dtw.compare_models_raw ~alpha:0.0 (mag_model a) (mag_model b)
+
+let mags_arb = QCheck.(list (float_range 0.0 1.0))
 
 let test_dtw_known_values () =
-  check_float "identical" 0.0 (SG.Dtw.distance ~cost [| 1.0; 2.0 |] [| 1.0; 2.0 |]);
-  check_float "both empty" 0.0 (SG.Dtw.distance ~cost [||] [||]);
-  check_bool "one empty" true (SG.Dtw.distance ~cost [| 1.0 |] [||] = infinity);
-  (* classic alignment: [1;2;3] vs [1;2;2;3] aligns the repeated 2 at cost 0 *)
-  check_float "warp absorbs repeats" 0.0
-    (SG.Dtw.distance ~cost [| 1.0; 2.0; 3.0 |] [| 1.0; 2.0; 2.0; 3.0 |]);
-  check_float "substitution cost" 1.0
-    (SG.Dtw.distance ~cost [| 1.0; 2.0 |] [| 1.0; 3.0 |])
+  check_float "identical" 1.0 (raw_sim [ 0.25; 0.5 ] [ 0.25; 0.5 ]);
+  check_float "both empty" 0.0 (raw_sim [] []);
+  check_float "one empty" 0.0 (raw_sim [ 0.25 ] []);
+  (* classic alignment: [a;b;c] vs [a;b;b;c] aligns the repeated b at cost 0 *)
+  check_float "warp absorbs repeats" 1.0
+    (raw_sim [ 0.25; 0.5; 0.75 ] [ 0.25; 0.5; 0.5; 0.75 ]);
+  check_float "substitution cost" (1.0 /. 1.25) (raw_sim [ 0.25; 0.5 ] [ 0.25; 0.75 ])
 
 let test_dtw_normalized_bounds () =
-  let a = [| 0.0; 1.0; 0.0 |] and b = [| 1.0; 0.0; 1.0; 0.0 |] in
-  let cost a b = if a = b then 0.0 else 1.0 in
-  let d = SG.Dtw.normalized_distance ~cost a b in
+  let d =
+    SG.Dtw.compare_models ~alpha:0.0 (mag_model [ 0.0; 1.0; 0.0 ])
+      (mag_model [ 1.0; 0.0; 1.0; 0.0 ])
+  in
   check_bool "in [0,1]" true (d >= 0.0 && d <= 1.0)
 
 let prop_dtw_symmetric =
-  QCheck.Test.make ~name:"dtw symmetric" ~count:100
-    QCheck.(pair (list (float_range 0.0 5.0)) (list (float_range 0.0 5.0)))
+  QCheck.Test.make ~name:"dtw symmetric" ~count:100 QCheck.(pair mags_arb mags_arb)
     (fun (a, b) ->
-      let a = Array.of_list a and b = Array.of_list b in
-      let d1 = SG.Dtw.distance ~cost a b in
-      let d2 = SG.Dtw.distance ~cost b a in
+      let d1 = raw_sim a b and d2 = raw_sim b a in
       d1 = d2 || abs_float (d1 -. d2) < 1e-9)
 
 let prop_dtw_identity =
-  QCheck.Test.make ~name:"dtw self distance zero" ~count:100
-    QCheck.(list (float_range 0.0 5.0))
-    (fun a ->
-      let a = Array.of_list a in
-      SG.Dtw.distance ~cost a a = 0.0)
+  QCheck.Test.make ~name:"dtw self distance zero" ~count:100 mags_arb (fun a ->
+      a = [] || raw_sim a a = 1.0)
 
 let test_similarity_conversion () =
   check_float "zero distance" 1.0 (SG.Dtw.similarity_of_distance 0.0);
@@ -217,13 +228,13 @@ let rec brute_dtw cost a b i j =
 let prop_dtw_matches_brute_force =
   QCheck.Test.make ~name:"dtw equals exhaustive search on small inputs" ~count:200
     QCheck.(pair
-              (list_of_size (QCheck.Gen.int_range 1 5) (float_range 0.0 3.0))
-              (list_of_size (QCheck.Gen.int_range 1 5) (float_range 0.0 3.0)))
+              (list_of_size (QCheck.Gen.int_range 1 5) (float_range 0.0 1.0))
+              (list_of_size (QCheck.Gen.int_range 1 5) (float_range 0.0 1.0)))
     (fun (a, b) ->
-      let a = Array.of_list a and b = Array.of_list b in
-      let dp = SG.Dtw.distance ~cost a b in
-      let brute = brute_dtw cost a b 0 0 in
-      abs_float (dp -. brute) < 1e-9)
+      (* the cost runs over the magnitudes the CSTs actually carry *)
+      let mags l = SG.Dtw.summary_mags (SG.Dtw.summarize (mag_model l)) in
+      let brute = brute_dtw (fun x y -> abs_float (y -. x)) (mags a) (mags b) 0 0 in
+      abs_float (raw_sim a b -. SG.Dtw.similarity_of_distance brute) < 1e-9)
 
 (* ---- Model ----------------------------------------------------------------------------- *)
 
@@ -448,44 +459,6 @@ let test_guarded_attack_limitation () =
   | Some f -> Alcotest.(check string) "right family" "FR-F" f
   | None -> Alcotest.fail "expected a family")
 
-(* ---- Dtw banding --------------------------------------------------------------------- *)
-
-let test_band_bailout () =
-  (* lengths differing by more than the band: no in-band path, no DP work *)
-  check_bool "bail out to infinity" true
-    (SG.Dtw.distance ~band:1 ~cost [| 1.0 |] [| 1.0; 1.0; 1.0; 1.0; 1.0 |]
-    = infinity);
-  check_float "normalized bail-out is 1" 1.0
-    (SG.Dtw.normalized_distance ~band:1 ~cost [| 1.0 |]
-       [| 1.0; 1.0; 1.0; 1.0; 1.0 |])
-
-let prop_band_full_width_exact =
-  QCheck.Test.make ~name:"full-width band equals unbanded dtw" ~count:200
-    QCheck.(pair (list (float_range 0.0 5.0)) (list (float_range 0.0 5.0)))
-    (fun (a, b) ->
-      let a = Array.of_list a and b = Array.of_list b in
-      let band = max (Array.length a) (Array.length b) in
-      SG.Dtw.distance ~cost a b = SG.Dtw.distance ~band ~cost a b
-      && SG.Dtw.normalized_distance ~cost a b
-         = SG.Dtw.normalized_distance ~band ~cost a b)
-
-let prop_band_never_below_exact =
-  QCheck.Test.make ~name:"banded dtw is an upper bound" ~count:200
-    QCheck.(pair (list (float_range 0.0 5.0)) (list (float_range 0.0 5.0)))
-    (fun (a, b) ->
-      let a = Array.of_list a and b = Array.of_list b in
-      SG.Dtw.distance ~band:1 ~cost a b >= SG.Dtw.distance ~cost a b)
-
-let prop_workspace_identical =
-  QCheck.Test.make ~name:"workspace reuse never changes dtw results" ~count:100
-    QCheck.(pair (list (float_range 0.0 5.0)) (list (float_range 0.0 5.0)))
-    (fun (a, b) ->
-      let ws = SG.Dtw.workspace () in
-      let a = Array.of_list a and b = Array.of_list b in
-      (* two ws calls so the second sees dirty buffers *)
-      ignore (SG.Dtw.distance ~ws ~cost b a);
-      SG.Dtw.distance ~ws ~cost a b = SG.Dtw.distance ~cost a b)
-
 (* ---- Empty-model regression (bug: empty vs empty scored 1.0) -------------------------- *)
 
 let empty_model = SG.Model.make ~name:"empty" []
@@ -590,6 +563,45 @@ let model_gen =
 
 let model_arb = QCheck.make ~print:(fun m -> SG.Persist.model_to_string m) model_gen
 
+(* ---- Dtw banding --------------------------------------------------------------------- *)
+
+let test_band_bailout () =
+  (* lengths differing by more than the band: no in-band path, no DP work *)
+  let one = mag_model [ 0.25 ] and five = mag_model [ 0.25; 0.25; 0.25; 0.25; 0.25 ] in
+  check_float "raw similarity 0" 0.0 (SG.Dtw.compare_models_raw ~band:1 one five);
+  check_float "similarity 0" 0.0 (SG.Dtw.compare_models ~band:1 one five);
+  let ws = SG.Dtw.workspace () in
+  check_bool "summaries bail out to 0" true
+    (SG.Dtw.compare_summaries ~ws ~band:1 (SG.Dtw.summarize one)
+       (SG.Dtw.summarize five)
+    = Some 0.0);
+  check_int "no DP cells" 0 (SG.Dtw.cells_computed ws)
+
+let prop_band_full_width_exact =
+  QCheck.Test.make ~name:"full-width band equals unbanded dtw" ~count:200
+    QCheck.(pair model_arb model_arb)
+    (fun (a, b) ->
+      let band = max (SG.Model.length a) (SG.Model.length b) in
+      SG.Dtw.compare_models a b = SG.Dtw.compare_models ~band a b
+      && SG.Dtw.compare_models_raw a b = SG.Dtw.compare_models_raw ~band a b)
+
+let prop_band_never_below_exact =
+  QCheck.Test.make ~name:"banded dtw is an upper bound" ~count:200
+    QCheck.(pair model_arb model_arb)
+    (fun (a, b) ->
+      (* a band only removes paths: the raw distance never falls *)
+      SG.Dtw.compare_models_raw ~band:1 a b <= SG.Dtw.compare_models_raw a b)
+
+let prop_workspace_identical =
+  QCheck.Test.make ~name:"workspace reuse never changes dtw results" ~count:100
+    QCheck.(pair model_arb model_arb)
+    (fun (a, b) ->
+      let ws = SG.Dtw.workspace () in
+      (* two ws calls so the second sees dirty buffers *)
+      ignore (SG.Dtw.compare_models ~ws b a);
+      SG.Dtw.compare_models ~ws a b = SG.Dtw.compare_models a b
+      && SG.Dtw.compare_models_raw ~ws a b = SG.Dtw.compare_models_raw a b)
+
 let entry_equal (a : SG.Model.entry) (b : SG.Model.entry) =
   a.SG.Model.block = b.SG.Model.block
   && a.SG.Model.first_time = b.SG.Model.first_time
@@ -673,15 +685,180 @@ let prop_cutoff_abandon_sound =
   QCheck.Test.make
     ~name:"?cutoff dp returns infinity only when distance exceeds cutoff"
     ~count:300
-    QCheck.(
-      triple (list (float_range 0.0 5.0)) (list (float_range 0.0 5.0))
-        (float_range 0.0 6.0))
+    QCheck.(triple model_arb model_arb (float_range 0.0 1.0))
     (fun (a, b, cutoff) ->
-      let a = Array.of_list a and b = Array.of_list b in
-      let exact = SG.Dtw.distance ~cost a b in
-      let capped = SG.Dtw.distance ~cutoff ~cost a b in
-      if capped = infinity then exact = infinity || exact > cutoff
-      else capped = exact)
+      (* a pair is resolved to None only when its score misses the cutoff *)
+      let exact = SG.Dtw.compare_models a b in
+      match SG.Dtw.compare_summaries ~cutoff (SG.Dtw.summarize a) (SG.Dtw.summarize b) with
+      | None -> exact < cutoff
+      | Some s -> s = exact)
+
+(* ---- DTW reference (the scoring kernel against test/refdtw) ------------------------ *)
+
+(* Tokens from a small pool, 0-7 per entry, and CSTs on a quarter grid, so
+   equal tokens, equal costs and tied predecessors all happen. *)
+let grid_model_gen =
+  let open QCheck.Gen in
+  let token = oneofl [ "load m"; "store m"; "clflush m"; "rdtsc" ] in
+  let state =
+    let* ao = int_range 0 4 in
+    let* io = int_range 0 (4 - ao) in
+    return
+      (Cache.State.make ~ao:(float_of_int ao /. 4.0) ~io:(float_of_int io /. 4.0))
+  in
+  let entry =
+    let* before = state in
+    let* after = state in
+    let* toks = list_size (int_range 0 7) token in
+    return
+      (SG.Model.make_entry ~block:0 ~instrs:[] ~normalized:(Array.of_list toks)
+         ~cst:{ SG.Cst.before; after } ~first_time:0)
+  in
+  let* entries = list_size (int_range 0 20) entry in
+  return (SG.Model.make ~name:"grid" entries)
+
+(* Independent pairs, and pairs where one model is the other with entries
+   dropped, so high scores, abandonment and lower-bound pruning all show. *)
+let grid_pair_gen =
+  let open QCheck.Gen in
+  frequency
+    [
+      (3, pair grid_model_gen grid_model_gen);
+      ( 1,
+        let* m = grid_model_gen in
+        let* keep = list_repeat (List.length m.SG.Model.entries) bool in
+        let kept = List.filteri (fun i _ -> List.nth keep i) m.SG.Model.entries in
+        return (m, SG.Model.make ~name:"drop" kept) );
+    ]
+
+let ref_alpha_gen =
+  QCheck.Gen.(
+    frequency
+      [ (10, map (fun i -> float_of_int i /. 10.0) (int_range 0 10)); (1, return 1.5) ])
+
+(* [`Above d] puts the cutoff [d] above the pair's own score, so the pair
+   is pruned or abandoned, or (at [d = 0]) ties the boundary *)
+let ref_cutoff_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        return `None;
+        map (fun i -> `Grid (float_of_int i /. 20.0)) (int_range 0 20);
+        map (fun d -> `Above d) (oneofl [ 0.0; 1e-12; 0.01; 0.05; 0.1; 0.3 ]);
+      ])
+
+let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let opt_bits_equal a b =
+  match (a, b) with
+  | None, None -> true
+  | Some x, Some y -> bits_equal x y
+  | _ -> false
+
+(* One dirty workspace per side, shared by every case and both orientations *)
+let kernel_ws = SG.Dtw.workspace ()
+let ref_ws = Refdtw.Dtw.workspace ()
+
+let counters_equal () =
+  let k = kernel_ws and r = ref_ws in
+  SG.Dtw.pairs_scored k = Refdtw.Dtw.pairs_scored r
+  && SG.Dtw.cells_computed k = Refdtw.Dtw.cells_computed r
+  && SG.Dtw.pairs_pruned_lb k = Refdtw.Dtw.pairs_pruned_lb r
+  && SG.Dtw.pairs_abandoned k = Refdtw.Dtw.pairs_abandoned r
+  && SG.Dtw.cells_saved k = Refdtw.Dtw.cells_saved r
+  && SG.Dtw.lb_evals k = Refdtw.Dtw.lb_evals r
+
+let same_as_ref_dtw ~alpha ~band ~cutoff m1 m2 =
+  let kws = kernel_ws and rws = ref_ws in
+  let fail fmt = QCheck.Test.fail_reportf fmt in
+  let sa = SG.Dtw.summarize m1 and sb = SG.Dtw.summarize m2 in
+  let ra = Refdtw.Dtw.summarize m1 and rb = Refdtw.Dtw.summarize m2 in
+  let lb = SG.Dtw.lower_bound ~ws:kws ~alpha sa sb in
+  let rlb = Refdtw.Dtw.lower_bound ~ws:rws ~alpha ra rb in
+  if not (bits_equal lb rlb) then fail "lower_bound %h <> %h" lb rlb;
+  let full = SG.Dtw.compare_summaries ~ws:kws ?band ~alpha sa sb in
+  let rfull = Refdtw.Dtw.compare_summaries ~ws:rws ?band ~alpha ra rb in
+  if not (opt_bits_equal full rfull) then fail "compare_summaries differs";
+  let cutoff =
+    match (cutoff, rfull) with
+    | `None, _ -> None
+    | `Grid c, _ -> Some c
+    | `Above d, Some s -> Some (s +. d)
+    | `Above _, None -> None
+  in
+  let cut = SG.Dtw.compare_summaries ~ws:kws ?band ~alpha ?cutoff sa sb in
+  let rcut = Refdtw.Dtw.compare_summaries ~ws:rws ?band ~alpha ?cutoff ra rb in
+  if not (opt_bits_equal cut rcut) then fail "compare_summaries ?cutoff differs";
+  let pre = SG.Dtw.compare_summaries ~ws:kws ?band ~alpha ?cutoff ~lb sa sb in
+  let rpre = Refdtw.Dtw.compare_summaries ~ws:rws ?band ~alpha ?cutoff ~lb:rlb ra rb in
+  if not (opt_bits_equal pre rpre) then fail "compare_summaries ?lb differs";
+  let score = SG.Dtw.compare_models ~ws:kws ?band ~alpha m1 m2 in
+  let rscore = Refdtw.Dtw.compare_models ~ws:rws ?band ~alpha m1 m2 in
+  let sscore = Refdtw.Dtw.compare_models ~interned:false ?band ~alpha m1 m2 in
+  if not (bits_equal score rscore && bits_equal score sscore) then
+    fail "compare_models %h, reference %h, string tokens %h" score rscore sscore;
+  if not (bits_equal score (SG.Dtw.compare_models ?band ~alpha m1 m2)) then
+    fail "compare_models differs without a workspace";
+  let raw = SG.Dtw.compare_models_raw ~ws:kws ?band ~alpha m1 m2 in
+  let rraw = Refdtw.Dtw.compare_models_raw ~ws:rws ?band ~alpha m1 m2 in
+  let sraw = Refdtw.Dtw.compare_models_raw ~interned:false ?band ~alpha m1 m2 in
+  if not (bits_equal raw rraw && bits_equal raw sraw) then
+    fail "compare_models_raw %h, reference %h, string tokens %h" raw rraw sraw;
+  if not (counters_equal ()) then fail "workspace counters differ";
+  true
+
+(* Steady-state scoring allocates a constant per call, whatever the model
+   size: with a warm workspace a call's minor words are equal for 1- and
+   20-entry models, and small. *)
+let test_warm_scoring_allocation () =
+  let model n =
+    SG.Model.make ~name:"alloc"
+      (List.init n (fun i ->
+           SG.Model.make_entry ~block:i ~instrs:[]
+             ~normalized:
+               (Array.init (3 + (i mod 4)) (fun k ->
+                    if (i + k) mod 3 = 0 then "load m" else "mov r r"))
+             ~cst:
+               { SG.Cst.before = Cache.State.full_other;
+                 after =
+                   Cache.State.make ~ao:(float_of_int (i mod 5) /. 8.0)
+                     ~io:(1.0 -. (float_of_int (i mod 5) /. 8.0)) }
+             ~first_time:i))
+  in
+  let ws = SG.Dtw.workspace () in
+  let reversed m = SG.Model.make ~name:"rev" (List.rev m.SG.Model.entries) in
+  let s1 = SG.Dtw.summarize (model 1) and s20 = SG.Dtw.summarize (model 20) in
+  let s20' = SG.Dtw.summarize (reversed (model 20)) in
+  let per_call f =
+    ignore (Sys.opaque_identity (f ()));
+    let reps = 100 in
+    let before = Gc.minor_words () in
+    for _ = 1 to reps do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    Float.round ((Gc.minor_words () -. before) /. float_of_int reps)
+  in
+  let scored a b = per_call (fun () -> SG.Dtw.compare_summaries ~ws a b) in
+  let bounded a b = per_call (fun () -> SG.Dtw.lower_bound ~ws a b) in
+  let small = scored s1 s1 and large = scored s20 s20' in
+  Alcotest.(check (float 0.0)) "compare_summaries: 1 entry = 20 entries" small large;
+  check_bool (Printf.sprintf "compare_summaries: %g words < 32" large) true (large < 32.0);
+  let small = bounded s1 s1 and large = bounded s20 s20' in
+  Alcotest.(check (float 0.0)) "lower_bound: 1 entry = 20 entries" small large;
+  check_bool (Printf.sprintf "lower_bound: %g words < 32" large) true (large < 32.0)
+
+let prop_dtw_reference =
+  QCheck.Test.make ~name:"scoring kernel equals the reference bit for bit"
+    ~count:2000
+    (QCheck.make
+       ~print:(fun ((m1, m2), _) ->
+         SG.Persist.model_to_string m1 ^ "--\n" ^ SG.Persist.model_to_string m2)
+       QCheck.Gen.(
+         pair grid_pair_gen
+           (triple ref_alpha_gen (opt (int_range 0 6)) ref_cutoff_gen)))
+    (fun ((m1, m2), (alpha, band, cutoff)) ->
+      same_as_ref_dtw ~alpha ~band ~cutoff m1 m2
+      && same_as_ref_dtw ~alpha ~band ~cutoff m2 m1)
 
 let repo_arb =
   QCheck.(
@@ -1196,6 +1373,49 @@ let test_persist_rejects_malformed_cst () =
   check_bool "occupancy out of range" true (rejects "cst 5 5 0 0");
   check_bool "well-formed still accepted" true (not (rejects "cst 0 1 0 1"))
 
+(* A NaN occupancy fails every range comparison, so it used to load: the
+   detector then died on an unscored pair or printed another verdict.  Both
+   formats now reject it with the typed error, and a poisoned cache entry
+   is stale. *)
+let poison_text s =
+  match offsets_of "\ncst " s with
+  | [] -> Alcotest.fail "no cst line"
+  | at :: _ ->
+    let first = at + 5 in
+    let stop = String.index_from s first ' ' in
+    splice s first ~len:(stop - first) "nan"
+
+let poison_binary (m : SG.Model.t) bytes =
+  let e = List.hd m.SG.Model.entries in
+  let target = float_bytes [| e.SG.Model.cst.SG.Cst.after.Cache.State.io |] in
+  match offsets_of target bytes with
+  | [] -> Alcotest.fail "CST float not found in the image"
+  | at :: _ -> splice bytes at ~len:8 (float_bytes [| Float.nan |])
+
+let is_bad_cst = function
+  | Error (SG.Err.Parse { msg; _ }) -> offsets_of "bad cst" msg <> []
+  | _ -> false
+
+let test_persist_rejects_nan_cst () =
+  let repository = Lazy.force repo in
+  let m = (List.hd repository).SG.Detector.model in
+  check_bool "text model" true
+    (is_bad_cst (SG.Persist.model_of_string_result (poison_text (SG.Persist.model_to_string m))));
+  check_bool "text repository" true
+    (is_bad_cst
+       (SG.Persist.repository_of_string_result
+          (poison_text (SG.Persist.repository_to_string repository))));
+  check_bool "binary model" true
+    (is_bad_cst (SG.Persist.model_of_bytes_result (poison_binary m (SG.Persist.model_to_bytes m))));
+  check_bool "binary repository" true
+    (is_bad_cst
+       (SG.Persist.repository_of_bytes_result
+          (poison_binary m (SG.Persist.repository_to_bytes repository))));
+  check_bool "infinite occupancy too" true
+    (is_bad_cst
+       (SG.Persist.model_of_string_result
+          "cstbbs 1\nname x\nentry 0 0\ncst inf 0 0 1\ntokens 0\nend\n"))
+
 let test_persist_save_atomic () =
   let repository = Lazy.force repo in
   let dir = Filename.temp_file "scaguard" ".d" in
@@ -1547,6 +1767,19 @@ let test_model_cache_stale_fallback () =
         Alcotest.(check string) "stored after rebuild" (model_bytes fresh)
           (model_bytes again))
 
+let test_model_cache_nan_stale () =
+  with_temp_cache (fun cache ->
+      let fresh = (Lazy.force fr_analysis).SG.Pipeline.model in
+      let key = "poisoned" in
+      SG.Model_cache.store cache ~key fresh;
+      let path = Filename.concat (SG.Model_cache.dir cache) (key ^ ".cstbbs") in
+      SG.Persist.write_atomic ~path (poison_binary fresh (SG.Persist.read_file ~path));
+      check_bool "poisoned entry rejected" true (SG.Model_cache.find cache ~key = None);
+      check_int "stale counted" 1 (SG.Model_cache.stale cache);
+      let built = SG.Model_cache.find_or_build cache ~key (fun () -> fresh) in
+      Alcotest.(check string) "rebuilt" (model_bytes fresh) (model_bytes built);
+      check_bool "rebuilt entry stored" true (SG.Model_cache.find cache ~key <> None))
+
 let test_model_cache_version_stale () =
   (* a cache entry written by a future (or past) binary format version is
      stale — rebuilt and recounted, never a fatal parse error *)
@@ -1628,10 +1861,11 @@ let prop_interned_scoring_identical =
   QCheck.Test.make ~name:"interned scoring = string-token scoring" ~count:100
     QCheck.(pair model_arb model_arb)
     (fun (m1, m2) ->
+      (* the kernel reads interned tokens; the reference can replay strings *)
       SG.Dtw.compare_models m1 m2
-      = SG.Dtw.compare_models ~interned:false m1 m2
+      = Refdtw.Dtw.compare_models ~interned:false m1 m2
       && SG.Dtw.compare_models_raw m1 m2
-         = SG.Dtw.compare_models_raw ~interned:false m1 m2)
+         = Refdtw.Dtw.compare_models_raw ~interned:false m1 m2)
 
 let () =
   Alcotest.run "scaguard"
@@ -1698,6 +1932,12 @@ let () =
           QCheck_alcotest.to_alcotest prop_batch_equals_sequential;
           Alcotest.test_case "zero-duration stats stay finite" `Quick
             test_engine_zero_wall_stats;
+        ] );
+      ( "dtw reference",
+        [
+          QCheck_alcotest.to_alcotest prop_dtw_reference;
+          Alcotest.test_case "warm scoring allocates a constant" `Quick
+            test_warm_scoring_allocation;
         ] );
       ( "pruning",
         [
@@ -1772,6 +2012,8 @@ let () =
           Alcotest.test_case "rejects garbage" `Quick test_persist_rejects_garbage;
           Alcotest.test_case "rejects malformed cst" `Quick
             test_persist_rejects_malformed_cst;
+          Alcotest.test_case "rejects a non-finite cst" `Quick
+            test_persist_rejects_nan_cst;
           Alcotest.test_case "atomic save" `Quick test_persist_save_atomic;
           Alcotest.test_case "newline tokens survive" `Quick
             test_persist_newline_tokens;
@@ -1798,6 +2040,8 @@ let () =
             test_model_cache_stale_fallback;
           Alcotest.test_case "version mismatch is stale" `Quick
             test_model_cache_version_stale;
+          Alcotest.test_case "non-finite cst is stale" `Quick
+            test_model_cache_nan_stale;
           Alcotest.test_case "key sensitivity" `Quick
             test_model_cache_key_sensitivity;
           Alcotest.test_case "cached batch build" `Quick

@@ -531,6 +531,64 @@ let test_reload_matches_fresh () =
           [ "ok"; "op"; "targets"; "completed"; "attacks" ])
     fresh after_reload
 
+(* A reload of an image whose CST holds a NaN answers an error frame and
+   keeps the repository it had: the detects before and after it return the
+   same verdicts. *)
+let test_reload_poisoned_image () =
+  let dir = Filename.temp_file "scag_serve" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let path = Filename.concat dir "repo.scag" in
+  let repo, prepared = Lazy.force prepared_repo in
+  let config = { C.default with C.repo_format = C.Binary } in
+  (match SG.Service.save_repository config ~path repo with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "save_repository: %s" (SG.Err.to_string e));
+  let float_bytes f =
+    let b = Bytes.create 8 in
+    Bytes.set_int64_le b 0 (Int64.bits_of_float f);
+    Bytes.to_string b
+  in
+  let image = SG.Persist.read_file ~path in
+  let entry = List.hd (List.hd repo).SG.Detector.model.SG.Model.entries in
+  let target = float_bytes entry.SG.Model.cst.SG.Cst.after.Cache.State.io in
+  let rec find i =
+    if i + 8 > String.length image then Alcotest.fail "CST float not found"
+    else if String.sub image i 8 = target then i
+    else find (i + 1)
+  in
+  let at = find 0 in
+  SG.Persist.write_atomic ~path
+    (String.sub image 0 at ^ float_bytes Float.nan
+    ^ String.sub image (at + 8) (String.length image - at - 8));
+  let t =
+    Result.get_ok (Server.create ~config:C.default ~resolve ~prepared ~repo_path:path ())
+  in
+  let conn, frames = recording_conn t in
+  Server.feed t conn
+    "{\"id\":1,\"op\":\"detect\",\"targets\":[\"fr-iaik\",\"pp-iaik\"]}\n\
+     {\"id\":2,\"op\":\"reload\"}\n\
+     {\"id\":3,\"op\":\"detect\",\"targets\":[\"fr-iaik\",\"pp-iaik\"]}\n";
+  ignore (Server.drain t);
+  Sys.remove path;
+  Unix.rmdir dir;
+  let with_id n = List.filter (fun f -> member_exn "id" f = J.Num n) (frames ()) in
+  (match with_id 2.0 with
+  | [ f ] -> check_string "reload is a parse error" "parse" (error_code_of_frame f)
+  | fs -> Alcotest.failf "expected one reload frame, got %d" (List.length fs));
+  let verdicts n =
+    List.filter_map
+      (fun f ->
+        match J.member "event" f with
+        | Some _ ->
+          Some (List.map (fun k -> J.to_string (member_exn k f)) [ "target"; "family"; "score"; "matches" ])
+        | None -> None)
+      (with_id n)
+  in
+  check_int "two verdicts before" 2 (List.length (verdicts 1.0));
+  Alcotest.(check (list (list string))) "the old repository still serves"
+    (verdicts 1.0) (verdicts 3.0)
+
 let test_reload_without_path () =
   let t = make_server () in
   let conn, frames = recording_conn t in
@@ -802,6 +860,8 @@ let () =
             test_reload_matches_fresh;
           Alcotest.test_case "reload without a path" `Quick
             test_reload_without_path;
+          Alcotest.test_case "reload of a poisoned image" `Slow
+            test_reload_poisoned_image;
           Alcotest.test_case "shutdown drains then refuses" `Quick
             test_shutdown_drain;
           Alcotest.test_case "oversized frame" `Quick test_oversized_frame;

@@ -80,35 +80,34 @@ let prop_float_bounds =
 
 (* ---- Levenshtein ---------------------------------------------------------- *)
 
-let dist a b =
-  Sutil.Levenshtein.distance_strings (Array.of_list a) (Array.of_list b)
+let lev_ws = Sutil.Levenshtein.workspace ()
+let lev a b = Sutil.Levenshtein.distance_ints ~ws:lev_ws a b
+
+(* string tokens interned into one pool, as models intern theirs *)
+let pool = Sutil.Intern.create ()
+let ids l = Sutil.Intern.intern_all pool (Array.of_list l)
+let dist a b = lev (ids a) (ids b)
 
 let test_lev_basic () =
   check_int "identical" 0 (dist [ "a"; "b" ] [ "a"; "b" ]);
   check_int "empty vs xs" 3 (dist [] [ "a"; "b"; "c" ]);
   check_int "single subst" 1 (dist [ "a"; "b"; "c" ] [ "a"; "x"; "c" ]);
   check_int "insert" 1 (dist [ "a"; "c" ] [ "a"; "b"; "c" ]);
-  check_int "kitten/sitting" 3
-    (Sutil.Levenshtein.distance ~equal:Char.equal
-       [| 'k'; 'i'; 't'; 't'; 'e'; 'n' |]
-       [| 's'; 'i'; 't'; 't'; 'i'; 'n'; 'g' |])
+  let chars s = Array.init (String.length s) (fun i -> Char.code s.[i]) in
+  check_int "kitten/sitting" 3 (lev (chars "kitten") (chars "sitting"))
 
 let test_lev_normalized () =
-  check_float "identical" 0.0
-    (Sutil.Levenshtein.normalized ~equal:String.equal [| "a" |] [| "a" |]);
-  check_float "both empty" 0.0
-    (Sutil.Levenshtein.normalized ~equal:String.equal [||] [||]);
-  check_float "disjoint" 1.0
-    (Sutil.Levenshtein.normalized ~equal:String.equal [| "a"; "b" |]
-       [| "x"; "y" |])
+  let norm a b = Sutil.Levenshtein.normalized_ints ~ws:lev_ws (ids a) (ids b) in
+  check_float "identical" 0.0 (norm [ "a" ] [ "a" ]);
+  check_float "both empty" 0.0 (norm [] []);
+  check_float "disjoint" 1.0 (norm [ "a"; "b" ] [ "x"; "y" ])
 
 let prop_lev_symmetric =
   QCheck.Test.make ~name:"levenshtein symmetric" ~count:200
     QCheck.(pair (list (int_range 0 5)) (list (int_range 0 5)))
     (fun (a, b) ->
       let a = Array.of_list a and b = Array.of_list b in
-      Sutil.Levenshtein.distance ~equal:Int.equal a b
-      = Sutil.Levenshtein.distance ~equal:Int.equal b a)
+      lev a b = lev b a)
 
 let prop_lev_triangle =
   QCheck.Test.make ~name:"levenshtein triangle inequality" ~count:200
@@ -116,28 +115,16 @@ let prop_lev_triangle =
               (list (int_range 0 3)))
     (fun (a, b, c) ->
       let a = Array.of_list a and b = Array.of_list b and c = Array.of_list c in
-      let d x y = Sutil.Levenshtein.distance ~equal:Int.equal x y in
-      d a c <= d a b + d b c)
+      lev a c <= lev a b + lev b c)
 
 let prop_lev_bounds =
   QCheck.Test.make ~name:"levenshtein bounded by max length" ~count:200
     QCheck.(pair (list (int_range 0 5)) (list (int_range 0 5)))
     (fun (a, b) ->
       let a = Array.of_list a and b = Array.of_list b in
-      let d = Sutil.Levenshtein.distance ~equal:Int.equal a b in
-      d >= Sutil.Levenshtein.lower_bound a b
+      let d = lev a b in
+      d >= abs (Array.length a - Array.length b)
       && d <= max (Array.length a) (Array.length b))
-
-let prop_lev_limit =
-  QCheck.Test.make ~name:"levenshtein ?limit caps at min(distance, limit)"
-    ~count:300
-    QCheck.(
-      triple (list (int_range 0 5)) (list (int_range 0 5)) (int_range 0 8))
-    (fun (a, b, limit) ->
-      let a = Array.of_list a and b = Array.of_list b in
-      let exact = Sutil.Levenshtein.distance ~equal:Int.equal a b in
-      Sutil.Levenshtein.distance ~limit ~equal:Int.equal a b
-      = min exact limit)
 
 (* ---- Intern ---------------------------------------------------------------- *)
 
@@ -174,7 +161,8 @@ let test_intern_growth () =
     ids
 
 (* the interning guarantee the scorers rely on: the int-token Levenshtein is
-   bit-identical to the string-token one whenever ids come from one pool *)
+   bit-identical to the string-token reference whenever ids come from one
+   pool *)
 let prop_interned_levenshtein_identical =
   QCheck.Test.make ~name:"interned levenshtein = string levenshtein" ~count:300
     QCheck.(
@@ -186,10 +174,10 @@ let prop_interned_levenshtein_identical =
       let p = Sutil.Intern.create () in
       let ia = Sutil.Intern.intern_all p a
       and ib = Sutil.Intern.intern_all p b in
-      Sutil.Levenshtein.distance_ints ia ib
-      = Sutil.Levenshtein.distance_strings a b
-      && Sutil.Levenshtein.normalized_ints ia ib
-         = Sutil.Levenshtein.normalized ~equal:String.equal a b)
+      Sutil.Levenshtein.distance_ints ~ws:lev_ws ia ib
+      = Refdtw.Levenshtein.distance_strings a b
+      && Sutil.Levenshtein.normalized_ints ~ws:lev_ws ia ib
+         = Refdtw.Levenshtein.normalized ~equal:String.equal a b)
 
 (* ---- Stats ---------------------------------------------------------------- *)
 
@@ -428,7 +416,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_lev_symmetric;
           QCheck_alcotest.to_alcotest prop_lev_triangle;
           QCheck_alcotest.to_alcotest prop_lev_bounds;
-          QCheck_alcotest.to_alcotest prop_lev_limit;
         ] );
       ( "intern",
         [

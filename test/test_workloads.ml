@@ -280,7 +280,9 @@ let test_benign_edit_distance_correct () =
   let m = Sutil.Rng.in_range rng 12 24 in
   let s1 = Array.init n (fun _ -> Sutil.Rng.int rng 4) in
   let s2 = Array.init m (fun _ -> Sutil.Rng.int rng 4) in
-  let expected = Sutil.Levenshtein.distance ~equal:Int.equal s1 s2 in
+  let expected =
+    Sutil.Levenshtein.distance_ints ~ws:(Sutil.Levenshtein.workspace ()) s1 s2
+  in
   let g = Workloads.Benign.build "edit-distance" (Sutil.Rng.create 6) in
   let res = Cpu.Exec.run ~init:g.Workloads.Benign.init g.Workloads.Benign.program in
   (* the DP's final row lives at data2 (prev); answer at prev[m] *)
