@@ -1,7 +1,9 @@
 (* The benchmark harness: regenerates every table and figure of the paper's
    evaluation (Tables II-VI, Fig. 5), the ablation table, and Bechamel
    micro-benchmarks of the pipeline stages (the Section V time-cost
-   analysis).
+   analysis), plus the extensions' artifacts: the large-repository index
+   sweep and the detector showdown.  Per-layer timings of a whole screen or
+   serve session are perfbench's (perfbench/README.md).
 
    Usage:
      dune exec bench/main.exe                 # everything, default sizes
@@ -16,13 +18,10 @@
 let per_family = ref 16
 let seed = ref 20260704
 let out_dir = ref None
-let jobs = ref None
-let trace_out = ref None
-let metrics_out = ref None
 let index_scales = ref [ 1_000; 10_000; 100_000 ]
 let artifacts = ref []
 
-let usage = "main.exe [--per-family N] [--seed S] [--jobs N] [--index-scales N,N,..] [--trace-out FILE] [--metrics-out FILE] [table1..table6|fig5|ablation|extended|clusters|robustness|scaling|engine|modeling|persist|serve|index|obs|compare|timecost|all]"
+let usage = "main.exe [--per-family N] [--seed S] [--out DIR] [--index-scales N,N,..] [table1..table6|fig5|ablation|extended|clusters|robustness|scaling|index|compare|timecost|all]"
 
 let () =
   let rec parse = function
@@ -36,15 +35,6 @@ let () =
     | "--out" :: dir :: rest ->
       out_dir := Some dir;
       parse rest
-    | "--jobs" :: n :: rest ->
-      jobs := Some (int_of_string n);
-      parse rest
-    | "--trace-out" :: path :: rest ->
-      trace_out := Some path;
-      parse rest
-    | "--metrics-out" :: path :: rest ->
-      metrics_out := Some path;
-      parse rest
     | "--index-scales" :: ns :: rest ->
       index_scales :=
         List.map int_of_string (String.split_on_char ',' ns);
@@ -53,15 +43,7 @@ let () =
       artifacts := x :: !artifacts;
       parse rest
   in
-  parse (List.tl (Array.to_list Sys.argv));
-  (* the bench emits the same observability artifacts as the CLI *)
-  Scaguard.Obs.set_tracing (!trace_out <> None);
-  Scaguard.Obs.set_metrics (!metrics_out <> None)
-
-(* worker count for the parallel stages: --jobs, else a reasonable floor so
-   the speedup numbers mean something even on small CI machines *)
-let worker_domains () =
-  match !jobs with Some j -> j | None -> max 4 (Sutil.Pool.default_domains ())
+  parse (List.tl (Array.to_list Sys.argv))
 
 let rng () = Sutil.Rng.create !seed
 
@@ -87,18 +69,10 @@ let emit_table ~artifact t =
     write_file path (Sutil.Table.to_csv t);
     Printf.printf "(csv written to %s)\n" path
 
-(* write BENCH_<stage>.json (into --out when given, else the working
-   directory) and report where it went *)
-let emit_json ~stage (json : Scaguard.Json.t) =
-  let file = "BENCH_" ^ stage ^ ".json" in
-  let path = match !out_dir with Some dir -> out_path dir file | None -> file in
-  write_file path (Scaguard.Json.to_string json ^ "\n");
-  Printf.printf "(json written to %s)\n" path
-
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
 
-(* Every stage's identity assertion: the same ties, family and score, down
-   to the score's float bits, target by target. *)
+(* The index stage's identity assertion: the same ties, family and score,
+   down to the score's float bits, target by target. *)
 let check_verdicts what (expected : Scaguard.Detector.verdict array) actual =
   Array.iteri
     (fun i (v : Scaguard.Detector.verdict) ->
@@ -111,9 +85,6 @@ let check_verdicts what (expected : Scaguard.Detector.verdict array) actual =
            <> Int64.bits_of_float p.Scaguard.Detector.best_score
       then fail "%s verdict mismatch at target %d" what i)
     expected
-
-let jnum f = Scaguard.Json.Num f
-let jint n = Scaguard.Json.Num (float_of_int n)
 
 (* ---- Table I: the HPC events (static reference) -------------------------- *)
 
@@ -298,413 +269,6 @@ let scaling () =
   emit_table ~artifact:"scaling" t;
   Printf.printf "(the shape is stable from small sample counts on)\n"
 
-(* ---- Engine: sequential vs parallel batch classification --------------------------- *)
-
-let engine () =
-  section "Engine: domain-parallel batch classification";
-  let module L = Workloads.Label in
-  let module D = Workloads.Dataset in
-  let rng = rng () in
-  let repo = Experiments.Common.repository ~rng L.attack_labels in
-  let samples =
-    List.concat_map
-      (fun l -> D.mutated_attacks ~rng ~count:!per_family l)
-      L.attack_labels
-    @ D.benign_samples ~rng ~count:!per_family
-  in
-  Printf.printf "building %d target models (repository: %d PoCs)...\n%!"
-    (List.length samples) (List.length repo);
-  let build_jobs =
-    Array.of_list (List.map Experiments.Common.job samples)
-  in
-  let build_config =
-    { Scaguard.Config.default with Scaguard.Config.domains = Some (worker_domains ()) }
-  in
-  let base =
-    match Scaguard.Service.build build_config build_jobs with
-    | Ok (models, _) -> models
-    | Error e -> fail "engine: service build failed: %s" (Scaguard.Err.to_string e)
-  in
-  (* replicate the models into a batch big enough to time meaningfully *)
-  let batch = max (Array.length base) 512 in
-  let targets = Array.init batch (fun i -> base.(i mod Array.length base)) in
-  Printf.printf "batch: %d targets x %d PoCs = %d pairs\n%!" batch
-    (List.length repo) (batch * List.length repo);
-  (* sequential path: the plain allocating Detector.classify loop, pruning
-     off — the exact-DP baseline everything else must match.  Timed on the
-     stack's monotonic clock (Obs.Clock), like every other stage. *)
-  let t0 = Scaguard.Obs.Clock.now_ns () in
-  let seq = Array.map (Scaguard.Detector.classify ~prune:false repo) targets in
-  let seq_dt = Scaguard.Obs.Clock.elapsed_s ~since:t0 in
-  let check_identical what = check_verdicts ("engine: " ^ what) in
-  (* parallel path, pruning off: parallelism never changes results *)
-  let domains = worker_domains () in
-  let prep = Scaguard.Detector.prepare repo in
-  let par, _, stats =
-    Scaguard.Engine.classify_batch ~prune:false ~domains prep targets
-  in
-  check_identical "parallel" seq par;
-  (* parallel path, pruning on: the cascade never changes results either *)
-  let pruned, _, pstats =
-    Scaguard.Engine.classify_batch ~prune:true ~domains prep targets
-  in
-  check_identical "pruned" par pruned;
-  (* observability is pure observation: forcing tracing + metrics on must not
-     change a single verdict bit *)
-  let prev_tracing = Scaguard.Obs.tracing ()
-  and prev_metrics = Scaguard.Obs.metrics () in
-  Scaguard.Obs.set_tracing true;
-  Scaguard.Obs.set_metrics true;
-  let observed, _, _ =
-    Scaguard.Engine.classify_batch ~prune:true ~domains prep targets
-  in
-  Scaguard.Obs.set_tracing prev_tracing;
-  Scaguard.Obs.set_metrics prev_metrics;
-  check_identical "instrumented" pruned observed;
-  (* service facade: Service.prepare + detect_prepared is a typed front
-     door over the same engine — verdicts must stay bit-identical to the
-     manual composition *)
-  let config =
-    { Scaguard.Config.default with Scaguard.Config.domains = Some domains }
-  in
-  (match
-     Result.bind (Scaguard.Service.prepare config repo) (fun prep ->
-         Scaguard.Service.detect_prepared config prep targets)
-   with
-  | Ok (svc, _report) -> check_identical "service" seq svc
-  | Error e -> fail "engine: service detect failed: %s" (Scaguard.Err.to_string e));
-  let pairs = float_of_int stats.Scaguard.Engine.pairs in
-  Printf.printf "sequential: %.4fs  (%.0f pairs/s)\n" seq_dt (pairs /. seq_dt);
-  Printf.printf "parallel:   %.4fs  (%.0f pairs/s)  speedup %.2fx\n"
-    stats.Scaguard.Engine.wall_s
-    (Scaguard.Engine.throughput stats)
-    (seq_dt /. stats.Scaguard.Engine.wall_s);
-  Printf.printf "pruned:     %.4fs  (%.0f pairs/s)  speedup %.2fx\n"
-    pstats.Scaguard.Engine.wall_s
-    (Scaguard.Engine.throughput pstats)
-    (seq_dt /. pstats.Scaguard.Engine.wall_s);
-  Format.printf "%a@." Scaguard.Engine.pp_stats pstats;
-  let cells_full = stats.Scaguard.Engine.cells in
-  let cells_pruned = pstats.Scaguard.Engine.cells in
-  let reduction =
-    100.0 *. (1.0 -. (float_of_int cells_pruned /. float_of_int cells_full))
-  in
-  Printf.printf
-    "pruning: %d of %d pairs skipped by lower bound, %d abandoned mid-DP\n"
-    pstats.Scaguard.Engine.pairs_pruned_lb pstats.Scaguard.Engine.pairs
-    pstats.Scaguard.Engine.pairs_abandoned;
-  Printf.printf "DP cells: %d -> %d (%.1f%% saved)\n" cells_full cells_pruned
-    reduction;
-  (* per-verdict latency quantiles, estimated from the histogram buckets
-     the instrumented run above filled *)
-  List.iter
-    (fun (e : Scaguard.Obs.Registry.snapshot_entry) ->
-      match e.Scaguard.Obs.Registry.entry_value with
-      | Scaguard.Obs.Registry.Histogram_value h
-        when e.Scaguard.Obs.Registry.entry_name = "scaguard_verdict_seconds"
-             && h.Scaguard.Obs.Registry.count > 0 ->
-        let q p =
-          Sutil.Stats.percentile_of_buckets
-            ~bounds:h.Scaguard.Obs.Registry.bounds
-            ~counts:h.Scaguard.Obs.Registry.counts p
-        in
-        Printf.printf
-          "verdict latency (instrumented run, %d verdicts): p50 %.2es, p90 \
-           %.2es, p99 %.2es\n"
-          h.Scaguard.Obs.Registry.count (q 0.5) (q 0.9) (q 0.99)
-      | _ -> ())
-    (Scaguard.Obs.snapshot ());
-  Printf.printf
-    "verdicts: parallel, pruned, instrumented and Service.detect_prepared runs \
-     byte-identical to the sequential path (%d targets)\n"
-    batch
-
-(* ---- Modeling: parallel + cached model building ------------------------------------ *)
-
-let modeling () =
-  section "Modeling: parallel and cached model building";
-  let module L = Workloads.Label in
-  let module D = Workloads.Dataset in
-  let rng = rng () in
-  let samples =
-    List.concat_map
-      (fun l -> D.mutated_attacks ~rng ~count:!per_family l)
-      L.attack_labels
-    @ D.benign_samples ~rng ~count:!per_family
-  in
-  let build_jobs =
-    Array.of_list
-      (List.map
-         (fun s ->
-           { (Experiments.Common.job s) with Scaguard.Pipeline.salt = string_of_int !seed })
-         samples)
-  in
-  let n = Array.length build_jobs in
-  (* time at the machine's real parallelism: oversubscribing domains on few
-     cores makes this allocation-heavy stage slower, not faster (every minor
-     GC synchronizes all domains), so no artificial floor here *)
-  let domains =
-    match !jobs with Some j -> j | None -> Sutil.Pool.default_domains ()
-  in
-  Printf.printf "building %d models (execute + identify + graph + measure)...\n%!" n;
-  let time f =
-    let t0 = Scaguard.Obs.Clock.now_ns () in
-    let r = f () in
-    (r, Scaguard.Obs.Clock.elapsed_s ~since:t0)
-  in
-  let bytes m = Scaguard.Persist.model_to_string m in
-  let check_identical what (a : Scaguard.Model.t array) b =
-    Array.iteri
-      (fun i m ->
-        if bytes m <> bytes b.(i) then
-          fail "modeling: %s model mismatch at job %d (%s)" what i
-            m.Scaguard.Model.name)
-      a
-  in
-  (* sequential baseline: one worker, no cache *)
-  let seq, seq_dt =
-    time (fun () -> Scaguard.Pipeline.build_models_batch ~domains:1 build_jobs)
-  in
-  (* parallel: same jobs fanned over the pool — must be byte-identical *)
-  let par, par_dt =
-    time (fun () -> Scaguard.Pipeline.build_models_batch ~domains build_jobs)
-  in
-  check_identical "parallel" seq par;
-  (* the identity guarantee must hold under real multi-domain interleaving
-     even when the timed run above resolved to one domain (few-core CI) *)
-  if domains < 4 then
-    check_identical "parallel (4 domains)" seq
-      (Scaguard.Pipeline.build_models_batch ~domains:4 build_jobs);
-  (* observability is pure observation on the build path too: models must
-     stay byte-identical with tracing + metrics forced on *)
-  let prev_tracing = Scaguard.Obs.tracing ()
-  and prev_metrics = Scaguard.Obs.metrics () in
-  Scaguard.Obs.set_tracing true;
-  Scaguard.Obs.set_metrics true;
-  let observed = Scaguard.Pipeline.build_models_batch ~domains build_jobs in
-  Scaguard.Obs.set_tracing prev_tracing;
-  Scaguard.Obs.set_metrics prev_metrics;
-  check_identical "instrumented" seq observed;
-  (* cold cache: builds everything, stores everything *)
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "scaguard-bench-cache-%d" (Unix.getpid ()))
-  in
-  let cold_cache = Scaguard.Model_cache.create ~dir in
-  let cold, cold_dt =
-    time (fun () ->
-        Scaguard.Pipeline.build_models_batch ~domains ~cache:cold_cache
-          build_jobs)
-  in
-  check_identical "cold-cache" seq cold;
-  if Scaguard.Model_cache.misses cold_cache <> n then
-    fail "modeling: cold cache expected %d misses, got %d" n
-      (Scaguard.Model_cache.misses cold_cache);
-  (* warm cache: every job must hit — zero executions, zero simulations *)
-  let warm_cache = Scaguard.Model_cache.create ~dir in
-  let warm, warm_dt =
-    time (fun () ->
-        Scaguard.Pipeline.build_models_batch ~domains ~cache:warm_cache
-          build_jobs)
-  in
-  check_identical "warm-cache" seq warm;
-  if Scaguard.Model_cache.hits warm_cache <> n then
-    fail "modeling: warm cache expected %d hits, got %d" n
-      (Scaguard.Model_cache.hits warm_cache);
-  (* service facade: Service.build wraps exactly this composition — the
-     models it returns must be byte-identical too *)
-  (match
-     Scaguard.Service.build
-       { Scaguard.Config.default with Scaguard.Config.domains = Some domains }
-       build_jobs
-   with
-  | Ok (svc, _report) -> check_identical "service" seq svc
-  | Error e -> fail "modeling: service build failed: %s" (Scaguard.Err.to_string e));
-  (* clean up the temp cache *)
-  Array.iter
-    (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-    (Sys.readdir dir);
-  (try Unix.rmdir dir with Unix.Unix_error _ -> ());
-  let t =
-    Sutil.Table.create
-      ~title:(Printf.sprintf "Model building (%d programs, %d domains)" n domains)
-      [ "configuration"; "wall (s)"; "speedup"; "models/s" ]
-  in
-  let row name dt =
-    Sutil.Table.add_row t
-      [
-        name;
-        Printf.sprintf "%.4f" dt;
-        Printf.sprintf "%.2fx" (seq_dt /. dt);
-        Printf.sprintf "%.0f" (float_of_int n /. dt);
-      ]
-  in
-  row "sequential (1 domain)" seq_dt;
-  row (Printf.sprintf "parallel (%d domains)" domains) par_dt;
-  row "parallel + cold cache" cold_dt;
-  row "parallel + warm cache" warm_dt;
-  emit_table ~artifact:"modeling" t;
-  Printf.printf
-    "models: parallel, cold-cache, warm-cache, instrumented and \
-     Service.build runs byte-identical to the sequential build (%d models)\n\
-     warm cache: %d/%d hits — no execution or CST simulation at all\n"
-    n
-    (Scaguard.Model_cache.hits warm_cache)
-    n
-
-(* ---- Persist: binary repository image vs text ------------------------------------- *)
-
-let persist () =
-  section "Persist: binary repository image vs text";
-  let module L = Workloads.Label in
-  let module D = Workloads.Dataset in
-  let time f =
-    let t0 = Scaguard.Obs.Clock.now_ns () in
-    let r = f () in
-    (r, Scaguard.Obs.Clock.elapsed_s ~since:t0)
-  in
-  let rng = rng () in
-  (* a repository big enough to time: the per-family PoCs plus the mutated
-     attack population, every model labelled with its family *)
-  let base_repo = Experiments.Common.repository ~rng L.attack_labels in
-  let extra_samples =
-    List.concat_map
-      (fun l ->
-        List.map
-          (fun s -> (L.to_string l, s))
-          (D.mutated_attacks ~rng ~count:!per_family l))
-      L.attack_labels
-  in
-  let extra_jobs =
-    Array.of_list (List.map (fun (_, s) -> Experiments.Common.job s) extra_samples)
-  in
-  let build_config =
-    { Scaguard.Config.default with
-      Scaguard.Config.domains = Some (worker_domains ()) }
-  in
-  let extra_models =
-    match Scaguard.Service.build build_config extra_jobs with
-    | Ok (models, _) -> models
-    | Error e -> fail "persist: build failed: %s" (Scaguard.Err.to_string e)
-  in
-  let repo =
-    base_repo
-    @ List.mapi
-        (fun i (family, _) ->
-          { Scaguard.Detector.family; model = extra_models.(i) })
-        extra_samples
-  in
-  let n = List.length repo in
-  Printf.printf "repository: %d models\n%!" n;
-  (* byte identity: text -> binary -> text must be the identity on the
-     canonical text encoding *)
-  let text = Scaguard.Persist.repository_to_string repo in
-  let bin = Scaguard.Persist.repository_to_bytes repo in
-  (match Scaguard.Persist.repository_of_bytes_result bin with
-  | Error e -> fail "persist: binary decode failed: %s" (Scaguard.Err.to_string e)
-  | Ok decoded ->
-    if Scaguard.Persist.repository_to_string decoded <> text then
-      fail "persist: text -> binary -> text round-trip not byte-identical");
-  (* cold-start: save both formats, the image with a forced index, and time
-     the loads from disk *)
-  let tmp suffix =
-    Filename.temp_file "scaguard-bench-repo" suffix
-  in
-  let text_path = tmp ".txt" and bin_path = tmp ".bin" in
-  let ok what = function
-    | Ok v -> v
-    | Error e -> fail "persist: %s failed: %s" what (Scaguard.Err.to_string e)
-  in
-  let reference_prep = Scaguard.Detector.prepare repo in
-  let index =
-    Scaguard.Vpindex.build
-      { Scaguard.Vpindex.default_spec with
-        Scaguard.Vpindex.mode = Scaguard.Vpindex.Force }
-      (Scaguard.Detector.prepared_summaries reference_prep)
-  in
-  ok "text save" (Scaguard.Persist.save_repository_result ~path:text_path repo);
-  ok "binary save"
-    (Scaguard.Persist.save_repository_bin_result ?index ~path:bin_path repo);
-  let bin_size = (Unix.stat bin_path).Unix.st_size in
-  let heap f =
-    (* live-words delta with the loaded value held alive: the in-memory
-       footprint of one loaded repository *)
-    Gc.compact ();
-    let before = (Gc.stat ()).Gc.live_words in
-    let v = f () in
-    Gc.full_major ();
-    let after = (Gc.stat ()).Gc.live_words in
-    (v, max 0 (after - before))
-  in
-  (* heap measured on one load (GC barriers would pollute the timing), load
-     latency timed on a separate, GC-free load of the same file *)
-  let text_loaded, text_heap =
-    heap (fun () ->
-        ok "text load"
-          (Scaguard.Persist.load_repository_prepared_result ~path:text_path))
-  in
-  let bin_loaded, bin_heap =
-    heap (fun () ->
-        ok "binary load"
-          (Scaguard.Persist.load_repository_prepared_result ~path:bin_path))
-  in
-  let _, text_load_dt =
-    time (fun () ->
-        ok "text load"
-          (Scaguard.Persist.load_repository_prepared_result ~path:text_path))
-  in
-  let _, bin_load_dt =
-    time (fun () ->
-        ok "binary load"
-          (Scaguard.Persist.load_repository_prepared_result ~path:bin_path))
-  in
-  (* verdict bit-identity across every load path: classify the PoC models
-     themselves against (a) the in-memory repository, linearly, (b) the text
-     load, (c) the binary load, searched through its re-derived index *)
-  let targets =
-    Array.of_list
-      (List.filteri (fun i _ -> i < 8) repo
-      |> List.map (fun p -> p.Scaguard.Detector.model))
-  in
-  let verdicts_of prep =
-    Array.map (Scaguard.Detector.classify_prepared prep) targets
-  in
-  let reference = verdicts_of reference_prep in
-  let check_identical what = check_verdicts ("persist: " ^ what) reference in
-  check_identical "text-loaded" (verdicts_of (snd text_loaded));
-  if Scaguard.Detector.prepared_index (snd bin_loaded) = None then
-    fail "persist: the binary load lost the image's index";
-  check_identical "binary-loaded (indexed)" (verdicts_of (snd bin_loaded));
-  List.iter (fun p -> try Sys.remove p with Sys_error _ -> ())
-    [ text_path; bin_path ];
-  let t =
-    Sutil.Table.create
-      ~title:(Printf.sprintf "Repository persistence (%d models)" n)
-      [ "format"; "bytes"; "load (s)"; "heap (words)" ]
-  in
-  let row name bytes dt words =
-    Sutil.Table.add_row t
-      [
-        name;
-        string_of_int bytes;
-        Printf.sprintf "%.4f" dt;
-        (match words with Some w -> string_of_int w | None -> "-");
-      ]
-  in
-  row "text" (String.length text) text_load_dt (Some text_heap);
-  row "binary (indexed)" bin_size bin_load_dt (Some bin_heap);
-  emit_table ~artifact:"persist" t;
-  Printf.printf
-    "size: binary (indexed) is %.0f%% of text\n\
-     cold start: text load+prepare %.4fs, binary load+prepare+index %.4fs \
-     (%.2fx)\n\
-     verdicts: text and indexed binary loads bit-identical to the in-memory \
-     linear scan (%d targets x %d PoCs)\n"
-    (100.0 *. float_of_int bin_size /. float_of_int (String.length text))
-    text_load_dt bin_load_dt (text_load_dt /. bin_load_dt)
-    (Array.length targets) n
-
 (* ---- Index: sublinear repository search ------------------------------------------- *)
 
 (* The vantage-point index only pays off on repositories far larger than the
@@ -738,12 +302,8 @@ let index_bench () =
   let mutant_jobs =
     Array.of_list (List.map (fun (_, s) -> Experiments.Common.job s) mutant_samples)
   in
-  let build_config =
-    { Scaguard.Config.default with
-      Scaguard.Config.domains = Some (worker_domains ()) }
-  in
   let mutant_models =
-    match Scaguard.Service.build build_config mutant_jobs with
+    match Scaguard.Service.build Scaguard.Config.default mutant_jobs with
     | Ok (models, _) -> models
     | Error e -> fail "index: build failed: %s" (Scaguard.Err.to_string e)
   in
@@ -816,7 +376,6 @@ let index_bench () =
         "load (s)";
       ]
   in
-  let json_rows = ref [] in
   List.iter
     (fun scale ->
       if scale < 1 then fail "index: scale must be >= 1";
@@ -904,350 +463,12 @@ let index_bench () =
           string_of_int ixc.Scaguard.Vpindex.nodes_visited;
           string_of_int image_bytes;
           Printf.sprintf "%.4f" load_dt;
-        ];
-      json_rows :=
-        Scaguard.Json.Obj
-          [
-            ("models", jint scale);
-            ("targets", jint tcount);
-            ("pairs", jint (scale * tcount));
-            ("build_s", jnum build_dt);
-            ("linear_s", jnum lin_dt);
-            ("indexed_s", jnum ix_dt);
-            ("speedup", jnum (lin_dt /. ix_dt));
-            ("lb_evals_linear", jint lin_evals);
-            ("lb_evals_indexed", jint ix_evals);
-            ("visited_fraction", jnum visited);
-            ("pairs_pruned_index", jint ixc.Scaguard.Vpindex.pairs_pruned_index);
-            ("nodes_visited", jint ixc.Scaguard.Vpindex.nodes_visited);
-            ("image_bytes", jint image_bytes);
-            ("load_s", jnum load_dt);
-            ("identical", Scaguard.Json.Bool true);
-          ]
-        :: !json_rows)
+        ])
     !index_scales;
   emit_table ~artifact:"index" t;
-  emit_json ~stage:"index"
-    (Scaguard.Json.Obj
-       [ ("seed", jint !seed); ("scales", Scaguard.Json.List (List.rev !json_rows)) ]);
   Printf.printf
     "verdicts: indexed classification bit-identical to the linear cascade at \
      every scale\n"
-
-(* ---- Obs: overhead and purity of the observation switches ------------------------- *)
-
-(* One classification batch timed under every observation switch in turn —
-   tracing, metrics, structured-log capture — and with provenance requested
-   ([Engine.classify_batch ~explain:true]), against an all-off baseline.
-   Each mode's verdicts must be bit-identical to the baseline's (observation
-   purity), and the per-mode overhead is reported and written to
-   BENCH_obs.json.  The headline number is provenance: its target is < 5%
-   throughput overhead at per-family 16. *)
-let obs_bench () =
-  section "Obs: overhead and purity of the observation switches";
-  let module L = Workloads.Label in
-  let module D = Workloads.Dataset in
-  let rng = rng () in
-  let repo = Experiments.Common.repository ~rng L.attack_labels in
-  let samples =
-    List.concat_map
-      (fun l -> D.mutated_attacks ~rng ~count:!per_family l)
-      L.attack_labels
-    @ D.benign_samples ~rng ~count:!per_family
-  in
-  let build_jobs =
-    Array.of_list (List.map Experiments.Common.job samples)
-  in
-  let build_config =
-    { Scaguard.Config.default with
-      Scaguard.Config.domains = Some (worker_domains ()) }
-  in
-  let base =
-    match Scaguard.Service.build build_config build_jobs with
-    | Ok (models, _) -> models
-    | Error e -> fail "obs: service build failed: %s" (Scaguard.Err.to_string e)
-  in
-  let batch = max (Array.length base) 256 in
-  let targets = Array.init batch (fun i -> base.(i mod Array.length base)) in
-  let prep = Scaguard.Detector.prepare repo in
-  let pairs = batch * List.length repo in
-  Printf.printf "batch: %d targets x %d PoCs = %d pairs\n%!" batch
-    (List.length repo) pairs;
-  let prev_tracing = Scaguard.Obs.tracing ()
-  and prev_metrics = Scaguard.Obs.metrics () in
-  let all_off () =
-    Scaguard.Obs.set_tracing false;
-    Scaguard.Obs.set_metrics false;
-    Scaguard.Log.set_capture false
-  in
-  let classify_all ~explain () =
-    let v, records, _ =
-      Scaguard.Engine.classify_batch ~domains:1 ~explain prep targets
-    in
-    if explain && Array.length records <> batch then
-      fail "obs: %d provenance records for %d targets" (Array.length records)
-        batch;
-    v
-  in
-  all_off ();
-  (* several warm passes: the first touches of the summaries, the workspace
-     growth and the allocator all happen outside the timed windows *)
-  for _ = 1 to 3 do
-    ignore (classify_all ~explain:false ())
-  done;
-  (* round-robin timing: every round runs one pass of every mode in turn, so
-     clock drift, allocator state and frequency scaling hit all modes
-     equally instead of penalizing whichever ran last; each mode keeps its
-     best pass.  The log sink is cleared before every pass so no pass ever
-     measures a saturated (dropping) sink. *)
-  let mode_list =
-    [|
-      ("baseline", (fun () -> ()), false);
-      ("tracing", (fun () -> Scaguard.Obs.set_tracing true), false);
-      ("metrics", (fun () -> Scaguard.Obs.set_metrics true), false);
-      ("log", (fun () -> Scaguard.Log.set_capture true), false);
-      ("provenance", (fun () -> ()), true);
-    |]
-  in
-  let n_modes = Array.length mode_list in
-  let best = Array.make n_modes infinity in
-  let verdicts = Array.make n_modes [||] in
-  let rounds = 5 in
-  for _round = 1 to rounds do
-    Array.iteri
-      (fun i (_, apply, explain) ->
-        all_off ();
-        apply ();
-        Scaguard.Log.clear ();
-        Scaguard.Obs.reset ();
-        let t0 = Scaguard.Obs.Clock.now_ns () in
-        let v = classify_all ~explain () in
-        let dt = Scaguard.Obs.Clock.elapsed_s ~since:t0 in
-        if dt < best.(i) then best.(i) <- dt;
-        verdicts.(i) <- v)
-      mode_list
-  done;
-  let baseline = verdicts.(0) in
-  let base_dt = best.(0) in
-  let check_identical what = check_verdicts ("obs: " ^ what) baseline in
-  let timed =
-    List.filteri (fun i _ -> i > 0)
-      (Array.to_list
-         (Array.mapi
-            (fun i (name, _, _) ->
-              check_identical name verdicts.(i);
-              (name, best.(i)))
-            mode_list))
-  in
-  let t =
-    Sutil.Table.create ~title:"Observation switch overhead (batch classification)"
-      [ "switch"; "wall (s)"; "pairs/s"; "overhead"; "identical" ]
-  in
-  Sutil.Table.add_row t
-    [
-      "(all off)";
-      Printf.sprintf "%.4f" base_dt;
-      Printf.sprintf "%.0f" (float_of_int pairs /. base_dt);
-      "-";
-      "-";
-    ];
-  let json_rows =
-    ref
-      [
-        Scaguard.Json.Obj
-          [
-            ("name", Scaguard.Json.Str "baseline");
-            ("wall_s", jnum base_dt);
-            ("pairs_per_s", jnum (float_of_int pairs /. base_dt));
-          ];
-      ]
-  in
-  let prov_overhead = ref 0.0 in
-  List.iter
-    (fun (name, dt) ->
-      let overhead = (dt -. base_dt) /. base_dt *. 100.0 in
-      if name = "provenance" then prov_overhead := overhead;
-      Sutil.Table.add_row t
-        [
-          name;
-          Printf.sprintf "%.4f" dt;
-          Printf.sprintf "%.0f" (float_of_int pairs /. dt);
-          Printf.sprintf "%+.1f%%" overhead;
-          "yes";
-        ];
-      json_rows :=
-        Scaguard.Json.Obj
-          [
-            ("name", Scaguard.Json.Str name);
-            ("wall_s", jnum dt);
-            ("pairs_per_s", jnum (float_of_int pairs /. dt));
-            ("overhead_pct", jnum overhead);
-            ("identical", Scaguard.Json.Bool true);
-          ]
-        :: !json_rows)
-    timed;
-  all_off ();
-  Scaguard.Log.clear ();
-  Scaguard.Obs.reset ();
-  Scaguard.Obs.set_tracing prev_tracing;
-  Scaguard.Obs.set_metrics prev_metrics;
-  emit_table ~artifact:"obs" t;
-  emit_json ~stage:"obs"
-    (Scaguard.Json.Obj
-       [
-         ("seed", jint !seed);
-         ("per_family", jint !per_family);
-         ("batch", jint batch);
-         ("pairs", jint pairs);
-         ("modes", Scaguard.Json.List (List.rev !json_rows));
-       ]);
-  Printf.printf "verdicts: bit-identical to the all-off baseline in every mode\n";
-  Printf.printf "provenance overhead: %+.1f%% (target < 5%%)\n" !prov_overhead;
-  if !prov_overhead >= 5.0 then
-    Printf.printf
-      "  (above target on this host/run -- timing noise at small batches is \
-       common; rerun with a larger --per-family for a stable figure)\n"
-
-(* ---- Serve: the resident daemon vs detect-batch ----------------------------------- *)
-
-(* Drive the serve core in-process (connect/feed/step — the same code path
-   the socket transports pump), one detect request per target, and then
-   assert the streamed verdicts are bit-identical to one
-   Service.screen_prepared batch over the identical jobs and salt.  The
-   scores compared on the serve side have been through the wire format
-   (%.17g), so this also proves the protocol loses no bits. *)
-let serve_bench () =
-  section "Serve: resident daemon request latency";
-  let module L = Workloads.Label in
-  let module D = Workloads.Dataset in
-  let module Server = Scaguard.Server in
-  let module J = Scaguard.Json in
-  let rng = rng () in
-  let repo = Experiments.Common.repository ~rng L.attack_labels in
-  let prepared = Scaguard.Detector.prepare repo in
-  let per = max 2 (!per_family / 4) in
-  let samples =
-    List.concat_map (fun l -> D.mutated_attacks ~rng ~count:per l) L.attack_labels
-    @ D.benign_samples ~rng ~count:per
-  in
-  let by_name = Hashtbl.create 64 in
-  List.iter
-    (fun (s : D.sample) -> Hashtbl.replace by_name s.D.name s)
-    samples;
-  let resolve ~seed:_ name =
-    match Hashtbl.find_opt by_name name with
-    | Some s -> Ok (Experiments.Common.job s)
-    | None ->
-      Error
-        (Scaguard.Err.Invalid_config
-           { field = "target"; value = name; expected = "a bench sample" })
-  in
-  let server =
-    match
-      Server.create ~config:Scaguard.Config.default ~resolve ~prepared ()
-    with
-    | Ok t -> t
-    | Error e -> fail "serve: create failed: %s" (Scaguard.Err.to_string e)
-  in
-  let frames = ref [] in
-  let conn =
-    Server.connect server ~emit:(fun line ->
-        match J.parse line with
-        | Ok v -> frames := v :: !frames
-        | Error e -> fail "serve: emitted invalid JSON: %s" e)
-  in
-  let names = List.map (fun (s : D.sample) -> s.D.name) samples in
-  let n = List.length names in
-  Printf.printf "serving %d single-target detect requests (%d resident PoCs)...\n%!"
-    n (List.length repo);
-  (* warm the first-touch costs out of the measured loop, like a resident
-     daemon that has already answered a request *)
-  let detect_frame id name =
-    J.to_string
-      (J.Obj
-         [
-           ("id", jint id);
-           ("op", J.Str "detect");
-           ("targets", J.List [ J.Str name ]);
-           ("seed", jint !seed);
-         ])
-    ^ "\n"
-  in
-  Server.feed server conn (detect_frame 0 (List.hd names));
-  ignore (Server.drain server);
-  frames := [];
-  let t_all0 = Scaguard.Obs.Clock.now_ns () in
-  let latencies =
-    List.mapi
-      (fun i name ->
-        let t0 = Scaguard.Obs.Clock.now_ns () in
-        Server.feed server conn (detect_frame (i + 1) name);
-        (match Server.drain server with
-        | `Idle -> ()
-        | `Stop -> fail "serve: unexpected stop");
-        Scaguard.Obs.Clock.elapsed_s ~since:t0)
-      names
-  in
-  let wall = Scaguard.Obs.Clock.elapsed_s ~since:t_all0 in
-  (* collect the streamed verdicts, in request order *)
-  let verdict_frames =
-    List.filter (fun f -> J.member "event" f <> None) (List.rev !frames)
-  in
-  if List.length verdict_frames <> n then
-    fail "serve: expected %d verdict frames, got %d" n
-      (List.length verdict_frames);
-  (* the reference: one batch over the same jobs, with the salt policy the
-     server applies (detect-batch's) *)
-  let config' =
-    { Scaguard.Config.default with Scaguard.Config.salt = string_of_int !seed }
-  in
-  let jobs =
-    Array.of_list
-      (List.map (fun name -> Hashtbl.find by_name name |> Experiments.Common.job) names)
-  in
-  let verdicts =
-    match Scaguard.Service.screen_prepared config' prepared jobs with
-    | Ok (_, v, _) -> v
-    | Error e -> fail "serve: batch reference failed: %s" (Scaguard.Err.to_string e)
-  in
-  List.iteri
-    (fun i frame ->
-      let score =
-        match J.member "score" frame with
-        | Some (J.Num f) -> f
-        | _ -> fail "serve: verdict frame %d lacks a score" i
-      in
-      let family =
-        match J.member "family" frame with
-        | Some (J.Str f) -> Some f
-        | Some J.Null -> None
-        | _ -> fail "serve: verdict frame %d lacks a family" i
-      in
-      let v = verdicts.(i) in
-      if
-        Int64.bits_of_float score
-        <> Int64.bits_of_float v.Scaguard.Detector.best_score
-        || family <> v.Scaguard.Detector.best_family
-      then fail "serve: verdict mismatch at target %d (%s)" i (List.nth names i))
-    verdict_frames;
-  let q p = 1e3 *. Sutil.Stats.percentile p latencies in
-  let t =
-    Sutil.Table.create
-      ~title:(Printf.sprintf "Serve request latency (%d detect requests)" n)
-      [ "metric"; "value" ]
-  in
-  let row k v = Sutil.Table.add_row t [ k; v ] in
-  row "requests" (string_of_int n);
-  row "p50 (ms)" (Printf.sprintf "%.3f" (q 0.50));
-  row "p90 (ms)" (Printf.sprintf "%.3f" (q 0.90));
-  row "p99 (ms)" (Printf.sprintf "%.3f" (q 0.99));
-  row "max (ms)" (Printf.sprintf "%.3f" (1e3 *. Sutil.Stats.maximum latencies));
-  row "throughput (req/s)" (Printf.sprintf "%.1f" (float_of_int n /. wall));
-  emit_table ~artifact:"serve" t;
-  Printf.printf
-    "verdicts: all %d streamed serve verdicts bit-identical to one \
-     Service.screen_prepared batch (same salt) after the wire round-trip\n"
-    n
 
 (* ---- Compare: every registered detector on one dataset ---------------------------- *)
 
@@ -1260,13 +481,17 @@ let serve_bench () =
    the stage runs beside the whole test suite under @smoke; the
    deterministic half of the contract is that the screen fast-rejects at
    least one run, so the ensemble runs strictly fewer DTW slow paths than
-   pure SCAGuard, which runs one per test run. *)
+   pure SCAGuard, which runs one per test run, and never escalates more
+   runs than it screened. *)
 let compare_bench () =
   section "Compare: every detector over one generated dataset";
   let module S = Experiments.Showdown in
   let rng = rng () in
   let t = S.evaluate ~rng ~per_family:(max 4 !per_family) () in
   emit_table ~artifact:"compare" (S.to_table t);
+  if t.S.repeats < 5 then
+    fail "compare: throughput is a median of %d predict phases (need >= 5)"
+      t.S.repeats;
   let row key =
     match List.find_opt (fun (r : S.row) -> r.S.key = key) t.S.rows with
     | Some r -> r
@@ -1289,14 +514,15 @@ let compare_bench () =
       "compare: the ensemble sent %d of %d runs to DTW, as many as pure \
        SCAGuard — the screen fast-rejected none"
       stats.Detect.Ensemble.slow_path sg.S.tested;
+  if Detect.Ensemble.slow_path_rate stats > 1.0 then
+    fail "compare: the ensemble escalated %d runs but screened only %d"
+      stats.Detect.Ensemble.slow_path stats.Detect.Ensemble.screened;
   if en.S.throughput < sg.S.throughput then
     fail
       "compare: ensemble median throughput %.1f runs/s below pure SCAGuard's \
        %.1f over %d predict phases — the screen costs more than the DTW it \
        skips"
       en.S.throughput sg.S.throughput t.S.repeats;
-  emit_json ~stage:"compare"
-    (Scaguard.Json.Obj [ ("seed", jint !seed); ("showdown", S.to_json t) ]);
   Printf.printf
     "verdicts: ensemble >= SCAGuard on detection F1 (%.4f vs %.4f) and median \
      throughput over %d predict phases (%.1f vs %.1f runs/s), DTW slow path \
@@ -1377,8 +603,7 @@ let timecost () =
 let all () =
   table1 (); table2 (); table3 (); table4 (); table5 (); table6 ();
   fig5 (); ablation (); extended (); clusters (); robustness (); scaling ();
-  engine (); modeling (); persist (); index_bench (); obs_bench ();
-  serve_bench (); compare_bench (); timecost ()
+  index_bench (); compare_bench (); timecost ()
 
 let () =
   Printf.printf
@@ -1397,12 +622,7 @@ let () =
     | "extended" -> extended ()
     | "clusters" -> clusters ()
     | "scaling" -> scaling ()
-    | "engine" -> engine ()
-    | "modeling" -> modeling ()
-    | "persist" -> persist ()
     | "index" -> index_bench ()
-    | "obs" -> obs_bench ()
-    | "serve" -> serve_bench ()
     | "compare" -> compare_bench ()
     | "timecost" -> timecost ()
     | "all" -> all ()
@@ -1410,26 +630,6 @@ let () =
       Printf.eprintf "unknown artifact %S\n%s\n" other usage;
       exit 1
   in
-  (match !artifacts with
+  match !artifacts with
   | [] -> all ()
-  | xs -> List.iter run (List.rev xs));
-  let write what result =
-    match result with
-    | Ok path -> Printf.printf "(%s written to %s)\n" what path
-    | Error e ->
-      Printf.eprintf "bench: writing %s failed: %s\n" what
-        (Scaguard.Err.to_string e);
-      exit 2
-  in
-  Option.iter
-    (fun path ->
-      write "trace"
-        (Result.map
-           (fun () -> path)
-           (Scaguard.Obs.Trace_writer.write ~path (Scaguard.Obs.spans ()))))
-    !trace_out;
-  Option.iter
-    (fun path ->
-      write "metrics"
-        (Result.map (fun () -> path) (Scaguard.Obs.write_metrics ~path)))
-    !metrics_out
+  | xs -> List.iter run (List.rev xs)

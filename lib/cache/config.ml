@@ -5,7 +5,7 @@ let is_pow2 n = n > 0 && n land (n - 1) = 0
 let make ~sets ~ways ?(line_bits = 6) () =
   if sets <= 0 then invalid_arg "Cache.Config.make: sets must be positive";
   if ways <= 0 then invalid_arg "Cache.Config.make: ways must be positive";
-  if line_bits < 0 || line_bits > 16 then
+  if line_bits < 1 || line_bits > 16 then
     invalid_arg "Cache.Config.make: unreasonable line_bits";
   { sets; ways; line_bits }
 

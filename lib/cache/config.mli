@@ -9,7 +9,8 @@ type t = {
 
 val make : sets:int -> ways:int -> ?line_bits:int -> unit -> t
 (** Checked constructor; [line_bits] defaults to 6.
-    @raise Invalid_argument unless [sets > 0] and [ways > 0]. *)
+    @raise Invalid_argument unless [sets > 0], [ways > 0] and
+    [1 <= line_bits <= 16]. *)
 
 val lines : t -> int
 (** Total line count, [sets * ways]. *)

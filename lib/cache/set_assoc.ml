@@ -1,11 +1,11 @@
 (* Lines live in flat per-field arrays indexed by [set * ways + way]: a
    lookup reads and writes them in place and allocates nothing (bar the
    Random policy's boxed int64 state when it picks a victim).  The address
-   geometry is precomputed: with a power-of-two set count and a non-empty
-   line offset, an address's set is a shift and a mask and its tag one
-   shift.  Otherwise a lookup divides, as Config does: the prime-sized CST
-   probe takes a modulo, and with [line_bits = 0] a negative address's tag
-   rounds toward zero, which no shift reproduces. *)
+   geometry is precomputed: with a power-of-two set count an address's set
+   is a shift and a mask and its tag one shift (Config.make keeps
+   [line_bits >= 1], so the line number is never negative and dividing it
+   by the set count is a shift).  Otherwise a lookup divides, as Config
+   does: the prime-sized CST probe takes a modulo. *)
 type t = {
   cfg : Config.t;
   policy : Policy.t;
@@ -30,14 +30,14 @@ let log2 n =
 
 let create ?(policy = Policy.Lru) cfg =
   let n = Config.lines cfg in
-  let sets = cfg.Config.sets and line_bits = cfg.Config.line_bits in
+  let sets = cfg.Config.sets in
   {
     cfg;
     policy;
     ways = cfg.Config.ways;
-    shifts = sets > 0 && sets land (sets - 1) = 0 && line_bits > 0;
+    shifts = sets > 0 && sets land (sets - 1) = 0;
     set_mask = sets - 1;
-    tag_shift = line_bits + log2 sets;
+    tag_shift = cfg.Config.line_bits + log2 sets;
     valid = Array.make n false;
     tags = Array.make n 0;
     owners = Array.make n Owner.System;

@@ -202,5 +202,5 @@ val find_exn : string -> entry
 
 val timed : (unit -> 'a) -> 'a * float
 (** Run a thunk and return its monotonic wall-clock seconds
-    ({!Scaguard.Obs.Clock}) — the cost accounting the showdown table and
-    [BENCH_compare.json] report. *)
+    ({!Scaguard.Obs.Clock}) — the cost accounting the showdown table
+    reports. *)

@@ -3,7 +3,7 @@
     ensemble — trained and scored on one generated dataset, with accuracy,
     macro and per-class P/R/F1, binary detection F1, and train/predict
     latency + throughput per detector.  Drives [scaguard compare] and the
-    bench's [BENCH_compare.json].
+    bench's [compare] stage.
 
     The dataset is mutated attacks (every family) plus generated benign and
     the MinC benign kernels — unoptimized compiles in the training split,
@@ -55,5 +55,5 @@ val evaluate :
 
 val to_table : t -> Sutil.Table.t
 val to_json : t -> Scaguard.Json.t
-(** The whole result as one JSON object ([scaguard compare --json], the
-    bench's [BENCH_compare.json]); every float reads back bit for bit. *)
+(** The whole result as one JSON object ([scaguard compare --json]); every
+    float reads back bit for bit. *)

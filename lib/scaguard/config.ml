@@ -120,8 +120,8 @@ let check_cst (g : Cache.Config.t) =
       g.Cache.Config.ways
   in
   let* _ =
-    check_min ~default_field:"cst_line_bits" ~min:0
-      ~expected:"a line-size log2 >= 0" g.Cache.Config.line_bits
+    check_min ~default_field:"cst_line_bits" ~min:1
+      ~expected:"a line-size log2 >= 1" g.Cache.Config.line_bits
   in
   Ok g
 

@@ -30,7 +30,7 @@ type index_mode = Index_off | Index_auto | Index_vp
     scans linearly; [Index_auto] (the default) builds the index only when
     the repository has at least {!Vpindex.auto_min} models, so small-repo
     behaviour — and its counters — are unchanged; [Index_vp] always builds
-    one (with the tiny-repository flat fallback below {!Vpindex.flat_max}).
+    one, whatever the repository's size.
     Verdicts are bit-identical under every mode; only the work differs. *)
 
 val index_mode_to_string : index_mode -> string
@@ -130,7 +130,8 @@ val validate : t -> (t, Err.t) result
 (** Re-check every field of a record built by hand (the type is public on
     purpose — [{ default with threshold = 0.8 }] is the intended style).
     {!Service} validates the config it is given, so a NaN threshold or a
-    zero-way probe cache is caught before any work starts. *)
+    probe cache with no ways or a zero line-size log2 is caught before any
+    work starts. *)
 
 (** {1 Persistence}
 

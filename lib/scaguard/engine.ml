@@ -131,18 +131,3 @@ let classify_batch ?(threshold = Detector.default_threshold) ?alpha ?band
   in
   if Obs.metrics () then publish_stats stats;
   (out, Array.map Option.get records, stats)
-
-let pp_stats fmt s =
-  Format.fprintf fmt
-    "@[<v>engine: %d targets, %d pairs, %d DP cells@,\
-     pruning: %d pairs by lower bound, %d abandoned mid-DP, %d cells saved@,\
-     index: %d pairs pruned, %d nodes visited, %d lower bounds evaluated@,\
-     domains %d, wall %.4fs, cpu %.4fs, utilization %.0f%%, %.0f pairs/s@,\
-     per-worker targets: [%s]@]"
-    s.targets s.pairs s.cells s.pairs_pruned_lb s.pairs_abandoned s.cells_saved
-    s.pairs_pruned_index s.nodes_visited s.lb_evals
-    s.domains s.wall_s s.cpu_s
-    (100.0 *. utilization s)
-    (throughput s)
-    (String.concat "; "
-       (Array.to_list (Array.map string_of_int s.per_worker)))

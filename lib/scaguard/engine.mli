@@ -71,5 +71,3 @@ val utilization : stats -> float
 val throughput : stats -> float
 (** Pairs per wall-clock second.  [0.] when [wall_s = 0.], never
     [infinity]. *)
-
-val pp_stats : Format.formatter -> stats -> unit

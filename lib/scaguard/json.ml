@@ -1,6 +1,6 @@
 (* Strict, dependency-free JSON: the one codec behind the wire protocol,
    the structured event log, the provenance records, the trace file, the
-   run report and the bench artifacts.  The parser is strict on purpose: a
+   run report and the showdown table.  The parser is strict on purpose: a
    hostile frame can fail one request but never desynchronize a stream or
    smuggle raw control bytes into a reply. *)
 

@@ -138,7 +138,3 @@ let find_or_build t ~key build =
     let model = build () in
     store t ~key model;
     model
-
-let pp_stats fmt t =
-  Format.fprintf fmt "cache %s: %d hits, %d misses, %d stale" t.dir (hits t)
-    (misses t) (stale t)

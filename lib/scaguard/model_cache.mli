@@ -64,6 +64,3 @@ val find_or_build : t -> key:string -> (unit -> Model.t) -> Model.t
 val hits : t -> int
 val misses : t -> int
 val stale : t -> int
-
-val pp_stats : Format.formatter -> t -> unit
-(** One-line counter summary, e.g. for the CLI's [--cache-dir] report. *)

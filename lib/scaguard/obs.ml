@@ -7,7 +7,7 @@
    paths (engine tasks, pool tasks, cache lookups) starts with a read of one
    of these — a single load-and-branch — and does nothing else when the
    switch is off, so the instrumented-off paths allocate nothing and stay
-   bit-identical in behavior (asserted by tests and by the bench). *)
+   bit-identical in behavior (asserted by the test suite). *)
 
 (* ---- clock ----------------------------------------------------------------- *)
 
@@ -299,7 +299,7 @@ end
 
 (* Plain mutable cells: each instrumentation site reads one of these once —
    a single load and branch.  They are written only from the front-ends
-   (CLI, bench, tests) before and after a run, never concurrently with it. *)
+   (CLI, tests) before and after a run, never concurrently with it. *)
 let tracing_on = ref false
 let metrics_on = ref false
 let sample_every = ref 1

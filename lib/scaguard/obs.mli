@@ -7,9 +7,9 @@
     paths are written so that the disabled state costs one load-and-branch
     and zero allocation per event, and observation never feeds back into
     computation — verdicts and models are bit-identical with observability
-    on or off (asserted by the test suite and the bench).
+    on or off (asserted by the test suite).
 
-    The switches are meant to be flipped by front-ends (CLI, bench, tests)
+    The switches are meant to be flipped by front-ends (CLI, tests)
     {e before} a run starts, never concurrently with one. *)
 
 (** {1 Clock} *)

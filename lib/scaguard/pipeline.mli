@@ -13,7 +13,7 @@
     own execution, CFG, identification, graph and model; per-worker scratch
     only for the CST probe simulator), so the batch models are
     {e byte-identical} to running {!run_and_analyze} in a loop — a property
-    the bench's modeling stage asserts on every run.  It can additionally
+    the test suite asserts.  It can additionally
     consult a {!Model_cache}, skipping execution and modeling entirely for
     cached programs. *)
 

@@ -21,7 +21,7 @@
     [reload] never races an in-flight request: everything queued before it
     classifies against the old repository, everything after against the new
     one.  Verdicts are bit-identical to [scaguard detect-batch] on the same
-    targets and configuration (asserted by [bench: serve] and by CI).
+    targets and configuration (asserted by the test suite and by CI).
 
     The lower layers ({!Framer}, {!parse_request},
     {!connect}/{!feed}/{!step}) are exposed so tests and benches can drive
@@ -170,7 +170,7 @@ val create :
 (** {2 Driving the protocol in-process}
 
     The transports below are thin loops over these four functions, which
-    tests and the bench call directly. *)
+    tests and perfbench call directly. *)
 
 type conn
 (** One client connection: a framer plus an emit callback for reply

@@ -10,8 +10,8 @@
     optional arguments.  The facade adds {e no} behaviour of its own:
     {!build} results are byte-identical ({!Persist.model_to_string}) and
     {!detect_prepared} verdicts bit-identical (score bits and tie order) to
-    the manual composition with the same knobs — asserted by the test suite
-    and by the bench on every run. *)
+    the manual composition with the same knobs — asserted by the test
+    suite. *)
 
 type cache_stats = { dir : string; hits : int; misses : int; stale : int }
 (** Hit/miss/stale counters of the {!Model_cache} this run opened —

@@ -1,5 +1,4 @@
-(* The repository index: a vantage-point tree over Dtw.summarize summaries,
-   with a flat single-linkage cluster table for tiny repositories.
+(* The repository index: a vantage-point tree over Dtw.summarize summaries.
 
    DTW's normalized distance is not a metric (no triangle inequality), so the
    tree is only a *clustering heuristic*: construction groups models by
@@ -42,14 +41,6 @@ let default_spec = { mode = Auto; leaf = 16; pivots = 5; seed = 0 }
 (* Auto: repositories below this size classify in microseconds anyway; the
    index only pays for itself past a few hundred models. *)
 let auto_min = 256
-
-(* Force mode on a tiny repository: a deep tree over a handful of models is
-   all overhead, so fall back to a one-level cluster table. *)
-let flat_max = 64
-
-(* Members whose lower-bound distance is below this are considered
-   neighbours by the flat fallback's single-linkage pass. *)
-let flat_link = 0.4
 
 (* Interval-sketch width: each member (and each node) compresses its pooled
    magnitudes / token counts into at most this many covering intervals. *)
@@ -369,47 +360,6 @@ let build_vp ~rng ~leaf ~pivots pairs =
   in
   go pairs
 
-(* The tiny-repository fallback, in the spirit of Scaguard.Cluster: a
-   single-linkage pass over the pairwise lower bounds groups mutual
-   neighbours, and each cluster becomes one leaf under a flat root. *)
-let build_flat pairs =
-  let n = Array.length pairs in
-  let parent = Array.init n Fun.id in
-  let rec find i =
-    if parent.(i) = i then i
-    else begin
-      parent.(i) <- find parent.(i);
-      parent.(i)
-    end
-  in
-  let union i j =
-    let ri = find i and rj = find j in
-    if ri <> rj then
-      (* smaller root wins, so cluster identity is order-independent *)
-      if ri < rj then parent.(rj) <- ri else parent.(ri) <- rj
-  in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      if Dtw.lower_bound (snd pairs.(i)) (snd pairs.(j)) <= flat_link then
-        union i j
-    done
-  done;
-  let groups = Hashtbl.create 8 in
-  Array.iteri
-    (fun i (m, _) ->
-      let r = find i in
-      Hashtbl.replace groups r
-        (m :: Option.value ~default:[] (Hashtbl.find_opt groups r)))
-    pairs;
-  let clusters =
-    Hashtbl.fold (fun r ms acc -> (r, Array.of_list (List.rev ms)) :: acc) groups []
-    |> List.sort (fun (ra, _) (rb, _) -> Int.compare ra rb)
-    |> List.map (fun (_, ms) -> leaf_node ms)
-  in
-  match clusters with
-  | [ single ] -> single
-  | cs -> branch_node (Array.of_list cs)
-
 let check_spec spec =
   if spec.leaf < 2 then
     invalid_arg (Printf.sprintf "Vpindex.build: leaf %d < 2" spec.leaf);
@@ -437,7 +387,6 @@ let build spec summaries =
     in
     let root =
       if Array.length pairs = 0 then None
-      else if Array.length pairs <= flat_max then Some (build_flat pairs)
       else
         let rng = Sutil.Rng.create spec.seed in
         Some (build_vp ~rng ~leaf:spec.leaf ~pivots:spec.pivots pairs)

@@ -33,7 +33,7 @@
 
 type mode =
   | Auto  (** build only when the repository has ≥ {!auto_min} models *)
-  | Force  (** always build (flat cluster table below {!flat_max} models) *)
+  | Force  (** always build *)
 
 type spec = {
   mode : mode;
@@ -49,10 +49,6 @@ val auto_min : int
 (** Repository size below which [Auto] skips the index (256): linear scans
     of a few hundred summaries are already microseconds, and skipping keeps
     small-repository counter semantics unchanged. *)
-
-val flat_max : int
-(** Repository size at or below which [Force] builds the flat
-    single-linkage cluster table instead of a tree (64). *)
 
 type t
 (** An immutable index over one prepared repository; safe to share across

@@ -14,7 +14,7 @@ let csp_distance = Cst.distance
 (* The production cost runs the Levenshtein DP over the interned token ids
    (one int compare per cell).  Interning from one pool preserves token
    equality — the only thing the DP consults — so this is bit-identical to
-   the string cost below; the bench's modeling stage asserts it. *)
+   the string cost below; the interned-scoring property asserts it. *)
 let entry_distance ?lev ?(alpha = default_alpha) (e1 : Model.entry)
     (e2 : Model.entry) =
   (alpha

@@ -175,7 +175,7 @@ let similarity_of_distance d = 1.0 /. (1.0 +. d)
 
 (* Cost selection: [interned] (the default) compares token ids; [false]
    replays the string-token reference cost.  Scores are bit-identical — the
-   flag exists so tests and the bench can assert exactly that. *)
+   flag exists so the tests can assert exactly that. *)
 let entry_cost ~interned ?lev ?alpha () =
   if interned then Distance.entry_distance ?lev ?alpha
   else Distance.entry_distance_strings ?lev ?alpha

@@ -936,8 +936,8 @@ let index_spec_arb =
         s.SG.Vpindex.pivots s.SG.Vpindex.seed)
     index_spec_gen
 
-(* small repositories exercise the flat cluster table; the >64-model ones
-   exercise the seeded vantage-point tree *)
+(* small repositories give trees of a leaf or a few; the >64-model ones
+   split many times *)
 let indexed_repo_arb ~lo ~hi =
   QCheck.(
     list_of_size
@@ -964,9 +964,9 @@ let prop_indexed_classify_identical ~name ~count ~lo ~hi =
              = SG.Detector.score_all ~alpha ?band linear target)
         targets)
 
-let prop_index_flat_identical =
+let prop_index_small_identical =
   prop_indexed_classify_identical
-    ~name:"indexed classify/score_all equal linear (flat cluster table)"
+    ~name:"indexed classify/score_all equal linear (small repository)"
     ~count:60 ~lo:0 ~hi:5
 
 let prop_index_tree_identical =
@@ -1342,16 +1342,7 @@ let test_engine_zero_wall_stats () =
     }
   in
   check_float "utilization is 0, not nan" 0.0 (SG.Engine.utilization s);
-  check_float "throughput is 0, not infinity" 0.0 (SG.Engine.throughput s);
-  (* and pp_stats renders finite numbers *)
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
-  let rendered = Format.asprintf "%a" SG.Engine.pp_stats s in
-  check_bool "no nan in output" true (not (contains rendered "nan"));
-  check_bool "no inf in output" true (not (contains rendered "inf"))
+  check_float "throughput is 0, not infinity" 0.0 (SG.Engine.throughput s)
 
 (* ---- Persist strictness / atomicity regressions ---------------------------------------- *)
 
@@ -1844,6 +1835,12 @@ let test_build_models_batch_cached () =
       let cold = SG.Pipeline.build_models_batch ~domains:2 ~cache jobs in
       check_int "cold misses" n (SG.Model_cache.misses cache);
       check_int "cold hits" 0 (SG.Model_cache.hits cache);
+      List.iteri
+        (fun i s ->
+          Alcotest.(check string) "cold = sequential"
+            (model_bytes (analyze_sample s).SG.Pipeline.model)
+            (model_bytes cold.(i)))
+        (batch_samples ());
       (* a fresh handle on the same directory: everything must hit *)
       let warm_cache = SG.Model_cache.create ~dir:(SG.Model_cache.dir cache) in
       let warm =
@@ -1950,7 +1947,7 @@ let () =
         ] );
       ( "index",
         [
-          QCheck_alcotest.to_alcotest prop_index_flat_identical;
+          QCheck_alcotest.to_alcotest prop_index_small_identical;
           QCheck_alcotest.to_alcotest prop_index_tree_identical;
           QCheck_alcotest.to_alcotest prop_index_search_sound;
           QCheck_alcotest.to_alcotest prop_index_build_deterministic;

@@ -275,21 +275,22 @@ let test_ping_and_unknown_target () =
   | fs -> Alcotest.failf "expected 2 frames, got %d" (List.length fs)
 
 (* The tentpole invariant: streamed per-target verdicts carry exactly the
-   scores Service.screen_prepared computes for the same batch — same salt
-   policy, compared bit for bit after a wire round-trip. *)
+   scores and families Service.screen_prepared computes for the same batch
+   — same salt policy, compared bit for bit after a wire round-trip —
+   whether the targets arrive in one request or one request each. *)
 let test_detect_bit_identical () =
   let seed = 7 in
   let targets = [ "fr-iaik"; "quicksort"; "pp-iaik" ] in
   let t = make_server () in
   let conn, frames = recording_conn t in
-  let req =
-    Printf.sprintf
-      "{\"id\":1,\"op\":\"detect\",\"targets\":[%s],\"seed\":%d}\n"
-      (String.concat "," (List.map (Printf.sprintf "%S") targets))
-      seed
+  let detect id names =
+    Server.feed t conn
+      (Printf.sprintf
+         "{\"id\":%d,\"op\":\"detect\",\"targets\":[%s],\"seed\":%d}\n" id
+         (String.concat "," (List.map (Printf.sprintf "%S") names))
+         seed);
+    ignore (Server.drain t)
   in
-  Server.feed t conn req;
-  ignore (Server.drain t);
   let _, prepared = Lazy.force prepared_repo in
   let config = { C.default with C.salt = string_of_int seed } in
   let jobs =
@@ -299,33 +300,50 @@ let test_detect_bit_identical () =
   let _, verdicts, _ =
     Result.get_ok (SG.Service.screen_prepared config prepared jobs)
   in
-  match frames () with
+  let check_verdict what frame (v : SG.Detector.verdict) =
+    let score =
+      match member_exn "score" frame with
+      | J.Num f -> f
+      | _ -> Alcotest.fail "score must be a number"
+    in
+    check_bool (what ^ " score bit-identical") true
+      (Int64.bits_of_float score = Int64.bits_of_float v.SG.Detector.best_score);
+    let attack =
+      match member_exn "attack" frame with J.Bool b -> b | _ -> false
+    in
+    check_bool (what ^ " attack flag") (v.SG.Detector.best_family <> None) attack;
+    let family =
+      match member_exn "family" frame with
+      | J.Str f -> Some f
+      | J.Null -> None
+      | _ -> Alcotest.failf "%s family must be a string or null" what
+    in
+    check_bool (what ^ " family") true (family = v.SG.Detector.best_family)
+  in
+  let check_done what frame n =
+    check_bool (what ^ " done frame ok") true
+      (J.member "ok" frame = Some (J.Bool true));
+    check_bool (what ^ " done counts targets") true
+      (member_exn "targets" frame = J.Num (float_of_int n))
+  in
+  detect 1 targets;
+  (match frames () with
   | [ v0; v1; v2; done_frame ] ->
     List.iteri
-      (fun i frame ->
-        let score =
-          match member_exn "score" frame with
-          | J.Num f -> f
-          | _ -> Alcotest.fail "score must be a number"
-        in
-        check_bool
-          (Printf.sprintf "target %d score bit-identical" i)
-          true
-          (Int64.bits_of_float score
-          = Int64.bits_of_float verdicts.(i).SG.Detector.best_score);
-        let attack =
-          match member_exn "attack" frame with J.Bool b -> b | _ -> false
-        in
-        check_bool
-          (Printf.sprintf "target %d attack flag" i)
-          (verdicts.(i).SG.Detector.best_family <> None)
-          attack)
+      (fun i frame -> check_verdict (Printf.sprintf "target %d" i) frame verdicts.(i))
       [ v0; v1; v2 ];
-    check_bool "done frame ok" true
-      (J.member "ok" done_frame = Some (J.Bool true));
-    check_bool "done counts targets" true
-      (member_exn "targets" done_frame = J.Num 3.0)
-  | fs -> Alcotest.failf "expected 4 frames, got %d" (List.length fs)
+    check_done "batch" done_frame 3
+  | fs -> Alcotest.failf "expected 4 frames, got %d" (List.length fs));
+  List.iteri (fun i name -> detect (i + 2) [ name ]) targets;
+  match frames () with
+  | _ :: _ :: _ :: _ :: singles when List.length singles = 6 ->
+    List.iteri
+      (fun i name ->
+        let what = Printf.sprintf "single %s" name in
+        check_verdict what (List.nth singles (2 * i)) verdicts.(i);
+        check_done what (List.nth singles ((2 * i) + 1)) 1)
+      targets
+  | fs -> Alcotest.failf "expected 10 frames, got %d" (List.length fs)
 
 (* Unstreamed detect must emit the very same verdict frames. *)
 let test_detect_stream_parity () =

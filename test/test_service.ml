@@ -41,7 +41,7 @@ let config_gen : SG.Config.t QCheck.Gen.t =
   let* max_len = opt (int_range 1 64) in
   let* sets = int_range 1 128 in
   let* ways = int_range 1 8 in
-  let* line_bits = int_range 0 8 in
+  let* line_bits = int_range 1 8 in
   let* spec_window = int_range 0 300 in
   let* quantum = int_range 1 200 in
   let* victim_quantum = int_range 1 200 in
@@ -122,6 +122,16 @@ let test_config_validate_rejects () =
             SG.Config.cst_config =
               { d.SG.Config.cst_config with Cache.Config.ways = 0 };
           }));
+  (* under a zero line-size log2 a negative address's line stays negative,
+     and the 61-set probe would index a negative set *)
+  check_string "zero line bits in the probe cache" "cst_line_bits"
+    (field_of
+       (SG.Config.validate
+          {
+            d with
+            SG.Config.cst_config =
+              { d.SG.Config.cst_config with Cache.Config.line_bits = 0 };
+          }));
   check_string "zero fuel" "exec_fuel"
     (field_of
        (SG.Config.validate
@@ -173,11 +183,14 @@ let test_config_of_string_errors () =
   Alcotest.(check (option int))
     "bad number points at its line" (Some 2)
     (parse_line (SG.Config.of_string "scaguard-config 1\nthreshold=abc\n"));
-  (match SG.Config.of_string "scaguard-config 1\nthreshold=2\n" with
-  | Error (SG.Err.Invalid_config { field = "threshold"; _ }) -> ()
-  | r ->
-    Alcotest.failf "expected Invalid_config threshold, got %s"
-      (match r with Ok _ -> "Ok" | Error e -> SG.Err.to_string e));
+  List.iter
+    (fun (line, field) ->
+      match SG.Config.of_string ("scaguard-config 1\n" ^ line ^ "\n") with
+      | Error (SG.Err.Invalid_config { field = f; _ }) when f = field -> ()
+      | r ->
+        Alcotest.failf "expected Invalid_config %s, got %s" field
+          (match r with Ok _ -> "Ok" | Error e -> SG.Err.to_string e))
+    [ ("threshold=2", "threshold"); ("cst_line_bits=0", "cst_line_bits") ];
   (* comments, blank lines and omitted keys are fine *)
   let c =
     ok_exn
@@ -356,9 +369,10 @@ let test_build_with_cache () =
       | _ -> Alcotest.fail "cache_dir set but report has no cache stats")
 
 let test_save_load_formats () =
-  (* Service.save_repository honours config.repo_format; load_repository
-     sniffs either format and detect_prepared on the loaded prepared
-     repository reaches the same verdicts as detect on the repository *)
+  (* Service.save_repository honours config.repo_format (and, for a binary
+     image, config.index); load_repository sniffs either format, keeps an
+     embedded index, and detect_prepared on the loaded prepared repository
+     reaches the same verdicts as the in-memory linear scan *)
   let rng = Sutil.Rng.create 14 in
   let repo =
     Experiments.Common.repository ~rng
@@ -373,12 +387,15 @@ let test_save_load_formats () =
   in
   with_tmp_dir (fun dir ->
       List.iter
-        (fun fmt ->
-          let config = { SG.Config.default with SG.Config.repo_format = fmt } in
-          let path =
-            Filename.concat dir
-              ("r." ^ SG.Config.repo_format_to_string fmt)
+        (fun (fmt, index) ->
+          let config =
+            { SG.Config.default with SG.Config.repo_format = fmt; index }
           in
+          let name =
+            SG.Config.repo_format_to_string fmt
+            ^ "-" ^ SG.Config.index_mode_to_string index
+          in
+          let path = Filename.concat dir ("r." ^ name) in
           let save_report = ok_exn (SG.Service.save_repository config ~path repo) in
           check_bool "save report has a save timing" true
             (List.exists
@@ -395,15 +412,23 @@ let test_save_load_formats () =
           check_string "loaded repository byte-identical"
             (SG.Persist.repository_to_string repo)
             (SG.Persist.repository_to_string loaded);
+          check_bool
+            ("loaded index present iff forced (" ^ name ^ ")")
+            (index = SG.Config.Index_vp)
+            (SG.Detector.prepared_index prep <> None);
           let verdicts, _ =
             ok_exn (SG.Service.detect_prepared SG.Config.default prep targets)
           in
-          check_bool
-            ("loaded detect_prepared = in-memory ("
-            ^ SG.Config.repo_format_to_string fmt ^ ")")
-            true
-            (verdicts = reference))
-        [ SG.Config.Text; SG.Config.Binary ])
+          let bits vs =
+            Array.map (fun v -> Int64.bits_of_float v.SG.Detector.best_score) vs
+          in
+          check_bool ("loaded detect_prepared = in-memory (" ^ name ^ ")") true
+            (verdicts = reference && bits verdicts = bits reference))
+        [
+          (SG.Config.Text, SG.Config.Index_auto);
+          (SG.Config.Binary, SG.Config.Index_auto);
+          (SG.Config.Binary, SG.Config.Index_vp);
+        ])
 
 (* -- Service error paths ---------------------------------------------------- *)
 
