@@ -23,21 +23,37 @@ let artifacts = ref []
 
 let usage = "main.exe [--per-family N] [--seed S] [--out DIR] [--index-scales N,N,..] [table1..table6|fig5|ablation|extended|clusters|robustness|scaling|index|compare|timecost|all]"
 
+(* A bad flag value is refused before the banner, like an unknown artifact:
+   the flag and the usage line on stderr, exit 1. *)
+let usage_error flag what =
+  Printf.eprintf "%s: %s\n%s\n" flag what usage;
+  exit 1
+
+let int_arg ?(min = min_int) flag v =
+  match int_of_string_opt v with
+  | Some n when n >= min -> n
+  | _ ->
+    let bound = if min = min_int then "" else Printf.sprintf " >= %d" min in
+    usage_error flag (Printf.sprintf "expected an integer%s, got %S" bound v)
+
 let () =
   let rec parse = function
     | [] -> ()
+    | [ ("--per-family" | "--seed" | "--out" | "--index-scales") as flag ] ->
+      usage_error flag "missing value"
     | "--per-family" :: n :: rest ->
-      per_family := int_of_string n;
+      per_family := int_arg ~min:1 "--per-family" n;
       parse rest
     | "--seed" :: s :: rest ->
-      seed := int_of_string s;
+      seed := int_arg "--seed" s;
       parse rest
     | "--out" :: dir :: rest ->
       out_dir := Some dir;
       parse rest
     | "--index-scales" :: ns :: rest ->
       index_scales :=
-        List.map int_of_string (String.split_on_char ',' ns);
+        List.map (int_arg ~min:1 "--index-scales")
+          (String.split_on_char ',' ns);
       parse rest
     | x :: rest ->
       artifacts := x :: !artifacts;
@@ -378,7 +394,6 @@ let index_bench () =
   in
   List.iter
     (fun scale ->
-      if scale < 1 then fail "index: scale must be >= 1";
       let rng = Sutil.Rng.create (!seed lxor (scale * 2654435761)) in
       let popul = synth ~rng ~count:scale in
       let repo =

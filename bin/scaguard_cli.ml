@@ -110,7 +110,7 @@ let handle = function
   | Ok () -> 0
   | Error e ->
     (* the Log mirror prints the exact "scaguard: <msg>" stderr line this
-       always printed; with --log-out the typed event lands in the JSONL too *)
+       always printed *)
     Scaguard.Log.err "cli.error" e;
     Scaguard.Err.exit_code e
 
@@ -254,11 +254,11 @@ let repo_t =
 
 (* The --repo families' PoC repository, built under the salt Config.seeded
    derives for them; returns that salted config with it. *)
-let build_families ~seed names config =
+let build_families ?obs ~seed names config =
   let* families = Experiments.Common.families_of_strings names in
   let config = C.seeded ~families:names ~seed config in
   let* repo, report =
-    Experiments.Common.repository_service ~config
+    Experiments.Common.repository_service ?obs ~config
       ~rng:(Sutil.Rng.create seed) families
   in
   Ok (config, repo, report)
@@ -274,15 +274,15 @@ type repository = {
    built from the --repo families and indexed under the same salt they are
    built with (the one build-repo embeds its index under). *)
 let repository_t =
-  let resolve names file ~seed config =
+  let resolve names file ~obs ~seed config =
     match file with
     | Some path ->
       let* _repo, prepared, report =
-        Scaguard.Service.load_repository ~config ~path ()
+        Scaguard.Service.load_repository ~obs ~config ~path ()
       in
       Ok { prepared; file = Some path; report }
     | None ->
-      let* config, repo, report = build_families ~seed names config in
+      let* config, repo, report = build_families ~obs ~seed names config in
       let* prepared = Scaguard.Service.prepare config repo in
       Ok { prepared; file = None; report }
   in
@@ -340,12 +340,16 @@ let observability_t =
                   1 records every task, 0.1 every tenth, 0 only the coarse \
                   stage spans.  Sampling is deterministic by task index."))
 
-(* Validate the sample rate, flip the Obs switches for the run.
-   Tracing/metrics only observe — verdicts are bit-identical with them on or
-   off — so this needs no plumbing through Config.t. *)
-let setup_observability o =
+(* The run's observation value.  Tracing, metrics and capture only observe
+   — verdicts are bit-identical with them on or off — so this needs no
+   plumbing through Config.t. *)
+let setup_observability ?trace_id ?capture ?(metrics = false) o =
   let r = o.span_sample_rate in
-  if Float.is_nan r || r < 0.0 || r > 1.0 then
+  match
+    Scaguard.Obs.create ?trace_id ~tracing:(o.trace_out <> None)
+      ~sample_rate:r ~metrics:(metrics || o.metrics_out <> None) ?capture ()
+  with
+  | exception Invalid_argument _ ->
     Error
       (Scaguard.Err.Invalid_config
          {
@@ -353,23 +357,20 @@ let setup_observability o =
            value = string_of_float r;
            expected = "a fraction in [0, 1]";
          })
-  else begin
-    Scaguard.Obs.reset ();
-    Scaguard.Obs.set_tracing (o.trace_out <> None);
-    Scaguard.Obs.set_metrics (o.metrics_out <> None);
-    Scaguard.Obs.set_span_sample_rate r;
+  | obs ->
     (* registered once here so every exposition — the shutdown files and the
        serve protocol's live metrics verb — carries the process identity *)
     stamp_build_info ();
-    Ok ()
-  end
+    Ok obs
 
-let write_observability o =
+let write_observability obs o =
   let* () =
     match o.trace_out with
     | None -> Ok ()
     | Some path ->
-      let* () = Scaguard.Obs.Trace_writer.write ~path (Scaguard.Obs.spans ()) in
+      let* () =
+        Scaguard.Obs.Trace_writer.write ~path (Scaguard.Obs.spans obs)
+      in
       Printf.printf "wrote trace to %s (load in ui.perfetto.dev)\n" path;
       Ok ()
   in
@@ -575,7 +576,7 @@ let detect_cmd =
   let run seed config repository name =
     handle
     @@ let* config = config in
-       let* r = repository ~seed config in
+       let* r = repository ~obs:Scaguard.Obs.off ~seed config in
        let* s = sample_res ~seed name in
        let* model = build_one (C.seeded ~seed config) (Experiments.Common.job s) in
        classify_one config r.prepared model
@@ -590,24 +591,14 @@ let detect_cmd =
 
 (* ---- detect-batch (the parallel engine) ------------------------------------------- *)
 
-(* Structured-event capture for detect-batch is pure observation (verdicts
-   are bit-identical with it on or off), so like the Obs switches it needs no
-   plumbing through Config.t beyond the capture level. *)
-let setup_event_capture ~log_out ~trace_id
-    ~log_level:(lvl : Scaguard.Log.level) =
-  Scaguard.Log.set_capture (log_out <> None);
-  Scaguard.Log.set_level lvl;
-  Scaguard.Log.clear ();
-  Scaguard.Obs.set_trace_id trace_id
-
-let write_event_capture ~log_out ~provenance_out records =
+let write_event_capture obs ~log_out ~provenance_out records =
   let* () =
     match log_out with
     | None -> Ok ()
     | Some path ->
-      let* () = Scaguard.Log.write ~path in
+      let* () = Scaguard.Log.write obs ~path in
       Printf.printf "wrote %d log events to %s (JSON lines)\n"
-        (List.length (Scaguard.Log.events ()))
+        (List.length (Scaguard.Obs.events obs))
         path;
       Ok ()
   in
@@ -624,7 +615,7 @@ let write_event_capture ~log_out ~provenance_out records =
     Ok ()
 
 let detect_batch_cmd =
-  let run seed config repository obs stats log_out log_level provenance_out
+  let run seed config repository o stats log_out log_level provenance_out
       trace_id report_format names =
     handle
     @@ let* config = config in
@@ -633,10 +624,10 @@ let detect_batch_cmd =
          | None -> config
          | Some l -> { config with C.log_level = l }
        in
-       let* () = setup_observability obs in
-       setup_event_capture ~log_out ~trace_id ~log_level:config.C.log_level;
+       let capture = Option.map (fun _ -> config.C.log_level) log_out in
+       let* obs = setup_observability ?trace_id ?capture o in
        if log_out <> None then
-         Scaguard.Log.info "batch.start"
+         Scaguard.Log.info ~obs "batch.start"
            ~fields:
              [
                ("targets", Scaguard.Json.Num (float_of_int (List.length names)));
@@ -644,7 +635,7 @@ let detect_batch_cmd =
              ]
            "scaguard: detect-batch: classifying %d targets"
            (List.length names);
-       let* r = repository ~seed config in
+       let* r = repository ~obs ~seed config in
        let* samples = samples_res ~seed names in
        (* benign samples are re-derived from the seed alone (no shared rng
           stream), so the seed is a sufficient salt here *)
@@ -655,8 +646,9 @@ let detect_batch_cmd =
          if provenance_out = None then
            Result.map
              (fun (m, v, r) -> (m, v, r, [||]))
-             (Scaguard.Service.screen_prepared config r.prepared target_jobs)
-         else Scaguard.Service.explain config r.prepared target_jobs
+             (Scaguard.Service.screen_prepared ~obs config r.prepared
+                target_jobs)
+         else Scaguard.Service.explain ~obs config r.prepared target_jobs
        in
        List.iteri
          (fun i name ->
@@ -687,7 +679,7 @@ let detect_batch_cmd =
              (fun n v -> if Scaguard.Detector.is_attack v then n + 1 else n)
              0 verdicts
          in
-         Scaguard.Log.info "batch.done"
+         Scaguard.Log.info ~obs "batch.done"
            ~fields:
              [
                ( "targets",
@@ -697,8 +689,8 @@ let detect_batch_cmd =
            "scaguard: detect-batch: %d of %d targets classified as attacks"
            attacks (Array.length verdicts)
        end;
-       let* () = write_observability obs in
-       write_event_capture ~log_out ~provenance_out records
+       let* () = write_observability obs o in
+       write_event_capture obs ~log_out ~provenance_out records
   in
   let stats_t =
     Arg.(
@@ -823,12 +815,12 @@ let explain_cmd =
   let run seed config repository trace_id json names =
     handle
     @@ let* config = config in
-       Scaguard.Obs.set_trace_id trace_id;
-       let* r = repository ~seed config in
+       let obs = Scaguard.Obs.create ?trace_id () in
+       let* r = repository ~obs ~seed config in
        let* samples = samples_res ~seed names in
        let jobs = Array.of_list (List.map Experiments.Common.job samples) in
        let* _models, _verdicts, _report, records =
-         Scaguard.Service.explain (C.seeded ~seed config) r.prepared jobs
+         Scaguard.Service.explain ~obs (C.seeded ~seed config) r.prepared jobs
        in
        if json then print_string (Scaguard.Provenance.to_jsonl records)
        else Array.iter render_provenance records;
@@ -1028,7 +1020,7 @@ let detect_binary_cmd =
     handle
     @@ let* config = config in
        let* prog = io ~path (fun () -> Isa.Binary.read_file ~path) in
-       let* r = repository ~seed config in
+       let* r = repository ~obs:Scaguard.Obs.off ~seed config in
        let victim =
          if with_victim then Some (Workloads.Victim.shared_lib ()) else None
        in
@@ -1294,7 +1286,7 @@ let tcp_t =
 
 let serve_cmd =
   let run seed config repository queue_capacity max_line deadline_ms socket tcp
-      stdio metrics_on obs =
+      stdio metrics_on o =
     handle
     @@ let* endpoint =
          match (socket, tcp, stdio) with
@@ -1313,21 +1305,21 @@ let serve_cmd =
                 })
        in
        let* config = config in
-       let* () = setup_observability obs in
        (* the protocol's `metrics` verb reads the live registry, so --metrics
           turns collection on even without a --metrics-out file *)
-       if metrics_on then Scaguard.Obs.set_metrics true;
-       let* r = repository ~seed config in
+       let* obs = setup_observability ~metrics:metrics_on o in
+       let* r = repository ~obs ~seed config in
        let prepared = r.prepared in
        let resolve ~seed name =
          Result.map Experiments.Common.job (sample_res ~seed name)
        in
        let* server =
-         Scaguard.Server.create ~config ~resolve ~prepared ?repo_path:r.file
+         Scaguard.Server.create ~obs ~config ~resolve ~prepared
+           ?repo_path:r.file
            ~queue_capacity ~max_line ~default_deadline_ms:deadline_ms ()
        in
        (* the banner mirrors to stderr so --stdio keeps stdout protocol-clean *)
-       Scaguard.Log.info "serve.start"
+       Scaguard.Log.info ~obs "serve.start"
          ~fields:
            [
              ( "models",
@@ -1341,7 +1333,7 @@ let serve_cmd =
          (Scaguard.Detector.prepared_size prepared)
          (Scaguard.Server.endpoint_to_string endpoint);
        let* () = Scaguard.Server.serve server endpoint in
-       Scaguard.Log.info "serve.drained"
+       Scaguard.Log.info ~obs "serve.drained"
          ~fields:
            [
              ( "requests",
@@ -1352,7 +1344,7 @@ let serve_cmd =
          "scaguard serve: drained after %d requests (up %.1f s)"
          (Scaguard.Server.served server)
          (Scaguard.Server.uptime_s server);
-       write_observability obs
+       write_observability obs o
   in
   let queue_capacity_t =
     Arg.(

@@ -171,8 +171,7 @@ module Ensemble : sig
   val reset_stats : unit -> unit
   (** Zero the module-level tallies (the registry hides the model type, so
       counters are kept here); bracket an evaluation with
-      [reset_stats]/{!stats}.  The same counts are exported as
-      [scaguard_ensemble_*] metrics when {!Scaguard.Obs.metrics} is on. *)
+      [reset_stats]/{!stats}. *)
 
   val stats : unit -> stats
 

@@ -69,9 +69,6 @@ let train ctx labelled =
     scaguard = Adapters.Scaguard_dtw.train ctx labelled;
   }
 
-let bump counter n =
-  if Scaguard.Obs.metrics () then Scaguard.Obs.Registry.add counter n
-
 let screen_z m run =
   match m.screen with
   | None -> infinity
@@ -81,22 +78,17 @@ let screen_z m run =
    rejects. *)
 let suspicious m run =
   incr screened;
-  bump Scaguard.Obs.Metrics.ensemble_screened_total 1;
   let z = screen_z m run in
   if z < m.tau then begin
     incr fast_rejects;
-    bump Scaguard.Obs.Metrics.ensemble_fast_rejects_total 1;
     false
   end
   else begin
     incr slow_path;
-    bump Scaguard.Obs.Metrics.ensemble_slow_path_total 1;
     true
   end
 
-let confirm () =
-  incr slow_confirms;
-  bump Scaguard.Obs.Metrics.ensemble_slow_confirms_total 1
+let confirm () = incr slow_confirms
 
 let predict m run =
   if suspicious m run then begin

@@ -48,7 +48,7 @@ let job (s : D.sample) =
   Scaguard.Pipeline.job ?settings:s.D.settings ~init:s.D.init
     ?victim:s.D.victim ~name:s.D.name s.D.program
 
-let repository_service ~config ~rng families =
+let repository_service ?obs ~config ~rng families =
   if families = [] then Error Scaguard.Err.Empty_repository
   else
     (* Harness construction consumes the rng; execution does not.  Building
@@ -73,7 +73,7 @@ let repository_service ~config ~rng families =
               })
             families,
           report ))
-      (Scaguard.Service.build config jobs)
+      (Scaguard.Service.build ?obs config jobs)
 
 let repository ?(config = Scaguard.Config.default) ~rng families =
   match families with

@@ -32,6 +32,7 @@ val job : Workloads.Dataset.sample -> Scaguard.Pipeline.job
     settings, init and victim, and no salt of its own. *)
 
 val repository_service :
+  ?obs:Scaguard.Obs.t ->
   config:Scaguard.Config.t ->
   rng:Sutil.Rng.t ->
   Workloads.Label.t list ->

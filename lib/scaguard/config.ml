@@ -119,11 +119,12 @@ let check_cst (g : Cache.Config.t) =
     check_min ~default_field:"cst_ways" ~min:1 ~expected:"an associativity >= 1"
       g.Cache.Config.ways
   in
-  let* _ =
-    check_min ~default_field:"cst_line_bits" ~min:1
-      ~expected:"a line-size log2 >= 1" g.Cache.Config.line_bits
-  in
-  Ok g
+  (* the range Cache.Config.make accepts; the probe's [lsr] by 64 or more
+     is unspecified, so a larger value would silently move CST scores *)
+  let bits = g.Cache.Config.line_bits in
+  if bits >= 1 && bits <= 16 then Ok g
+  else
+    invalid "cst_line_bits" (string_of_int bits) "a line-size log2 in [1, 16]"
 
 let check_exec (e : Cpu.Exec.settings) =
   let* _ =

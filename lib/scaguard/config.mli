@@ -130,8 +130,8 @@ val validate : t -> (t, Err.t) result
 (** Re-check every field of a record built by hand (the type is public on
     purpose — [{ default with threshold = 0.8 }] is the intended style).
     {!Service} validates the config it is given, so a NaN threshold or a
-    probe cache with no ways or a zero line-size log2 is caught before any
-    work starts. *)
+    probe cache with no ways or a line-size log2 outside [\[1, 16\]] is
+    caught before any work starts. *)
 
 (** {1 Persistence}
 

@@ -30,21 +30,21 @@ let throughput s = if s.wall_s <= 0.0 then 0.0 else float_of_int s.pairs /. s.wa
    latency histograms, and (when this task index is sampled) emits an
    engine:classify span.  Lives outside the hot closure so the un-observed
    path below stays allocation-free. *)
-let classify_observed ~classify ~ws ~worker ~target i out =
+let classify_observed ~obs ~classify ~ws ~worker ~target i out =
   let p0 = Dtw.pairs_scored ws in
   let t0 = Obs.Clock.now_ns () in
   out.(i) <- classify ();
   let dur_ns = Obs.Clock.elapsed_ns ~since:t0 in
   let dp = Dtw.pairs_scored ws - p0 in
-  if Obs.metrics () then begin
+  if Obs.metrics obs then begin
     let dt = Obs.Clock.ns_to_s dur_ns in
     Obs.Registry.observe Obs.Metrics.verdict_seconds dt;
     if dp > 0 then
       Obs.Registry.observe Obs.Metrics.dtw_pair_seconds
         (dt /. float_of_int dp)
   end;
-  if Obs.sampled i then
-    Obs.emit_span ~cat:"engine" ~tid:worker
+  if Obs.sampled obs i then
+    Obs.emit_span obs ~cat:"engine" ~tid:worker
       ~args:
         [ ("target", target.Model.name); ("pairs", string_of_int dp) ]
       ~name:"engine:classify" ~ts_ns:t0 ~dur_ns ()
@@ -62,8 +62,8 @@ let publish_stats s =
   Obs.Registry.add pairs_pruned_index_total s.pairs_pruned_index;
   Obs.Registry.add index_nodes_visited_total s.nodes_visited
 
-let classify_batch ?(threshold = Detector.default_threshold) ?alpha ?band
-    ?domains ?prune ?(explain = false) prep targets =
+let classify_batch ?(obs = Obs.off) ?(threshold = Detector.default_threshold)
+    ?alpha ?band ?domains ?prune ?(explain = false) prep targets =
   let tasks = Array.length targets in
   let d = Sutil.Pool.domains_for ?domains tasks in
   let wss = Array.init d (fun _ -> Dtw.workspace ()) in
@@ -86,18 +86,19 @@ let classify_batch ?(threshold = Detector.default_threshold) ?alpha ?band
     | Some b ->
       records.(i) <-
         Some
-          (Provenance.finish b ~seq:i ~best_matches:v.Detector.best_matches
+          (Provenance.finish ?trace_id:(Obs.trace_id obs) b ~seq:i
+             ~best_matches:v.Detector.best_matches
              ~best_family:v.Detector.best_family
              ~best_score:v.Detector.best_score));
     v
   in
-  let observing = Obs.enabled () in
-  let probe = if observing then Obs.pool_probe ~stage:"engine" else None in
+  let observing = Obs.tracing obs || Obs.metrics obs in
+  let probe = Obs.pool_probe obs ~stage:"engine" in
   let wall0 = Obs.Clock.now_ns () and cpu0 = Sys.time () in
   let per_worker =
     Sutil.Pool.run ~domains:d ?probe ~tasks (fun ~worker i ->
         if observing then
-          classify_observed
+          classify_observed ~obs
             ~classify:(fun () -> classify ~worker i)
             ~ws:wss.(worker) ~worker ~target:targets.(i) i out
         else out.(i) <- classify ~worker i)
@@ -129,5 +130,5 @@ let classify_batch ?(threshold = Detector.default_threshold) ?alpha ?band
       per_worker;
     }
   in
-  if Obs.metrics () then publish_stats stats;
+  if Obs.metrics obs then publish_stats stats;
   (out, Array.map Option.get records, stats)

@@ -47,6 +47,7 @@ type stats = {
 }
 
 val classify_batch :
+  ?obs:Obs.t ->
   ?threshold:float -> ?alpha:float -> ?band:int -> ?domains:int ->
   ?prune:bool -> ?explain:bool ->
   Detector.prepared -> Model.t array ->
@@ -60,8 +61,9 @@ val classify_batch :
 
     With [explain] (default [false]) the records array is index-aligned
     with the verdicts: record [i] explains target [i] and has [seq = i],
-    whichever worker classified it.  Without it the array is empty.
-    Verdicts and counters are identical either way. *)
+    whichever worker classified it, and carries [obs]'s trace id.  Without
+    it the array is empty.  Verdicts and counters are identical either way,
+    as they are under any [obs] (default {!Obs.off}). *)
 
 val utilization : stats -> float
 (** [cpu / (wall * domains)], clamped to [\[0,1\]]: 1.0 means every worker

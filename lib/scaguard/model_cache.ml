@@ -96,28 +96,28 @@ let key ?settings ?cst_config ?max_paths ?max_len ?victim ?(salt = "") ~name
 let path t ~key = Filename.concat t.dir (key ^ ".cstbbs")
 
 (* Lookup outcomes feed the per-instance Atomics (the existing stats API)
-   and, when observability is on, the global registry and a cache:* span —
+   and, when [obs] observes, the process registry and a cache:* span —
    observation only, never a change to what is returned. *)
-let observed ~outcome ~counter t0 =
-  if Obs.metrics () then Obs.Registry.incr counter;
-  if Obs.tracing () then
-    Obs.emit_span ~cat:"cache" ~name:("cache:" ^ outcome) ~ts_ns:t0
+let observed ~obs ~outcome ~counter t0 =
+  if Obs.metrics obs then Obs.Registry.incr counter;
+  if Obs.tracing obs then
+    Obs.emit_span obs ~cat:"cache" ~name:("cache:" ^ outcome) ~ts_ns:t0
       ~dur_ns:(Obs.Clock.elapsed_ns ~since:t0) ()
 
-let find t ~key =
-  let observing = Obs.enabled () in
+let find ?(obs = Obs.off) t ~key =
+  let observing = Obs.tracing obs || Obs.metrics obs in
   let t0 = if observing then Obs.Clock.now_ns () else 0L in
   let file = path t ~key in
   if not (Sys.file_exists file) then begin
     Atomic.incr t.misses;
-    if observing then observed ~outcome:"miss" ~counter:Obs.Metrics.cache_misses_total t0;
+    if observing then observed ~obs ~outcome:"miss" ~counter:Obs.Metrics.cache_misses_total t0;
     None
   end
   else
     match Persist.load_model_result ~path:file with
     | Ok model ->
       Atomic.incr t.hits;
-      if observing then observed ~outcome:"hit" ~counter:Obs.Metrics.cache_hits_total t0;
+      if observing then observed ~obs ~outcome:"hit" ~counter:Obs.Metrics.cache_hits_total t0;
       Some model
     | Error _ ->
       (* Unreadable, corrupt, or written by a different binary-format
@@ -125,14 +125,14 @@ let find t ~key =
          error): the entry is stale, not fatal — drop it and rebuild. *)
       Atomic.incr t.stale;
       (try Sys.remove file with Sys_error _ -> ());
-      if observing then observed ~outcome:"stale" ~counter:Obs.Metrics.cache_stale_total t0;
+      if observing then observed ~obs ~outcome:"stale" ~counter:Obs.Metrics.cache_stale_total t0;
       None
 
 let store t ~key model =
   Persist.write_atomic ~path:(path t ~key) (Persist.model_to_bytes model)
 
-let find_or_build t ~key build =
-  match find t ~key with
+let find_or_build ?obs t ~key build =
+  match find ?obs t ~key with
   | Some model -> model
   | None ->
     let model = build () in

@@ -50,15 +50,17 @@ val key :
     default to the pipeline's defaults, so omitting them and passing the
     default explicitly yield the same key. *)
 
-val find : t -> key:string -> Model.t option
+val find : ?obs:Obs.t -> t -> key:string -> Model.t option
 (** Look up a model; counts a hit, a miss (no entry), or a stale entry
     (present but unloadable — corrupt, truncated, or an unsupported format
-    version; the file is deleted). *)
+    version; the file is deleted), and reports it to [obs] (default
+    {!Obs.off}). *)
 
 val store : t -> key:string -> Model.t -> unit
 (** Write-through (atomic temp-file + rename). *)
 
-val find_or_build : t -> key:string -> (unit -> Model.t) -> Model.t
+val find_or_build :
+  ?obs:Obs.t -> t -> key:string -> (unit -> Model.t) -> Model.t
 (** [find] and, on miss/stale, build, store and return. *)
 
 val hits : t -> int

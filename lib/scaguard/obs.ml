@@ -1,13 +1,14 @@
-(* The observability subsystem: a span tracer (Chrome trace-event output)
-   plus a metrics registry (Prometheus text output), threaded through the
-   build->detect stack.
+(* The observability subsystem: a span tracer (Chrome trace-event output),
+   an event capture (the sink behind [Log]) and a metrics registry
+   (Prometheus text output), threaded through the build->detect stack.
 
-   Everything is gated on two process-global switches, [tracing] and
-   [metrics], both off by default.  Every instrumentation site in the hot
-   paths (engine tasks, pool tasks, cache lookups) starts with a read of one
-   of these — a single load-and-branch — and does nothing else when the
-   switch is off, so the instrumented-off paths allocate nothing and stay
-   bit-identical in behavior (asserted by the test suite). *)
+   What a run records is one immutable value, [t], passed down as [?obs]
+   (default [off]); only the Prometheus registry is process-wide.  Every
+   instrumentation site in the hot paths (engine tasks, pool tasks, cache
+   lookups) starts with a read of one of the value's fields — a single
+   load-and-branch — and does nothing else when that switch is off, so the
+   instrumented-off paths allocate nothing and stay bit-identical in
+   behavior (asserted by the test suite). *)
 
 (* ---- clock ----------------------------------------------------------------- *)
 
@@ -295,44 +296,21 @@ module Registry = struct
     Buffer.contents buf
 end
 
-(* ---- global switches -------------------------------------------------------- *)
+(* ---- the run's observation value ------------------------------------------- *)
 
-(* Plain mutable cells: each instrumentation site reads one of these once —
-   a single load and branch.  They are written only from the front-ends
-   (CLI, tests) before and after a run, never concurrently with it. *)
-let tracing_on = ref false
-let metrics_on = ref false
-let sample_every = ref 1
+type level = Debug | Info | Warn | Error
 
-let tracing () = !tracing_on
-let metrics () = !metrics_on
-let enabled () = !tracing_on || !metrics_on
-let set_tracing b = tracing_on := b
-let set_metrics b = metrics_on := b
+let severity = function Debug -> 0 | Info -> 1 | Warn -> 2 | Error -> 3
 
-let set_span_sample_rate r =
-  if Float.is_nan r || r < 0.0 || r > 1.0 then
-    invalid_arg "Obs.set_span_sample_rate: rate must be in [0, 1]";
-  sample_every := (if r <= 0.0 then 0 else int_of_float (Float.round (1.0 /. r)))
-
-let span_sample_rate () =
-  if !sample_every = 0 then 0.0 else 1.0 /. float_of_int !sample_every
-
-let sampled i =
-  !tracing_on && !sample_every > 0 && i mod !sample_every = 0
-
-(* ---- trace-id propagation --------------------------------------------------- *)
-
-(* The ambient trace id: one opaque client-chosen string correlating a wire
-   request (or a CLI batch) with every span, log event and provenance record
-   it produces.  The cell itself lives in [Traceid], at the bottom of the
-   module order, so [Provenance] (which sits below us) can stamp it too;
-   these re-exports are the public API (the serve drainer sets it around
-   each request; the CLI sets it once per batch). *)
-let set_trace_id = Traceid.set
-let trace_id = Traceid.get
-
-(* ---- spans ------------------------------------------------------------------ *)
+type event = {
+  seq : int;
+  ts_ns : int64;
+  level : level;
+  event : string;
+  message : string;
+  trace_id : string option;
+  fields : (string * Json.t) list;
+}
 
 type span = {
   name : string;
@@ -343,42 +321,126 @@ type span = {
   args : (string * string) list;
 }
 
-(* Completed spans go on an unbounded lock-free sink, pushed from any
-   domain, drained and time-sorted only when the trace is written. *)
-let span_log : span Sutil.Sink.t = Sutil.Sink.create ()
+(* The event capture: a bounded sink, the least level it keeps and the
+   run's emission counter, the sort key of [events]. *)
+type capture = {
+  sink : event Sutil.Sink.t;
+  min_level : level;
+  seq : int Atomic.t;
+}
 
-let emit_span ?(cat = "scaguard") ?tid ?(args = []) ~name ~ts_ns ~dur_ns () =
-  if !tracing_on then
-    let tid = match tid with Some t -> t | None -> (Domain.self () :> int) in
-    (* stamp the ambient trace id so one grep of the trace finds every span
+(* Immutable: a front end creates one per run and the server derives one per
+   request, so every site reads its switches from the value it was handed
+   and two runs in flight never share a trace id or a sink.  The sinks are
+   lock-free, pushed from any domain and sorted only when read. *)
+type t = {
+  trace_id : string option;
+  span_sink : span Sutil.Sink.t option;  (* present iff tracing *)
+  sample_every : int;  (* keep per-task span i iff i mod sample_every = 0 *)
+  metrics_on : bool;
+  capture : capture option;
+  mirror : level option;
+}
+
+let create ?trace_id ?(tracing = false) ?(sample_rate = 1.0) ?(metrics = false)
+    ?capture ?(capacity = 8192) ?(mirror = Some Info) () =
+  if Float.is_nan sample_rate || sample_rate < 0.0 || sample_rate > 1.0 then
+    invalid_arg "Obs.create: sample_rate must be in [0, 1]";
+  {
+    trace_id;
+    span_sink = (if tracing then Some (Sutil.Sink.create ()) else None);
+    sample_every =
+      (if sample_rate <= 0.0 then 0
+       else int_of_float (Float.round (1.0 /. sample_rate)));
+    metrics_on = metrics;
+    capture =
+      Option.map
+        (fun min_level ->
+          let sink = Sutil.Sink.create ~capacity () in
+          { sink; min_level; seq = Atomic.make 0 })
+        capture;
+    mirror;
+  }
+
+let off = create ()
+let with_trace_id t trace_id = { t with trace_id }
+let trace_id t = t.trace_id
+let tracing t = Option.is_some t.span_sink
+let metrics t = t.metrics_on
+let sampled t i = tracing t && t.sample_every > 0 && i mod t.sample_every = 0
+
+(* ---- spans ----------------------------------------------------------------- *)
+
+let emit_span t ?(cat = "scaguard") ?tid ?(args = []) ~name ~ts_ns ~dur_ns () =
+  match t.span_sink with
+  | None -> ()
+  | Some sink ->
+    let tid = match tid with Some w -> w | None -> (Domain.self () :> int) in
+    (* stamp the run's trace id so one grep of the trace finds every span
        of a given request — the span side of end-to-end correlation *)
     let args =
-      match Traceid.get () with
-      | Some t -> ("trace_id", t) :: args
-      | None -> args
+      match t.trace_id with Some id -> ("trace_id", id) :: args | None -> args
     in
-    Sutil.Sink.push span_log { name; cat; tid; ts_ns; dur_ns; args }
+    Sutil.Sink.push sink { name; cat; tid; ts_ns; dur_ns; args }
 
-let with_span ?cat ?tid ?args name f =
-  if !tracing_on then begin
+let with_span t ?cat ?tid ?args name f =
+  match t.span_sink with
+  | None -> f ()
+  | Some _ ->
     let t0 = Clock.now_ns () in
     let finally () =
-      emit_span ?cat ?tid ?args ~name ~ts_ns:t0
+      emit_span t ?cat ?tid ?args ~name ~ts_ns:t0
         ~dur_ns:(Clock.elapsed_ns ~since:t0) ()
     in
     Fun.protect ~finally f
-  end
-  else f ()
 
-let spans () =
-  List.sort
-    (fun a b ->
-      match Int64.compare a.ts_ns b.ts_ns with
-      | 0 -> compare (a.tid, a.name) (b.tid, b.name)
-      | c -> c)
-    (Sutil.Sink.items span_log)
+let spans t =
+  match t.span_sink with
+  | None -> []
+  | Some sink ->
+    List.sort
+      (fun a b ->
+        match Int64.compare a.ts_ns b.ts_ns with
+        | 0 -> compare (a.tid, a.name) (b.tid, b.name)
+        | c -> c)
+      (Sutil.Sink.items sink)
 
-let clear_spans () = Sutil.Sink.clear span_log
+(* ---- events ---------------------------------------------------------------- *)
+
+(* The stderr mirror is independent of capture: `serve` banners stay visible
+   whether or not a JSONL artifact was requested. *)
+let emit_event t ~fields lvl name message =
+  (match t.mirror with
+  | Some min when severity lvl >= severity min ->
+    Printf.eprintf "%s\n%!" message
+  | _ -> ());
+  match t.capture with
+  | Some c when severity lvl >= severity c.min_level ->
+    Sutil.Sink.push c.sink
+      {
+        seq = Atomic.fetch_and_add c.seq 1;
+        ts_ns = Clock.now_ns ();
+        level = lvl;
+        event = name;
+        message;
+        trace_id = t.trace_id;
+        fields;
+      }
+  | _ -> ()
+
+let events t =
+  match t.capture with
+  | None -> []
+  | Some c ->
+    List.sort
+      (fun (a : event) b -> compare a.seq b.seq)
+      (Sutil.Sink.items c.sink)
+
+let dropped t =
+  match t.capture with None -> 0 | Some c -> Sutil.Sink.dropped c.sink
+
+let capacity t =
+  match t.capture with None -> 0 | Some c -> Sutil.Sink.capacity c.sink
 
 (* ---- trace writer ----------------------------------------------------------- *)
 
@@ -461,21 +523,6 @@ module Metrics = struct
   let cache_misses_total = c "scaguard_cache_misses_total" "Model cache misses."
   let cache_stale_total =
     c "scaguard_cache_stale_total" "Model cache entries dropped as corrupt."
-
-  (* -- the two-tier ensemble detector (Detect.Ensemble) ------------------- *)
-
-  let ensemble_screened_total =
-    c "scaguard_ensemble_screened_total"
-      "Runs screened by the ensemble's HPC-feature fast path."
-  let ensemble_fast_rejects_total =
-    c "scaguard_ensemble_fast_rejects_total"
-      "Runs the fast path rejected as benign (no DTW paid)."
-  let ensemble_slow_path_total =
-    c "scaguard_ensemble_slow_path_total"
-      "Runs escalated to the DTW slow path."
-  let ensemble_slow_confirms_total =
-    c "scaguard_ensemble_slow_confirms_total"
-      "Slow-path classifications that confirmed an attack."
 
   (* One exponential 1us..10s ladder serves every latency histogram: DTW
      pairs sit at the bottom, end-to-end stages at the top. *)
@@ -571,10 +618,6 @@ let write_metrics ~path =
   | () -> Ok ()
   | exception Sys_error msg -> Error (Err.Io { path; msg })
 
-let reset () =
-  clear_spans ();
-  Registry.reset default
-
 (* ---- pool probe ------------------------------------------------------------- *)
 
 (* Worker indices are dense and small (<= domain count), so plain arrays
@@ -583,8 +626,8 @@ let reset () =
    any real pool. *)
 let max_probe_workers = 1024
 
-let pool_probe ~stage =
-  if not !tracing_on then None
+let pool_probe t ~stage =
+  if not (tracing t) then None
   else begin
     let starts = Array.make max_probe_workers 0L in
     let last_stop = Array.make max_probe_workers 0L in
@@ -595,16 +638,16 @@ let pool_probe ~stage =
       if worker < max_probe_workers then begin
         let stop = Clock.now_ns () in
         let start = starts.(worker) in
-        if sampled i then begin
+        if sampled t i then begin
           (* queue-wait: the gap between this worker's previous task and
              this one (claim contention, scheduling, GC) *)
           let prev = last_stop.(worker) in
           if prev <> 0L && Int64.compare prev start < 0 then
-            emit_span ~cat:"pool" ~tid:worker
+            emit_span t ~cat:"pool" ~tid:worker
               ~args:[ ("stage", stage) ]
               ~name:(stage ^ ":wait") ~ts_ns:prev
               ~dur_ns:(Int64.sub start prev) ();
-          emit_span ~cat:"pool" ~tid:worker
+          emit_span t ~cat:"pool" ~tid:worker
             ~args:[ ("stage", stage); ("task", string_of_int i) ]
             ~name:(stage ^ ":task") ~ts_ns:start
             ~dur_ns:(Int64.sub stop start) ()

@@ -1,16 +1,17 @@
 (** Observability for the build->detect stack: a span-based tracer emitting
-    Chrome trace-event JSON (loadable in Perfetto / chrome://tracing) and a
-    metrics registry emitting Prometheus text exposition.
+    Chrome trace-event JSON (loadable in Perfetto / chrome://tracing), the
+    event capture behind {!Log}, and a metrics registry emitting Prometheus
+    text exposition.
 
-    Both facilities sit behind process-global switches ({!set_tracing},
-    {!set_metrics}) that default to off.  Instrumentation sites in the hot
-    paths are written so that the disabled state costs one load-and-branch
-    and zero allocation per event, and observation never feeds back into
-    computation — verdicts and models are bit-identical with observability
-    on or off (asserted by the test suite).
-
-    The switches are meant to be flipped by front-ends (CLI, tests)
-    {e before} a run starts, never concurrently with one. *)
+    What a run records is one immutable value, {!t}: a front end creates
+    one per run with {!create} and the server derives one per request with
+    {!with_trace_id}; the library takes it as [?obs], defaulting to {!off}.
+    Only the Prometheus registry ({!default} and its {!Metrics} handles) is
+    process-wide.  Instrumentation sites in the hot paths are written so
+    that the disabled state costs one field load and a branch and zero
+    allocation per event, and observation never feeds back into computation
+    — verdicts and models are bit-identical with observability on or off
+    (asserted by the test suite). *)
 
 (** {1 Clock} *)
 
@@ -31,45 +32,21 @@ module Clock : sig
   (** Seconds elapsed since a {!now_ns} reading. *)
 end
 
-(** {1 Switches} *)
+(** {1 The observation value} *)
 
-val tracing : unit -> bool
-val metrics : unit -> bool
+type level = Debug | Info | Warn | Error
+(** Event severity, re-exported by {!Log} with the same constructors. *)
 
-val enabled : unit -> bool
-(** [tracing () || metrics ()]. *)
-
-val set_tracing : bool -> unit
-val set_metrics : bool -> unit
-
-val set_span_sample_rate : float -> unit
-(** Fraction of per-task spans to record, in [\[0,1\]]; [1.] (the default)
-    records every task, [0.] records none.  Internally rounded to a keep
-    1-in-[round (1/r)] stride so sampling is deterministic — no RNG, and
-    re-runs produce the same trace shape.  Coarse stage spans ignore the
-    rate.  @raise Invalid_argument outside [\[0,1\]]. *)
-
-val span_sample_rate : unit -> float
-
-val sampled : int -> bool
-(** [sampled i] — should the per-task span for task index [i] be recorded?
-    False whenever tracing is off. *)
-
-(** {1 Trace-id propagation} *)
-
-val set_trace_id : string option -> unit
-(** Set (or clear) the ambient trace id.  While set, every emitted span
-    carries a [trace_id] arg, {!Log} stamps it on events by default, and
-    {!Provenance} stamps it on records — one opaque string correlating a
-    wire request or CLI batch across all three artifact kinds.  The serve
-    drainer sets it around each request (from the request envelope's
-    [trace_id] field); [detect-batch --trace-id] sets it for the batch. *)
-
-val trace_id : unit -> string option
-(** The current ambient trace id.  Safe from any domain (engine workers
-    read it; only the driving thread writes). *)
-
-(** {1 Spans} *)
+type event = {
+  seq : int;  (** emission order within the run — the sort key *)
+  ts_ns : int64;  (** {!Clock.now_ns} at emission *)
+  level : level;
+  event : string;  (** dotted event name, e.g. ["serve.start"] *)
+  message : string;  (** the human-readable line (what the mirror prints) *)
+  trace_id : string option;  (** the emitting value's {!trace_id} *)
+  fields : (string * Json.t) list;  (** typed structured context *)
+}
+(** One captured {!Log} event. *)
 
 type span = {
   name : string;
@@ -80,7 +57,53 @@ type span = {
   args : (string * string) list;
 }
 
+type t
+(** What one run (a CLI batch, a serve request, a test) records.
+    Immutable; its sinks are lock-free, so every domain of the run may
+    share it. *)
+
+val create :
+  ?trace_id:string ->
+  ?tracing:bool ->
+  ?sample_rate:float ->
+  ?metrics:bool ->
+  ?capture:level ->
+  ?capacity:int ->
+  ?mirror:level option ->
+  unit ->
+  t
+(** A value with fresh sinks.  [trace_id] is stamped on every span, event
+    and provenance record it produces.  [tracing] (default [false]) records
+    spans; [sample_rate] (default [1.]) is the fraction of per-task spans
+    kept, rounded to a deterministic 1-in-[round (1/r)] stride (coarse
+    stage spans ignore it).  [metrics] (default [false]) feeds {!default}.
+    [capture] captures events at or above that level into a buffer of
+    [capacity] (default 8192) events; past it they are counted in
+    {!dropped}, never waited on.  [mirror] is the least level echoed to
+    stderr, [None] for silence (default [Some Info]).
+    @raise Invalid_argument when [sample_rate] is outside [\[0,1\]], or
+    [capture] is given with [capacity < 1]. *)
+
+val off : t
+(** [create ()]: records nothing and mirrors [Info] and above to stderr —
+    the default of every [?obs] argument. *)
+
+val with_trace_id : t -> string option -> t
+(** The same switches and sinks under another trace id — how the server
+    derives each request's value from its own. *)
+
+val trace_id : t -> string option
+val tracing : t -> bool
+val metrics : t -> bool
+
+val sampled : t -> int -> bool
+(** Should the per-task span for task index [i] be recorded?  False
+    whenever tracing is off. *)
+
+(** {1 Spans} *)
+
 val emit_span :
+  t ->
   ?cat:string ->
   ?tid:int ->
   ?args:(string * string) list ->
@@ -89,23 +112,40 @@ val emit_span :
   dur_ns:int64 ->
   unit ->
   unit
-(** Record a completed span (lock-free push; safe from any domain).  No-op
-    when tracing is off.  [tid] defaults to the calling domain's id. *)
+(** Record a completed span, with the value's trace id as a [trace_id]
+    arg (lock-free; safe from any domain).  No-op when tracing is off.
+    [tid] defaults to the calling domain's id. *)
 
 val with_span :
+  t ->
   ?cat:string ->
   ?tid:int ->
   ?args:(string * string) list ->
   string ->
   (unit -> 'a) ->
   'a
-(** [with_span name f] times [f ()] and records the span (even if [f]
+(** [with_span obs name f] times [f ()] and records the span (even if [f]
     raises).  When tracing is off this is exactly [f ()]. *)
 
-val spans : unit -> span list
-(** All spans recorded since the last {!clear_spans}, sorted by start time. *)
+val spans : t -> span list
+(** Every span the value recorded, sorted by start time; [[]] when tracing
+    is off. *)
 
-val clear_spans : unit -> unit
+(** {1 Events} *)
+
+val emit_event :
+  t -> fields:(string * Json.t) list -> level -> string -> string -> unit
+(** The body of {!Log}'s emitters: mirror the message to stderr and
+    capture the event, as the value says.  Lock-free. *)
+
+val events : t -> event list
+(** Captured events, in emission order; [[]] when capture is off. *)
+
+val dropped : t -> int
+(** Events discarded because the capture buffer was full. *)
+
+val capacity : t -> int
+(** The capture buffer's bound; [0] when capture is off. *)
 
 (** {1 Metrics registry} *)
 
@@ -195,16 +235,13 @@ val default : Registry.t
 val snapshot : unit -> Registry.snapshot
 (** [Registry.snapshot default]. *)
 
-val reset : unit -> unit
-(** Clear spans and zero {!default} — called by front-ends between runs. *)
-
 (** {1 The scaguard metric set}
 
     Pre-registered on {!default} so instrumentation sites share handles.
-    Counters are only bumped when [metrics ()] is true; the record-typed
-    statistics the API already exposes ([Engine.stats], cache stats, report
-    timings) are computed independently and remain the source-compatible
-    derived views. *)
+    Counters are only bumped by runs whose value has {!metrics} on; the
+    record-typed statistics the API already exposes ([Engine.stats], cache
+    stats, report timings) are computed independently and remain the
+    source-compatible derived views. *)
 module Metrics : sig
   val batches_total : Registry.counter
   val targets_total : Registry.counter
@@ -221,22 +258,6 @@ module Metrics : sig
   val cache_misses_total : Registry.counter
   val cache_stale_total : Registry.counter
 
-  val ensemble_screened_total : Registry.counter
-  (** [scaguard_ensemble_screened_total] — runs screened by the two-tier
-      ensemble's HPC fast path ([Detect.Ensemble]). *)
-
-  val ensemble_fast_rejects_total : Registry.counter
-  (** [scaguard_ensemble_fast_rejects_total] — runs the fast path rejected
-      as benign, skipping DTW entirely. *)
-
-  val ensemble_slow_path_total : Registry.counter
-  (** [scaguard_ensemble_slow_path_total] — runs escalated to the DTW slow
-      path. *)
-
-  val ensemble_slow_confirms_total : Registry.counter
-  (** [scaguard_ensemble_slow_confirms_total] — slow-path classifications
-      that confirmed an attack. *)
-
   val latency_buckets : float array
   (** The shared exponential 1µs..10s ladder used by every latency
       histogram. *)
@@ -250,8 +271,8 @@ module Metrics : sig
 
   (** {2 Serve-daemon metrics}
 
-      Bumped by {!Server} when [metrics ()] is on; exported to clients by
-      the protocol's [metrics] verb (see [docs/SERVER.md]). *)
+      Bumped by {!Server} when its value has {!metrics} on; exported to
+      clients by the protocol's [metrics] verb (see [docs/SERVER.md]). *)
 
   val server_requests_total : op:string -> Registry.counter
   (** Create-or-get [scaguard_server_requests_total{op="..."}] — requests
@@ -309,7 +330,7 @@ val write_metrics : path:string -> (unit, Err.t) result
 
 (** {1 Pool instrumentation} *)
 
-val pool_probe : stage:string -> Sutil.Pool.probe option
+val pool_probe : t -> stage:string -> Sutil.Pool.probe option
 (** A fresh {!Sutil.Pool.probe} that emits ["<stage>:task"] run spans and
     ["<stage>:wait"] queue-wait spans (the gap between a worker's previous
     task and its next), honoring the sample rate; [None] when tracing is

@@ -43,11 +43,11 @@ let job ?settings ?init ?victim ?(salt = "") ~name program =
    index.  Task order in the output is the input order regardless of which
    worker ran what, and each task's computation is independent of every
    other's, so results are byte-identical to a sequential loop. *)
-let batch ?domains n f =
+let batch ~obs ?domains n f =
   let workers = Sutil.Pool.domains_for ?domains n in
   let measurers = Array.init workers (fun _ -> Cst.measurer ()) in
   let out = Array.make n None in
-  let probe = if Obs.tracing () then Obs.pool_probe ~stage:"build" else None in
+  let probe = Obs.pool_probe obs ~stage:"build" in
   ignore
     (Sutil.Pool.run ?domains ?probe ~tasks:n (fun ~worker i ->
          out.(i) <- Some (f ~measurer:(measurers.(worker)) i)));
@@ -57,28 +57,29 @@ let batch ?domains n f =
    bump the build counter and latency histogram, and emit a sampled
    build:model span tagged with the job name.  [build] is the untimed
    construction; when observability is off this is exactly [build ()]. *)
-let timed_build ~name i build =
-  if Obs.enabled () then begin
+let timed_build ~obs ~name i build =
+  if Obs.tracing obs || Obs.metrics obs then begin
     let t0 = Obs.Clock.now_ns () in
     let result = build () in
     let dur_ns = Obs.Clock.elapsed_ns ~since:t0 in
-    if Obs.metrics () then begin
+    if Obs.metrics obs then begin
       Obs.Registry.incr Obs.Metrics.models_built_total;
       Obs.Registry.observe Obs.Metrics.model_build_seconds
         (Obs.Clock.ns_to_s dur_ns)
     end;
-    if Obs.sampled i then
-      Obs.emit_span ~cat:"build" ~args:[ ("model", name) ] ~name:"build:model"
-        ~ts_ns:t0 ~dur_ns ();
+    if Obs.sampled obs i then
+      Obs.emit_span obs ~cat:"build" ~args:[ ("model", name) ]
+        ~name:"build:model" ~ts_ns:t0 ~dur_ns ();
     result
   end
   else build ()
 
-let build_models_batch ?domains ?cache ?max_paths ?max_len ?cst_config jobs =
-  batch ?domains (Array.length jobs) (fun ~measurer i ->
+let build_models_batch ?(obs = Obs.off) ?domains ?cache ?max_paths ?max_len
+    ?cst_config jobs =
+  batch ~obs ?domains (Array.length jobs) (fun ~measurer i ->
       let j = jobs.(i) in
       let build () =
-        timed_build ~name:j.job_name i (fun () ->
+        timed_build ~obs ~name:j.job_name i (fun () ->
             let exec =
               Cpu.Exec.run ?settings:j.settings ?init:j.init ?victim:j.victim
                 j.program
@@ -95,4 +96,4 @@ let build_models_batch ?domains ?cache ?max_paths ?max_len ?cst_config jobs =
             ?victim:(Option.map fst j.victim) ~salt:j.salt ~name:j.job_name
             j.program
         in
-        Model_cache.find_or_build c ~key build)
+        Model_cache.find_or_build ~obs c ~key build)

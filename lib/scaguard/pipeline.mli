@@ -65,6 +65,7 @@ val job :
   ?salt:string -> name:string -> Isa.Program.t -> job
 
 val build_models_batch :
+  ?obs:Obs.t ->
   ?domains:int ->
   ?cache:Model_cache.t ->
   ?max_paths:int -> ?max_len:int -> ?cst_config:Cache.Config.t ->
@@ -74,4 +75,4 @@ val build_models_batch :
     first: a hit skips execution and modeling
     entirely, a miss builds then stores.  Cached or not, [models.(i)] is
     byte-identical ({!Persist.model_to_string}) to a fresh sequential
-    build of [jobs.(i)]. *)
+    build of [jobs.(i)], under any [obs] (default {!Obs.off}). *)

@@ -9,8 +9,8 @@
    A record is a return value, never ambient state: the caller that asks
    for one starts a builder, [Detector.classify_prepared ~prov] writes into
    it (and never reads it back, so verdicts are bit-identical with or
-   without one), and [finish] seals it with the verdict and the target's
-   position in its batch. *)
+   without one), and [finish] seals it with the verdict, the target's
+   position in its batch and the run's trace id. *)
 
 type index_event =
   | Node_visited of { bound : float; members : int }
@@ -82,11 +82,11 @@ let index_event b ev = b.b_index_events <- ev :: b.b_index_events
 let candidate b ~poc ~family ?lb outcome =
   b.b_candidates <- { poc; family; lb; outcome } :: b.b_candidates
 
-let finish b ~seq ~best_matches ~best_family ~best_score =
+let finish ?trace_id b ~seq ~best_matches ~best_family ~best_score =
   {
     seq;
     target = b.b_target;
-    trace_id = Traceid.get ();
+    trace_id;
     worker = (Domain.self () :> int);
     path = b.b_path;
     index_events = List.rev b.b_index_events;

@@ -13,11 +13,12 @@
     A record exists only when a caller asks for one, and it is that call's
     return value: [Engine.classify_batch ~explain:true] {!start}s a builder
     per target, [Detector.classify_prepared ~prov] writes the decision
-    trail into it, and {!finish} seals it with the verdict and the target's
-    position in its batch.  Nothing is captured globally, so a batch gets
-    exactly one record per target, in target order, however many domains
-    ran it.  The detection path never reads a builder back, so verdicts are
-    bit-identical with or without one (qcheck-asserted).
+    trail into it, and {!finish} seals it with the verdict, the target's
+    position in its batch and the run's trace id.  Nothing is captured
+    globally, so a batch gets exactly one record per target, in target
+    order, however many domains ran it.  The detection path never reads a
+    builder back, so verdicts are bit-identical with or without one
+    (qcheck-asserted).
 
     Records serialize to JSON ({!to_json}) and are rendered by
     [scaguard explain] and the serve protocol's [explain] verb. *)
@@ -55,7 +56,7 @@ type path =
 type t = {
   seq : int;  (** the target's position in its batch *)
   target : string;
-  trace_id : string option;  (** the ambient {!Obs.trace_id} at finish *)
+  trace_id : string option;  (** the run's {!Obs.trace_id} *)
   worker : int;  (** domain id of the classifying worker *)
   path : path;
   index_events : index_event list;  (** in traversal order *)
@@ -87,14 +88,15 @@ val candidate :
   builder -> poc:string -> family:string -> ?lb:float -> outcome -> unit
 
 val finish :
+  ?trace_id:string ->
   builder ->
   seq:int ->
   best_matches:(string * string * float) list ->
   best_family:string option ->
   best_score:float ->
   t
-(** Seal the record: stamps the duration, the ambient trace id and the
-    calling domain's id. *)
+(** Seal the record: stamps the duration, [trace_id] (the run's
+    {!Obs.trace_id}; default none) and the calling domain's id. *)
 
 (** {1 JSON} *)
 

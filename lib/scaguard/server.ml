@@ -299,6 +299,7 @@ let lat_window = 4096
 
 type t = {
   config : Config.t;
+  obs : Obs.t;
   resolve : resolve;
   mutable prepared : Detector.prepared;
   mutable repo_path : string option;
@@ -329,8 +330,9 @@ type t = {
 
 let ( let* ) = Result.bind
 
-let create ~config ~resolve ~prepared ?repo_path ?(queue_capacity = 64)
-    ?(max_line = 1 lsl 20) ?(default_deadline_ms = 0) () =
+let create ?(obs = Obs.off) ~config ~resolve ~prepared ?repo_path
+    ?(queue_capacity = 64) ?(max_line = 1 lsl 20) ?(default_deadline_ms = 0) ()
+    =
   let* config = Config.validate config in
   let knob field value expected =
     Error (Err.Invalid_config { field; value = string_of_int value; expected })
@@ -346,6 +348,7 @@ let create ~config ~resolve ~prepared ?repo_path ?(queue_capacity = 64)
     Ok
       {
         config;
+        obs;
         resolve;
         prepared;
         repo_path;
@@ -449,13 +452,13 @@ let bump tbl key =
   | None -> Hashtbl.add tbl key (ref 1)
 
 let set_queue_gauge t =
-  if Obs.metrics () then
+  if Obs.metrics t.obs then
     Obs.Registry.set_gauge Obs.Metrics.server_queue_depth
       (float_of_int (Sutil.Bqueue.length t.queue))
 
 let note_rejected t reason =
   bump t.rejected reason;
-  if Obs.metrics () then
+  if Obs.metrics t.obs then
     Obs.Registry.incr (Obs.Metrics.server_rejected_total ~reason)
 
 let accumulate t (report : Service.report) =
@@ -490,16 +493,16 @@ let resolve_all t ~seed targets =
   in
   go [] targets
 
-let do_detect t conn ?trace ~id ~arrival_ns ~deadline ~targets ~seed ~stream ()
-    =
+let do_detect t conn ~obs ~id ~arrival_ns ~deadline ~targets ~seed ~stream () =
   (* the CLI's own salt policy, so serve verdicts reproduce detect-batch's *)
   let config = Config.seeded ~seed t.config in
+  let trace = Obs.trace_id obs in
   let total = List.length targets in
   let attacks = ref 0 in
   let emit_verdict target v =
     if v.Detector.best_family <> None then incr attacks;
     emit_frame ?trace conn (verdict_frame ~id ~target v);
-    if Obs.metrics () then
+    if Obs.metrics obs then
       Obs.Registry.incr Obs.Metrics.server_streamed_verdicts_total
   in
   let progress completed =
@@ -538,7 +541,7 @@ let do_detect t conn ?trace ~id ~arrival_ns ~deadline ~targets ~seed ~stream ()
           | Error e ->
             emit_frame ?trace conn (err_frame ~extras:(progress completed) ~id e)
           | Ok job -> (
-            match Service.screen_prepared config t.prepared [| job |] with
+            match Service.screen_prepared ~obs config t.prepared [| job |] with
             | Error e ->
               emit_frame ?trace conn
                 (err_frame ~extras:(progress completed) ~id e)
@@ -558,7 +561,7 @@ let do_detect t conn ?trace ~id ~arrival_ns ~deadline ~targets ~seed ~stream ()
       emit_frame ?trace conn
         (err_frame ~extras:(("target", Json.Str name) :: progress 0) ~id e)
     | Ok jobs -> (
-      match Service.screen_prepared config t.prepared jobs with
+      match Service.screen_prepared ~obs config t.prepared jobs with
       | Error e -> emit_frame ?trace conn (err_frame ~extras:(progress 0) ~id e)
       | Ok (_models, verdicts, report) ->
         accumulate t report;
@@ -566,13 +569,14 @@ let do_detect t conn ?trace ~id ~arrival_ns ~deadline ~targets ~seed ~stream ()
         finish total)
   end
 
-let do_screen t conn ?trace ~id ~arrival_ns ~targets ~seed () =
+let do_screen t conn ~obs ~id ~arrival_ns ~targets ~seed () =
   let config = Config.seeded ~seed t.config in
+  let trace = Obs.trace_id obs in
   match resolve_all t ~seed targets with
   | Error (name, e) ->
     emit_frame ?trace conn (err_frame ~extras:[ ("target", Json.Str name) ] ~id e)
   | Ok jobs -> (
-    match Service.screen_prepared config t.prepared jobs with
+    match Service.screen_prepared ~obs config t.prepared jobs with
     | Error e -> emit_frame ?trace conn (err_frame ~id e)
     | Ok (_models, verdicts, report) ->
       accumulate t report;
@@ -594,15 +598,16 @@ let do_screen t conn ?trace ~id ~arrival_ns ~targets ~seed () =
              ("wall_ms", Json.Num (wall_ms ~arrival_ns));
            ]))
 
-let do_explain t conn ?trace ~id ~arrival_ns ~targets ~seed () =
+let do_explain t conn ~obs ~id ~arrival_ns ~targets ~seed () =
   let config = Config.seeded ~seed t.config in
+  let trace = Obs.trace_id obs in
   match resolve_all t ~seed targets with
   | Error (name, e) ->
     emit_frame ?trace conn (err_frame ~extras:[ ("target", Json.Str name) ] ~id e)
   | Ok jobs -> (
     (* the screen_prepared engine run (bit-identical verdicts), plus one
        provenance record per target, in target order *)
-    match Service.explain config t.prepared jobs with
+    match Service.explain ~obs config t.prepared jobs with
     | Error e -> emit_frame ?trace conn (err_frame ~id e)
     | Ok (_models, verdicts, report, records) ->
       accumulate t report;
@@ -701,7 +706,8 @@ let metrics_frame t ~id =
       ("body", Json.Str body);
     ]
 
-let do_reload t conn ?trace ~id ~arrival_ns ~path () =
+let do_reload t conn ~obs ~id ~arrival_ns ~path () =
+  let trace = Obs.trace_id obs in
   let path =
     match (path, t.repo_path) with
     | Some p, _ | None, Some p -> Ok p
@@ -717,19 +723,19 @@ let do_reload t conn ?trace ~id ~arrival_ns ~path () =
   in
   match path with
   | Error e ->
-    Log.err "server.reload" e;
+    Log.err ~obs "server.reload" e;
     emit_frame ?trace conn (err_frame ~id e)
   | Ok path -> (
     (* loading under the server's config rebuilds the prepared index when
        the file does not carry one, so a reloaded daemon classifies exactly
        like a freshly started one — same candidates, same counters *)
-    match Service.load_repository ~config:t.config ~path () with
+    match Service.load_repository ~obs ~config:t.config ~path () with
     | Error e ->
-      Log.err "server.reload" e;
+      Log.err ~obs "server.reload" e;
       emit_frame ?trace conn (err_frame ~id e)
     | Ok (_repo, prep, _report) ->
       if Detector.prepared_size prep = 0 then begin
-        Log.warn "server.reload"
+        Log.warn ~obs "server.reload"
           ~fields:[ ("path", Json.Str path) ]
           "scaguard: %s holds no models: keeping the current repository" path;
         emit_frame ?trace conn
@@ -744,7 +750,7 @@ let do_reload t conn ?trace ~id ~arrival_ns ~path () =
         t.prepared <- prep;
         t.repo_path <- Some path;
         t.reloads <- t.reloads + 1;
-        Log.info "server.reload"
+        Log.info ~obs "server.reload"
           ~fields:
             [
               ("path", Json.Str path);
@@ -786,57 +792,54 @@ let execute t { iconn; req; arrival_ns; deadline } =
   else begin
     let op = verb req.body in
     let id = req.id in
-    (* the single-drainer discipline makes the ambient trace id race-free:
-       nothing else executes while this request does, so every span, log
-       event and provenance record emitted in here — the request:<op> span
-       included — carries this request's trace *)
-    Obs.set_trace_id trace;
-    Fun.protect
-      ~finally:(fun () -> Obs.set_trace_id None)
-      (fun () ->
-        (try
-           match req.body with
-           | Ping ->
-             emit_frame ?trace iconn
-               (Json.Obj
-                  [ ("id", id); ("ok", Json.Bool true); ("op", Json.Str "ping") ])
-           | Stats -> emit_frame ?trace iconn (stats_frame t ~id)
-           | Metrics -> emit_frame ?trace iconn (metrics_frame t ~id)
-           | Reload { path } -> do_reload t iconn ?trace ~id ~arrival_ns ~path ()
-           | Shutdown ->
-             t.draining_ <- true;
-             t.acks <- (iconn, id) :: t.acks
-           | Detect { targets; seed; stream } ->
-             do_detect t iconn ?trace ~id ~arrival_ns ~deadline ~targets ~seed
-               ~stream ()
-           | Screen { targets; seed } ->
-             do_screen t iconn ?trace ~id ~arrival_ns ~targets ~seed ()
-           | Explain { targets; seed } ->
-             do_explain t iconn ?trace ~id ~arrival_ns ~targets ~seed ()
-         with exn ->
-           (* a hostile or buggy request must never take the daemon down *)
-           Log.error "server.internal"
-             ~fields:[ ("op", Json.Str op); ("id", req.id) ]
-             "scaguard: unexpected exception serving %s: %s" op
-             (Printexc.to_string exn);
-           emit_frame ?trace iconn
-             (frame_error ~id Internal
-                ("unexpected exception: " ^ Printexc.to_string exn)));
-        t.served_ <- t.served_ + 1;
-        bump t.by_op op;
-        let dur_ns = Obs.Clock.elapsed_ns ~since:arrival_ns in
-        let dur_s = Obs.Clock.ns_to_s dur_ns in
-        t.lat.(t.lat_n mod lat_window) <- dur_s;
-        t.lat_n <- t.lat_n + 1;
-        if Obs.metrics () then begin
-          Obs.Registry.incr (Obs.Metrics.server_requests_total ~op);
-          Obs.Registry.observe (Obs.Metrics.server_request_seconds ~op) dur_s
-        end;
-        if Obs.tracing () then
-          Obs.emit_span ~cat:"server" ~name:("request:" ^ op) ~ts_ns:arrival_ns
-            ~dur_ns
-            ~args:[ ("op", op); ("id", Json.to_string req.id) ]
-            ())
+    (* the request runs under the server's switches and sinks with its own
+       trace id, so every span, log event and provenance record emitted in
+       here — the request:<op> span included — carries this request's
+       trace and no other's *)
+    let obs = Obs.with_trace_id t.obs trace in
+    (try
+       match req.body with
+       | Ping ->
+         emit_frame ?trace iconn
+           (Json.Obj
+              [ ("id", id); ("ok", Json.Bool true); ("op", Json.Str "ping") ])
+       | Stats -> emit_frame ?trace iconn (stats_frame t ~id)
+       | Metrics -> emit_frame ?trace iconn (metrics_frame t ~id)
+       | Reload { path } -> do_reload t iconn ~obs ~id ~arrival_ns ~path ()
+       | Shutdown ->
+         t.draining_ <- true;
+         t.acks <- (iconn, id) :: t.acks
+       | Detect { targets; seed; stream } ->
+         do_detect t iconn ~obs ~id ~arrival_ns ~deadline ~targets ~seed
+           ~stream ()
+       | Screen { targets; seed } ->
+         do_screen t iconn ~obs ~id ~arrival_ns ~targets ~seed ()
+       | Explain { targets; seed } ->
+         do_explain t iconn ~obs ~id ~arrival_ns ~targets ~seed ()
+     with exn ->
+       (* a hostile or buggy request must never take the daemon down *)
+       Log.error ~obs "server.internal"
+         ~fields:[ ("op", Json.Str op); ("id", req.id) ]
+         "scaguard: unexpected exception serving %s: %s" op
+         (Printexc.to_string exn);
+       emit_frame ?trace iconn
+         (frame_error ~id Internal
+            ("unexpected exception: " ^ Printexc.to_string exn)));
+    t.served_ <- t.served_ + 1;
+    bump t.by_op op;
+    let dur_ns = Obs.Clock.elapsed_ns ~since:arrival_ns in
+    let dur_s = Obs.Clock.ns_to_s dur_ns in
+    t.lat.(t.lat_n mod lat_window) <- dur_s;
+    t.lat_n <- t.lat_n + 1;
+    if Obs.metrics obs then begin
+      Obs.Registry.incr (Obs.Metrics.server_requests_total ~op);
+      Obs.Registry.observe (Obs.Metrics.server_request_seconds ~op) dur_s
+    end;
+    if Obs.tracing obs then
+      Obs.emit_span obs ~cat:"server" ~name:("request:" ^ op) ~ts_ns:arrival_ns
+        ~dur_ns
+        ~args:[ ("op", op); ("id", Json.to_string req.id) ]
+        ()
   end
 
 (* ---- feed / step ----- *)

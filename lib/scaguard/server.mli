@@ -12,7 +12,8 @@
     cleanly between targets, and verdicts streamed back as each target
     completes.  Requests may carry an opaque [trace_id], echoed in every
     frame they produce and stamped on the spans, log events and provenance
-    records their execution emits ({!Obs.set_trace_id}).
+    records their execution emits (the request runs under its own
+    {!Obs.t}, see {!create}).
 
     The wire protocol — every frame shape, error code, and the
     backpressure / deadline / drain semantics — is specified in
@@ -117,8 +118,8 @@ type request = {
   trace_id : string option;
       (** opaque client-chosen correlation token: echoed as a [trace_id]
           field in every frame this request produces (success, error and
-          verdict frames alike) and set as the ambient {!Obs.trace_id}
-          while the request executes, so spans, log events and provenance
+          verdict frames alike) and the trace id of the {!Obs.t} the
+          request executes under, so spans, log events and provenance
           records all carry it *)
 }
 
@@ -151,6 +152,7 @@ type resolve = seed:int -> string -> (Pipeline.job, Err.t) result
     [(seed, name)] so serve verdicts reproduce [detect-batch]'s. *)
 
 val create :
+  ?obs:Obs.t ->
   config:Config.t ->
   resolve:resolve ->
   prepared:Detector.prepared ->
@@ -164,7 +166,9 @@ val create :
     {!Service.load_repository}).  [queue_capacity] (default 64) bounds the
     request queue; [max_line] (default 1 MiB) bounds a frame;
     [default_deadline_ms] (default 0 = none) applies to requests that carry
-    no [deadline_ms].  Fails with [Invalid_config] (bad config or knob) or
+    no [deadline_ms].  Each request runs under
+    [Obs.with_trace_id obs request.trace_id] ([obs] defaults to
+    {!Obs.off}).  Fails with [Invalid_config] (bad config or knob) or
     [Empty_repository]. *)
 
 (** {2 Driving the protocol in-process}

@@ -217,18 +217,19 @@ let ( let* ) = Result.bind
 
 (* Stage timing reads the monotonic clock (Obs.Clock) — the one clock the
    whole stack uses — so a wall-clock step (NTP, suspend) can never produce
-   a negative or wildly wrong stage duration.  When observability is on the
+   a negative or wildly wrong stage duration.  When [obs] observes, the
    stage also lands in the stage_seconds histogram and (tracing) as a
    coarse stage:<name> span. *)
-let timed stage f =
+let timed ~obs stage f =
   let w0 = Obs.Clock.now_ns () and c0 = Sys.time () in
   let v = f () in
   let dur_ns = Obs.Clock.elapsed_ns ~since:w0 in
   let wall_s = Obs.Clock.ns_to_s dur_ns in
-  if Obs.metrics () then
+  if Obs.metrics obs then
     Obs.Registry.observe (Obs.Metrics.stage_seconds ~stage) wall_s;
-  if Obs.tracing () then
-    Obs.emit_span ~cat:"stage" ~name:("stage:" ^ stage) ~ts_ns:w0 ~dur_ns ();
+  if Obs.tracing obs then
+    Obs.emit_span obs ~cat:"stage" ~name:("stage:" ^ stage) ~ts_ns:w0
+      ~dur_ns ();
   ({ stage; wall_s; cpu_s = Sys.time () -. c0 }, v)
 
 let cache_of_config (config : Config.t) =
@@ -237,8 +238,8 @@ let cache_of_config (config : Config.t) =
   | Some dir -> Result.map Option.some (Model_cache.create_result ~dir)
 
 (* A run's report: counts, the cache's counters, the engine's stats, and a
-   metrics snapshot when collection is on. *)
-let report ?(built = 0) ?(classified = 0) ?cache ?engine timings =
+   metrics snapshot when [obs] collects them. *)
+let report ~obs ?(built = 0) ?(classified = 0) ?cache ?engine timings =
   {
     built;
     classified;
@@ -254,7 +255,7 @@ let report ?(built = 0) ?(classified = 0) ?cache ?engine timings =
         cache;
     engine;
     timings;
-    metrics = (if Obs.metrics () then Some (Obs.snapshot ()) else None);
+    metrics = (if Obs.metrics obs then Some (Obs.snapshot ()) else None);
   }
 
 (* The config's index policy as a Vpindex build spec; [None] means linear.
@@ -286,33 +287,33 @@ let resolve_job (config : Config.t) (j : Pipeline.job) =
     salt = (if j.Pipeline.salt = "" then config.Config.salt else j.Pipeline.salt);
   }
 
-let build_stage (config : Config.t) cache jobs =
+let build_stage ~obs (config : Config.t) cache jobs =
   let jobs = Array.map (resolve_job config) jobs in
-  timed "build" (fun () ->
-      Pipeline.build_models_batch ?domains:config.Config.domains ?cache
+  timed ~obs "build" (fun () ->
+      Pipeline.build_models_batch ~obs ?domains:config.Config.domains ?cache
         ?max_paths:config.Config.max_paths ?max_len:config.Config.max_len
         ~cst_config:config.Config.cst_config jobs)
 
-let build config jobs =
+let build ?(obs = Obs.off) config jobs =
   let* config = Config.validate config in
   let* cache = cache_of_config config in
-  let timing, models = build_stage config cache jobs in
-  Ok (models, report ~built:(Array.length models) ?cache [ timing ])
+  let timing, models = build_stage ~obs config cache jobs in
+  Ok (models, report ~obs ~built:(Array.length models) ?cache [ timing ])
 
-let detect_stage ?explain (config : Config.t) prep targets =
-  timed "detect" (fun () ->
-      Engine.classify_batch ~threshold:config.Config.threshold
+let detect_stage ~obs ?explain (config : Config.t) prep targets =
+  timed ~obs "detect" (fun () ->
+      Engine.classify_batch ~obs ~threshold:config.Config.threshold
         ?alpha:config.Config.alpha ?band:config.Config.band
         ?domains:config.Config.domains ~prune:config.Config.prune ?explain prep
         targets)
 
-let detect_prepared config prep targets =
+let detect_prepared ?(obs = Obs.off) config prep targets =
   let* config = Config.validate config in
   if Detector.prepared_size prep = 0 then Error Err.Empty_repository
   else
-    let timing, (verdicts, _, stats) = detect_stage config prep targets in
-    Ok
-      (verdicts, report ~classified:(Array.length targets) ~engine:stats [ timing ])
+    let timing, (verdicts, _, stats) = detect_stage ~obs config prep targets in
+    let classified = Array.length targets in
+    Ok (verdicts, report ~obs ~classified ~engine:stats [ timing ])
 
 (* ---- repository IO ----------------------------------------------------------- *)
 
@@ -320,10 +321,10 @@ let prepare config repo =
   let* config = Config.validate config in
   Ok (Detector.prepare ?index:(spec_of_config config) repo)
 
-let save_repository config ~path repo =
+let save_repository ?(obs = Obs.off) config ~path repo =
   let* config = Config.validate config in
   let timing, result =
-    timed "save" (fun () ->
+    timed ~obs "save" (fun () ->
         match config.Config.repo_format with
         | Config.Text -> Persist.save_repository_result ~path repo
         | Config.Binary ->
@@ -336,15 +337,15 @@ let save_repository config ~path repo =
           Persist.save_repository_bin_result ?index ~path repo)
   in
   let* () = result in
-  Ok (report [ timing ])
+  Ok (report ~obs [ timing ])
 
 (* With [config], the loaded repository honours the config's index policy:
    an index embedded in the image is kept (Auto/Vp) or dropped (Off), and a
    missing one is built here.  Without [config] the file decides — exactly
    the pre-index behaviour for text files and index-free images. *)
-let load_repository ?config ~path () =
+let load_repository ?(obs = Obs.off) ?config ~path () =
   let timing, result =
-    timed "load" (fun () -> Persist.load_repository_prepared_result ~path)
+    timed ~obs "load" (fun () -> Persist.load_repository_prepared_result ~path)
   in
   let* repo, prep = result in
   let* prep =
@@ -362,27 +363,27 @@ let load_repository ?config ~path () =
             Detector.attach_index prep
               (Vpindex.build spec (Detector.prepared_summaries prep))))
   in
-  Ok (repo, prep, report ~built:(List.length repo) [ timing ])
+  Ok (repo, prep, report ~obs ~built:(List.length repo) [ timing ])
 
-let screen ?explain config prep jobs =
+let screen ?(obs = Obs.off) ?explain config prep jobs =
   let* config = Config.validate config in
   if Detector.prepared_size prep = 0 then Error Err.Empty_repository
   else
     let* cache = cache_of_config config in
-    let build_timing, models = build_stage config cache jobs in
+    let build_timing, models = build_stage ~obs config cache jobs in
     let detect_timing, (verdicts, records, stats) =
-      detect_stage ?explain config prep models
+      detect_stage ~obs ?explain config prep models
     in
     let n = Array.length models in
     Ok
       ( models,
         verdicts,
-        report ~built:n ~classified:n ?cache ~engine:stats
+        report ~obs ~built:n ~classified:n ?cache ~engine:stats
           [ build_timing; detect_timing ],
         records )
 
-let screen_prepared config prep jobs =
-  let* models, verdicts, report, _ = screen config prep jobs in
+let screen_prepared ?obs config prep jobs =
+  let* models, verdicts, report, _ = screen ?obs config prep jobs in
   Ok (models, verdicts, report)
 
-let explain config prep jobs = screen ~explain:true config prep jobs
+let explain ?obs config prep jobs = screen ?obs ~explain:true config prep jobs

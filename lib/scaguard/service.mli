@@ -11,7 +11,9 @@
     {!build} results are byte-identical ({!Persist.model_to_string}) and
     {!detect_prepared} verdicts bit-identical (score bits and tie order) to
     the manual composition with the same knobs — asserted by the test
-    suite. *)
+    suite.  Every entry point that runs takes the run's {!Obs.t} as [?obs]
+    (default {!Obs.off}) and hands it down; it decides what the run records,
+    never a model byte or verdict bit. *)
 
 type cache_stats = { dir : string; hits : int; misses : int; stale : int }
 (** Hit/miss/stale counters of the {!Model_cache} this run opened —
@@ -30,7 +32,7 @@ type report = {
   timings : timing list;  (** per-stage wall/cpu, in execution order *)
   metrics : Obs.Registry.snapshot option;
       (** the {!Obs.default} registry at the end of the run; present iff
-          [Obs.metrics ()] was on *)
+          the run's [obs] had {!Obs.metrics} on *)
 }
 
 val pp_report : Format.formatter -> report -> unit
@@ -48,6 +50,7 @@ val report_to_json : report -> Json.t
     {!Json.to_string}, so they read back bit for bit. *)
 
 val build :
+  ?obs:Obs.t ->
   Config.t -> Pipeline.job array -> (Model.t array * report, Err.t) result
 (** Build one model per job — execute, identify, restore, measure — fanned
     over [config.domains] workers and consulting the [config.cache_dir]
@@ -58,6 +61,7 @@ val build :
     (cache directory unusable). *)
 
 val detect_prepared :
+  ?obs:Obs.t ->
   Config.t ->
   Detector.prepared ->
   Model.t array ->
@@ -83,6 +87,7 @@ val prepare :
     against it is the [Empty_repository] error.  Errors: [Invalid_config]. *)
 
 val save_repository :
+  ?obs:Obs.t ->
   Config.t -> path:string -> Detector.repository -> (report, Err.t) result
 (** Persist the repository at [path] in [config.repo_format] (atomic,
     durable — see {!Persist.write_atomic}).  Binary images additionally
@@ -91,6 +96,7 @@ val save_repository :
     a ["save"] timing.  Errors: [Invalid_config], [Io]. *)
 
 val load_repository :
+  ?obs:Obs.t ->
   ?config:Config.t ->
   path:string ->
   unit ->
@@ -106,6 +112,7 @@ val load_repository :
     built).  Errors: [Io], [Parse], [Invalid_config]. *)
 
 val screen_prepared :
+  ?obs:Obs.t ->
   Config.t ->
   Detector.prepared ->
   Pipeline.job array ->
@@ -116,6 +123,7 @@ val screen_prepared :
     [Invalid_config], [Empty_repository], [Io]. *)
 
 val explain :
+  ?obs:Obs.t ->
   Config.t ->
   Detector.prepared ->
   Pipeline.job array ->
@@ -125,6 +133,7 @@ val explain :
 (** {!screen_prepared} on the same engine run with [~explain:true]
     ({!Engine.classify_batch}): the same models, verdicts and report —
     bit-identical — plus one {!Provenance.t} per job, index-aligned with
-    the jobs ([seq] is the job's position).  Backs [scaguard explain],
+    the jobs ([seq] is the job's position) and stamped with [obs]'s trace
+    id.  Backs [scaguard explain],
     [detect-batch --provenance-out] and the serve protocol's [explain]
     verb. *)

@@ -2,24 +2,17 @@ type 'a t = {
   items : 'a list Atomic.t;
   length : int Atomic.t;
   dropped : int Atomic.t;
-  mutable capacity : int;  (* max_int = unbounded: no length accounting *)
+  capacity : int;  (* max_int = unbounded: no length accounting *)
 }
 
-let check_capacity n =
-  if n < 1 then invalid_arg "Sink: capacity must be >= 1"
-
 let create ?(capacity = max_int) () =
-  check_capacity capacity;
+  if capacity < 1 then invalid_arg "Sink: capacity must be >= 1";
   {
     items = Atomic.make [];
     length = Atomic.make 0;
     dropped = Atomic.make 0;
     capacity;
   }
-
-let set_capacity t n =
-  check_capacity n;
-  t.capacity <- n
 
 let capacity t = t.capacity
 
@@ -40,8 +33,3 @@ let push t x =
 
 let items t = Atomic.get t.items
 let dropped t = Atomic.get t.dropped
-
-let clear t =
-  Atomic.set t.items [];
-  Atomic.set t.length 0;
-  Atomic.set t.dropped 0

@@ -1,7 +1,8 @@
 (* The observability subsystem: registry exactness (including under domain
    concurrency), Prometheus exposition shape, Chrome trace-event JSON
-   validity, deterministic sampling, and the core guarantee that turning
-   tracing/metrics on changes no verdict bit and no model byte. *)
+   validity, deterministic sampling, the core guarantee that turning
+   tracing/metrics on changes no verdict bit and no model byte, and that two
+   runs in flight at once never stamp each other's trace id. *)
 
 module SG = Scaguard
 module Obs = Scaguard.Obs
@@ -10,19 +11,11 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
-(* Every test leaves the global switches off and the global state clean,
-   whatever happens. *)
-let with_obs ~tracing ~metrics f =
-  Obs.reset ();
-  Obs.set_tracing tracing;
-  Obs.set_metrics metrics;
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.set_tracing false;
-      Obs.set_metrics false;
-      Obs.set_span_sample_rate 1.0;
-      Obs.reset ())
-    f
+(* Every test runs under a fresh value of its own; the registry is
+   process-wide, so it is zeroed first and counts start at 0. *)
+let with_obs ?sample_rate ~tracing ~metrics f =
+  Obs.Registry.reset Obs.default;
+  f (Obs.create ~tracing ~metrics ?sample_rate ())
 
 (* -- clock ------------------------------------------------------------------ *)
 
@@ -202,7 +195,7 @@ let test_prometheus_name_charset () =
     (* label names additionally exclude the colon *)
     metric_ok n && not (String.contains n ':')
   in
-  with_obs ~tracing:false ~metrics:true (fun () ->
+  with_obs ~tracing:false ~metrics:true (fun _ ->
       (* make sure the full stock metric set (identity gauges included) is
          registered before sweeping it *)
       Obs.export_build_info ~version:"1.2.3" ~format_version:"2"
@@ -260,7 +253,7 @@ let test_prometheus_header_ordering () =
     samples
 
 let test_build_info_export () =
-  with_obs ~tracing:false ~metrics:true (fun () ->
+  with_obs ~tracing:false ~metrics:true (fun _ ->
       Obs.export_build_info ~version:"9.9.9" ~format_version:"7"
         ~start_ns:(Int64.sub (Obs.Clock.now_ns ()) 1_500_000_000L)
         ();
@@ -292,41 +285,41 @@ let test_build_info_export () =
 (* -- sampling --------------------------------------------------------------- *)
 
 let test_sampling () =
-  with_obs ~tracing:true ~metrics:false (fun () ->
-      Obs.set_span_sample_rate 1.0;
-      check_bool "rate 1 keeps everything" true
-        (List.for_all Obs.sampled [ 0; 1; 2; 3 ]);
-      Obs.set_span_sample_rate 0.25;
-      let kept = List.filter Obs.sampled (List.init 100 Fun.id) in
-      check_int "rate 0.25 keeps 1 in 4, deterministically" 25
-        (List.length kept);
-      check_bool "stride pattern" true (List.mem 0 kept && List.mem 4 kept);
-      Obs.set_span_sample_rate 0.0;
-      check_bool "rate 0 keeps nothing" true
-        (not (List.exists Obs.sampled (List.init 100 Fun.id)));
-      Obs.set_span_sample_rate 1.0;
-      Obs.set_tracing false;
-      check_bool "tracing off keeps nothing" true (not (Obs.sampled 0)));
+  let kept sample_rate =
+    with_obs ~sample_rate ~tracing:true ~metrics:false (fun obs ->
+        List.filter (Obs.sampled obs) (List.init 100 Fun.id))
+  in
+  check_int "rate 1 keeps everything" 100 (List.length (kept 1.0));
+  check_int "rate 0.25 keeps 1 in 4, deterministically" 25
+    (List.length (kept 0.25));
+  check_bool "stride pattern" true
+    (List.mem 0 (kept 0.25) && List.mem 4 (kept 0.25));
+  check_bool "rate 0 keeps nothing" true (kept 0.0 = []);
+  check_bool "tracing off keeps nothing" true
+    (with_obs ~sample_rate:1.0 ~tracing:false ~metrics:false (fun obs ->
+         not (Obs.sampled obs 0)));
   Alcotest.check_raises "rate outside [0,1] raises"
-    (Invalid_argument "Obs.set_span_sample_rate: rate must be in [0, 1]")
-    (fun () -> Obs.set_span_sample_rate 1.5)
+    (Invalid_argument "Obs.create: sample_rate must be in [0, 1]")
+    (fun () -> ignore (Obs.create ~sample_rate:1.5 ()))
 
 (* -- spans ------------------------------------------------------------------ *)
 
 let test_spans () =
-  with_obs ~tracing:false ~metrics:false (fun () ->
-      Obs.emit_span ~name:"ignored" ~ts_ns:0L ~dur_ns:1L ();
-      check_int "tracing off records nothing" 0 (List.length (Obs.spans ())));
-  with_obs ~tracing:true ~metrics:false (fun () ->
-      let v = Obs.with_span "outer" (fun () -> 42) in
+  with_obs ~tracing:false ~metrics:false (fun obs ->
+      Obs.emit_span obs ~name:"ignored" ~ts_ns:0L ~dur_ns:1L ();
+      check_int "tracing off records nothing" 0 (List.length (Obs.spans obs)));
+  with_obs ~tracing:true ~metrics:false (fun obs ->
+      let v = Obs.with_span obs "outer" (fun () -> 42) in
       check_int "with_span is transparent" 42 v;
-      Obs.emit_span ~cat:"c" ~tid:7 ~args:[ ("k", "v") ] ~name:"manual"
+      Obs.emit_span obs ~cat:"c" ~tid:7 ~args:[ ("k", "v") ] ~name:"manual"
         ~ts_ns:5L ~dur_ns:2L ();
-      let spans = Obs.spans () in
+      let spans = Obs.spans obs in
       check_int "both spans recorded" 2 (List.length spans);
       let first = List.hd spans in
       check_string "sorted by start time" "manual" first.Obs.name;
-      check_int "tid kept" 7 first.Obs.tid)
+      check_int "tid kept" 7 first.Obs.tid;
+      check_int "a second value has a sink of its own" 0
+        (List.length (Obs.spans (Obs.create ~tracing:true ()))))
 
 (* -- trace JSON validity ---------------------------------------------------- *)
 
@@ -334,13 +327,13 @@ let test_spans () =
    is read back with the strict parser every other artifact uses. *)
 let test_trace_json () =
   let module J = SG.Json in
-  with_obs ~tracing:true ~metrics:false (fun () ->
-      Obs.with_span ~cat:"stage" "stage:one" (fun () -> ());
-      Obs.emit_span ~cat:"engine" ~tid:3
+  with_obs ~tracing:true ~metrics:false (fun obs ->
+      Obs.with_span obs ~cat:"stage" "stage:one" (fun () -> ());
+      Obs.emit_span obs ~cat:"engine" ~tid:3
         ~args:[ ("target", "FR \"quoted\"\n") ]
         ~name:"engine:classify"
         ~ts_ns:(Obs.Clock.now_ns ()) ~dur_ns:1234L ();
-      let json = Obs.Trace_writer.to_json (Obs.spans ()) in
+      let json = Obs.Trace_writer.to_json (Obs.spans obs) in
       let v =
         match J.parse json with
         | Ok v -> v
@@ -404,20 +397,15 @@ let prop_observation_is_pure =
           (Experiments.Common.repository ~rng
              [ Workloads.Label.Fr_family; Workloads.Label.Pp_family ])
       in
-      let baseline_models =
-        with_obs ~tracing:false ~metrics:false (fun () ->
-            SG.Pipeline.build_models_batch ~domains jobs)
-      in
+      let baseline_models = SG.Pipeline.build_models_batch ~domains jobs in
       let baseline_verdicts, _, _ =
-        with_obs ~tracing:false ~metrics:false (fun () ->
-            SG.Engine.classify_batch ~prune ~domains repo baseline_models)
+        SG.Engine.classify_batch ~prune ~domains repo baseline_models
       in
       let models, verdicts =
-        with_obs ~tracing ~metrics (fun () ->
-            Obs.set_span_sample_rate rate;
-            let models = SG.Pipeline.build_models_batch ~domains jobs in
+        with_obs ~sample_rate:rate ~tracing ~metrics (fun obs ->
+            let models = SG.Pipeline.build_models_batch ~obs ~domains jobs in
             let verdicts, _, _ =
-              SG.Engine.classify_batch ~prune ~domains repo models
+              SG.Engine.classify_batch ~obs ~prune ~domains repo models
             in
             (models, verdicts))
       in
@@ -428,18 +416,88 @@ let prop_observation_is_pure =
         QCheck.Test.fail_report "verdicts changed under observation";
       true)
 
+(* QCheck property: two explained runs in flight at once, on two domains,
+   each under its own value (its own trace id, tracing and capture on, the
+   mirror off), across engine domain counts and the repository index.
+   Every span and event a value recorded, and every record its run
+   returned, carries that run's trace id and no other; both span sinks
+   fill; and the verdicts are bit-identical to an unobserved
+   [screen_prepared]. *)
+let two_family_repo =
+  lazy
+    (Experiments.Common.repository ~rng:(Sutil.Rng.create 77)
+       [ Workloads.Label.Fr_family; Workloads.Label.Pp_family ])
+
+let prop_concurrent_runs_never_cross_stamp =
+  QCheck.Test.make ~name:"concurrent runs never cross-stamp" ~count:8
+    QCheck.(pair (int_range 1 4) bool)
+    (fun (domains, indexed) ->
+      let jobs = obs_jobs () in
+      let index =
+        if indexed then
+          Some { SG.Vpindex.default_spec with SG.Vpindex.mode = SG.Vpindex.Force }
+        else None
+      in
+      let prep = SG.Detector.prepare ?index (Lazy.force two_family_repo) in
+      let config = { SG.Config.default with SG.Config.domains = Some domains } in
+      let _, baseline, _ =
+        Result.get_ok (SG.Service.screen_prepared config prep jobs)
+      in
+      let run trace_id =
+        let obs =
+          Obs.create ~trace_id ~tracing:true ~capture:SG.Log.Debug ~mirror:None
+            ()
+        in
+        SG.Log.info ~obs "t.start" "run %s" trace_id;
+        let _, verdicts, _, records =
+          Result.get_ok (SG.Service.explain ~obs config prep jobs)
+        in
+        SG.Log.info ~obs "t.done" "run %s" trace_id;
+        (obs, verdicts, records)
+      in
+      let other = Domain.spawn (fun () -> run "run-b") in
+      let mine = run "run-a" in
+      let theirs = Domain.join other in
+      let bits = Array.map (fun v -> Int64.bits_of_float v.SG.Detector.best_score) in
+      List.iter
+        (fun (trace_id, (obs, verdicts, records)) ->
+          let own = Some trace_id in
+          let spans = Obs.spans obs and events = Obs.events obs in
+          if spans = [] then QCheck.Test.fail_reportf "%s recorded no span" trace_id;
+          List.iter
+            (fun sp ->
+              if List.assoc_opt "trace_id" sp.Obs.args <> own then
+                QCheck.Test.fail_reportf "%s holds span %s of another run"
+                  trace_id sp.Obs.name)
+            spans;
+          if List.map (fun e -> e.Obs.trace_id) events <> [ own; own ] then
+            QCheck.Test.fail_reportf "%s holds events of another run" trace_id;
+          Array.iter
+            (fun r ->
+              if r.SG.Provenance.trace_id <> own then
+                QCheck.Test.fail_reportf "%s returned a record of another run"
+                  trace_id)
+            records;
+          if verdicts <> baseline || bits verdicts <> bits baseline then
+            QCheck.Test.fail_reportf "%s verdicts changed under observation"
+              trace_id)
+        [ ("run-a", mine); ("run-b", theirs) ];
+      true)
+
 let test_service_metrics_snapshot () =
   let jobs = obs_jobs () in
   let baseline =
-    with_obs ~tracing:false ~metrics:false (fun () ->
-        let models, report = Result.get_ok (SG.Service.build SG.Config.default jobs) in
+    with_obs ~tracing:false ~metrics:false (fun obs ->
+        let models, report =
+          Result.get_ok (SG.Service.build ~obs SG.Config.default jobs)
+        in
         check_bool "metrics absent when disabled" true
           (report.SG.Service.metrics = None);
         models)
   in
-  with_obs ~tracing:true ~metrics:true (fun () ->
+  with_obs ~tracing:true ~metrics:true (fun obs ->
       let models, report =
-        Result.get_ok (SG.Service.build SG.Config.default jobs)
+        Result.get_ok (SG.Service.build ~obs SG.Config.default jobs)
       in
       check_bool "models identical under full observability" true
         (Array.map SG.Persist.model_to_string models
@@ -457,7 +515,7 @@ let test_service_metrics_snapshot () =
                e.Obs.Registry.entry_name = "scaguard_stage_seconds"
                && e.Obs.Registry.entry_labels = [ ("stage", "build") ])
              snap);
-        check_bool "spans recorded" true (Obs.spans () <> []))
+        check_bool "spans recorded" true (Obs.spans obs <> []))
 
 let () =
   Alcotest.run "obs"
@@ -489,6 +547,7 @@ let () =
       ( "purity",
         [
           QCheck_alcotest.to_alcotest prop_observation_is_pure;
+          QCheck_alcotest.to_alcotest prop_concurrent_runs_never_cross_stamp;
           Alcotest.test_case "service metrics snapshot" `Quick
             test_service_metrics_snapshot;
         ] );

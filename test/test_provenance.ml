@@ -13,60 +13,54 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
-(* Every test leaves log capture off, its sink empty and the stderr mirror
-   restored, whatever happens. *)
-let with_log ?(log = true) f =
-  let mirror = Log.mirror_level () in
-  Log.set_mirror_level None;
-  Log.clear ();
-  Log.set_capture log;
-  Fun.protect
-    ~finally:(fun () ->
-      Log.set_capture false;
-      Log.set_capacity 8192;
-      Log.set_level Log.Debug;
-      Log.set_mirror_level mirror;
-      SG.Obs.set_trace_id None;
-      Log.clear ())
-    f
+(* Every test captures into a fresh value of its own (at [level], into a
+   buffer of [capacity]), with the stderr mirror off. *)
+let with_log ?(log = true) ?(level = Log.Debug) ?capacity f =
+  f
+    (SG.Obs.create
+       ?capture:(if log then Some level else None)
+       ?capacity ~mirror:None ())
 
 let bits v = Int64.bits_of_float v.SG.Detector.best_score
 
 (* -- builder and record shape ------------------------------------------------ *)
 
 let test_builder_record () =
-  with_log ~log:false (fun () ->
-      SG.Obs.set_trace_id (Some "t-7");
-      let b = P.start ~target:"fr-iaik" ~threshold:60.0 in
-      P.set_path b P.Indexed;
-      P.index_event b (P.Node_visited { bound = 12.5; members = 4 });
-      P.index_event b (P.Subtree_pruned { bound = 80.0; members = 3 });
-      P.candidate b ~poc:"fr" ~family:"FR-F" ~lb:10.0 (P.Scored 84.0);
-      P.candidate b ~poc:"pp" ~family:"PP-F" ~lb:75.0 P.Pruned_lb;
-      let r =
-        P.finish b ~seq:5
-          ~best_matches:[ ("fr", "FR-F", 84.0) ]
-          ~best_family:(Some "FR-F") ~best_score:84.0
-      in
-      check_int "seq is the caller's" 5 r.P.seq;
-      check_string "target" "fr-iaik" r.P.target;
-      check_bool "ambient trace id stamped" true (r.P.trace_id = Some "t-7");
-      check_bool "path" true (r.P.path = P.Indexed);
-      check_int "index events kept" 2 (List.length r.P.index_events);
-      check_bool "index events in traversal order" true
-        (match r.P.index_events with
-        | P.Node_visited { members = 4; _ } :: P.Subtree_pruned _ :: [] -> true
-        | _ -> false);
-      (match r.P.candidates with
-      | [ c1; c2 ] ->
-        check_string "first candidate" "fr" c1.P.poc;
-        check_bool "first outcome" true (c1.P.outcome = P.Scored 84.0);
-        check_bool "second pruned with its bound" true
-          (c2.P.lb = Some 75.0 && c2.P.outcome = P.Pruned_lb)
-      | cs -> Alcotest.failf "expected 2 candidates, got %d" (List.length cs));
-      check_bool "best family" true (r.P.best_family = Some "FR-F");
-      check_bool "duration is non-negative" true
-        (Int64.compare r.P.duration_ns 0L >= 0))
+  let b = P.start ~target:"fr-iaik" ~threshold:60.0 in
+  P.set_path b P.Indexed;
+  P.index_event b (P.Node_visited { bound = 12.5; members = 4 });
+  P.index_event b (P.Subtree_pruned { bound = 80.0; members = 3 });
+  P.candidate b ~poc:"fr" ~family:"FR-F" ~lb:10.0 (P.Scored 84.0);
+  P.candidate b ~poc:"pp" ~family:"PP-F" ~lb:75.0 P.Pruned_lb;
+  let r =
+    P.finish ~trace_id:"t-7" b ~seq:5
+      ~best_matches:[ ("fr", "FR-F", 84.0) ]
+      ~best_family:(Some "FR-F") ~best_score:84.0
+  in
+  check_int "seq is the caller's" 5 r.P.seq;
+  check_string "target" "fr-iaik" r.P.target;
+  check_bool "the run's trace id stamped" true (r.P.trace_id = Some "t-7");
+  check_bool "path" true (r.P.path = P.Indexed);
+  check_int "index events kept" 2 (List.length r.P.index_events);
+  check_bool "index events in traversal order" true
+    (match r.P.index_events with
+    | P.Node_visited { members = 4; _ } :: P.Subtree_pruned _ :: [] -> true
+    | _ -> false);
+  (match r.P.candidates with
+  | [ c1; c2 ] ->
+    check_string "first candidate" "fr" c1.P.poc;
+    check_bool "first outcome" true (c1.P.outcome = P.Scored 84.0);
+    check_bool "second pruned with its bound" true
+      (c2.P.lb = Some 75.0 && c2.P.outcome = P.Pruned_lb)
+  | cs -> Alcotest.failf "expected 2 candidates, got %d" (List.length cs));
+  check_bool "best family" true (r.P.best_family = Some "FR-F");
+  check_bool "duration is non-negative" true
+    (Int64.compare r.P.duration_ns 0L >= 0);
+  let bare =
+    P.finish (P.start ~target:"t" ~threshold:0.6) ~seq:0 ~best_matches:[]
+      ~best_family:None ~best_score:0.0
+  in
+  check_bool "no trace id, no stamp" true (bare.P.trace_id = None)
 
 (* -- records are return values: one per target, in target order ------------- *)
 
@@ -360,10 +354,11 @@ let prop_explain_is_pure =
       in
       let prep = SG.Detector.prepare ?index (prov_repo ()) in
       let run ~log ~explain =
-        with_log ~log (fun () ->
-            let models = SG.Pipeline.build_models_batch ~domains jobs in
+        with_log ~log (fun obs ->
+            let models = SG.Pipeline.build_models_batch ~obs ~domains jobs in
             let verdicts, records, stats =
-              SG.Engine.classify_batch ~prune ~domains ~explain prep models
+              SG.Engine.classify_batch ~obs ~prune ~domains ~explain prep
+                models
             in
             (models, verdicts, records, stats))
       in
@@ -402,52 +397,53 @@ let test_service_explain () =
 (* -- the event log ------------------------------------------------------------ *)
 
 let test_log_levels_and_shape () =
-  with_log (fun () ->
-      Log.set_level Log.Info;
-      Log.debug "t.debug" "below the capture level";
-      Log.info "t.info" ~fields:[ ("n", SG.Json.Num 3.0) ] "hello %d" 7;
-      Log.error "t.error" "boom";
-      match Log.events () with
+  with_log ~level:Log.Info (fun obs ->
+      Log.debug ~obs "t.debug" "below the capture level";
+      Log.info ~obs "t.info" ~fields:[ ("n", SG.Json.Num 3.0) ] "hello %d" 7;
+      Log.error ~obs "t.error" "boom";
+      match SG.Obs.events obs with
       | [ a; b ] ->
-        check_string "debug was filtered, info first" "t.info" a.Log.event;
-        check_string "printf message" "hello 7" a.Log.message;
+        check_string "debug was filtered, info first" "t.info" a.SG.Obs.event;
+        check_string "printf message" "hello 7" a.SG.Obs.message;
         check_bool "typed fields kept" true
-          (a.Log.fields = [ ("n", SG.Json.Num 3.0) ]);
-        check_bool "error level" true (b.Log.level = Log.Error);
-        check_bool "seq orders emissions" true (a.Log.seq < b.Log.seq);
+          (a.SG.Obs.fields = [ ("n", SG.Json.Num 3.0) ]);
+        check_bool "error level" true (b.SG.Obs.level = Log.Error);
+        check_bool "seq orders emissions" true (a.SG.Obs.seq < b.SG.Obs.seq);
         check_bool "timestamps are monotone" true
-          (Int64.compare a.Log.ts_ns b.Log.ts_ns <= 0)
+          (Int64.compare a.SG.Obs.ts_ns b.SG.Obs.ts_ns <= 0)
       | evs -> Alcotest.failf "expected 2 events, got %d" (List.length evs))
 
+(* A value derived with [Obs.with_trace_id] shares its parent's capture but
+   stamps its own trace id. *)
 let test_log_trace_stamping () =
-  with_log (fun () ->
-      SG.Obs.set_trace_id (Some "amb-1");
-      Log.info "t.ambient" "x";
-      Log.event ~trace_id:"explicit" Log.Warn "t.explicit" "y";
-      SG.Obs.set_trace_id None;
-      Log.info "t.bare" "z";
-      match Log.events () with
+  with_log (fun obs ->
+      let traced = SG.Obs.with_trace_id obs (Some "amb-1") in
+      Log.info ~obs:traced "t.ambient" "x";
+      Log.event
+        ~obs:(SG.Obs.with_trace_id traced (Some "explicit"))
+        Log.Warn "t.explicit" "y";
+      Log.info ~obs "t.bare" "z";
+      match SG.Obs.events obs with
       | [ a; b; c ] ->
-        check_bool "ambient trace id stamped by default" true
-          (a.Log.trace_id = Some "amb-1");
-        check_bool "explicit trace id wins" true
-          (b.Log.trace_id = Some "explicit");
-        check_bool "no ambient, no stamp" true (c.Log.trace_id = None)
+        check_bool "the value's trace id stamped" true
+          (a.SG.Obs.trace_id = Some "amb-1");
+        check_bool "a derived trace id wins" true
+          (b.SG.Obs.trace_id = Some "explicit");
+        check_bool "no trace id, no stamp" true (c.SG.Obs.trace_id = None)
       | evs -> Alcotest.failf "expected 3 events, got %d" (List.length evs))
 
 let test_log_jsonl_bounded () =
-  with_log (fun () ->
-      Log.set_capacity 2;
+  with_log ~capacity:2 (fun obs ->
       for i = 1 to 4 do
-        Log.info "t.flood" "event %d" i
+        Log.info ~obs "t.flood" "event %d" i
       done;
-      let evs = Log.events () in
+      let evs = SG.Obs.events obs in
       check_int "buffer is bounded" 2 (List.length evs);
-      check_int "overflow counted" 2 (Log.dropped ());
+      check_int "overflow counted" 2 (SG.Obs.dropped obs);
       let lines =
         List.filter
           (fun l -> l <> "")
-          (String.split_on_char '\n' (Log.to_jsonl evs))
+          (String.split_on_char '\n' (Log.to_jsonl obs))
       in
       check_int "2 events + the dropped marker" 3 (List.length lines);
       List.iter
@@ -464,19 +460,19 @@ let test_log_jsonl_bounded () =
       | Error m -> Alcotest.failf "marker does not parse: %s" m)
 
 let test_log_err_structured () =
-  with_log (fun () ->
+  with_log (fun obs ->
       let e = SG.Err.Io { path = "/tmp/x"; msg = "permission denied" } in
-      Log.err "t.err" e;
-      match Log.events () with
+      Log.err ~obs "t.err" e;
+      match SG.Obs.events obs with
       | [ ev ] ->
-        check_bool "error level" true (ev.Log.level = Log.Error);
+        check_bool "error level" true (ev.SG.Obs.level = Log.Error);
         check_string "mirror-compatible message"
           (Printf.sprintf "scaguard: %s" (SG.Err.to_string e))
-          ev.Log.message;
+          ev.SG.Obs.message;
         check_bool "kind field" true
-          (List.assoc_opt "kind" ev.Log.fields = Some (SG.Json.Str "io"));
+          (List.assoc_opt "kind" ev.SG.Obs.fields = Some (SG.Json.Str "io"));
         check_bool "path field" true
-          (List.assoc_opt "path" ev.Log.fields = Some (SG.Json.Str "/tmp/x"))
+          (List.assoc_opt "path" ev.SG.Obs.fields = Some (SG.Json.Str "/tmp/x"))
       | evs -> Alcotest.failf "expected 1 event, got %d" (List.length evs))
 
 let () =

@@ -231,10 +231,10 @@ let prepared_repo =
      in
      (repo, SG.Detector.prepare repo))
 
-let make_server ?queue_capacity ?max_line ?default_deadline_ms () =
+let make_server ?obs ?queue_capacity ?max_line ?default_deadline_ms () =
   let _, prepared = Lazy.force prepared_repo in
   match
-    Server.create ~config:C.default ~resolve ~prepared ?queue_capacity
+    Server.create ?obs ~config:C.default ~resolve ~prepared ?queue_capacity
       ?max_line ?default_deadline_ms ()
   with
   | Ok t -> t
@@ -651,46 +651,41 @@ let test_oversized_frame () =
   | fs -> Alcotest.failf "expected 2 frames, got %d" (List.length fs)
 
 let test_stats_and_metrics_verbs () =
-  SG.Obs.reset ();
-  SG.Obs.set_metrics true;
-  Fun.protect
-    ~finally:(fun () ->
-      SG.Obs.set_metrics false;
-      SG.Obs.reset ())
-    (fun () ->
-      let t = make_server () in
-      let conn, frames = recording_conn t in
-      Server.feed t conn
-        "{\"id\":1,\"op\":\"detect\",\"targets\":[\"fr-iaik\"]}\n{\"id\":2,\"op\":\"stats\"}\n{\"id\":3,\"op\":\"metrics\"}\n";
-      ignore (Server.drain t);
-      match frames () with
-      | [ _verdict; _done; stats; metrics ] ->
-        let requests = member_exn "requests" stats in
-        check_bool "stats counts the detect" true
-          (member_exn "completed" requests = J.Num 1.0);
-        check_bool "stats reports engine pairs" true
-          (match member_exn "pairs" (member_exn "engine" stats) with
-          | J.Num f -> f > 0.0
-          | _ -> false);
-        check_bool "latency quantiles present" true
-          (match member_exn "p99" (member_exn "latency_ms" stats) with
-          | J.Num f -> f >= 0.0
-          | _ -> false);
-        let body =
-          match member_exn "body" metrics with
-          | J.Str s -> s
-          | _ -> Alcotest.fail "metrics body must be a string"
-        in
-        let contains sub =
-          let n = String.length body and m = String.length sub in
-          let rec at i = i + m <= n && (String.sub body i m = sub || at (i + 1)) in
-          at 0
-        in
-        check_bool "exposition has the request counter" true
-          (contains "scaguard_server_requests_total{op=\"detect\"} 1");
-        check_bool "exposition has the queue gauge" true
-          (contains "scaguard_server_queue_depth")
-      | fs -> Alcotest.failf "expected 4 frames, got %d" (List.length fs))
+  (* the registry is process-wide: zero it so the counts start at 0 *)
+  SG.Obs.Registry.reset SG.Obs.default;
+  let t = make_server ~obs:(SG.Obs.create ~metrics:true ()) () in
+  let conn, frames = recording_conn t in
+  Server.feed t conn
+    "{\"id\":1,\"op\":\"detect\",\"targets\":[\"fr-iaik\"]}\n{\"id\":2,\"op\":\"stats\"}\n{\"id\":3,\"op\":\"metrics\"}\n";
+  ignore (Server.drain t);
+  match frames () with
+  | [ _verdict; _done; stats; metrics ] ->
+    let requests = member_exn "requests" stats in
+    check_bool "stats counts the detect" true
+      (member_exn "completed" requests = J.Num 1.0);
+    check_bool "stats reports engine pairs" true
+      (match member_exn "pairs" (member_exn "engine" stats) with
+      | J.Num f -> f > 0.0
+      | _ -> false);
+    check_bool "latency quantiles present" true
+      (match member_exn "p99" (member_exn "latency_ms" stats) with
+      | J.Num f -> f >= 0.0
+      | _ -> false);
+    let body =
+      match member_exn "body" metrics with
+      | J.Str s -> s
+      | _ -> Alcotest.fail "metrics body must be a string"
+    in
+    let contains sub =
+      let n = String.length body and m = String.length sub in
+      let rec at i = i + m <= n && (String.sub body i m = sub || at (i + 1)) in
+      at 0
+    in
+    check_bool "exposition has the request counter" true
+      (contains "scaguard_server_requests_total{op=\"detect\"} 1");
+    check_bool "exposition has the queue gauge" true
+      (contains "scaguard_server_queue_depth")
+  | fs -> Alcotest.failf "expected 4 frames, got %d" (List.length fs)
 
 (* Every frame a request produces echoes its trace_id — success frames,
    error frames, and even the immediate reject of an unknown op (the
@@ -744,14 +739,11 @@ let test_explain_verb () =
     Array.of_list (List.map (fun n -> Result.get_ok (resolve ~seed n)) targets)
   in
   let expected =
-    SG.Obs.set_trace_id (Some "tr-ex");
-    Fun.protect
-      ~finally:(fun () -> SG.Obs.set_trace_id None)
-      (fun () ->
-        let _, _, _, records =
-          Result.get_ok (SG.Service.explain config prepared jobs)
-        in
-        records)
+    let obs = SG.Obs.create ~trace_id:"tr-ex" () in
+    let _, _, _, records =
+      Result.get_ok (SG.Service.explain ~obs config prepared jobs)
+    in
+    records
   in
   let masked = function
     | J.Obj kvs ->

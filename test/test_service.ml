@@ -124,14 +124,23 @@ let test_config_validate_rejects () =
           }));
   (* under a zero line-size log2 a negative address's line stays negative,
      and the 61-set probe would index a negative set *)
+  let line_bits n =
+    field_of
+      (SG.Config.validate
+         {
+           d with
+           SG.Config.cst_config =
+             { d.SG.Config.cst_config with Cache.Config.line_bits = n };
+         })
+  in
   check_string "zero line bits in the probe cache" "cst_line_bits"
-    (field_of
-       (SG.Config.validate
-          {
-            d with
-            SG.Config.cst_config =
-              { d.SG.Config.cst_config with Cache.Config.line_bits = 0 };
-          }));
+    (line_bits 0);
+  (* Cache.Config.make refuses a line above 64 KiB, and a shift by 64 is
+     unspecified: both would silently change the CST scores *)
+  check_string "17 line bits in the probe cache" "cst_line_bits"
+    (line_bits 17);
+  check_string "64 line bits in the probe cache" "cst_line_bits"
+    (line_bits 64);
   check_string "zero fuel" "exec_fuel"
     (field_of
        (SG.Config.validate
@@ -190,7 +199,12 @@ let test_config_of_string_errors () =
       | r ->
         Alcotest.failf "expected Invalid_config %s, got %s" field
           (match r with Ok _ -> "Ok" | Error e -> SG.Err.to_string e))
-    [ ("threshold=2", "threshold"); ("cst_line_bits=0", "cst_line_bits") ];
+    [
+      ("threshold=2", "threshold");
+      ("cst_line_bits=0", "cst_line_bits");
+      ("cst_line_bits=17", "cst_line_bits");
+      ("cst_line_bits=64", "cst_line_bits");
+    ];
   (* comments, blank lines and omitted keys are fine *)
   let c =
     ok_exn
