@@ -93,6 +93,11 @@ let samples_res ~seed names =
     (Ok []) names
   |> Result.map List.rev
 
+(* A target program's job, salted on the seed like every target's
+   (Pipeline.seeded): its harness state is a function of the seed. *)
+let target_job ~seed s =
+  Scaguard.Pipeline.seeded ~seed (Experiments.Common.job s)
+
 (* Full analysis (CFG, relevant blocks, …) for the inspection commands;
    detection flows go through Service.build instead. *)
 let analyze (s : Workloads.Dataset.sample) =
@@ -105,13 +110,14 @@ let analyze (s : Workloads.Dataset.sample) =
 
 (* The single catch-and-exit point: every subcommand body returns
    [(unit, Scaguard.Err.t) result] and this maps it to the documented exit
-   codes. *)
-let handle = function
+   codes.  [obs] is the run's observation value once it has one, so the
+   error event also lands in the run's event capture. *)
+let handle ?obs = function
   | Ok () -> 0
   | Error e ->
     (* the Log mirror prints the exact "scaguard: <msg>" stderr line this
        always printed *)
-    Scaguard.Log.err "cli.error" e;
+    Scaguard.Log.err ?obs "cli.error" e;
     Scaguard.Err.exit_code e
 
 (* Filesystem + decode guard for binary/source files. *)
@@ -363,6 +369,8 @@ let setup_observability ?trace_id ?capture ?(metrics = false) o =
     stamp_build_info ();
     Ok obs
 
+(* The artifact notices go to stderr: under serve --stdio, stdout carries
+   the protocol and nothing else. *)
 let write_observability obs o =
   let* () =
     match o.trace_out with
@@ -371,7 +379,7 @@ let write_observability obs o =
       let* () =
         Scaguard.Obs.Trace_writer.write ~path (Scaguard.Obs.spans obs)
       in
-      Printf.printf "wrote trace to %s (load in ui.perfetto.dev)\n" path;
+      Printf.eprintf "wrote trace to %s (load in ui.perfetto.dev)\n" path;
       Ok ()
   in
   match o.metrics_out with
@@ -379,7 +387,7 @@ let write_observability obs o =
   | Some path ->
     stamp_build_info ();
     let* () = Scaguard.Obs.write_metrics ~path in
-    Printf.printf "wrote metrics to %s (Prometheus text format)\n" path;
+    Printf.eprintf "wrote metrics to %s (Prometheus text format)\n" path;
     Ok ()
 
 (* ---- shared verdict printing --------------------------------------------------- *)
@@ -578,7 +586,7 @@ let detect_cmd =
     @@ let* config = config in
        let* r = repository ~obs:Scaguard.Obs.off ~seed config in
        let* s = sample_res ~seed name in
-       let* model = build_one (C.seeded ~seed config) (Experiments.Common.job s) in
+       let* model = build_one config (target_job ~seed s) in
        classify_one config r.prepared model
   in
   Cmd.v
@@ -597,7 +605,7 @@ let write_event_capture obs ~log_out ~provenance_out records =
     | None -> Ok ()
     | Some path ->
       let* () = Scaguard.Log.write obs ~path in
-      Printf.printf "wrote %d log events to %s (JSON lines)\n"
+      Printf.eprintf "wrote %d log events to %s (JSON lines)\n"
         (List.length (Scaguard.Obs.events obs))
         path;
       Ok ()
@@ -610,87 +618,101 @@ let write_event_capture obs ~log_out ~provenance_out records =
           Scaguard.Persist.write_atomic ~path
             (Scaguard.Provenance.to_jsonl records))
     in
-    Printf.printf "wrote %d provenance records to %s (JSON lines)\n"
+    Printf.eprintf "wrote %d provenance records to %s (JSON lines)\n"
       (Array.length records) path;
     Ok ()
 
 let detect_batch_cmd =
+  let batch ~obs ~seed config repository o stats log_out provenance_out
+      report_format names =
+    if log_out <> None then
+      Scaguard.Log.info ~obs "batch.start"
+        ~fields:
+          [
+            ("targets", Scaguard.Json.Num (float_of_int (List.length names)));
+            ("seed", Scaguard.Json.Num (float_of_int seed));
+          ]
+        "scaguard: detect-batch: classifying %d targets" (List.length names);
+    let* r = repository ~obs ~seed config in
+    let* samples = samples_res ~seed names in
+    (* benign samples are re-derived from the seed alone (no shared rng
+       stream), so the seed is a sufficient salt here *)
+    let target_jobs = Array.of_list (List.map (target_job ~seed) samples) in
+    (* --provenance-out asks the same engine run for its records *)
+    let* _models, verdicts, report, records =
+      if provenance_out = None then
+        Result.map
+          (fun (m, v, r) -> (m, v, r, [||]))
+          (Scaguard.Service.screen_prepared ~obs config r.prepared target_jobs)
+      else Scaguard.Service.explain ~obs config r.prepared target_jobs
+    in
+    List.iteri
+      (fun i name ->
+        let v = verdicts.(i) in
+        print_verdict_line name v.Scaguard.Detector.best_family
+          v.Scaguard.Detector.best_score)
+      names;
+    (if stats then
+       let title, key =
+         if r.file = None then ("repository build", "repository_build")
+         else ("repository load", "repository_load")
+       in
+       match report_format with
+       | `Text ->
+         Format.printf "%s:@.%a@." title Scaguard.Service.pp_report r.report;
+         Format.printf "%a@." Scaguard.Service.pp_report report
+       | `Json ->
+         print_endline
+           (Scaguard.Json.to_string
+              (Scaguard.Json.Obj
+                 [
+                   (key, Scaguard.Service.report_to_json r.report);
+                   ("run", Scaguard.Service.report_to_json report);
+                 ])));
+    if log_out <> None then begin
+      let attacks =
+        Array.fold_left
+          (fun n v -> if Scaguard.Detector.is_attack v then n + 1 else n)
+          0 verdicts
+      in
+      Scaguard.Log.info ~obs "batch.done"
+        ~fields:
+          [
+            ("targets", Scaguard.Json.Num (float_of_int (Array.length verdicts)));
+            ("attacks", Scaguard.Json.Num (float_of_int attacks));
+          ]
+        "scaguard: detect-batch: %d of %d targets classified as attacks"
+        attacks (Array.length verdicts)
+    end;
+    let* () = write_observability obs o in
+    write_event_capture obs ~log_out ~provenance_out records
+  in
   let run seed config repository o stats log_out log_level provenance_out
       trace_id report_format names =
-    handle
-    @@ let* config = config in
-       let config =
-         match log_level with
-         | None -> config
-         | Some l -> { config with C.log_level = l }
-       in
-       let capture = Option.map (fun _ -> config.C.log_level) log_out in
-       let* obs = setup_observability ?trace_id ?capture o in
-       if log_out <> None then
-         Scaguard.Log.info ~obs "batch.start"
-           ~fields:
-             [
-               ("targets", Scaguard.Json.Num (float_of_int (List.length names)));
-               ("seed", Scaguard.Json.Num (float_of_int seed));
-             ]
-           "scaguard: detect-batch: classifying %d targets"
-           (List.length names);
-       let* r = repository ~obs ~seed config in
-       let* samples = samples_res ~seed names in
-       (* benign samples are re-derived from the seed alone (no shared rng
-          stream), so the seed is a sufficient salt here *)
-       let target_jobs = Array.of_list (List.map Experiments.Common.job samples) in
-       (* --provenance-out asks the same engine run for its records *)
-       let* _models, verdicts, report, records =
-         let config = C.seeded ~seed config in
-         if provenance_out = None then
-           Result.map
-             (fun (m, v, r) -> (m, v, r, [||]))
-             (Scaguard.Service.screen_prepared ~obs config r.prepared
-                target_jobs)
-         else Scaguard.Service.explain ~obs config r.prepared target_jobs
-       in
-       List.iteri
-         (fun i name ->
-           let v = verdicts.(i) in
-           print_verdict_line name v.Scaguard.Detector.best_family
-             v.Scaguard.Detector.best_score)
-         names;
-       (if stats then
-          let title, key =
-            if r.file = None then ("repository build", "repository_build")
-            else ("repository load", "repository_load")
-          in
-          match report_format with
-          | `Text ->
-            Format.printf "%s:@.%a@." title Scaguard.Service.pp_report r.report;
-            Format.printf "%a@." Scaguard.Service.pp_report report
-          | `Json ->
-            print_endline
-              (Scaguard.Json.to_string
-                 (Scaguard.Json.Obj
-                    [
-                      (key, Scaguard.Service.report_to_json r.report);
-                      ("run", Scaguard.Service.report_to_json report);
-                    ])));
-       if log_out <> None then begin
-         let attacks =
-           Array.fold_left
-             (fun n v -> if Scaguard.Detector.is_attack v then n + 1 else n)
-             0 verdicts
-         in
-         Scaguard.Log.info ~obs "batch.done"
-           ~fields:
-             [
-               ( "targets",
-                 Scaguard.Json.Num (float_of_int (Array.length verdicts)) );
-               ("attacks", Scaguard.Json.Num (float_of_int attacks));
-             ]
-           "scaguard: detect-batch: %d of %d targets classified as attacks"
-           attacks (Array.length verdicts)
-       end;
-       let* () = write_observability obs o in
-       write_event_capture obs ~log_out ~provenance_out records
+    let setup =
+      let* config = config in
+      let config =
+        match log_level with
+        | None -> config
+        | Some l -> { config with C.log_level = l }
+      in
+      let capture = Option.map (fun _ -> config.C.log_level) log_out in
+      let* obs = setup_observability ?trace_id ?capture o in
+      Ok (config, obs)
+    in
+    match setup with
+    | Error e -> handle (Error e)
+    | Ok (config, obs) -> (
+      match
+        batch ~obs ~seed config repository o stats log_out provenance_out
+          report_format names
+      with
+      | Ok () -> 0
+      | Error e ->
+        (* a failed run still leaves its event log, cli.error included *)
+        let code = handle ~obs (Error e) in
+        ignore (write_event_capture obs ~log_out ~provenance_out:None [||]);
+        code)
   in
   let stats_t =
     Arg.(
@@ -818,9 +840,9 @@ let explain_cmd =
        let obs = Scaguard.Obs.create ?trace_id () in
        let* r = repository ~obs ~seed config in
        let* samples = samples_res ~seed names in
-       let jobs = Array.of_list (List.map Experiments.Common.job samples) in
+       let jobs = Array.of_list (List.map (target_job ~seed) samples) in
        let* _models, _verdicts, _report, records =
-         Scaguard.Service.explain ~obs (C.seeded ~seed config) r.prepared jobs
+         Scaguard.Service.explain ~obs config r.prepared jobs
        in
        if json then print_string (Scaguard.Provenance.to_jsonl records)
        else Array.iter render_provenance records;

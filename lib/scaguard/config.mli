@@ -63,7 +63,8 @@ type t = {
   cache_dir : string option;  (** on-disk model cache; [None] = no cache *)
   salt : string;
       (** cache-key salt, applied to jobs that do not set their own (dataset
-          seed provenance); default [""] *)
+          seed provenance) — the PoC repository's; targets salt on the seed
+          ({!Pipeline.seeded}); default [""] *)
   repo_format : repo_format;
       (** format {!Service.save_repository} (and [build-repo]) writes;
           default [Text] *)
@@ -89,13 +90,16 @@ val default : t
     count, no cache, empty salt. *)
 
 val seeded : ?families:string list -> seed:int -> t -> t
-(** The front-ends' seed→salt policy: the config with salt
-    [string_of_int seed] — or ["seed:f1,f2,..."] for a PoC repository built
-    from [families], whose harness kernels are drawn from one rng stream in
-    family-list order — unless the config already carries a salt, which an
-    operator's config file always wins.  The CLI and the serve daemon both
-    derive their salts here, so the same seed gives the same cache keys and
-    index seeds everywhere. *)
+(** The front-ends' seed→salt policy for the PoC repository: the config
+    with salt [string_of_int seed] — or ["seed:f1,f2,..."] for a PoC
+    repository built from [families], whose harness kernels are drawn from
+    one rng stream in family-list order — unless the config already carries
+    a salt, which an operator's config file always wins.  The CLI and the
+    serve daemon both derive the repository's salt here, so the same seed
+    gives the same cache keys and index seeds everywhere.  Target programs
+    do not use the config's salt: they salt on the seed
+    ({!Pipeline.seeded}), so a pinned salt cannot make two seeds share a
+    target's cache key. *)
 
 (** {1 Field validation}
 

@@ -1,15 +1,21 @@
-(* Content-addressed store: one model per file, file name = hex digest of
-   every input that determines the model's bytes.  There is no separate
-   invalidation protocol — change an ingredient and the key changes, so the
-   old entry is simply never looked up again. *)
+(* Content-addressed store in two tiers: a bounded in-memory table from the
+   full key text to the entry bytes, in front of an optional directory of
+   one model per file, named by the hex MD5 of the key text.  There is no
+   separate invalidation protocol — change an ingredient and the key
+   changes, so the old entry is simply never looked up again. *)
 
 (* Bump whenever the persisted format or the modeling pipeline changes in a
    way that alters model bytes for identical inputs.  2: entries moved from
    the text format to the SCAGBIN binary encoding. *)
 let format_version = 2
 
+let memory_budget = 8 * 1024 * 1024
+
 type t = {
-  dir : string;
+  dir : string option;
+  entries : (string, string) Hashtbl.t;  (* key text -> entry bytes *)
+  order : string Queue.t;  (* resident keys, oldest first *)
+  mutable resident : int;  (* key + entry bytes in [entries] *)
   hits : int Atomic.t;
   misses : int Atomic.t;
   stale : int Atomic.t;
@@ -24,34 +30,40 @@ let rec mkdir_p dir =
   else if not (Sys.is_directory dir) then
     invalid_arg (Printf.sprintf "Model_cache: %s exists and is not a directory" dir)
 
-let create ~dir =
-  mkdir_p dir;
-  {
-    dir;
-    hits = Atomic.make 0;
-    misses = Atomic.make 0;
-    stale = Atomic.make 0;
-  }
-
-let create_result ~dir =
-  match create ~dir with
-  | t -> Ok t
-  | exception Invalid_argument _ ->
-    Error
-      (Err.Invalid_config
-         {
-           field = "cache_dir";
-           value = dir;
-           expected = "a directory (or a path where one can be created)";
-         })
-  | exception Unix.Unix_error (e, _, _) ->
-    Error (Err.Io { path = dir; msg = Unix.error_message e })
-  | exception Sys_error msg -> Error (Err.Io { path = dir; msg })
+let create ?dir () =
+  let t =
+    {
+      dir;
+      entries = Hashtbl.create 64;
+      order = Queue.create ();
+      resident = 0;
+      hits = Atomic.make 0;
+      misses = Atomic.make 0;
+      stale = Atomic.make 0;
+    }
+  in
+  match dir with
+  | None -> Ok t
+  | Some path -> (
+    match mkdir_p path with
+    | () -> Ok t
+    | exception Invalid_argument _ ->
+      Error
+        (Err.Invalid_config
+           {
+             field = "cache_dir";
+             value = path;
+             expected = "a directory (or a path where one can be created)";
+           })
+    | exception Unix.Unix_error (e, _, _) ->
+      Error (Err.Io { path; msg = Unix.error_message e })
+    | exception Sys_error msg -> Error (Err.Io { path; msg }))
 
 let dir t = t.dir
 let hits t = Atomic.get t.hits
 let misses t = Atomic.get t.misses
 let stale t = Atomic.get t.stale
+let resident_bytes t = t.resident
 
 let key ?settings ?cst_config ?max_paths ?max_len ?victim ?(salt = "") ~name
     program =
@@ -80,7 +92,7 @@ let key ?settings ?cst_config ?max_paths ?max_len ?victim ?(salt = "") ~name
   (* Binary.encode captures code, base address and labels — everything that
      determines the program's execution.  The init closures (attacker memory
      preparation, victim state) cannot be hashed; callers cover them through
-     [salt] (the CLI uses the workload seed). *)
+     [salt] (target jobs use the workload seed). *)
   (match victim with
   | None -> add "victim -\n"
   | Some vp ->
@@ -91,50 +103,104 @@ let key ?settings ?cst_config ?max_paths ?max_len ?victim ?(salt = "") ~name
   let enc = Isa.Binary.encode program in
   add "program %d\n" (String.length enc);
   Buffer.add_string buf enc;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+  Buffer.contents buf
 
-let path t ~key = Filename.concat t.dir (key ^ ".cstbbs")
+let file t ~key =
+  Option.map
+    (fun dir ->
+      Filename.concat dir (Digest.to_hex (Digest.string key) ^ ".cstbbs"))
+    t.dir
 
-(* Lookup outcomes feed the per-instance Atomics (the existing stats API)
-   and, when [obs] observes, the process registry and a cache:* span —
-   observation only, never a change to what is returned. *)
-let observed ~obs ~outcome ~counter t0 =
+(* Lookup outcomes feed the per-instance Atomics (the stats API) and, when
+   [obs] observes, the process registry and a cache:* span — observation
+   only, never a change to what is returned. *)
+let count ~obs t outcome t0 =
+  let cell, counter, name =
+    match outcome with
+    | `Hit -> (t.hits, Obs.Metrics.cache_hits_total, "cache:hit")
+    | `Miss -> (t.misses, Obs.Metrics.cache_misses_total, "cache:miss")
+    | `Stale -> (t.stale, Obs.Metrics.cache_stale_total, "cache:stale")
+  in
+  Atomic.incr cell;
   if Obs.metrics obs then Obs.Registry.incr counter;
   if Obs.tracing obs then
-    Obs.emit_span obs ~cat:"cache" ~name:("cache:" ^ outcome) ~ts_ns:t0
+    Obs.emit_span obs ~cat:"cache" ~name ~ts_ns:t0
       ~dur_ns:(Obs.Clock.elapsed_ns ~since:t0) ()
 
-let find ?(obs = Obs.off) t ~key =
-  let observing = Obs.tracing obs || Obs.metrics obs in
-  let t0 = if observing then Obs.Clock.now_ns () else 0L in
-  let file = path t ~key in
-  if not (Sys.file_exists file) then begin
-    Atomic.incr t.misses;
-    if observing then observed ~obs ~outcome:"miss" ~counter:Obs.Metrics.cache_misses_total t0;
+let start obs =
+  if Obs.tracing obs then Obs.Clock.now_ns () else 0L
+
+(* The one strict loader both tiers decode through — the disk tier's
+   sniffing of text and binary entries included, so a memory hit returns
+   exactly what a disk hit on the same bytes would. *)
+let decode ?file bytes =
+  if Persist.is_binary bytes then Persist.model_of_bytes_result ?file bytes
+  else Persist.model_of_string_result ?file bytes
+
+(* ---- memory tier: the calling domain only ---------------------------------- *)
+
+let recall ?(obs = Obs.off) t ~key =
+  let t0 = start obs in
+  (* [fetch] offers only entries that decode, so a resident entry does *)
+  let resident = Hashtbl.find_opt t.entries key in
+  match Option.bind resident (fun bytes -> Result.to_option (decode bytes)) with
+  | Some model ->
+    count ~obs t `Hit t0;
+    Some model
+  | None ->
+    if Option.is_none t.dir then count ~obs t `Miss t0;
+    None
+
+let remember t ~key bytes =
+  let size = String.length key + String.length bytes in
+  if size <= memory_budget && not (Hashtbl.mem t.entries key) then begin
+    Hashtbl.replace t.entries key bytes;
+    Queue.push key t.order;
+    t.resident <- t.resident + size;
+    while t.resident > memory_budget do
+      let oldest = Queue.pop t.order in
+      let bytes = Hashtbl.find t.entries oldest in
+      Hashtbl.remove t.entries oldest;
+      t.resident <- t.resident - (String.length oldest + String.length bytes)
+    done
+  end
+
+(* ---- disk tier and build: any domain ---------------------------------------- *)
+
+let load ~obs t path =
+  let t0 = start obs in
+  if not (Sys.file_exists path) then begin
+    count ~obs t `Miss t0;
     None
   end
   else
-    match Persist.load_model_result ~path:file with
-    | Ok model ->
-      Atomic.incr t.hits;
-      if observing then observed ~obs ~outcome:"hit" ~counter:Obs.Metrics.cache_hits_total t0;
-      Some model
-    | Error _ ->
+    let decoded =
+      match Persist.read_file ~path with
+      | bytes -> (
+        match decode ~file:path bytes with
+        | Ok model -> Some (model, bytes)
+        | Error _ -> None)
+      | exception (Sys_error _ | Unix.Unix_error _) -> None
+    in
+    match decoded with
+    | Some found ->
+      count ~obs t `Hit t0;
+      Some found
+    | None ->
       (* Unreadable, corrupt, or written by a different binary-format
          version (the loader reports an unsupported version as a parse
          error): the entry is stale, not fatal — drop it and rebuild. *)
-      Atomic.incr t.stale;
-      (try Sys.remove file with Sys_error _ -> ());
-      if observing then observed ~obs ~outcome:"stale" ~counter:Obs.Metrics.cache_stale_total t0;
+      count ~obs t `Stale t0;
+      (try Sys.remove path with Sys_error _ -> ());
       None
 
-let store t ~key model =
-  Persist.write_atomic ~path:(path t ~key) (Persist.model_to_bytes model)
-
-let find_or_build ?obs t ~key build =
-  match find ?obs t ~key with
-  | Some model -> model
+let fetch ?(obs = Obs.off) t ~key build =
+  let path = file t ~key in
+  match Option.bind path (load ~obs t) with
+  | Some (model, bytes) -> (model, Some bytes)
   | None ->
     let model = build () in
-    store t ~key model;
-    model
+    let bytes = Persist.model_to_bytes model in
+    Option.iter (fun path -> Persist.write_atomic ~path bytes) path;
+    (* the memory tier keeps only entries a hit can decode *)
+    (model, if Result.is_ok (decode bytes) then Some bytes else None)

@@ -38,6 +38,9 @@ type job = {
 let job ?settings ?init ?victim ?(salt = "") ~name program =
   { job_name = name; program; settings; init; victim; salt }
 
+let seeded ~seed j =
+  if j.salt = "" then { j with salt = string_of_int seed } else j
+
 (* Fan [f] over the tasks with one Cst.measurer per worker (the per-block
    CST simulator is reused instead of reallocated), collecting results by
    index.  Task order in the output is the input order regardless of which
@@ -76,24 +79,50 @@ let timed_build ~obs ~name i build =
 
 let build_models_batch ?(obs = Obs.off) ?domains ?cache ?max_paths ?max_len
     ?cst_config jobs =
-  batch ~obs ?domains (Array.length jobs) (fun ~measurer i ->
-      let j = jobs.(i) in
-      let build () =
-        timed_build ~obs ~name:j.job_name i (fun () ->
-            let exec =
-              Cpu.Exec.run ?settings:j.settings ?init:j.init ?victim:j.victim
-                j.program
-            in
-            (analyze ?max_paths ?max_len ?cst_config ~measurer
-               ~name:j.job_name ~program:j.program exec)
-              .model)
-      in
-      match cache with
-      | None -> build ()
-      | Some c ->
-        let key =
-          Model_cache.key ?settings:j.settings ?cst_config ?max_paths ?max_len
-            ?victim:(Option.map fst j.victim) ~salt:j.salt ~name:j.job_name
+  let build ~measurer i () =
+    let j = jobs.(i) in
+    timed_build ~obs ~name:j.job_name i (fun () ->
+        let exec =
+          Cpu.Exec.run ?settings:j.settings ?init:j.init ?victim:j.victim
             j.program
         in
-        Model_cache.find_or_build ~obs c ~key build)
+        (analyze ?max_paths ?max_len ?cst_config ~measurer ~name:j.job_name
+           ~program:j.program exec)
+          .model)
+  in
+  match cache with
+  | None ->
+    batch ~obs ?domains (Array.length jobs) (fun ~measurer i ->
+        build ~measurer i ())
+  | Some c ->
+    let keys =
+      Array.map
+        (fun j ->
+          Model_cache.key ?settings:j.settings ?cst_config ?max_paths ?max_len
+            ?victim:(Option.map fst j.victim) ~salt:j.salt ~name:j.job_name
+            j.program)
+        jobs
+    in
+    (* The memory tier is read and written here, in the calling domain;
+       only what it lacks fans out, to the disk tier and the builder. *)
+    let models = Array.map (fun key -> Model_cache.recall ~obs c ~key) keys in
+    let todo =
+      Array.of_list
+        (List.filter
+           (fun i -> Option.is_none models.(i))
+           (List.init (Array.length jobs) Fun.id))
+    in
+    if Array.length todo > 0 then begin
+      let fetched =
+        batch ~obs ?domains (Array.length todo) (fun ~measurer k ->
+            let i = todo.(k) in
+            Model_cache.fetch ~obs c ~key:keys.(i) (build ~measurer i))
+      in
+      Array.iteri
+        (fun k (model, entry) ->
+          let i = todo.(k) in
+          Option.iter (Model_cache.remember c ~key:keys.(i)) entry;
+          models.(i) <- Some model)
+        fetched
+    end;
+    Array.map Option.get models

@@ -15,7 +15,8 @@
     {e byte-identical} to running {!run_and_analyze} in a loop — a property
     the test suite asserts.  It can additionally
     consult a {!Model_cache}, skipping execution and modeling entirely for
-    cached programs. *)
+    cached programs: its memory tier in the calling domain, its disk tier
+    and the builds on the workers. *)
 
 type analysis = {
   name : string;            (** the analyzed program's name *)
@@ -53,7 +54,8 @@ type job = {
   victim : (Isa.Program.t * (Cpu.Machine.t -> unit)) option;
   salt : string;
     (** Cache-key salt covering the unhashable inputs ([init], the victim's
-        init) — see {!Model_cache.key}.  Irrelevant without a cache. *)
+        init) — see {!Model_cache.key} and {!seeded}.  Irrelevant without a
+        cache. *)
 }
 (** One program to execute and model: the arguments of {!run_and_analyze},
     reified so a batch can carry many of them. *)
@@ -64,6 +66,16 @@ val job :
   ?victim:Isa.Program.t * (Cpu.Machine.t -> unit) ->
   ?salt:string -> name:string -> Isa.Program.t -> job
 
+val seeded : seed:int -> job -> job
+(** The salt policy of target programs: [job] salted with
+    [string_of_int seed] unless it carries a salt of its own.  A target's
+    [init] closures are a function of the workload seed (and its name,
+    which the key holds), so the seed is the salt that keeps two seeds'
+    models apart.  The front-ends salt every target this way — [detect],
+    [detect-batch], [explain] and the serve daemon — so a config whose
+    salt is pinned (as [build-repo --save-config] writes one for its PoC
+    repository) never reaches a target's cache key. *)
+
 val build_models_batch :
   ?obs:Obs.t ->
   ?domains:int ->
@@ -72,7 +84,10 @@ val build_models_batch :
   job array -> Model.t array
 (** Execute and model every job, fanned over [domains] workers (default
     {!Sutil.Pool.default_domains}) — and, with [cache], consulting the cache
-    first: a hit skips execution and modeling
-    entirely, a miss builds then stores.  Cached or not, [models.(i)] is
-    byte-identical ({!Persist.model_to_string}) to a fresh sequential
-    build of [jobs.(i)], under any [obs] (default {!Obs.off}). *)
+    first: a hit skips execution and modeling entirely, a miss builds then
+    stores.  The cache's memory tier is read before the fan-out and filled
+    after it, both in the calling domain; only the jobs it lacks reach the
+    pool (none: the pool is skipped), where the disk tier is read and the
+    models built.  Cached or not, [models.(i)] is byte-identical
+    ({!Persist.model_to_string}) to a fresh sequential build of [jobs.(i)],
+    under any [obs] (default {!Obs.off}). *)

@@ -301,6 +301,7 @@ type t = {
   config : Config.t;
   obs : Obs.t;
   resolve : resolve;
+  cache : Model_cache.t;  (* the daemon's models, kept across requests and reloads *)
   mutable prepared : Detector.prepared;
   mutable repo_path : string option;
   queue : item Sutil.Bqueue.t;
@@ -345,11 +346,13 @@ let create ?(obs = Obs.off) ~config ~resolve ~prepared ?repo_path
     knob "default_deadline_ms" default_deadline_ms
       "a non-negative millisecond count (0 = no deadline)"
   else
+    let* cache = Model_cache.create ?dir:config.Config.cache_dir () in
     Ok
       {
         config;
         obs;
         resolve;
+        cache;
         prepared;
         repo_path;
         queue = Sutil.Bqueue.create ~capacity:queue_capacity;
@@ -483,19 +486,47 @@ let err_frame ?extras ~id e = frame_error ?extras ~id (error_code_of_err e) (Err
 let wall_ms ~arrival_ns =
   Int64.to_float (Obs.Clock.elapsed_ns ~since:arrival_ns) /. 1e6
 
+(* Targets salt on the request's seed (Pipeline.seeded), the CLI's own
+   policy, so serve verdicts and cache keys reproduce detect-batch's. *)
+let resolve_target t ~seed name =
+  Result.map (Pipeline.seeded ~seed) (t.resolve ~seed name)
+
 let resolve_all t ~seed targets =
   let rec go acc = function
     | [] -> Ok (Array.of_list (List.rev acc))
     | name :: rest -> (
-      match t.resolve ~seed name with
+      match resolve_target t ~seed name with
       | Ok job -> go (job :: acc) rest
       | Error e -> Error (name, e))
   in
   go [] targets
 
+(* The batch verbs — screen, explain and the unstreamed detect — share one
+   shape: resolve every target, one service call over the whole batch on
+   the parallel engine (no cancellation point inside it), account for it,
+   then [reply] with the verdicts and the provenance records ([||] unless
+   [explain]).  [fail] is the extra fields of the verb's error frames. *)
+let do_batch t conn ~obs ~id ~targets ~seed ~explain ~fail reply =
+  let trace = Obs.trace_id obs in
+  match resolve_all t ~seed targets with
+  | Error (name, e) ->
+    emit_frame ?trace conn
+      (err_frame ~extras:(("target", Json.Str name) :: fail) ~id e)
+  | Ok jobs -> (
+    let service =
+      if explain then Service.explain
+      else fun ?obs ?cache config prepared jobs ->
+        Result.map
+          (fun (models, verdicts, report) -> (models, verdicts, report, [||]))
+          (Service.screen_prepared ?obs ?cache config prepared jobs)
+    in
+    match service ~obs ~cache:t.cache t.config t.prepared jobs with
+    | Error e -> emit_frame ?trace conn (err_frame ~extras:fail ~id e)
+    | Ok (_models, verdicts, report, records) ->
+      accumulate t report;
+      reply verdicts records)
+
 let do_detect t conn ~obs ~id ~arrival_ns ~deadline ~targets ~seed ~stream () =
-  (* the CLI's own salt policy, so serve verdicts reproduce detect-batch's *)
-  let config = Config.seeded ~seed t.config in
   let trace = Obs.trace_id obs in
   let total = List.length targets in
   let attacks = ref 0 in
@@ -537,11 +568,14 @@ let do_detect t conn ~obs ~id ~arrival_ns ~deadline ~targets ~seed ~stream () =
                    cancelled"
                   completed total))
         else begin
-          match t.resolve ~seed name with
+          match resolve_target t ~seed name with
           | Error e ->
             emit_frame ?trace conn (err_frame ~extras:(progress completed) ~id e)
           | Ok job -> (
-            match Service.screen_prepared ~obs config t.prepared [| job |] with
+            match
+              Service.screen_prepared ~obs ~cache:t.cache t.config t.prepared
+                [| job |]
+            with
             | Error e ->
               emit_frame ?trace conn
                 (err_frame ~extras:(progress completed) ~id e)
@@ -553,39 +587,19 @@ let do_detect t conn ~obs ~id ~arrival_ns ~deadline ~targets ~seed ~stream () =
     in
     go 0 targets
   end
-  else begin
-    (* Unstreamed: the whole batch fans over the parallel engine; one
-       deadline check up front (the batch is not interruptible). *)
-    match resolve_all t ~seed targets with
-    | Error (name, e) ->
-      emit_frame ?trace conn
-        (err_frame ~extras:(("target", Json.Str name) :: progress 0) ~id e)
-    | Ok jobs -> (
-      match Service.screen_prepared ~obs config t.prepared jobs with
-      | Error e -> emit_frame ?trace conn (err_frame ~extras:(progress 0) ~id e)
-      | Ok (_models, verdicts, report) ->
-        accumulate t report;
+  else
+    do_batch t conn ~obs ~id ~targets ~seed ~explain:false ~fail:(progress 0)
+      (fun verdicts _ ->
         List.iteri (fun i name -> emit_verdict name verdicts.(i)) targets;
         finish total)
-  end
 
 let do_screen t conn ~obs ~id ~arrival_ns ~targets ~seed () =
-  let config = Config.seeded ~seed t.config in
-  let trace = Obs.trace_id obs in
-  match resolve_all t ~seed targets with
-  | Error (name, e) ->
-    emit_frame ?trace conn (err_frame ~extras:[ ("target", Json.Str name) ] ~id e)
-  | Ok jobs -> (
-    match Service.screen_prepared ~obs config t.prepared jobs with
-    | Error e -> emit_frame ?trace conn (err_frame ~id e)
-    | Ok (_models, verdicts, report) ->
-      accumulate t report;
+  do_batch t conn ~obs ~id ~targets ~seed ~explain:false ~fail:[]
+    (fun verdicts _ ->
       let attack_targets =
-        List.filteri
-          (fun i _ -> verdicts.(i).Detector.best_family <> None)
-          targets
+        List.filteri (fun i _ -> verdicts.(i).Detector.best_family <> None) targets
       in
-      emit_frame ?trace conn
+      emit_frame ?trace:(Obs.trace_id obs) conn
         (Json.Obj
            [
              ("id", id);
@@ -598,25 +612,17 @@ let do_screen t conn ~obs ~id ~arrival_ns ~targets ~seed () =
              ("wall_ms", Json.Num (wall_ms ~arrival_ns));
            ]))
 
+(* the screen engine run (bit-identical verdicts) plus one provenance
+   record per target, in target order *)
 let do_explain t conn ~obs ~id ~arrival_ns ~targets ~seed () =
-  let config = Config.seeded ~seed t.config in
-  let trace = Obs.trace_id obs in
-  match resolve_all t ~seed targets with
-  | Error (name, e) ->
-    emit_frame ?trace conn (err_frame ~extras:[ ("target", Json.Str name) ] ~id e)
-  | Ok jobs -> (
-    (* the screen_prepared engine run (bit-identical verdicts), plus one
-       provenance record per target, in target order *)
-    match Service.explain ~obs config t.prepared jobs with
-    | Error e -> emit_frame ?trace conn (err_frame ~id e)
-    | Ok (_models, verdicts, report, records) ->
-      accumulate t report;
+  do_batch t conn ~obs ~id ~targets ~seed ~explain:true ~fail:[]
+    (fun verdicts records ->
       let attacks =
         Array.fold_left
           (fun n v -> if v.Detector.best_family <> None then n + 1 else n)
           0 verdicts
       in
-      emit_frame ?trace conn
+      emit_frame ?trace:(Obs.trace_id obs) conn
         (Json.Obj
            [
              ("id", id);

@@ -1,10 +1,12 @@
 (** [scaguard serve]: the resident streaming detection daemon.
 
-    The batch stack pays repository load, {!Detector.prepare} and process
-    start-up on every invocation; this module keeps all of that resident.  A
-    server holds one validated {!Config.t}, one {!Detector.prepared}
-    repository (loaded once, from either format — see
-    {!Service.load_repository}) and a name→job resolver, and
+    The batch stack pays repository load, {!Detector.prepare}, process
+    start-up and the modeling of every target on every invocation; this
+    module keeps all of that resident.  A server holds one validated
+    {!Config.t}, one {!Detector.prepared} repository (loaded once, from
+    either format — see {!Service.load_repository}), a name→job resolver
+    and one {!Model_cache} (its memory tier, in front of the config's disk
+    tier if any), so each program is modeled once per daemon, and
     speaks a newline-framed JSON protocol over stdio, a Unix socket or TCP:
     [detect] / [screen] / [explain] / [stats] / [metrics] / [reload] /
     [ping] / [shutdown] requests with ids, a bounded request queue with
@@ -148,8 +150,14 @@ type t
 
 type resolve = seed:int -> string -> (Pipeline.job, Err.t) result
 (** Name a target, get the job that builds its model — the daemon's
-    equivalent of the CLI's program registry.  Must be deterministic in
-    [(seed, name)] so serve verdicts reproduce [detect-batch]'s. *)
+    equivalent of the CLI's program registry.  The job must be a function
+    of [(seed, name)] alone, so serve verdicts reproduce [detect-batch]'s —
+    and so the daemon's {!Model_cache} may reuse its model: the cache keys
+    a job on its name, program bytes and knobs, and covers its [init]
+    closures only through the salt.  The server salts every job on the
+    request's seed ({!Pipeline.seeded}); a job that carries a salt of its
+    own keeps it, and that salt must then cover the seed.  Two names the
+    resolver maps to the same job name must map to the same job. *)
 
 val create :
   ?obs:Obs.t ->
@@ -168,8 +176,15 @@ val create :
     [default_deadline_ms] (default 0 = none) applies to requests that carry
     no [deadline_ms].  Each request runs under
     [Obs.with_trace_id obs request.trace_id] ([obs] defaults to
-    {!Obs.off}).  Fails with [Invalid_config] (bad config or knob) or
-    [Empty_repository]. *)
+    {!Obs.off}).  The server opens its {!Model_cache} here, once: a memory
+    tier bounded by {!Model_cache.memory_budget}, in front of a disk tier
+    at [config.cache_dir] when set.  Every [detect], [screen] and [explain]
+    builds through it ([Service.screen_prepared ~cache]), so a repeated
+    target skips execution and modeling with bit-identical verdicts, and
+    [reload] keeps it (models do not depend on the repository).  Fails
+    with [Invalid_config] (bad config or knob, or a [cache_dir] that is not
+    a directory), [Empty_repository], or [Io] (the cache directory cannot
+    be created). *)
 
 (** {2 Driving the protocol in-process}
 

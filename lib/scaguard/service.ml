@@ -235,24 +235,32 @@ let timed ~obs stage f =
 let cache_of_config (config : Config.t) =
   match config.Config.cache_dir with
   | None -> Ok None
-  | Some dir -> Result.map Option.some (Model_cache.create_result ~dir)
+  | Some dir -> Result.map Option.some (Model_cache.create ~dir ())
 
-(* A run's report: counts, the cache's counters, the engine's stats, and a
+(* A cache's counters now: the baseline a run's report subtracts, so a
+   cache that outlives the run (the server's) still reports this run's
+   lookups only. *)
+let cache_counts c =
+  (Model_cache.hits c, Model_cache.misses c, Model_cache.stale c)
+
+(* A run's report: counts, the cache's counters since [cache]'s baseline
+   (reported when the cache has a disk tier), the engine's stats, and a
    metrics snapshot when [obs] collects them. *)
 let report ~obs ?(built = 0) ?(classified = 0) ?cache ?engine timings =
   {
     built;
     classified;
     cache =
-      Option.map
-        (fun c ->
-          {
-            dir = Model_cache.dir c;
-            hits = Model_cache.hits c;
-            misses = Model_cache.misses c;
-            stale = Model_cache.stale c;
-          })
-        cache;
+      Option.bind cache (fun (c, (hits, misses, stale)) ->
+          Option.map
+            (fun dir ->
+              {
+                dir;
+                hits = Model_cache.hits c - hits;
+                misses = Model_cache.misses c - misses;
+                stale = Model_cache.stale c - stale;
+              })
+            (Model_cache.dir c));
     engine;
     timings;
     metrics = (if Obs.metrics obs then Some (Obs.snapshot ()) else None);
@@ -297,8 +305,11 @@ let build_stage ~obs (config : Config.t) cache jobs =
 let build ?(obs = Obs.off) config jobs =
   let* config = Config.validate config in
   let* cache = cache_of_config config in
+  let baseline = Option.map (fun c -> (c, cache_counts c)) cache in
   let timing, models = build_stage ~obs config cache jobs in
-  Ok (models, report ~obs ~built:(Array.length models) ?cache [ timing ])
+  Ok
+    ( models,
+      report ~obs ~built:(Array.length models) ?cache:baseline [ timing ] )
 
 let detect_stage ~obs ?explain (config : Config.t) prep targets =
   timed ~obs "detect" (fun () ->
@@ -365,11 +376,16 @@ let load_repository ?(obs = Obs.off) ?config ~path () =
   in
   Ok (repo, prep, report ~obs ~built:(List.length repo) [ timing ])
 
-let screen ?(obs = Obs.off) ?explain config prep jobs =
+(* Without [cache] the run opens the config's own (a fresh disk tier per
+   call when [cache_dir] is set, else none — no key is computed). *)
+let screen ?(obs = Obs.off) ?cache ?explain config prep jobs =
   let* config = Config.validate config in
   if Detector.prepared_size prep = 0 then Error Err.Empty_repository
   else
-    let* cache = cache_of_config config in
+    let* cache =
+      match cache with Some c -> Ok (Some c) | None -> cache_of_config config
+    in
+    let baseline = Option.map (fun c -> (c, cache_counts c)) cache in
     let build_timing, models = build_stage ~obs config cache jobs in
     let detect_timing, (verdicts, records, stats) =
       detect_stage ~obs ?explain config prep models
@@ -378,12 +394,13 @@ let screen ?(obs = Obs.off) ?explain config prep jobs =
     Ok
       ( models,
         verdicts,
-        report ~obs ~built:n ~classified:n ?cache ~engine:stats
+        report ~obs ~built:n ~classified:n ?cache:baseline ~engine:stats
           [ build_timing; detect_timing ],
         records )
 
-let screen_prepared ?obs config prep jobs =
-  let* models, verdicts, report, _ = screen ?obs config prep jobs in
+let screen_prepared ?obs ?cache config prep jobs =
+  let* models, verdicts, report, _ = screen ?obs ?cache config prep jobs in
   Ok (models, verdicts, report)
 
-let explain ?obs config prep jobs = screen ?obs ~explain:true config prep jobs
+let explain ?obs ?cache config prep jobs =
+  screen ?obs ?cache ~explain:true config prep jobs

@@ -13,11 +13,16 @@
     the manual composition with the same knobs — asserted by the test
     suite.  Every entry point that runs takes the run's {!Obs.t} as [?obs]
     (default {!Obs.off}) and hands it down; it decides what the run records,
-    never a model byte or verdict bit. *)
+    never a model byte or verdict bit.  The model cache is the caller's
+    too: a call opens the config's for itself, unless the caller — the
+    serve daemon, which screens again and again — hands its own to
+    {!screen_prepared} or {!explain} as [?cache]. *)
 
 type cache_stats = { dir : string; hits : int; misses : int; stale : int }
-(** Hit/miss/stale counters of the {!Model_cache} this run opened —
-    deltas for this run, since the cache handle is private to it. *)
+(** Hit/miss/stale counts of this run's lookups in the {!Model_cache} it
+    used — the one it opened from [config.cache_dir], or the [?cache] it
+    was handed (the counters are read before and after the run), and
+    [dir], that cache's disk tier. *)
 
 type timing = { stage : string; wall_s : float; cpu_s : float }
 (** Wall/CPU seconds of one pipeline stage (["build"] or ["detect"]).
@@ -27,7 +32,9 @@ type timing = { stage : string; wall_s : float; cpu_s : float }
 type report = {
   built : int;  (** models built (or served from cache) by this run *)
   classified : int;  (** targets classified by this run *)
-  cache : cache_stats option;  (** present iff [config.cache_dir] was set *)
+  cache : cache_stats option;
+      (** present iff the run's cache has a disk tier: [config.cache_dir]
+          was set, or the [?cache] handed in was opened on one *)
   engine : Engine.stats option;  (** present iff the run classified *)
   timings : timing list;  (** per-stage wall/cpu, in execution order *)
   metrics : Obs.Registry.snapshot option;
@@ -113,24 +120,34 @@ val load_repository :
 
 val screen_prepared :
   ?obs:Obs.t ->
+  ?cache:Model_cache.t ->
   Config.t ->
   Detector.prepared ->
   Pipeline.job array ->
   (Model.t array * Detector.verdict array * report, Err.t) result
 (** {!build} the jobs, then {!detect_prepared} the resulting models: the §V
-    deployment loop in one call.  The report carries both stages' timings,
-    the build's cache counters and the detect's engine counters.  Errors:
+    deployment loop in one call.  With [cache] the build goes through that
+    cache — its memory tier and its disk tier, if any — instead of one
+    opened from [config.cache_dir]: a caller that screens again and again
+    (the serve daemon) models each program once.  Without it the call
+    opens the config's cache for itself alone — in effect its disk tier,
+    since the memory tier dies with the call — and computes no key when
+    [cache_dir] is unset.  Models and verdicts are
+    byte-identical either way.  The report carries both stages' timings,
+    the build's cache counts and the detect's engine counters.  Errors:
     [Invalid_config], [Empty_repository], [Io]. *)
 
 val explain :
   ?obs:Obs.t ->
+  ?cache:Model_cache.t ->
   Config.t ->
   Detector.prepared ->
   Pipeline.job array ->
   ( Model.t array * Detector.verdict array * report * Provenance.t array,
     Err.t )
   result
-(** {!screen_prepared} on the same engine run with [~explain:true]
+(** {!screen_prepared} (the same [cache] rule) on the same engine run with
+    [~explain:true]
     ({!Engine.classify_batch}): the same models, verdicts and report —
     bit-identical — plus one {!Provenance.t} per job, index-aligned with
     the jobs ([seq] is the job's position) and stamped with [obs]'s trace

@@ -1699,29 +1699,58 @@ let with_temp_cache f =
           (Sys.readdir dir);
         try Unix.rmdir dir with Unix.Unix_error _ -> ()
       end)
-    (fun () -> f (SG.Model_cache.create ~dir))
+    (fun () -> f (Result.get_ok (SG.Model_cache.create ~dir ())))
+
+(* Another handle on [cache]'s directory: an empty memory tier, so every
+   lookup reaches the disk tier. *)
+let reopen cache =
+  Result.get_ok (SG.Model_cache.create ?dir:(SG.Model_cache.dir cache) ())
+
+let entry_file cache ~key = Option.get (SG.Model_cache.file cache ~key)
+
+(* One lookup, the way the batch builder makes it: the memory tier, then
+   the disk tier or the build, then the memory tier again. *)
+let find_or_build cache ~key build =
+  match SG.Model_cache.recall cache ~key with
+  | Some model -> model
+  | None ->
+    let model, entry = SG.Model_cache.fetch cache ~key build in
+    Option.iter (SG.Model_cache.remember cache ~key) entry;
+    model
+
+(* A builder that counts its calls. *)
+let counting model =
+  let calls = ref 0 in
+  (calls, fun () -> incr calls; model)
 
 let test_model_cache_hit_bit_identical () =
   with_temp_cache (fun cache ->
       let fr = D.of_spec (A.flush_reload ~style:A.Iaik ()) in
       let fresh = (Lazy.force fr_analysis).SG.Pipeline.model in
       let key = SG.Model_cache.key ~name:fr.D.name fr.D.program in
-      check_bool "initially absent" true (SG.Model_cache.find cache ~key = None);
+      let calls, build = counting fresh in
+      let first = find_or_build cache ~key build in
+      check_int "initially absent: built" 1 !calls;
       check_int "miss counted" 1 (SG.Model_cache.misses cache);
-      SG.Model_cache.store cache ~key fresh;
-      match SG.Model_cache.find cache ~key with
-      | None -> Alcotest.fail "stored model not found"
-      | Some cached ->
-        check_int "hit counted" 1 (SG.Model_cache.hits cache);
-        Alcotest.(check string) "bytes identical" (model_bytes fresh)
-          (model_bytes cached);
-        (* the property detection relies on: scoring through the cached model
-           is bit-identical to scoring through the freshly built one *)
-        let probe = (List.nth (Lazy.force repo) 1).SG.Detector.model in
-        check_bool "probe score bit-identical" true
-          (SG.Dtw.compare_models cached probe
-          = SG.Dtw.compare_models fresh probe);
-        check_float "self similarity" 1.0 (SG.Dtw.compare_models cached fresh))
+      check_bool "the build is returned" true (first == fresh);
+      check_bool "stored on disk" true (Sys.file_exists (entry_file cache ~key));
+      let memory = find_or_build cache ~key build in
+      let disk = find_or_build (reopen cache) ~key build in
+      check_int "both hits skip the build" 1 !calls;
+      check_int "memory hit counted" 1 (SG.Model_cache.hits cache);
+      List.iter
+        (fun (tier, cached) ->
+          Alcotest.(check string) (tier ^ " hit bytes identical") (model_bytes fresh)
+            (model_bytes cached);
+          (* the property detection relies on: scoring through the cached
+             model is bit-identical to scoring through the freshly built one *)
+          let probe = (List.nth (Lazy.force repo) 1).SG.Detector.model in
+          check_bool (tier ^ " probe score bit-identical") true
+            (SG.Dtw.compare_models cached probe
+            = SG.Dtw.compare_models fresh probe);
+          check_float (tier ^ " self similarity") 1.0
+            (SG.Dtw.compare_models cached fresh))
+        [ ("memory", memory); ("disk", disk) ])
 
 let prop_cache_hit_scores_identical =
   QCheck.Test.make ~name:"cache hit scores bit-identical to fresh model"
@@ -1729,47 +1758,75 @@ let prop_cache_hit_scores_identical =
     QCheck.(pair model_arb model_arb)
     (fun (m, probe) ->
       with_temp_cache (fun cache ->
-          SG.Model_cache.store cache ~key:"k" m;
-          match SG.Model_cache.find cache ~key:"k" with
-          | None -> false
-          | Some m' ->
-            SG.Dtw.compare_models m' probe = SG.Dtw.compare_models m probe))
+          let stored = find_or_build cache ~key:"k" (fun () -> m) in
+          let rebuilt () = Alcotest.fail "a hit must not rebuild" in
+          let memory = find_or_build cache ~key:"k" rebuilt in
+          let disk = find_or_build (reopen cache) ~key:"k" rebuilt in
+          stored == m
+          && SG.Dtw.compare_models memory probe = SG.Dtw.compare_models m probe
+          && SG.Dtw.compare_models disk probe = SG.Dtw.compare_models m probe))
 
 let test_model_cache_stale_fallback () =
   with_temp_cache (fun cache ->
       let key = "deadbeef" in
-      let path =
-        Filename.concat (SG.Model_cache.dir cache) (key ^ ".cstbbs")
-      in
+      let path = entry_file cache ~key in
       let oc = open_out path in
       output_string oc "cstbbs 1\nname x\nentry garbage\n";
       close_out oc;
-      check_bool "corrupt entry rejected" true
-        (SG.Model_cache.find cache ~key = None);
-      check_int "stale counted" 1 (SG.Model_cache.stale cache);
-      check_bool "corrupt file deleted" false (Sys.file_exists path);
-      (* find_or_build falls back to the builder and re-stores *)
+      (* the disk tier refuses the entry and deletes it before the builder
+         runs; the builder's model is stored in its place *)
       let fresh = (Lazy.force fr_analysis).SG.Pipeline.model in
-      let built = SG.Model_cache.find_or_build cache ~key (fun () -> fresh) in
+      let built, _ =
+        SG.Model_cache.fetch cache ~key (fun () ->
+            check_bool "corrupt file deleted" false (Sys.file_exists path);
+            fresh)
+      in
+      check_int "stale counted" 1 (SG.Model_cache.stale cache);
       Alcotest.(check string) "rebuilt" (model_bytes fresh) (model_bytes built);
-      match SG.Model_cache.find cache ~key with
-      | None -> Alcotest.fail "rebuilt entry not stored"
-      | Some again ->
+      let again = reopen cache in
+      match SG.Model_cache.recall again ~key with
+      | Some _ -> Alcotest.fail "a fresh handle's memory tier is empty"
+      | None ->
+        let stored =
+          find_or_build again ~key (fun () ->
+              Alcotest.fail "rebuilt entry not stored")
+        in
+        check_int "stored entry hits" 1 (SG.Model_cache.hits again);
         Alcotest.(check string) "stored after rebuild" (model_bytes fresh)
-          (model_bytes again))
+          (model_bytes stored))
+
+(* A model whose encoding the strict loader refuses: one CST holds NaN. *)
+let nan_model (m : SG.Model.t) =
+  match m.SG.Model.entries with
+  | [] -> Alcotest.fail "empty model"
+  | e :: rest ->
+    let after = { Cache.State.ao = Float.nan; io = 0.5 } in
+    SG.Model.make ~name:m.SG.Model.name
+      ({ e with SG.Model.cst = { e.SG.Model.cst with SG.Cst.after } } :: rest)
 
 let test_model_cache_nan_stale () =
   with_temp_cache (fun cache ->
       let fresh = (Lazy.force fr_analysis).SG.Pipeline.model in
       let key = "poisoned" in
-      SG.Model_cache.store cache ~key fresh;
-      let path = Filename.concat (SG.Model_cache.dir cache) (key ^ ".cstbbs") in
+      ignore (find_or_build cache ~key (fun () -> fresh));
+      let path = entry_file cache ~key in
       SG.Persist.write_atomic ~path (poison_binary fresh (SG.Persist.read_file ~path));
-      check_bool "poisoned entry rejected" true (SG.Model_cache.find cache ~key = None);
-      check_int "stale counted" 1 (SG.Model_cache.stale cache);
-      let built = SG.Model_cache.find_or_build cache ~key (fun () -> fresh) in
+      let cache2 = reopen cache in
+      let calls, build = counting fresh in
+      let built = find_or_build cache2 ~key build in
+      check_int "poisoned entry rejected and rebuilt" 1 !calls;
+      check_int "stale counted" 1 (SG.Model_cache.stale cache2);
       Alcotest.(check string) "rebuilt" (model_bytes fresh) (model_bytes built);
-      check_bool "rebuilt entry stored" true (SG.Model_cache.find cache ~key <> None))
+      ignore (find_or_build (reopen cache) ~key build);
+      check_int "rebuilt entry stored" 1 !calls;
+      (* the memory tier never keeps an entry a hit could not decode: a
+         build whose CST is NaN is rebuilt on every lookup *)
+      let memory = Result.get_ok (SG.Model_cache.create ()) in
+      let calls, build = counting (nan_model fresh) in
+      ignore (find_or_build memory ~key build);
+      ignore (find_or_build memory ~key build);
+      check_int "undecodable build not kept" 2 !calls;
+      check_int "nothing resident" 0 (SG.Model_cache.resident_bytes memory))
 
 let test_model_cache_version_stale () =
   (* a cache entry written by a future (or past) binary format version is
@@ -1777,10 +1834,8 @@ let test_model_cache_version_stale () =
   with_temp_cache (fun cache ->
       let fresh = (Lazy.force fr_analysis).SG.Pipeline.model in
       let key = "versioned" in
-      SG.Model_cache.store cache ~key fresh;
-      let path =
-        Filename.concat (SG.Model_cache.dir cache) (key ^ ".cstbbs")
-      in
+      ignore (find_or_build cache ~key (fun () -> fresh));
+      let path = entry_file cache ~key in
       let data = SG.Persist.read_file ~path in
       check_bool "cache entries are binary" true (SG.Persist.is_binary data);
       let tampered = Bytes.of_string data in
@@ -1788,13 +1843,15 @@ let test_model_cache_version_stale () =
       let oc = open_out_bin path in
       output_bytes oc tampered;
       close_out oc;
-      (* a fresh handle (no in-memory memoization) must treat it as stale *)
-      let cache2 = SG.Model_cache.create ~dir:(SG.Model_cache.dir cache) in
-      check_bool "version mismatch is a miss" true
-        (SG.Model_cache.find cache2 ~key = None);
+      (* a fresh handle (an empty memory tier) must treat it as stale *)
+      let cache2 = reopen cache in
+      let built, _ =
+        SG.Model_cache.fetch cache2 ~key (fun () ->
+            check_bool "stale entry deleted" false (Sys.file_exists path);
+            fresh)
+      in
+      check_int "version mismatch is a miss" 0 (SG.Model_cache.hits cache2);
       check_int "stale counted" 1 (SG.Model_cache.stale cache2);
-      check_bool "stale entry deleted" false (Sys.file_exists path);
-      let built = SG.Model_cache.find_or_build cache2 ~key (fun () -> fresh) in
       Alcotest.(check string) "rebuilt" (model_bytes fresh) (model_bytes built))
 
 let test_model_cache_key_sensitivity () =
@@ -1826,7 +1883,13 @@ let test_model_cache_key_sensitivity () =
         (k' = k))
     variants;
   check_int "variants pairwise distinct" (List.length variants)
-    (List.length (List.sort_uniq compare variants))
+    (List.length (List.sort_uniq compare variants));
+  (* the disk tier names an entry by the key's hex MD5, as before the
+     memory tier: existing cache directories keep hitting *)
+  with_temp_cache (fun cache ->
+      Alcotest.(check string) "disk file name"
+        (Digest.to_hex (Digest.string k) ^ ".cstbbs")
+        (Filename.basename (entry_file cache ~key:k)))
 
 let test_build_models_batch_cached () =
   with_temp_cache (fun cache ->
@@ -1841,8 +1904,13 @@ let test_build_models_batch_cached () =
             (model_bytes (analyze_sample s).SG.Pipeline.model)
             (model_bytes cold.(i)))
         (batch_samples ());
-      (* a fresh handle on the same directory: everything must hit *)
-      let warm_cache = SG.Model_cache.create ~dir:(SG.Model_cache.dir cache) in
+      (* the same handle: every job hits the memory tier, the pool is
+         skipped; a fresh handle on the same directory: every job hits the
+         disk tier *)
+      let memory = SG.Pipeline.build_models_batch ~domains:2 ~cache jobs in
+      check_int "memory hits" n (SG.Model_cache.hits cache);
+      check_int "no further misses" n (SG.Model_cache.misses cache);
+      let warm_cache = reopen cache in
       let warm =
         SG.Pipeline.build_models_batch ~domains:2 ~cache:warm_cache jobs
       in
@@ -1851,8 +1919,39 @@ let test_build_models_batch_cached () =
       Array.iteri
         (fun i m ->
           Alcotest.(check string) "warm = cold" (model_bytes cold.(i))
-            (model_bytes m))
+            (model_bytes m);
+          Alcotest.(check string) "memory = cold" (model_bytes cold.(i))
+            (model_bytes memory.(i)))
         warm)
+
+(* The memory tier's byte budget under random lookups: keys of up to
+   three eighths of the budget (their text counts against it) and one over
+   it, drawn from a few ids so some repeat.  Resident bytes never exceed
+   the budget, the oversized entry is never kept, and every lookup — hit,
+   first build or rebuild after an eviction — returns the builder's model
+   byte for byte. *)
+let prop_memory_budget =
+  let budget = SG.Model_cache.memory_budget in
+  QCheck.Test.make ~name:"memory tier stays within its byte budget" ~count:10
+    QCheck.(list_of_size Gen.(5 -- 24) (pair (int_bound 5) (int_bound 4)))
+    (fun lookups ->
+      let fresh = (Lazy.force fr_analysis).SG.Pipeline.model in
+      let cache = Result.get_ok (SG.Model_cache.create ()) in
+      let key (i, q) =
+        Printf.sprintf "%d/%d:" i q
+        ^ String.make (if q = 4 then budget else q * budget / 8) 'k'
+      in
+      List.for_all
+        (fun ((_, q) as lookup) ->
+          let key = key lookup in
+          let calls, build = counting fresh in
+          let m = find_or_build cache ~key build in
+          let kept = SG.Model_cache.recall cache ~key <> None in
+          model_bytes m = model_bytes fresh
+          && SG.Model_cache.resident_bytes cache <= budget
+          && !calls <= 1
+          && kept = (q < 4))
+        lookups)
 
 let prop_interned_scoring_identical =
   QCheck.Test.make ~name:"interned scoring = string-token scoring" ~count:100
@@ -2045,5 +2144,6 @@ let () =
             test_build_models_batch_cached;
           QCheck_alcotest.to_alcotest prop_cache_hit_scores_identical;
           QCheck_alcotest.to_alcotest prop_interned_scoring_identical;
+          QCheck_alcotest.to_alcotest prop_memory_budget;
         ] );
     ]

@@ -774,6 +774,219 @@ let test_explain_verb () =
       records
   | fs -> Alcotest.failf "expected 1 frame, got %d" (List.length fs)
 
+(* -- the daemon's model cache ------------------------------------------------ *)
+
+let temp_dir () =
+  let dir = Filename.temp_file "scag_cache" "" in
+  Sys.remove dir;
+  dir
+
+let rm_rf dir =
+  if Sys.file_exists dir then begin
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Unix.rmdir dir
+  end
+
+(* The reference a cached daemon must reproduce: an uncached
+   Service.screen_prepared on the same (target, seed) — no cache_dir, and
+   no ?cache, so every model is built fresh.  Memoized: it is
+   deterministic. *)
+let references = Hashtbl.create 16
+
+let reference ~seed name =
+  match Hashtbl.find_opt references (name, seed) with
+  | Some v -> v
+  | None ->
+    let _, prepared = Lazy.force prepared_repo in
+    let job = Result.get_ok (resolve ~seed name) in
+    let _, verdicts, _ =
+      Result.get_ok (SG.Service.screen_prepared C.default prepared [| job |])
+    in
+    Hashtbl.add references (name, seed) verdicts.(0);
+    verdicts.(0)
+
+let family_json = function Some f -> J.Str f | None -> J.Null
+
+(* A verdict frame carries the reference's score, family and matches, bit
+   for bit after the wire round-trip. *)
+let same_verdict frame (v : SG.Detector.verdict) =
+  json_equal (member_exn "score" frame) (J.Num v.SG.Detector.best_score)
+  && member_exn "family" frame = family_json v.SG.Detector.best_family
+  && json_equal (member_exn "matches" frame)
+       (J.List
+          (List.map
+             (fun (poc, family, score) ->
+               J.Obj [ ("poc", J.Str poc); ("family", J.Str family); ("score", J.Num score) ])
+             v.SG.Detector.best_matches))
+
+let detect_line ~id ~seed ?(extra = "") names =
+  Printf.sprintf "{\"id\":%d,\"op\":\"detect\",\"targets\":[%s],\"seed\":%d%s}\n" id
+    (String.concat "," (List.map (Printf.sprintf "%S") names))
+    seed extra
+
+(* build-repo --save-config pins the repository's salt in the config; a
+   target's model must still depend on its seed.  A daemon whose disk
+   cache was warmed at seed 1 answers a seed-4 detect exactly like a daemon
+   over a fresh cache directory (feistel's program is the same at both
+   seeds; its input data is not). *)
+let test_pinned_salt_warm_fresh () =
+  let warm = temp_dir () and fresh = temp_dir () in
+  let config dir = { C.default with C.salt = "2026:FR-F,PP-F"; cache_dir = Some dir } in
+  let verdicts dir lines =
+    let _, prepared = Lazy.force prepared_repo in
+    let t = Result.get_ok (Server.create ~config:(config dir) ~resolve ~prepared ()) in
+    let conn, frames = recording_conn t in
+    Server.feed t conn (String.concat "" lines);
+    ignore (Server.drain t);
+    List.filter_map
+      (fun f ->
+        if member_exn "id" f = J.Num 4.0 && J.member "event" f <> None then
+          Some (J.to_string f)
+        else None)
+      (frames ())
+  in
+  let targets = [ "feistel"; "edit-distance" ] in
+  let seed4 = detect_line ~id:4 ~seed:4 targets in
+  let warmed = verdicts warm [ detect_line ~id:1 ~seed:1 targets; seed4 ] in
+  let reopened = verdicts warm [ seed4 ] in
+  let cold = verdicts fresh [ seed4 ] in
+  rm_rf warm;
+  rm_rf fresh;
+  check_int "two verdicts" 2 (List.length cold);
+  Alcotest.(check (list string)) "warm daemon = fresh cache" cold warmed;
+  Alcotest.(check (list string)) "reopened cache = fresh cache" cold reopened;
+  List.iteri
+    (fun i name ->
+      match J.parse (List.nth cold i) with
+      | Ok f -> check_bool (name ^ " = uncached service") true (same_verdict f (reference ~seed:4 name))
+      | Error e -> Alcotest.fail e)
+    targets
+
+(* Server.create opens the daemon's cache once: a cache_dir that is a file
+   is the typed config error every request used to return. *)
+let test_create_bad_cache_dir () =
+  let file = Filename.temp_file "scag_cache" ".file" in
+  let _, prepared = Lazy.force prepared_repo in
+  let created =
+    Server.create ~config:{ C.default with C.cache_dir = Some file } ~resolve ~prepared ()
+  in
+  Sys.remove file;
+  match created with
+  | Error (SG.Err.Invalid_config { field; value; _ }) ->
+    check_string "field" "cache_dir" field;
+    check_string "value" file value
+  | Error e -> Alcotest.failf "wrong error: %s" (SG.Err.to_string e)
+  | Ok _ -> Alcotest.fail "a file is not a cache directory"
+
+(* Request scripts against one daemon — repeats, reloads, mixed seeds, an
+   optionally pinned salt and an optional cache directory: every verdict
+   the daemon returns, from a cold build, a memory hit or a disk hit, is
+   bit-identical to the uncached service's on the same (target, seed). *)
+type step =
+  | S_detect of string list * int * bool
+  | S_screen of string list * int
+  | S_explain of string list * int
+  | S_reload
+
+let script_arb =
+  let open QCheck.Gen in
+  let targets = list_size (1 -- 2) (oneofl [ "fr-iaik"; "feistel"; "edit-distance"; "quicksort" ]) in
+  let seed = oneofl [ 1; 4 ] in
+  let step =
+    frequency
+      [
+        (4, map3 (fun ts s st -> S_detect (ts, s, st)) targets seed bool);
+        (1, map2 (fun ts s -> S_screen (ts, s)) targets seed);
+        (1, map2 (fun ts s -> S_explain (ts, s)) targets seed);
+        (1, return S_reload);
+      ]
+  in
+  let print (pinned, disk, steps) =
+    Printf.sprintf "pinned=%b disk=%b [%s]" pinned disk
+      (String.concat "; "
+         (List.map
+            (function
+              | S_detect (ts, s, st) -> Printf.sprintf "detect %s @%d%s" (String.concat "," ts) s (if st then "" else " batch")
+              | S_screen (ts, s) -> Printf.sprintf "screen %s @%d" (String.concat "," ts) s
+              | S_explain (ts, s) -> Printf.sprintf "explain %s @%d" (String.concat "," ts) s
+              | S_reload -> "reload")
+            steps))
+  in
+  QCheck.make ~print (triple bool bool (list_size (2 -- 8) step))
+
+let repo_image =
+  lazy
+    (let path = Filename.temp_file "scag_cache" ".scag" in
+     let repo, _ = Lazy.force prepared_repo in
+     ignore (Result.get_ok (SG.Service.save_repository { C.default with C.repo_format = C.Binary } ~path repo));
+     at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
+     path)
+
+let prop_cached_verdicts =
+  QCheck.Test.make ~name:"cached daemon verdicts = uncached service" ~count:60 script_arb
+    (fun (pinned, disk, steps) ->
+      let dir = temp_dir () in
+      let config =
+        {
+          C.default with
+          C.salt = (if pinned then "2026:FR-F,PP-F" else "");
+          cache_dir = (if disk then Some dir else None);
+        }
+      in
+      let _, prepared = Lazy.force prepared_repo in
+      let t =
+        Result.get_ok
+          (Server.create ~config ~resolve ~prepared ~repo_path:(Lazy.force repo_image) ())
+      in
+      let conn, frames = recording_conn t in
+      List.iteri
+        (fun i step ->
+          let names ts = String.concat "," (List.map (Printf.sprintf "%S") ts) in
+          Server.feed t conn
+            (match step with
+            | S_detect (ts, seed, stream) ->
+              detect_line ~id:i ~seed ~extra:(if stream then "" else ",\"stream\":false") ts
+            | S_screen (ts, seed) ->
+              Printf.sprintf "{\"id\":%d,\"op\":\"screen\",\"targets\":[%s],\"seed\":%d}\n" i (names ts) seed
+            | S_explain (ts, seed) ->
+              Printf.sprintf "{\"id\":%d,\"op\":\"explain\",\"targets\":[%s],\"seed\":%d}\n" i (names ts) seed
+            | S_reload -> Printf.sprintf "{\"id\":%d,\"op\":\"reload\"}\n" i);
+          ignore (Server.drain t))
+        steps;
+      let all = frames () in
+      rm_rf dir;
+      let of_step i = List.filter (fun f -> member_exn "id" f = J.Num (float_of_int i)) all in
+      let final i = List.find_opt (fun f -> J.member "ok" f = Some (J.Bool true)) (of_step i) in
+      List.for_all (fun f -> J.member "ok" f <> Some (J.Bool false)) all
+      && List.for_all2
+           (fun i step ->
+             match step with
+             | S_detect (ts, seed, _) ->
+               let vs = List.filter (fun f -> J.member "event" f <> None) (of_step i) in
+               List.length vs = List.length ts
+               && List.for_all2
+                    (fun f name -> member_exn "target" f = J.Str name && same_verdict f (reference ~seed name))
+                    vs ts
+             | S_screen (ts, seed) ->
+               let attacks = List.filter (fun n -> SG.Detector.is_attack (reference ~seed n)) ts in
+               Option.map (member_exn "attack_targets") (final i)
+               = Some (J.List (List.map (fun n -> J.Str n) attacks))
+             | S_explain (ts, seed) -> (
+               match Option.map (member_exn "records") (final i) with
+               | Some (J.List records) when List.length records = List.length ts ->
+                 List.for_all2
+                   (fun r name ->
+                     let v = reference ~seed name in
+                     let best = member_exn "best" r in
+                     member_exn "family" best = family_json v.SG.Detector.best_family
+                     && member_exn "score_bits" best
+                        = J.Str (Int64.to_string (Int64.bits_of_float v.SG.Detector.best_score)))
+                   records ts
+               | _ -> false)
+             | S_reload -> final i <> None)
+           (List.init (List.length steps) Fun.id)
+           steps)
+
 (* -- stdio transport --------------------------------------------------------- *)
 
 (* Drive serve_channels over OS pipes, exactly like `scaguard serve --stdio`:
@@ -879,6 +1092,14 @@ let () =
             test_stats_and_metrics_verbs;
           Alcotest.test_case "trace-id echo" `Quick test_trace_id_echo;
           Alcotest.test_case "explain verb" `Slow test_explain_verb;
+        ] );
+      ( "model cache",
+        [
+          Alcotest.test_case "pinned salt keeps seeds apart" `Slow
+            test_pinned_salt_warm_fresh;
+          Alcotest.test_case "file as cache_dir is a typed error" `Quick
+            test_create_bad_cache_dir;
+          QCheck_alcotest.to_alcotest prop_cached_verdicts;
         ] );
       ( "stdio",
         [
