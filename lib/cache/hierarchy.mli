@@ -32,6 +32,9 @@ val create : ?l1d:Config.t -> ?l1i:Config.t -> ?llc:Config.t ->
     the L1s — Evict+Reload needs it.  [prefetch] (default false) enables a
     next-line prefetcher on demand-load L1 misses. *)
 
+val renew : t -> unit
+(** {!Set_assoc.renew} on this view's levels; a cross-core peer's L1s stay. *)
+
 val create_cross_core :
   ?l1d:Config.t -> ?l1i:Config.t -> ?llc:Config.t -> ?latencies:latencies ->
   ?policy:Policy.t -> ?inclusive:bool -> ?prefetch:bool -> unit -> t * t

@@ -4,7 +4,12 @@
 type t
 
 val create : ?policy:Policy.t -> Config.t -> t
-(** [policy] defaults to {!Policy.Lru}. *)
+(** [policy] defaults to {!Policy.Lru}.  Each line takes one byte (valid
+    bit and owner) and two ints. *)
+
+val renew : t -> unit
+(** Return [t] in place to the state {!create} built it in, field for
+    field (the Random policy's draw state included). *)
 
 val config : t -> Config.t
 
@@ -14,8 +19,9 @@ val access : t -> owner:Owner.t -> int -> bool
     cache's {!Policy.t} if the set is full) and ownership is recorded; on a
     hit the line is promoted to MRU and ownership is {e re-assigned} to
     [owner] (matching shared-memory attacks where the attacker re-loads a
-    victim-fetched line).  Allocates nothing, except when the Random
-    policy draws a victim. *)
+    victim-fetched line).  A repeat of the latest access's line skips the
+    set lookup.  Allocates nothing, except when the Random policy draws a
+    victim. *)
 
 val evicted : t -> bool
 (** Whether the latest {!access} missed and evicted a valid line. *)
@@ -37,9 +43,6 @@ val flush : t -> int -> bool
 val fill_all : t -> owner:Owner.t -> unit
 (** Fill every line with distinct addresses owned by [owner] (used to start
     CST measurement from [(AO=0, IO=1)]). *)
-
-val reset : t -> unit
-(** Invalidate everything. *)
 
 val occupancy : t -> Owner.t -> float
 (** Fraction of all lines currently owned by the given owner. *)

@@ -44,7 +44,6 @@ type result = {
   halted_normally : bool;    (** [true] if the program reached [Halt]/fell off
                                  the end; [false] if fuel ran out *)
   collector : Hpc.Collector.t;  (** runtime data of the main program *)
-  hierarchy : Cache.Hierarchy.t;  (** final cache state *)
   machine : Machine.t;       (** final architectural state of the main program *)
 }
 
@@ -62,4 +61,19 @@ val run :
     behaves as a continuously active process.  By default the victim shares
     [hierarchy] (SMT co-residency); pass the second half of
     {!Cache.Hierarchy.create_cross_core} as [victim_hierarchy] for the
-    cross-core topology (private L1s, shared LLC). *)
+    cross-core topology (private L1s, shared LLC).
+
+    Without [hierarchy] the run starts from [Cache.Hierarchy.create ()] and
+    its final cache state is out of reach: each domain keeps that hierarchy
+    and renews it for its next run ({!Cache.Hierarchy.renew}), so a run
+    allocates no cache.  The collector is fresh unless {!recycle} handed
+    one back. *)
+
+val recycle : result -> unit
+(** [recycle r] hands [r.collector] back to the calling domain's next
+    {!run}, which renews it instead of allocating one; nothing may read it
+    after.  A collector that logged more than {!retained_log} accesses is
+    dropped instead. *)
+
+val retained_log : int
+(** [8192] access-log entries (256 KB), the log of about 95% of targets. *)

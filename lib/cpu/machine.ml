@@ -10,15 +10,18 @@ type t = {
 }
 
 (* The default stack top sits at LLC set 27, away from the set-0-aligned
-   regions the cache-attack workloads monitor. *)
+   regions the cache-attack workloads monitor.  [regs] has one slot past
+   the registers, which nothing writes. *)
 let create ?(stack_top = 0x7FFF_0000 + (27 * 64)) () =
-  let regs = Array.make Isa.Reg.count 0 in
+  let regs = Array.make (Isa.Reg.count + 1) 0 in
   regs.(Isa.Reg.index Isa.Reg.RSP) <- stack_top;
   { regs; mem = Int_table.create 128; parent = None; zf = false; sf = false;
     cf = false; pc = 0; halted = false }
 
 let get_reg t r = t.regs.(Isa.Reg.index r)
 let set_reg t r v = t.regs.(Isa.Reg.index r) <- v
+let slot t i = t.regs.(i)
+let set_slot t i v = t.regs.(i) <- v
 
 let rec load t addr =
   match t.parent with

@@ -11,6 +11,10 @@ val create : ?stack_top:int -> unit -> t
 
 val get_reg : t -> Isa.Reg.t -> int
 val set_reg : t -> Isa.Reg.t -> int -> unit
+val slot : t -> int -> int
+val set_slot : t -> int -> int -> unit
+(** Registers by {!Isa.Reg.index}; slot [Isa.Reg.count] reads 0 and must
+    not be written. *)
 
 val load : t -> int -> int
 (** Architectural memory read; uninitialized locations read as 0. *)

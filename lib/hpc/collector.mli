@@ -19,18 +19,21 @@ type t
 val create : base:int -> length:int -> t
 (** A collector for a program of [length] instructions at [base]: every pc
     it records is [base + 4 * i] with [0 <= i < length], so per-pc data is
-    held in dense arrays.  Queries at any other address answer as for a pc
-    that never ran. *)
+    held in one flat array.  Queries at any other address answer as for a
+    pc that never ran. *)
 
-val record_event : t -> pc:int -> Event.t -> unit
-(** @raise Invalid_argument for a pc outside the program. *)
+val renew : t -> base:int -> length:int -> unit
+(** Make [t] answer every query as [create ~base ~length] would, reusing
+    its arrays where they are long enough. *)
 
-val record_access : t -> pc:int -> target:int -> kind:access_kind -> time:int -> unit
+(** The recording calls take the instruction index [i], [0 <= i < length]. *)
 
-val note_executed : t -> pc:int -> time:int -> unit
-(** Record that the instruction at [pc] retired at [time]; keeps the first
-    time per pc (the BB-ordering timestamp of §III-A3) and counts
-    executions.  @raise Invalid_argument for a pc outside the program. *)
+val record_event : t -> int -> Event.t -> unit
+val record_access : t -> int -> target:int -> kind:access_kind -> time:int -> unit
+
+val note_executed : t -> int -> time:int -> unit
+(** Record that instruction [i] retired at [time]; keeps the first time per
+    pc (the BB-ordering timestamp of §III-A3) and counts executions. *)
 
 val exec_count : t -> pc:int -> int
 (** How many times the instruction at [pc] retired. *)

@@ -11,7 +11,7 @@ let trivial =
 
 (* Reusable scratch simulator: one per pool worker, so a batch of model
    builds pays one cache allocation per worker instead of one per block.
-   Reset + fill_all restores exactly the state (and LRU clock trajectory) a
+   Renew + fill_all restores exactly the state (and LRU clock trajectory) a
    fresh create+fill_all produces, so measurements are byte-identical. *)
 type measurer = { mutable sim : Cache.Set_assoc.t option }
 
@@ -22,7 +22,7 @@ let probe_cache measurer config =
   | Some m -> (
     match m.sim with
     | Some c when Cache.Set_assoc.config c = config ->
-      Cache.Set_assoc.reset c;
+      Cache.Set_assoc.renew c;
       c
     | _ ->
       let c = Cache.Set_assoc.create config in

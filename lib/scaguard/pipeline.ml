@@ -86,9 +86,15 @@ let build_models_batch ?(obs = Obs.off) ?domains ?cache ?max_paths ?max_len
           Cpu.Exec.run ?settings:j.settings ?init:j.init ?victim:j.victim
             j.program
         in
-        (analyze ?max_paths ?max_len ?cst_config ~measurer ~name:j.job_name
-           ~program:j.program exec)
-          .model)
+        let model =
+          (analyze ?max_paths ?max_len ?cst_config ~measurer ~name:j.job_name
+             ~program:j.program exec)
+            .model
+        in
+        (* the model keeps nothing of the run: its collector serves the
+           worker's next job *)
+        Cpu.Exec.recycle exec;
+        model)
   in
   match cache with
   | None ->

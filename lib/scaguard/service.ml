@@ -245,10 +245,14 @@ let cache_counts c =
 
 (* A run's report: counts, the cache's counters since [cache]'s baseline
    (reported when the cache has a disk tier), the engine's stats, and a
-   metrics snapshot when [obs] collects them. *)
+   metrics snapshot when [obs] collects them.  [built] counts the models
+   obtained; those the cache served since its baseline are not builds. *)
 let report ~obs ?(built = 0) ?(classified = 0) ?cache ?engine timings =
   {
-    built;
+    built =
+      (match cache with
+      | None -> built
+      | Some (c, (hits, _, _)) -> built - (Model_cache.hits c - hits));
     classified;
     cache =
       Option.bind cache (fun (c, (hits, misses, stale)) ->

@@ -30,7 +30,7 @@ type timing = { stage : string; wall_s : float; cpu_s : float }
     wall-clock steps and never negative. *)
 
 type report = {
-  built : int;  (** models built (or served from cache) by this run *)
+  built : int;  (** models this run built; a model a cache served is not one *)
   classified : int;  (** targets classified by this run *)
   cache : cache_stats option;
       (** present iff the run's cache has a disk tier: [config.cache_dir]

@@ -160,39 +160,52 @@ let prop_lru_matches_reference =
             SA.flush cache addr = was)
         ops)
 
-(* The precomputed set mask and tag shift against the reference copy,
-   which maps every address through Config: power-of-two and prime set
-   counts, over negative addresses too.  Every geometry Config.make accepts
+(* The precomputed set mask and tag shift and the last-line memo against
+   the reference copy, which maps every address through Config: power-of-two
+   and prime set counts, every policy, over negative addresses too, with
+   fills and renewals between lookups.  A renewed level must equal a
+   freshly created one field for field.  Every geometry Config.make accepts
    maps every address to a set, so a lookup that raises fails the
    property. *)
 let prop_geometry_matches_reference =
   QCheck.Test.make ~name:"set_assoc geometry matches the reference" ~count:300
     QCheck.(
       pair
-        (triple (oneofl [ 1; 4; 61; 64 ]) (oneofl [ 1; 2 ]) (oneofl [ 1; 6 ]))
+        (quad (oneofl [ 1; 4; 61; 64 ]) (oneofl [ 1; 2 ]) (oneofl [ 1; 6 ])
+           (oneofl Cache.Policy.all))
         (list_of_size (Gen.int_range 0 120)
-           (pair (int_range 0 2)
+           (pair
+              (make ~print:string_of_int
+                 Gen.(frequencyl [ (6, 0); (2, 1); (2, 2); (1, 3); (1, 4) ]))
               (oneof
                  [
                    int_range (-300) 300;
                    map (fun i -> i * 4096) (int_range (-20) 20);
                    oneofl [ min_int; max_int; min_int + 64; max_int - 64 ];
                  ]))))
-    (fun ((sets, ways, line_bits), ops) ->
+    (fun ((sets, ways, line_bits, policy), ops) ->
       let cfg = C.make ~sets ~ways ~line_bits () in
-      let c = SA.create cfg and r = Refsim.Set_assoc.create cfg in
+      let c = SA.create ~policy cfg and r = ref (Refsim.Set_assoc.create ~policy cfg) in
       List.for_all
         (fun (op, addr) ->
           match op with
           | 0 ->
             let hit = SA.access c ~owner:Ow.Attacker addr in
-            let o = Refsim.Set_assoc.access r ~owner:Ow.Attacker addr in
+            let o = Refsim.Set_assoc.access !r ~owner:Ow.Attacker addr in
             hit = o.Refsim.Set_assoc.hit
             && (match o.Refsim.Set_assoc.evicted with
                | None -> not (SA.evicted c)
                | Some (a, _) -> SA.evicted c && SA.evicted_addr c = a)
-          | 1 -> SA.probe c addr = Refsim.Set_assoc.probe r addr
-          | _ -> SA.flush c addr = Refsim.Set_assoc.flush r addr)
+          | 1 -> SA.probe c addr = Refsim.Set_assoc.probe !r addr
+          | 2 -> SA.flush c addr = Refsim.Set_assoc.flush !r addr
+          | 3 ->
+            SA.fill_all c ~owner:Ow.System;
+            Refsim.Set_assoc.fill_all !r ~owner:Ow.System;
+            SA.valid_lines c = Refsim.Set_assoc.valid_lines !r
+          | _ ->
+            SA.renew c;
+            r := Refsim.Set_assoc.create ~policy cfg;
+            c = SA.create ~policy cfg)
         ops)
 
 (* ---- Hierarchy -------------------------------------------------------------------- *)

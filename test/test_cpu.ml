@@ -13,7 +13,7 @@ let check_bool = Alcotest.(check bool)
 
 let prog instrs = P.assemble ~name:"t" (List.map (fun i -> P.Ins i) instrs)
 let prog_l stmts = P.assemble ~name:"t" stmts
-let run ?init ?settings ?victim p = E.run ?init ?settings ?victim p
+let run ?init ?settings ?victim ?hierarchy p = E.run ?init ?settings ?victim ?hierarchy p
 let rax r = M.get_reg r.E.machine R.RAX
 let reg r x = M.get_reg r.E.machine x
 
@@ -215,8 +215,9 @@ let test_exec_fuel_bound () =
   check_int "fuel consumed" 100 r.E.instructions
 
 let test_exec_prefetch_and_rmw () =
+  let hierarchy = Cache.Hierarchy.create () in
   let r =
-    run
+    run ~hierarchy
       (prog
          [
            I.Prefetch (O.abs 0x15000);          (* cache fill, no reg write *)
@@ -230,7 +231,7 @@ let test_exec_prefetch_and_rmw () =
   in
   check_int "rmw chain" 16 (M.load r.E.machine 0x16000);
   (* prefetch filled the line: a demand load hits *)
-  let probe = Cache.Hierarchy.load r.E.hierarchy ~owner:Cache.Owner.Attacker 0x15000 in
+  let probe = Cache.Hierarchy.load hierarchy ~owner:Cache.Owner.Attacker 0x15000 in
   check_bool "prefetched line cached" true (probe = Cache.Hierarchy.L1)
 
 let test_exec_push_mem_operand () =
@@ -340,21 +341,22 @@ let spectre_gadget_prog () =
     ]
 
 let test_transient_cache_effect_persists () =
-  let r = run (spectre_gadget_prog ()) in
+  let hierarchy = Cache.Hierarchy.create () in
+  ignore (run ~hierarchy (spectre_gadget_prog ()));
   (* The out-of-bounds transient load fetched 0xC0000 + 1000*4096, an address
      never architecturally accessed. *)
   let addr = 0xC0000 + (1000 * 4096) in
-  let probe = Cache.Hierarchy.load r.E.hierarchy ~owner:Cache.Owner.Attacker addr in
+  let probe = Cache.Hierarchy.load hierarchy ~owner:Cache.Owner.Attacker addr in
   check_bool "line cached by transient path" true
     (probe <> Cache.Hierarchy.Memory)
 
 let test_no_transient_without_speculation () =
-  let r =
-    run ~settings:{ E.default_settings with E.spec_window = 0 }
-      (spectre_gadget_prog ())
-  in
+  let hierarchy = Cache.Hierarchy.create () in
+  ignore
+    (run ~hierarchy ~settings:{ E.default_settings with E.spec_window = 0 }
+       (spectre_gadget_prog ()));
   let addr = 0xC0000 + (1000 * 4096) in
-  let probe = Cache.Hierarchy.load r.E.hierarchy ~owner:Cache.Owner.Attacker addr in
+  let probe = Cache.Hierarchy.load hierarchy ~owner:Cache.Owner.Attacker addr in
   check_bool "no transient fetch with window 0" false
     (probe <> Cache.Hierarchy.Memory)
 
@@ -395,9 +397,10 @@ let test_fence_stops_transient () =
         P.Ins I.Ret;
       ]
   in
-  let r = run p in
+  let hierarchy = Cache.Hierarchy.create () in
+  ignore (run ~hierarchy p);
   let addr = 0xC0000 + (1000 * 4096) in
-  let probe = Cache.Hierarchy.load r.E.hierarchy ~owner:Cache.Owner.Attacker addr in
+  let probe = Cache.Hierarchy.load hierarchy ~owner:Cache.Owner.Attacker addr in
   check_bool "fence blocked the transient load" false
     (probe <> Cache.Hierarchy.Memory)
 
@@ -447,9 +450,10 @@ let test_fault_transient_footprint () =
         P.Ins I.Halt;
       ]
   in
-  let r = run ~settings:protected_settings ~init p in
+  let hierarchy = Cache.Hierarchy.create () in
+  let r = run ~hierarchy ~settings:protected_settings ~init p in
   let probe =
-    Cache.Hierarchy.load r.E.hierarchy ~owner:Cache.Owner.Attacker
+    Cache.Hierarchy.load hierarchy ~owner:Cache.Owner.Attacker
       (0x200000 + (7 * 4096))
   in
   check_bool "secret-indexed line cached" true
@@ -468,11 +472,10 @@ let test_fault_no_window_without_speculation () =
         P.Ins I.Halt;
       ]
   in
-  let r =
-    run ~settings:{ protected_settings with E.spec_window = 0 } ~init p
-  in
+  let hierarchy = Cache.Hierarchy.create () in
+  ignore (run ~hierarchy ~settings:{ protected_settings with E.spec_window = 0 } ~init p);
   let probe =
-    Cache.Hierarchy.load r.E.hierarchy ~owner:Cache.Owner.Attacker
+    Cache.Hierarchy.load hierarchy ~owner:Cache.Owner.Attacker
       (0x200000 + (7 * 4096))
   in
   check_bool "no footprint with window 0" false
@@ -807,7 +810,8 @@ let victim_stack_top = 0x7FFE_0000 + (43 * 64)
 
 let sorted_mem fold m = List.sort compare (fold m ~init:[] ~f:(fun a v acc -> (a, v) :: acc))
 
-let run_both (s : source) (k : knobs) =
+(* A source's settings and victim under the knobs. *)
+let run_settings (s : source) (k : knobs) =
   let base = Option.value s.settings ~default:E.default_settings in
   let settings =
     {
@@ -824,13 +828,21 @@ let run_both (s : source) (k : knobs) =
     | `None -> None
     | `Idle -> Some (W.Victim.idle ())
   in
+  (settings, victim)
+
+(* Fresh hierarchies of the knobs' shape: the attacker's view, and the
+   victim's own view under the cross-core topology. *)
+let hierarchies (k : knobs) =
   let policy = k.policy and prefetch = k.prefetch in
-  let hier, vhier =
-    if k.cross_core then
-      let a, b = Cache.Hierarchy.create_cross_core ~policy ~prefetch () in
-      (a, Some b)
-    else (Cache.Hierarchy.create ~policy ~prefetch (), None)
-  in
+  if k.cross_core then
+    let a, b = Cache.Hierarchy.create_cross_core ~policy ~prefetch () in
+    (a, Some b)
+  else (Cache.Hierarchy.create ~policy ~prefetch (), None)
+
+let run_both (s : source) (k : knobs) =
+  let settings, victim = run_settings s k in
+  let policy = k.policy and prefetch = k.prefetch in
+  let hier, vhier = hierarchies k in
   let rhier, rvhier =
     if k.cross_core then
       let a, b = Refsim.Hierarchy.create_cross_core ~policy ~prefetch () in
@@ -943,6 +955,147 @@ let prop_reference =
       let all = Lazy.force reference_sources in
       same_as_reference (List.nth all (i mod List.length all)) k)
 
+(* ---- Reused simulator state -------------------------------------------------- *)
+
+(* Everything same_as_reference compares of one run, as one value: the
+   counts, the collector at every pc of the program and two past its end,
+   the access log, the machine, and the given cache levels. *)
+let observables (s : source) (r : E.result) levels =
+  let col = r.E.collector and m = r.E.machine in
+  let log =
+    List.map
+      (fun (a : Hpc.Collector.access) -> Hpc.Collector.(a.pc, a.target, a.kind, a.time))
+      (Hpc.Collector.accesses col)
+  in
+  let targets = List.sort_uniq compare (List.map (fun (_, t, _, _) -> t) log) in
+  let at pc =
+    ( Option.map Hpc.Counters.to_assoc (Hpc.Collector.counters_at col ~pc),
+      Hpc.Collector.hpc_value_at col ~pc,
+      Hpc.Collector.first_time col ~pc,
+      Hpc.Collector.exec_count col ~pc )
+  in
+  let level c =
+    let st = Cache.Set_assoc.state c in
+    ( Cache.Set_assoc.valid_lines c,
+      List.map (Cache.Set_assoc.owned_sets c) Cache.Owner.[ Attacker; Victim; System ],
+      Int64.(bits_of_float st.Cache.State.ao, bits_of_float st.Cache.State.io),
+      List.map (Cache.Set_assoc.probe c) targets )
+  in
+  ( (r.E.instructions, r.E.wrong_path_steps, r.E.victim_steps, r.E.cycles, r.E.halted_normally),
+    List.map at (List.init (P.length s.program + 2) (P.addr_of_index s.program)),
+    ( Hpc.Counters.to_assoc (Hpc.Collector.total_counters col),
+      Hpc.Collector.executed_pcs col,
+      Hpc.Collector.access_count col,
+      log ),
+    ( List.map (M.get_reg m) R.all,
+      (M.zf m, M.sf m, M.cf m, M.pc m, M.halted m),
+      sorted_mem M.fold_mem m ),
+    List.map level levels )
+
+(* A source that logs more accesses than a recycled collector may keep. *)
+let long_log =
+  plain "long-log"
+    (prog_l
+       [
+         P.Ins (I.Mov (O.reg R.RCX, O.imm (E.retained_log + 100)));
+         P.Lbl "loop";
+         P.Ins (I.Mov (O.reg R.RAX, O.mem ~index:R.RCX ~scale:8 ~disp:0x30000 ()));
+         P.Ins (I.Dec (O.reg R.RCX));
+         P.Ins (I.Cmp (O.reg R.RCX, O.imm 0));
+         P.Ins (I.Jcc (I.Ne, "loop"));
+         P.Ins I.Halt;
+       ])
+
+let reuse_sources = lazy (Lazy.force reference_sources @ [ long_log ])
+
+(* Runs [(source, knobs, refill)] steps in order on reused state, each
+   against a run on fresh state.  The reused run takes this domain's spare
+   collector, recycled after every step.  Under the default cache shape it
+   also takes the domain's spare hierarchy, whose final state is out of
+   reach, so the cache levels are compared for the other shapes only.
+   Those reuse one hierarchy per shape held here, renewed before the step;
+   with [refill] under LRU or FIFO it is instead refilled with System lines
+   over whatever it held, last the run's first line (so a lookup memo that
+   survived the fill would show), against a fresh hierarchy filled alike.
+   Random's draw state outlives fill_all by design, so Random is always
+   renewed. *)
+let same_after_reuse steps =
+  let held = Hashtbl.create 8 in
+  List.iter
+    (fun ((s : source), k, refill) ->
+      let knobs = knobs_of_int k in
+      let settings, victim = run_settings s knobs in
+      let spare = knobs.policy = Cache.Policy.Lru && not (knobs.prefetch || knobs.cross_core) in
+      let random = match knobs.policy with Cache.Policy.Random _ -> true | _ -> false in
+      let refill = refill && not (spare || random) in
+      let fill (h, vh) =
+        List.iter (fun h -> Cache.Hierarchy.fill_with h ~owner:Cache.Owner.System) (h :: Option.to_list vh)
+      in
+      let reused =
+        if spare then None
+        else begin
+          let shape = (knobs.policy, knobs.prefetch, knobs.cross_core) in
+          let ((h, vh) as hs) =
+            match Hashtbl.find_opt held shape with
+            | Some hs -> hs
+            | None ->
+              let hs = hierarchies knobs in
+              Hashtbl.add held shape hs;
+              hs
+          in
+          if refill then begin
+            ignore (Cache.Hierarchy.ifetch h ~owner:Cache.Owner.Victim (P.addr_of_index s.program 0));
+            fill hs
+          end
+          else List.iter Cache.Hierarchy.renew (h :: Option.to_list vh);
+          Some hs
+        end
+      in
+      let fresh = hierarchies knobs in
+      if refill then fill fresh;
+      let run hs =
+        E.run ~settings ?hierarchy:(Option.map fst hs) ?victim_hierarchy:(Option.bind hs snd)
+          ?init:s.init ?victim s.program
+      in
+      let levels_of (h, vh) =
+        if spare then []
+        else
+          List.concat_map
+            (fun h -> Cache.Hierarchy.[ l1d_cache h; l1i_cache h; llc_cache h ])
+            (h :: Option.to_list vh)
+      in
+      let r = run reused in
+      (* the spare collector is out with [r]: this run's is fresh *)
+      let f = run (Some fresh) in
+      if observables s r (levels_of (Option.value reused ~default:fresh))
+         <> observables s f (levels_of fresh)
+      then
+        QCheck.Test.fail_reportf "%s (knobs %d, %s%s): reused state differs from fresh" s.src k
+          (Cache.Policy.to_string knobs.policy)
+          (if refill then ", refilled" else "");
+      E.recycle r)
+    steps;
+  true
+
+(* Every source in order of length and back, so programs follow longer and
+   shorter ones, with the knobs cycling and every other step refilled. *)
+let test_reuse_sweep () =
+  let all = Lazy.force reuse_sources in
+  let by_length =
+    List.stable_sort (fun a b -> compare (P.length a.program) (P.length b.program)) all
+  in
+  ignore
+    (same_after_reuse
+       (List.mapi (fun k s -> (s, k, k mod 2 = 1)) (by_length @ List.rev by_length)))
+
+let prop_reuse =
+  QCheck.Test.make ~name:"reused state equals fresh state" ~count:30
+    QCheck.(list_of_size (Gen.int_range 2 5) (triple small_nat small_nat bool))
+    (fun steps ->
+      let all = Lazy.force reuse_sources in
+      same_after_reuse
+        (List.map (fun (i, k, refill) -> (List.nth all (i mod List.length all), k, refill)) steps))
+
 let () =
   Alcotest.run "cpu"
     [
@@ -1023,5 +1176,10 @@ let () =
         [
           Alcotest.test_case "every source" `Quick test_reference_sweep;
           QCheck_alcotest.to_alcotest prop_reference;
+        ] );
+      ( "reuse",
+        [
+          Alcotest.test_case "every source, reused" `Quick test_reuse_sweep;
+          QCheck_alcotest.to_alcotest prop_reuse;
         ] );
     ]

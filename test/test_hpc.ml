@@ -52,9 +52,9 @@ let test_counters_vector () =
 
 let test_collector_events_and_values () =
   let col = Col.create ~base:0x10 ~length:12 in
-  Col.record_event col ~pc:0x10 Ev.L1d_load_miss;
-  Col.record_event col ~pc:0x10 Ev.Llc_load_miss;
-  Col.record_event col ~pc:0x20 Ev.Timestamp;
+  Col.record_event col 0 Ev.L1d_load_miss;
+  Col.record_event col 0 Ev.Llc_load_miss;
+  Col.record_event col 4 Ev.Timestamp;
   check_int "hpc value at 0x10" 2 (Col.hpc_value_at col ~pc:0x10);
   check_int "timestamp-only pc has 0" 0 (Col.hpc_value_at col ~pc:0x20);
   check_int "unknown pc" 0 (Col.hpc_value_at col ~pc:0x30);
@@ -62,20 +62,21 @@ let test_collector_events_and_values () =
   check_int "total" 3 (Ct.total (Col.total_counters col))
 
 let test_collector_accesses () =
-  let col = Col.create ~base:0 ~length:1 in
-  Col.record_access col ~pc:1 ~target:100 ~kind:Col.Load ~time:5;
-  Col.record_access col ~pc:2 ~target:200 ~kind:Col.Flush ~time:9;
-  Col.record_access col ~pc:1 ~target:300 ~kind:Col.Store ~time:12;
+  let col = Col.create ~base:0 ~length:3 in
+  Col.record_access col 1 ~target:100 ~kind:Col.Load ~time:5;
+  Col.record_access col 2 ~target:200 ~kind:Col.Flush ~time:9;
+  Col.record_access col 1 ~target:300 ~kind:Col.Store ~time:12;
   check_int "count" 3 (Col.access_count col);
   let accs = Col.accesses col in
   check_bool "chronological" true
-    (List.map (fun a -> a.Col.time) accs = [ 5; 9; 12 ])
+    (List.map (fun a -> Col.(a.pc, a.target, a.kind, a.time)) accs
+    = Col.[ (4, 100, Load, 5); (8, 200, Flush, 9); (4, 300, Store, 12) ])
 
 let test_collector_first_time_and_counts () =
   let col = Col.create ~base:0x40 ~length:32 in
-  Col.note_executed col ~pc:0x40 ~time:100;
-  Col.note_executed col ~pc:0x40 ~time:200;
-  Col.note_executed col ~pc:0x44 ~time:150;
+  Col.note_executed col 0 ~time:100;
+  Col.note_executed col 0 ~time:200;
+  Col.note_executed col 1 ~time:150;
   Alcotest.(check (option int)) "first kept" (Some 100) (Col.first_time col ~pc:0x40);
   check_int "exec count" 2 (Col.exec_count col ~pc:0x40);
   check_int "unknown count" 0 (Col.exec_count col ~pc:0x99);

@@ -687,6 +687,28 @@ let test_stats_and_metrics_verbs () =
       (contains "scaguard_server_queue_depth")
   | fs -> Alcotest.failf "expected 4 frames, got %d" (List.length fs)
 
+(* The stats verb's models_built counts real builds, as
+   scaguard_models_built_total does: a repeated detect is served from the
+   daemon's model cache and builds nothing. *)
+let test_stats_counts_builds () =
+  SG.Obs.Registry.reset SG.Obs.default;
+  let t = make_server ~obs:(SG.Obs.create ~metrics:true ()) () in
+  let conn, frames = recording_conn t in
+  let detect id = Printf.sprintf "{\"id\":%d,\"op\":\"detect\",\"targets\":[\"fr-iaik\"]}\n" id in
+  Server.feed t conn
+    (detect 1 ^ detect 2 ^ "{\"id\":3,\"op\":\"stats\"}\n{\"id\":4,\"op\":\"metrics\"}\n");
+  ignore (Server.drain t);
+  match List.rev (frames ()) with
+  | metrics :: stats :: _ ->
+    check_bool "stats: one model built" true
+      (member_exn "models_built" (member_exn "engine" stats) = J.Num 1.0);
+    check_bool "counter: one model built" true
+      (match member_exn "body" metrics with
+      | J.Str body ->
+        List.mem "scaguard_models_built_total 1" (String.split_on_char '\n' body)
+      | _ -> false)
+  | fs -> Alcotest.failf "expected stats and metrics frames, got %d frames" (List.length fs)
+
 (* Every frame a request produces echoes its trace_id — success frames,
    error frames, and even the immediate reject of an unknown op (the
    envelope got far enough to carry a well-typed one). *)
@@ -1099,6 +1121,8 @@ let () =
             test_pinned_salt_warm_fresh;
           Alcotest.test_case "file as cache_dir is a typed error" `Quick
             test_create_bad_cache_dir;
+          Alcotest.test_case "stats counts real builds" `Slow
+            test_stats_counts_builds;
           QCheck_alcotest.to_alcotest prop_cached_verdicts;
         ] );
       ( "stdio",
