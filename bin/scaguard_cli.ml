@@ -21,18 +21,8 @@ module C = Scaguard.Config
 
 let ( let* ) = Result.bind
 
-let version = "1.0.0"
-
-(* Process identity for the metrics expositions: scaguard_build_info is a
-   constant-1 gauge carrying the identity in its labels (node_exporter
-   convention) and scaguard_uptime_seconds is stamped right before each
-   exposition so scrapes see fresh seconds. *)
+(* scaguard_uptime_seconds in detect-batch's exposition counts from here *)
 let process_start_ns = Scaguard.Obs.Clock.now_ns ()
-
-let stamp_build_info () =
-  Scaguard.Obs.export_build_info ~version
-    ~format_version:(string_of_int Scaguard.Persist.bin_version)
-    ~start_ns:process_start_ns ()
 
 (* ---- program registry ------------------------------------------------------ *)
 
@@ -363,15 +353,12 @@ let setup_observability ?trace_id ?capture ?(metrics = false) o =
            value = string_of_float r;
            expected = "a fraction in [0, 1]";
          })
-  | obs ->
-    (* registered once here so every exposition — the shutdown files and the
-       serve protocol's live metrics verb — carries the process identity *)
-    stamp_build_info ();
-    Ok obs
+  | obs -> Ok obs
 
 (* The artifact notices go to stderr: under serve --stdio, stdout carries
-   the protocol and nothing else. *)
-let write_observability obs o =
+   the protocol and nothing else.  [exposition] renders the run's counts
+   for --metrics-out. *)
+let write_observability obs o ~exposition =
   let* () =
     match o.trace_out with
     | None -> Ok ()
@@ -385,8 +372,9 @@ let write_observability obs o =
   match o.metrics_out with
   | None -> Ok ()
   | Some path ->
-    stamp_build_info ();
-    let* () = Scaguard.Obs.write_metrics ~path in
+    let* () =
+      io ~path (fun () -> Scaguard.Persist.write_atomic ~path (exposition ()))
+    in
     Printf.eprintf "wrote metrics to %s (Prometheus text format)\n" path;
     Ok ()
 
@@ -684,7 +672,18 @@ let detect_batch_cmd =
         "scaguard: detect-batch: %d of %d targets classified as attacks"
         attacks (Array.length verdicts)
     end;
-    let* () = write_observability obs o in
+    (* the exposition renders the repository's report and the run's, and
+       nothing else this process did *)
+    let exposition () =
+      let books = Scaguard.Service.books None in
+      Scaguard.Service.fold books r.report;
+      Scaguard.Service.fold books report;
+      Scaguard.Obs.Prom.to_prometheus
+        (Scaguard.Service.series books
+        @ Scaguard.Service.identity
+            ~uptime_s:(Scaguard.Obs.Clock.elapsed_s ~since:process_start_ns))
+    in
+    let* () = write_observability obs o ~exposition in
     write_event_capture obs ~log_out ~provenance_out records
   in
   let run seed config repository o stats log_out log_level provenance_out
@@ -1327,8 +1326,8 @@ let serve_cmd =
                 })
        in
        let* config = config in
-       (* the protocol's `metrics` verb reads the live registry, so --metrics
-          turns collection on even without a --metrics-out file *)
+       (* --metrics times targets and builds for the protocol's `metrics`
+          verb even without a --metrics-out file *)
        let* obs = setup_observability ~metrics:metrics_on o in
        let* r = repository ~obs ~seed config in
        let prepared = r.prepared in
@@ -1366,7 +1365,8 @@ let serve_cmd =
          "scaguard serve: drained after %d requests (up %.1f s)"
          (Scaguard.Server.served server)
          (Scaguard.Server.uptime_s server);
-       write_observability obs o
+       write_observability obs o ~exposition:(fun () ->
+           Scaguard.Server.exposition server)
   in
   let queue_capacity_t =
     Arg.(
@@ -1403,8 +1403,10 @@ let serve_cmd =
     Arg.(
       value & flag
       & info [ "metrics" ]
-          ~doc:"Collect Prometheus metrics for the protocol's $(b,metrics) \
-                verb (implied by $(b,--metrics-out)).")
+          ~doc:"Time every classified target and built model into the \
+                latency histograms of the protocol's $(b,metrics) verb \
+                (implied by $(b,--metrics-out)).  The verb's counters count \
+                the daemon's work since start-up either way.")
   in
   Cmd.v
     (cmd_info "serve"
@@ -1637,7 +1639,7 @@ let client_cmd =
 
 let () =
   let doc = "SCAGuard: cache side-channel attack detection (DAC'23 reproduction)" in
-  let info = Cmd.info "scaguard" ~version ~doc ~exits in
+  let info = Cmd.info "scaguard" ~version:Scaguard.Service.version ~doc ~exits in
   exit
     (Cmd.eval'
        (Cmd.group info

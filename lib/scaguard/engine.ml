@@ -18,6 +18,7 @@ type stats = {
   wall_s : float;
   cpu_s : float;
   per_worker : int array;
+  latency : Obs.latency option;
 }
 
 let utilization s =
@@ -26,41 +27,27 @@ let utilization s =
 
 let throughput s = if s.wall_s <= 0.0 then 0.0 else float_of_int s.pairs /. s.wall_s
 
-(* Observed variant of one classify task: times the verdict, feeds the
-   latency histograms, and (when this task index is sampled) emits an
-   engine:classify span.  Lives outside the hot closure so the un-observed
-   path below stays allocation-free. *)
-let classify_observed ~obs ~classify ~ws ~worker ~target i out =
+(* Observed variant of one classify task: times the verdict into the
+   worker's latency record (metrics on) and, when this task index is
+   sampled, emits an engine:classify span.  Lives outside the hot closure
+   so the un-observed path below stays allocation-free. *)
+let classify_observed ~obs ~lat ~classify ~ws ~worker ~target i out =
   let p0 = Dtw.pairs_scored ws in
   let t0 = Obs.Clock.now_ns () in
   out.(i) <- classify ();
   let dur_ns = Obs.Clock.elapsed_ns ~since:t0 in
   let dp = Dtw.pairs_scored ws - p0 in
-  if Obs.metrics obs then begin
-    let dt = Obs.Clock.ns_to_s dur_ns in
-    Obs.Registry.observe Obs.Metrics.verdict_seconds dt;
-    if dp > 0 then
-      Obs.Registry.observe Obs.Metrics.dtw_pair_seconds
-        (dt /. float_of_int dp)
-  end;
+  (match lat with
+  | None -> ()
+  | Some (l : Obs.latency) ->
+    let ns = Int64.to_int dur_ns in
+    Obs.Hist.observe_ns l.verdict ns;
+    if dp > 0 then Obs.Hist.observe_ns l.dtw_pair (ns / dp));
   if Obs.sampled obs i then
     Obs.emit_span obs ~cat:"engine" ~tid:worker
       ~args:
         [ ("target", target.Model.name); ("pairs", string_of_int dp) ]
       ~name:"engine:classify" ~ts_ns:t0 ~dur_ns ()
-
-let publish_stats s =
-  let open Obs.Metrics in
-  Obs.Registry.incr batches_total;
-  Obs.Registry.add targets_total s.targets;
-  Obs.Registry.add pairs_total s.pairs;
-  Obs.Registry.add cells_total s.cells;
-  Obs.Registry.add pairs_pruned_lb_total s.pairs_pruned_lb;
-  Obs.Registry.add pairs_abandoned_total s.pairs_abandoned;
-  Obs.Registry.add cells_saved_total s.cells_saved;
-  Obs.Registry.add lb_evals_total s.lb_evals;
-  Obs.Registry.add pairs_pruned_index_total s.pairs_pruned_index;
-  Obs.Registry.add index_nodes_visited_total s.nodes_visited
 
 let classify_batch ?(obs = Obs.off) ?(threshold = Detector.default_threshold)
     ?alpha ?band ?domains ?prune ?(explain = false) prep targets =
@@ -93,12 +80,18 @@ let classify_batch ?(obs = Obs.off) ?(threshold = Detector.default_threshold)
     v
   in
   let observing = Obs.tracing obs || Obs.metrics obs in
+  (* one latency record per worker, merged once the pool has joined *)
+  let lats =
+    if Obs.metrics obs then Array.init d (fun _ -> Some (Obs.new_latency ()))
+    else [||]
+  in
   let probe = Obs.pool_probe obs ~stage:"engine" in
   let wall0 = Obs.Clock.now_ns () and cpu0 = Sys.time () in
   let per_worker =
     Sutil.Pool.run ~domains:d ?probe ~tasks (fun ~worker i ->
         if observing then
           classify_observed ~obs
+            ~lat:(if Obs.metrics obs then lats.(worker) else None)
             ~classify:(fun () -> classify ~worker i)
             ~ws:wss.(worker) ~worker ~target:targets.(i) i out
         else out.(i) <- classify ~worker i)
@@ -128,7 +121,7 @@ let classify_batch ?(obs = Obs.off) ?(threshold = Detector.default_threshold)
       wall_s;
       cpu_s;
       per_worker;
+      latency = Obs.merge_latency obs lats;
     }
   in
-  if Obs.metrics obs then publish_stats stats;
   (out, Array.map Option.get records, stats)

@@ -44,6 +44,10 @@ type stats = {
   wall_s : float;     (** wall-clock seconds for the batch *)
   cpu_s : float;      (** process CPU seconds for the batch (all domains) *)
   per_worker : int array;  (** targets classified by each worker *)
+  latency : Obs.latency option;
+    (** the batch's per-target [verdict] and [dtw_pair] latencies, merged
+        from one record per worker; present iff [obs] had {!Obs.metrics}
+        on (its [model_build] stays empty) *)
 }
 
 val classify_batch :

@@ -111,18 +111,17 @@ let file t ~key =
       Filename.concat dir (Digest.to_hex (Digest.string key) ^ ".cstbbs"))
     t.dir
 
-(* Lookup outcomes feed the per-instance Atomics (the stats API) and, when
-   [obs] observes, the process registry and a cache:* span — observation
+(* Lookup outcomes feed the per-instance Atomics (the counters a report or
+   the daemon reads) and, when [obs] traces, a cache:* span — observation
    only, never a change to what is returned. *)
 let count ~obs t outcome t0 =
-  let cell, counter, name =
+  let cell, name =
     match outcome with
-    | `Hit -> (t.hits, Obs.Metrics.cache_hits_total, "cache:hit")
-    | `Miss -> (t.misses, Obs.Metrics.cache_misses_total, "cache:miss")
-    | `Stale -> (t.stale, Obs.Metrics.cache_stale_total, "cache:stale")
+    | `Hit -> (t.hits, "cache:hit")
+    | `Miss -> (t.misses, "cache:miss")
+    | `Stale -> (t.stale, "cache:stale")
   in
   Atomic.incr cell;
-  if Obs.metrics obs then Obs.Registry.incr counter;
   if Obs.tracing obs then
     Obs.emit_span obs ~cat:"cache" ~name ~ts_ns:t0
       ~dur_ns:(Obs.Clock.elapsed_ns ~since:t0) ()

@@ -1,14 +1,16 @@
 (* The observability subsystem: a span tracer (Chrome trace-event output),
-   an event capture (the sink behind [Log]) and a metrics registry
-   (Prometheus text output), threaded through the build->detect stack.
+   an event capture (the sink behind [Log]), per-run latency histograms and
+   the Prometheus text exposition, threaded through the build->detect
+   stack.
 
    What a run records is one immutable value, [t], passed down as [?obs]
-   (default [off]); only the Prometheus registry is process-wide.  Every
-   instrumentation site in the hot paths (engine tasks, pool tasks, cache
-   lookups) starts with a read of one of the value's fields — a single
-   load-and-branch — and does nothing else when that switch is off, so the
-   instrumented-off paths allocate nothing and stay bit-identical in
-   behavior (asserted by the test suite). *)
+   (default [off]); there is no process-wide state.  Every instrumentation
+   site in the hot paths (engine tasks, pool tasks, cache lookups) starts
+   with a read of one of the value's fields — a single load-and-branch —
+   and does nothing else when that switch is off, so the instrumented-off
+   paths allocate nothing and stay bit-identical in behavior (asserted by
+   the test suite).  Counting is the caller's: a run's report and the serve
+   daemon's books hold the counts, and [Prom] only renders them. *)
 
 (* ---- clock ----------------------------------------------------------------- *)
 
@@ -23,206 +25,30 @@ module Clock = struct
   let elapsed_s ~since = ns_to_s (elapsed_ns ~since)
 end
 
-(* ---- metrics registry ------------------------------------------------------- *)
+(* ---- Prometheus exposition ------------------------------------------------ *)
 
-module Registry = struct
-  (* Counter and histogram cells are sharded: each metric holds [shards]
-     independent Atomic cells and a domain picks its cell by hashing its id,
-     so concurrent workers almost never contend on one cache line.  Shards
-     are merged (summed) only at scrape time.  Histogram sums are kept in
-     integer nanoseconds-style fixed point (value * 1e9) so they can use
-     [Atomic.fetch_and_add] instead of a boxed-float CAS loop. *)
+module Prom = struct
+  (* Plain data: what a report's or a daemon's counts render as.  The
+     series are built from those counts at scrape time; nothing here
+     counts. *)
 
-  type counter = { c_shards : int Atomic.t array }
-
-  type gauge = { g_cell : float Atomic.t }
-
-  type histogram = {
-    h_bounds : float array; (* ascending finite upper bucket edges *)
-    h_counts : int Atomic.t array array; (* [shard].[bucket]; last = +inf *)
-    h_sum_e9 : int Atomic.t array; (* per-shard sum, fixed point 1e-9 *)
-  }
-
-  type metric = Counter of counter | Gauge of gauge | Histogram of histogram
-
-  type meta = { name : string; labels : (string * string) list; help : string }
-
-  type t = {
-    shards : int;
-    lock : Mutex.t;
-    mutable metrics : (meta * metric) list; (* reversed registration order *)
-  }
-
-  let create ?(shards = 8) () =
-    if shards < 1 then invalid_arg "Obs.Registry.create: shards must be >= 1";
-    (* round up to a power of two so the shard pick is a mask *)
-    let rec pow2 n = if n >= shards then n else pow2 (n * 2) in
-    { shards = pow2 1; lock = Mutex.create (); metrics = [] }
-
-  let atomic_cells n = Array.init n (fun _ -> Atomic.make 0)
-
-  (* Registration is create-or-get on (name, labels): instrumented code can
-     ask for its handles without coordinating who registered first.  Only
-     registration takes the lock — updates never do. *)
-  let register t name labels help make =
-    Mutex.lock t.lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.lock)
-      (fun () ->
-        match
-          List.find_opt
-            (fun (m, _) -> m.name = name && m.labels = labels)
-            t.metrics
-        with
-        | Some (_, metric) -> metric
-        | None ->
-          let metric = make () in
-          t.metrics <- ({ name; labels; help }, metric) :: t.metrics;
-          metric)
-
-  let kind_error name expected =
-    invalid_arg
-      (Printf.sprintf "Obs.Registry: metric %S already registered as a %s" name
-         expected)
-
-  let counter t ?(help = "") ?(labels = []) name =
-    match
-      register t name labels help (fun () ->
-          Counter { c_shards = atomic_cells t.shards })
-    with
-    | Counter c -> c
-    | Gauge _ | Histogram _ -> kind_error name "non-counter"
-
-  let gauge t ?(help = "") ?(labels = []) name =
-    match
-      register t name labels help (fun () -> Gauge { g_cell = Atomic.make 0.0 })
-    with
-    | Gauge g -> g
-    | Counter _ | Histogram _ -> kind_error name "non-gauge"
-
-  let histogram t ?(help = "") ?(labels = []) ~buckets name =
-    let ok = ref (Array.length buckets > 0) in
-    Array.iteri
-      (fun i b ->
-        if not (Float.is_finite b) then ok := false;
-        if i > 0 && b <= buckets.(i - 1) then ok := false)
-      buckets;
-    if not !ok then
-      invalid_arg
-        "Obs.Registry.histogram: buckets must be finite and strictly ascending";
-    match
-      register t name labels help (fun () ->
-          Histogram
-            {
-              h_bounds = Array.copy buckets;
-              h_counts =
-                Array.init t.shards (fun _ ->
-                    atomic_cells (Array.length buckets + 1));
-              h_sum_e9 = atomic_cells t.shards;
-            })
-    with
-    | Histogram h -> h
-    | Counter _ | Gauge _ -> kind_error name "non-histogram"
-
-  let add c n =
-    ignore
-      (Atomic.fetch_and_add
-         c.c_shards.((Domain.self () :> int) land (Array.length c.c_shards - 1))
-         n)
-
-  let incr c = add c 1
-
-  let set_gauge g v = Atomic.set g.g_cell v
-
-  let observe h v =
-    let nshards = Array.length h.h_counts in
-    let s = (Domain.self () :> int) land (nshards - 1) in
-    let nb = Array.length h.h_bounds in
-    (* linear scan: bucket ladders are ~20 entries and almost always resolve
-       in the first few *)
-    let rec bucket i = if i >= nb || v <= h.h_bounds.(i) then i else bucket (i + 1) in
-    ignore (Atomic.fetch_and_add (h.h_counts.(s)).(bucket 0) 1);
-    ignore (Atomic.fetch_and_add h.h_sum_e9.(s) (int_of_float (v *. 1e9)))
-
-  (* -- scrape ---------------------------------------------------------------- *)
-
-  type hist_snapshot = {
-    bounds : float array;
-    counts : int array; (* per bucket, non-cumulative; last = +inf bucket *)
+  type hist = {
+    bounds : float array;  (* ascending finite upper bucket edges *)
+    counts : int array;  (* per bucket, non-cumulative; last = +inf bucket *)
     sum : float;
     count : int;
   }
 
-  type value =
-    | Counter_value of int
-    | Gauge_value of float
-    | Histogram_value of hist_snapshot
+  type value = Counter of int | Gauge of float | Histogram of hist
 
-  type snapshot_entry = {
-    entry_name : string;
-    entry_labels : (string * string) list;
-    entry_help : string;
-    entry_value : value;
+  type series = {
+    name : string;
+    labels : (string * string) list;
+    help : string;
+    value : value;
   }
 
-  type snapshot = snapshot_entry list
-
-  let merge_counter c = Array.fold_left (fun acc a -> acc + Atomic.get a) 0 c.c_shards
-
-  let merge_histogram h =
-    let nb = Array.length h.h_bounds + 1 in
-    let counts = Array.make nb 0 in
-    Array.iter
-      (fun shard ->
-        Array.iteri (fun i a -> counts.(i) <- counts.(i) + Atomic.get a) shard)
-      h.h_counts;
-    let sum_e9 =
-      Array.fold_left (fun acc a -> acc + Atomic.get a) 0 h.h_sum_e9
-    in
-    {
-      bounds = Array.copy h.h_bounds;
-      counts;
-      sum = float_of_int sum_e9 /. 1e9;
-      count = Array.fold_left ( + ) 0 counts;
-    }
-
-  let snapshot t =
-    let entries =
-      Mutex.lock t.lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock t.lock)
-        (fun () -> List.rev t.metrics)
-    in
-    List.map
-      (fun (m, metric) ->
-        {
-          entry_name = m.name;
-          entry_labels = m.labels;
-          entry_help = m.help;
-          entry_value =
-            (match metric with
-            | Counter c -> Counter_value (merge_counter c)
-            | Gauge g -> Gauge_value (Atomic.get g.g_cell)
-            | Histogram h -> Histogram_value (merge_histogram h));
-        })
-      entries
-
-  let reset t =
-    Mutex.lock t.lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.lock)
-      (fun () ->
-        List.iter
-          (fun (_, metric) ->
-            match metric with
-            | Counter c -> Array.iter (fun a -> Atomic.set a 0) c.c_shards
-            | Gauge g -> Atomic.set g.g_cell 0.0
-            | Histogram h ->
-              Array.iter (Array.iter (fun a -> Atomic.set a 0)) h.h_counts;
-              Array.iter (fun a -> Atomic.set a 0) h.h_sum_e9)
-          t.metrics)
-
-  (* -- Prometheus text exposition -------------------------------------------- *)
+  let series ~labels ~help name value = { name; labels; help; value }
 
   let prom_escape s =
     String.concat ""
@@ -254,7 +80,7 @@ module Registry = struct
       Printf.sprintf "%.0f" f
     else Printf.sprintf "%.9g" f
 
-  let to_prometheus (snap : snapshot) =
+  let to_prometheus series =
     let buf = Buffer.create 1024 in
     let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
     let seen_header = Hashtbl.create 16 in
@@ -266,16 +92,16 @@ module Registry = struct
       end
     in
     List.iter
-      (fun e ->
-        match e.entry_value with
-        | Counter_value v ->
-          header e.entry_name "counter" e.entry_help;
-          add "%s%s %d\n" e.entry_name (prom_labels e.entry_labels) v
-        | Gauge_value v ->
-          header e.entry_name "gauge" e.entry_help;
-          add "%s%s %s\n" e.entry_name (prom_labels e.entry_labels) (prom_float v)
-        | Histogram_value h ->
-          header e.entry_name "histogram" e.entry_help;
+      (fun s ->
+        match s.value with
+        | Counter v ->
+          header s.name "counter" s.help;
+          add "%s%s %d\n" s.name (prom_labels s.labels) v
+        | Gauge v ->
+          header s.name "gauge" s.help;
+          add "%s%s %s\n" s.name (prom_labels s.labels) (prom_float v)
+        | Histogram h ->
+          header s.name "histogram" s.help;
           let cum = ref 0 in
           Array.iteri
             (fun i c ->
@@ -284,17 +110,81 @@ module Registry = struct
                 if i < Array.length h.bounds then prom_float h.bounds.(i)
                 else "+Inf"
               in
-              add "%s_bucket%s %d\n" e.entry_name
-                (prom_labels (e.entry_labels @ [ ("le", le) ]))
+              add "%s_bucket%s %d\n" s.name
+                (prom_labels (s.labels @ [ ("le", le) ]))
                 !cum)
             h.counts;
-          add "%s_sum%s %s\n" e.entry_name
-            (prom_labels e.entry_labels)
-            (prom_float h.sum);
-          add "%s_count%s %d\n" e.entry_name (prom_labels e.entry_labels) h.count)
-      snap;
+          add "%s_sum%s %s\n" s.name (prom_labels s.labels) (prom_float h.sum);
+          add "%s_count%s %d\n" s.name (prom_labels s.labels) h.count)
+      series;
     Buffer.contents buf
 end
+
+(* ---- latency histograms ---------------------------------------------------- *)
+
+(* One exponential 1us..10s ladder serves every latency histogram: DTW
+   pairs sit at the bottom, end-to-end stages at the top. *)
+let latency_buckets =
+  [|
+    1e-6; 2e-6; 5e-6; 1e-5; 2e-5; 5e-5; 1e-4; 2e-4; 5e-4; 1e-3; 2e-3; 5e-3;
+    1e-2; 2e-2; 5e-2; 0.1; 0.25; 0.5; 1.0; 2.5; 5.0; 10.0;
+  |]
+
+(* the same edges in whole nanoseconds, so an observation compares ints *)
+let bucket_ns =
+  Array.map (fun s -> Float.to_int (Float.round (s *. 1e9))) latency_buckets
+
+module Hist = struct
+  (* Plain ints with a single owner — a pool worker, a report, a daemon —
+     so observing takes no lock and no atomic; records merge with [add]
+     once their workers have joined. *)
+  type t = {
+    counts : int array;  (* per bucket of the ladder; last = +inf bucket *)
+    mutable count : int;
+    mutable sum_ns : int;
+  }
+
+  let create () =
+    { counts = Array.make (Array.length bucket_ns + 1) 0; count = 0; sum_ns = 0 }
+
+  (* a linear scan, no allocation: the ladder is 22 edges and most
+     observations resolve in the first few *)
+  let observe_ns h ns =
+    let i = ref 0 in
+    while !i < Array.length bucket_ns && ns > bucket_ns.(!i) do
+      incr i
+    done;
+    h.counts.(!i) <- h.counts.(!i) + 1;
+    h.count <- h.count + 1;
+    h.sum_ns <- h.sum_ns + ns
+
+  let observe_s h s = observe_ns h (Float.to_int (Float.round (s *. 1e9)))
+
+  let add ~into h =
+    Array.iteri (fun i c -> into.counts.(i) <- into.counts.(i) + c) h.counts;
+    into.count <- into.count + h.count;
+    into.sum_ns <- into.sum_ns + h.sum_ns
+
+  let count h = h.count
+
+  let value h =
+    {
+      Prom.bounds = Array.copy latency_buckets;
+      counts = Array.copy h.counts;
+      sum = float_of_int h.sum_ns /. 1e9;
+      count = h.count;
+    }
+end
+
+type latency = { verdict : Hist.t; dtw_pair : Hist.t; model_build : Hist.t }
+
+let new_latency () =
+  { verdict = Hist.create (); dtw_pair = Hist.create (); model_build = Hist.create () }
+
+let add_latency ~into l =
+  Hist.add ~into:into.verdict l.verdict;
+  Hist.add ~into:into.dtw_pair l.dtw_pair;
+  Hist.add ~into:into.model_build l.model_build
 
 (* ---- the run's observation value ------------------------------------------- *)
 
@@ -368,6 +258,14 @@ let trace_id t = t.trace_id
 let tracing t = Option.is_some t.span_sink
 let metrics t = t.metrics_on
 let sampled t i = tracing t && t.sample_every > 0 && i mod t.sample_every = 0
+
+let merge_latency t records =
+  if not t.metrics_on then None
+  else begin
+    let into = new_latency () in
+    Array.iter (Option.iter (add_latency ~into)) records;
+    Some into
+  end
 
 (* ---- spans ----------------------------------------------------------------- *)
 
@@ -483,140 +381,6 @@ module Trace_writer = struct
     | () -> Ok ()
     | exception Sys_error msg -> Error (Err.Io { path; msg })
 end
-
-(* ---- the scaguard metric set ------------------------------------------------ *)
-
-let default = Registry.create ()
-
-module Metrics = struct
-  let c name help = Registry.counter default ~help name
-
-  let batches_total =
-    c "scaguard_engine_batches_total" "Batch classification runs."
-  let targets_total =
-    c "scaguard_engine_targets_total" "Target models classified."
-  let pairs_total =
-    c "scaguard_engine_pairs_total"
-      "Model pairs considered (targets x repository)."
-  let cells_total = c "scaguard_engine_dp_cells_total" "DTW DP cells computed."
-  let pairs_pruned_lb_total =
-    c "scaguard_engine_pairs_pruned_lb_total"
-      "Pairs skipped without DP: a lower bound proved them irrelevant."
-  let pairs_abandoned_total =
-    c "scaguard_engine_pairs_abandoned_total"
-      "Pairs whose DP was cut short by the cutoff."
-  let cells_saved_total =
-    c "scaguard_engine_dp_cells_saved_total" "DP cells pruning avoided."
-  let lb_evals_total =
-    c "scaguard_engine_lb_evals_total"
-      "Lower-bound evaluations (the work the repository index shrinks)."
-  let pairs_pruned_index_total =
-    c "scaguard_engine_pairs_pruned_index_total"
-      "Pairs skipped by the repository index before any lower bound ran."
-  let index_nodes_visited_total =
-    c "scaguard_engine_index_nodes_visited_total"
-      "Repository-index tree nodes expanded during search."
-  let models_built_total =
-    c "scaguard_models_built_total"
-      "CST-BBS models built (cache hits not included)."
-  let cache_hits_total = c "scaguard_cache_hits_total" "Model cache hits."
-  let cache_misses_total = c "scaguard_cache_misses_total" "Model cache misses."
-  let cache_stale_total =
-    c "scaguard_cache_stale_total" "Model cache entries dropped as corrupt."
-
-  (* One exponential 1us..10s ladder serves every latency histogram: DTW
-     pairs sit at the bottom, end-to-end stages at the top. *)
-  let latency_buckets =
-    [|
-      1e-6; 2e-6; 5e-6; 1e-5; 2e-5; 5e-5; 1e-4; 2e-4; 5e-4; 1e-3; 2e-3; 5e-3;
-      1e-2; 2e-2; 5e-2; 0.1; 0.25; 0.5; 1.0; 2.5; 5.0; 10.0;
-    |]
-
-  let h name help =
-    Registry.histogram default ~help ~buckets:latency_buckets name
-
-  let dtw_pair_seconds =
-    h "scaguard_dtw_pair_seconds"
-      "Per-pair DTW scoring latency (mean across one verdict's pairs)."
-  let model_build_seconds =
-    h "scaguard_model_build_seconds"
-      "Per-model build latency (execute + identify + graph + measure)."
-  let verdict_seconds =
-    h "scaguard_verdict_seconds"
-      "End-to-end per-target classification latency."
-
-  let stage_seconds ~stage =
-    Registry.histogram default
-      ~help:"Wall-clock latency of one pipeline stage."
-      ~labels:[ ("stage", stage) ] ~buckets:latency_buckets
-      "scaguard_stage_seconds"
-
-  (* -- the serve daemon (Scaguard.Server) -------------------------------- *)
-
-  let server_requests_total ~op =
-    Registry.counter default
-      ~help:"Requests the serve daemon completed, by protocol verb."
-      ~labels:[ ("op", op) ] "scaguard_server_requests_total"
-
-  let server_rejected_total ~reason =
-    Registry.counter default
-      ~help:
-        "Requests the serve daemon rejected without executing them: \
-         queue-full backpressure (busy), expired deadlines (deadline), \
-         drain-phase refusals (unavailable), unparseable frames (parse)."
-      ~labels:[ ("reason", reason) ] "scaguard_server_rejected_total"
-
-  let server_queue_depth =
-    Registry.gauge default
-      ~help:"Requests currently waiting in the serve daemon's bounded queue."
-      "scaguard_server_queue_depth"
-
-  let server_streamed_verdicts_total =
-    Registry.counter default
-      ~help:"Verdict frames the serve daemon streamed back to clients."
-      "scaguard_server_streamed_verdicts_total"
-
-  let server_request_seconds ~op =
-    Registry.histogram default
-      ~help:
-        "End-to-end request latency in the serve daemon (arrival at the \
-         framer to final reply frame), by protocol verb."
-      ~labels:[ ("op", op) ] ~buckets:latency_buckets
-      "scaguard_server_request_seconds"
-
-  (* -- process identity --------------------------------------------------- *)
-
-  let build_info ~version ~format_version =
-    Registry.gauge default
-      ~help:
-        "Build identity of this process (CLI version and binary repository \
-         format version as labels); the value is always 1."
-      ~labels:
-        [ ("version", version); ("format_version", format_version) ]
-      "scaguard_build_info"
-
-  let uptime_seconds =
-    Registry.gauge default
-      ~help:"Seconds this process has been up, on the monotonic clock."
-      "scaguard_uptime_seconds"
-end
-
-(* Stamp the process-identity gauges before an exposition is rendered: the
-   constant-1 [scaguard_build_info] (version/format_version as labels, the
-   node_exporter convention) and the uptime gauge measured from [start_ns]
-   on the monotonic clock.  Both [serve] and [detect-batch] call this so
-   every exposition carries the same identity, regardless of transport. *)
-let export_build_info ~version ~format_version ~start_ns () =
-  Registry.set_gauge (Metrics.build_info ~version ~format_version) 1.0;
-  Registry.set_gauge Metrics.uptime_seconds
-    (Clock.ns_to_s (Clock.elapsed_ns ~since:start_ns))
-
-let snapshot () = Registry.snapshot default
-
-let write_metrics ~path =
-  match Persist.write_atomic ~path (Registry.to_prometheus (snapshot ())) with
-  | () -> Ok ()
-  | exception Sys_error msg -> Error (Err.Io { path; msg })
 
 (* ---- pool probe ------------------------------------------------------------- *)
 

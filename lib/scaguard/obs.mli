@@ -1,17 +1,18 @@
 (** Observability for the build->detect stack: a span-based tracer emitting
     Chrome trace-event JSON (loadable in Perfetto / chrome://tracing), the
-    event capture behind {!Log}, and a metrics registry emitting Prometheus
-    text exposition.
+    event capture behind {!Log}, per-run latency histograms and the
+    Prometheus text exposition.
 
     What a run records is one immutable value, {!t}: a front end creates
     one per run with {!create} and the server derives one per request with
     {!with_trace_id}; the library takes it as [?obs], defaulting to {!off}.
-    Only the Prometheus registry ({!default} and its {!Metrics} handles) is
-    process-wide.  Instrumentation sites in the hot paths are written so
-    that the disabled state costs one field load and a branch and zero
-    allocation per event, and observation never feeds back into computation
-    — verdicts and models are bit-identical with observability on or off
-    (asserted by the test suite). *)
+    There is no process-wide state: the counts a Prometheus exposition
+    renders are a run's {!Service.report} or the serve daemon's books, and
+    {!Prom} only writes them out.  Instrumentation sites in the hot paths
+    are written so that the disabled state costs one field load and a
+    branch and zero allocation per event, and observation never feeds back
+    into computation — verdicts and models are bit-identical with
+    observability on or off (asserted by the test suite). *)
 
 (** {1 Clock} *)
 
@@ -76,7 +77,9 @@ val create :
     and provenance record it produces.  [tracing] (default [false]) records
     spans; [sample_rate] (default [1.]) is the fraction of per-task spans
     kept, rounded to a deterministic 1-in-[round (1/r)] stride (coarse
-    stage spans ignore it).  [metrics] (default [false]) feeds {!default}.
+    stage spans ignore it).  [metrics] (default [false]) times every
+    classified target and every built model into the run's {!latency}
+    records.
     [capture] captures events at or above that level into a buffer of
     [capacity] (default 8192) events; past it they are counted in
     {!dropped}, never waited on.  [mirror] is the least level echoed to
@@ -147,52 +150,14 @@ val dropped : t -> int
 val capacity : t -> int
 (** The capture buffer's bound; [0] when capture is off. *)
 
-(** {1 Metrics registry} *)
+(** {1 Prometheus exposition} *)
 
-module Registry : sig
-  (** Counters, gauges and fixed-bucket histograms.  Counter and histogram
-      cells are sharded per domain (lock-free [fetch_and_add] on the shard
-      picked from the domain id) and merged only at {!snapshot} time; the
-      registration path takes a mutex, the update path never does. *)
-
-  type t
-
-  type counter
-  type gauge
-  type histogram
-
-  val create : ?shards:int -> unit -> t
-  (** [shards] (default 8) is rounded up to a power of two. *)
-
-  val counter : t -> ?help:string -> ?labels:(string * string) list -> string -> counter
-  (** Create-or-get by [(name, labels)]; two calls with the same pair return
-      the same underlying metric.  @raise Invalid_argument if the pair is
-      already registered with a different kind. *)
-
-  val gauge : t -> ?help:string -> ?labels:(string * string) list -> string -> gauge
-
-  val histogram :
-    t ->
-    ?help:string ->
-    ?labels:(string * string) list ->
-    buckets:float array ->
-    string ->
-    histogram
-  (** [buckets] are the ascending finite upper bucket edges; an overflow
-      (+inf) bucket is added implicitly.
-      @raise Invalid_argument on an empty, non-ascending or non-finite
-      ladder, or on a kind clash. *)
-
-  val add : counter -> int -> unit
-  val incr : counter -> unit
-  val set_gauge : gauge -> float -> unit
-
-  val observe : histogram -> float -> unit
-  (** Record one observation: bumps the first bucket whose edge is [>= v]
-      (or the overflow bucket) and adds [v] to the sum. *)
-
-  type hist_snapshot = {
-    bounds : float array;
+(** The plain data a Prometheus exposition is made of, and its text writer.
+    Nothing here counts: the series are built from a report's or the serve
+    daemon's counts when an exposition is rendered. *)
+module Prom : sig
+  type hist = {
+    bounds : float array;  (** ascending finite upper bucket edges *)
     counts : int array;
         (** per-bucket, non-cumulative; one longer than [bounds] — the last
             cell is the overflow bucket.  Matches the layout
@@ -201,119 +166,70 @@ module Registry : sig
     count : int;
   }
 
-  type value =
-    | Counter_value of int
-    | Gauge_value of float
-    | Histogram_value of hist_snapshot
+  type value = Counter of int | Gauge of float | Histogram of hist
 
-  type snapshot_entry = {
-    entry_name : string;
-    entry_labels : (string * string) list;
-    entry_help : string;
-    entry_value : value;
+  type series = {
+    name : string;
+    labels : (string * string) list;
+    help : string;
+    value : value;
   }
 
-  type snapshot = snapshot_entry list
+  val series :
+    labels:(string * string) list -> help:string -> string -> value -> series
 
-  val snapshot : t -> snapshot
-  (** Merge all shards into a consistent-enough view (entries in
-      registration order).  Concurrent updates racing the scrape may or may
-      not be included — each is never split or double-counted. *)
-
-  val reset : t -> unit
-  (** Zero every metric (registrations are kept). *)
-
-  val to_prometheus : snapshot -> string
-  (** Prometheus text exposition format: [# HELP]/[# TYPE] headers once per
-      metric name, histogram [_bucket{le="..."}] series cumulative with a
+  val to_prometheus : series list -> string
+  (** Prometheus text exposition format, series in the given order:
+      [# HELP]/[# TYPE] headers once per metric name, before its first
+      series; histogram [_bucket{le="..."}] series cumulative with a
       [+Inf] bucket, plus [_sum] and [_count]. *)
 end
 
-val default : Registry.t
-(** The process-wide registry every scaguard instrumentation site writes to. *)
+(** {1 Latency histograms} *)
 
-val snapshot : unit -> Registry.snapshot
-(** [Registry.snapshot default]. *)
+(** A latency histogram over one exponential 1µs..10s bucket ladder shared
+    by every latency series: plain ints with a single owner (a pool worker,
+    a report, the daemon), so observing takes no lock and no atomic.
+    Per-worker records merge with {!add} after their workers join. *)
+module Hist : sig
+  type t
 
-(** {1 The scaguard metric set}
+  val create : unit -> t
 
-    Pre-registered on {!default} so instrumentation sites share handles.
-    Counters are only bumped by runs whose value has {!metrics} on; the
-    record-typed statistics the API already exposes ([Engine.stats], cache
-    stats, report timings) are computed independently and remain the
-    source-compatible derived views. *)
-module Metrics : sig
-  val batches_total : Registry.counter
-  val targets_total : Registry.counter
-  val pairs_total : Registry.counter
-  val cells_total : Registry.counter
-  val pairs_pruned_lb_total : Registry.counter
-  val pairs_abandoned_total : Registry.counter
-  val cells_saved_total : Registry.counter
-  val lb_evals_total : Registry.counter
-  val pairs_pruned_index_total : Registry.counter
-  val index_nodes_visited_total : Registry.counter
-  val models_built_total : Registry.counter
-  val cache_hits_total : Registry.counter
-  val cache_misses_total : Registry.counter
-  val cache_stale_total : Registry.counter
+  val observe_ns : t -> int -> unit
+  (** Record one duration in nanoseconds: bumps the first bucket whose edge
+      is [>=] it (or the overflow bucket) and adds it to the sum.
+      Allocation-free. *)
 
-  val latency_buckets : float array
-  (** The shared exponential 1µs..10s ladder used by every latency
-      histogram. *)
+  val observe_s : t -> float -> unit
+  (** {!observe_ns} of a duration in seconds, rounded to the nanosecond. *)
 
-  val dtw_pair_seconds : Registry.histogram
-  val model_build_seconds : Registry.histogram
-  val verdict_seconds : Registry.histogram
+  val add : into:t -> t -> unit
+  val count : t -> int
 
-  val stage_seconds : stage:string -> Registry.histogram
-  (** Create-or-get the [scaguard_stage_seconds{stage="..."}] histogram. *)
-
-  (** {2 Serve-daemon metrics}
-
-      Bumped by {!Server} when its value has {!metrics} on; exported to
-      clients by the protocol's [metrics] verb (see [docs/SERVER.md]). *)
-
-  val server_requests_total : op:string -> Registry.counter
-  (** Create-or-get [scaguard_server_requests_total{op="..."}] — requests
-      completed (successfully or with an execution error), by verb. *)
-
-  val server_rejected_total : reason:string -> Registry.counter
-  (** Create-or-get [scaguard_server_rejected_total{reason="..."}] —
-      requests refused without execution: [busy] (queue full), [deadline]
-      (expired while queued), [unavailable] (arrived during drain), [parse]
-      (unparseable frame). *)
-
-  val server_queue_depth : Registry.gauge
-  (** [scaguard_server_queue_depth] — requests waiting in the bounded
-      queue right now. *)
-
-  val server_streamed_verdicts_total : Registry.counter
-  (** [scaguard_server_streamed_verdicts_total] — verdict frames streamed
-      back to clients. *)
-
-  val server_request_seconds : op:string -> Registry.histogram
-  (** Create-or-get [scaguard_server_request_seconds{op="..."}] — request
-      latency from arrival at the framer to the final reply frame. *)
-
-  val build_info :
-    version:string -> format_version:string -> Registry.gauge
-  (** Create-or-get [scaguard_build_info{version="...",format_version="..."}]
-      — the process-identity gauge (constant 1, identity in the labels, the
-      node_exporter convention). *)
-
-  val uptime_seconds : Registry.gauge
-  (** [scaguard_uptime_seconds] — process uptime on the monotonic clock,
-      stamped by {!export_build_info} before each exposition. *)
+  val value : t -> Prom.hist
+  (** The histogram as exposition data: the ladder's edges, per-bucket
+      counts, the sum in seconds. *)
 end
 
-val export_build_info :
-  version:string -> format_version:string -> start_ns:int64 -> unit -> unit
-(** Stamp the process-identity gauges: set
-    [scaguard_build_info{version,format_version}] to 1 and
-    [scaguard_uptime_seconds] to the monotonic seconds since [start_ns].
-    Both [serve] and [detect-batch] call this right before rendering an
-    exposition, so every scrape carries the same identity. *)
+type latency = {
+  verdict : Hist.t;  (** per classified target *)
+  dtw_pair : Hist.t;
+      (** per classified target that scored a pair: its duration divided
+          by the pairs it scored *)
+  model_build : Hist.t;  (** per model built (cache hits excluded) *)
+}
+(** A run's latency records: what a run with {!metrics} on times beyond
+    its stage timings. *)
+
+val new_latency : unit -> latency
+(** Empty records. *)
+
+val add_latency : into:latency -> latency -> unit
+
+val merge_latency : t -> latency option array -> latency option
+(** The given records summed into fresh ones when [t] has {!metrics} on;
+    [None] otherwise — so a run without metrics carries no records. *)
 
 (** {1 Export} *)
 
@@ -324,9 +240,6 @@ module Trace_writer : sig
   val write : path:string -> span list -> (unit, Err.t) result
   (** Atomic write ({!Persist.write_atomic}); [Error (Io _)] on failure. *)
 end
-
-val write_metrics : path:string -> (unit, Err.t) result
-(** Atomically write [default]'s current state in Prometheus text format. *)
 
 (** {1 Pool instrumentation} *)
 

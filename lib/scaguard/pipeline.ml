@@ -42,34 +42,41 @@ let seeded ~seed j =
   if j.salt = "" then { j with salt = string_of_int seed } else j
 
 (* Fan [f] over the tasks with one Cst.measurer per worker (the per-block
-   CST simulator is reused instead of reallocated), collecting results by
-   index.  Task order in the output is the input order regardless of which
-   worker ran what, and each task's computation is independent of every
-   other's, so results are byte-identical to a sequential loop. *)
+   CST simulator is reused instead of reallocated) and, when [obs] has
+   metrics on, one latency record per worker, collecting results by index
+   and the records merged.  Task order in the output is the input order
+   regardless of which worker ran what, and each task's computation is
+   independent of every other's, so results are byte-identical to a
+   sequential loop. *)
 let batch ~obs ?domains n f =
   let workers = Sutil.Pool.domains_for ?domains n in
   let measurers = Array.init workers (fun _ -> Cst.measurer ()) in
+  let lats =
+    if Obs.metrics obs then
+      Array.init workers (fun _ -> Some (Obs.new_latency ()))
+    else [||]
+  in
   let out = Array.make n None in
   let probe = Obs.pool_probe obs ~stage:"build" in
   ignore
     (Sutil.Pool.run ?domains ?probe ~tasks:n (fun ~worker i ->
-         out.(i) <- Some (f ~measurer:(measurers.(worker)) i)));
-  Array.map (fun o -> Option.get o) out
+         let lat = if Obs.metrics obs then lats.(worker) else None in
+         out.(i) <- Some (f ~measurer:measurers.(worker) ~lat i)));
+  (Array.map (fun o -> Option.get o) out, Obs.merge_latency obs lats)
 
 (* Observe one actual model construction (cache hits never reach this):
-   bump the build counter and latency histogram, and emit a sampled
+   time it into the worker's latency record, and emit a sampled
    build:model span tagged with the job name.  [build] is the untimed
    construction; when observability is off this is exactly [build ()]. *)
-let timed_build ~obs ~name i build =
+let timed_build ~obs ~lat ~name i build =
   if Obs.tracing obs || Obs.metrics obs then begin
     let t0 = Obs.Clock.now_ns () in
     let result = build () in
     let dur_ns = Obs.Clock.elapsed_ns ~since:t0 in
-    if Obs.metrics obs then begin
-      Obs.Registry.incr Obs.Metrics.models_built_total;
-      Obs.Registry.observe Obs.Metrics.model_build_seconds
-        (Obs.Clock.ns_to_s dur_ns)
-    end;
+    (match lat with
+    | None -> ()
+    | Some (l : Obs.latency) ->
+      Obs.Hist.observe_ns l.model_build (Int64.to_int dur_ns));
     if Obs.sampled obs i then
       Obs.emit_span obs ~cat:"build" ~args:[ ("model", name) ]
         ~name:"build:model" ~ts_ns:t0 ~dur_ns ();
@@ -79,9 +86,9 @@ let timed_build ~obs ~name i build =
 
 let build_models_batch ?(obs = Obs.off) ?domains ?cache ?max_paths ?max_len
     ?cst_config jobs =
-  let build ~measurer i () =
+  let build ~measurer ~lat i () =
     let j = jobs.(i) in
-    timed_build ~obs ~name:j.job_name i (fun () ->
+    timed_build ~obs ~lat ~name:j.job_name i (fun () ->
         let exec =
           Cpu.Exec.run ?settings:j.settings ?init:j.init ?victim:j.victim
             j.program
@@ -98,8 +105,8 @@ let build_models_batch ?(obs = Obs.off) ?domains ?cache ?max_paths ?max_len
   in
   match cache with
   | None ->
-    batch ~obs ?domains (Array.length jobs) (fun ~measurer i ->
-        build ~measurer i ())
+    batch ~obs ?domains (Array.length jobs) (fun ~measurer ~lat i ->
+        build ~measurer ~lat i ())
   | Some c ->
     let keys =
       Array.map
@@ -118,17 +125,17 @@ let build_models_batch ?(obs = Obs.off) ?domains ?cache ?max_paths ?max_len
            (fun i -> Option.is_none models.(i))
            (List.init (Array.length jobs) Fun.id))
     in
-    if Array.length todo > 0 then begin
-      let fetched =
-        batch ~obs ?domains (Array.length todo) (fun ~measurer k ->
+    let fetched, latency =
+      if Array.length todo = 0 then ([||], Obs.merge_latency obs [||])
+      else
+        batch ~obs ?domains (Array.length todo) (fun ~measurer ~lat k ->
             let i = todo.(k) in
-            Model_cache.fetch ~obs c ~key:keys.(i) (build ~measurer i))
-      in
-      Array.iteri
-        (fun k (model, entry) ->
-          let i = todo.(k) in
-          Option.iter (Model_cache.remember c ~key:keys.(i)) entry;
-          models.(i) <- Some model)
-        fetched
-    end;
-    Array.map Option.get models
+            Model_cache.fetch ~obs c ~key:keys.(i) (build ~measurer ~lat i))
+    in
+    Array.iteri
+      (fun k (model, entry) ->
+        let i = todo.(k) in
+        Option.iter (Model_cache.remember c ~key:keys.(i)) entry;
+        models.(i) <- Some model)
+      fetched;
+    (Array.map Option.get models, latency)

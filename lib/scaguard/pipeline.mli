@@ -81,7 +81,7 @@ val build_models_batch :
   ?domains:int ->
   ?cache:Model_cache.t ->
   ?max_paths:int -> ?max_len:int -> ?cst_config:Cache.Config.t ->
-  job array -> Model.t array
+  job array -> Model.t array * Obs.latency option
 (** Execute and model every job, fanned over [domains] workers (default
     {!Sutil.Pool.default_domains}) — and, with [cache], consulting the cache
     first: a hit skips execution and modeling entirely, a miss builds then
@@ -90,4 +90,7 @@ val build_models_batch :
     pool (none: the pool is skipped), where the disk tier is read and the
     models built.  Cached or not, [models.(i)] is byte-identical
     ({!Persist.model_to_string}) to a fresh sequential build of [jobs.(i)],
-    under any [obs] (default {!Obs.off}). *)
+    under any [obs] (default {!Obs.off}).  With {!Obs.metrics} on, the
+    second component times every model actually built (cache hits
+    excluded) in its [model_build], merged from one record per worker;
+    otherwise it is [None]. *)

@@ -308,22 +308,12 @@ type t = {
   max_line : int;
   default_deadline_ms : int;
   start_ns : int64;
-  mutable served_ : int;
-  mutable built : int;
-  mutable reloads : int;
-  by_op : (string, int ref) Hashtbl.t;
+  books : Service.books;  (* every request's and reload's report, folded *)
+  by_op : (string, Obs.Hist.t) Hashtbl.t;  (* requests served, and their latency *)
   rejected : (string, int ref) Hashtbl.t;
-  mutable eng_targets : int;
-  mutable eng_pairs : int;
-  mutable eng_cells : int;
-  mutable eng_pruned_lb : int;
-  mutable eng_abandoned : int;
-  mutable eng_cells_saved : int;
-  mutable eng_lb_evals : int;
-  mutable eng_pruned_index : int;
-  mutable eng_nodes_visited : int;
+  mutable streamed : int;  (* verdict frames *)
+  mutable reloads : int;
   lat : float array;
-  mutable lat_n : int;
   mutable draining_ : bool;
   mutable acks : (conn * Json.t) list;  (* shutdown acks owed at drain end *)
   mutable next_cid : int;
@@ -359,22 +349,12 @@ let create ?(obs = Obs.off) ~config ~resolve ~prepared ?repo_path
         max_line;
         default_deadline_ms;
         start_ns = Obs.Clock.now_ns ();
-        served_ = 0;
-        built = 0;
-        reloads = 0;
+        books = Service.books (Some cache);
         by_op = Hashtbl.create 8;
         rejected = Hashtbl.create 8;
-        eng_targets = 0;
-        eng_pairs = 0;
-        eng_cells = 0;
-        eng_pruned_lb = 0;
-        eng_abandoned = 0;
-        eng_cells_saved = 0;
-        eng_lb_evals = 0;
-        eng_pruned_index = 0;
-        eng_nodes_visited = 0;
+        streamed = 0;
+        reloads = 0;
         lat = Array.make lat_window 0.0;
-        lat_n = 0;
         draining_ = false;
         acks = [];
         next_cid = 0;
@@ -382,7 +362,7 @@ let create ?(obs = Obs.off) ~config ~resolve ~prepared ?repo_path
 
 let pending t = Sutil.Bqueue.length t.queue
 let draining t = t.draining_
-let served t = t.served_
+let served t = Hashtbl.fold (fun _ h n -> n + Obs.Hist.count h) t.by_op 0
 let uptime_s t = Obs.Clock.elapsed_s ~since:t.start_ns
 
 let connect t ~emit =
@@ -449,35 +429,18 @@ let verdict_frame ~id ~target (v : Detector.verdict) =
 
 (* ---- counters ----- *)
 
-let bump tbl key =
-  match Hashtbl.find_opt tbl key with
-  | Some r -> incr r
-  | None -> Hashtbl.add tbl key (ref 1)
-
-let set_queue_gauge t =
-  if Obs.metrics t.obs then
-    Obs.Registry.set_gauge Obs.Metrics.server_queue_depth
-      (float_of_int (Sutil.Bqueue.length t.queue))
-
 let note_rejected t reason =
-  bump t.rejected reason;
-  if Obs.metrics t.obs then
-    Obs.Registry.incr (Obs.Metrics.server_rejected_total ~reason)
+  match Hashtbl.find t.rejected reason with
+  | r -> incr r
+  | exception Not_found -> Hashtbl.add t.rejected reason (ref 1)
 
-let accumulate t (report : Service.report) =
-  t.built <- t.built + report.Service.built;
-  match report.Service.engine with
-  | None -> ()
-  | Some (s : Engine.stats) ->
-    t.eng_targets <- t.eng_targets + s.Engine.targets;
-    t.eng_pairs <- t.eng_pairs + s.Engine.pairs;
-    t.eng_cells <- t.eng_cells + s.Engine.cells;
-    t.eng_pruned_lb <- t.eng_pruned_lb + s.Engine.pairs_pruned_lb;
-    t.eng_abandoned <- t.eng_abandoned + s.Engine.pairs_abandoned;
-    t.eng_cells_saved <- t.eng_cells_saved + s.Engine.cells_saved;
-    t.eng_lb_evals <- t.eng_lb_evals + s.Engine.lb_evals;
-    t.eng_pruned_index <- t.eng_pruned_index + s.Engine.pairs_pruned_index;
-    t.eng_nodes_visited <- t.eng_nodes_visited + s.Engine.nodes_visited
+let op_latency t op =
+  match Hashtbl.find t.by_op op with
+  | h -> h
+  | exception Not_found ->
+    let h = Obs.Hist.create () in
+    Hashtbl.add t.by_op op h;
+    h
 
 (* ---- request execution ----- *)
 
@@ -523,7 +486,7 @@ let do_batch t conn ~obs ~id ~targets ~seed ~explain ~fail reply =
     match service ~obs ~cache:t.cache t.config t.prepared jobs with
     | Error e -> emit_frame ?trace conn (err_frame ~extras:fail ~id e)
     | Ok (_models, verdicts, report, records) ->
-      accumulate t report;
+      Service.fold t.books report;
       reply verdicts records)
 
 let do_detect t conn ~obs ~id ~arrival_ns ~deadline ~targets ~seed ~stream () =
@@ -533,8 +496,7 @@ let do_detect t conn ~obs ~id ~arrival_ns ~deadline ~targets ~seed ~stream () =
   let emit_verdict target v =
     if v.Detector.best_family <> None then incr attacks;
     emit_frame ?trace conn (verdict_frame ~id ~target v);
-    if Obs.metrics obs then
-      Obs.Registry.incr Obs.Metrics.server_streamed_verdicts_total
+    t.streamed <- t.streamed + 1
   in
   let progress completed =
     [ ("completed", jint completed); ("targets", jint total) ]
@@ -580,7 +542,7 @@ let do_detect t conn ~obs ~id ~arrival_ns ~deadline ~targets ~seed ~stream () =
               emit_frame ?trace conn
                 (err_frame ~extras:(progress completed) ~id e)
             | Ok (_models, verdicts, report) ->
-              accumulate t report;
+              Service.fold t.books report;
               emit_verdict name verdicts.(0);
               go (completed + 1) rest)
         end
@@ -636,14 +598,16 @@ let do_explain t conn ~obs ~id ~arrival_ns ~targets ~seed () =
              ("wall_ms", Json.Num (wall_ms ~arrival_ns));
            ]))
 
+let sorted tbl count =
+  List.sort compare (Hashtbl.fold (fun k v acc -> (k, count v) :: acc) tbl [])
+
 let stats_frame t ~id =
-  let sorted tbl =
-    List.sort compare (Hashtbl.fold (fun k r acc -> (k, jint !r) :: acc) tbl [])
-  in
-  let lats =
-    Array.to_list (Array.sub t.lat 0 (min t.lat_n lat_window))
-  in
+  let served = served t in
+  let lats = Array.to_list (Array.sub t.lat 0 (min served lat_window)) in
   let pct p = Json.Num (1e3 *. Sutil.Stats.percentile p lats) in
+  let counts tbl count =
+    Json.Obj (List.map (fun (k, n) -> (k, jint n)) (sorted tbl count))
+  in
   Json.Obj
     [
       ("id", id);
@@ -667,29 +631,18 @@ let stats_frame t ~id =
       ( "requests",
         Json.Obj
           [
-            ("completed", jint t.served_);
-            ("by_op", Json.Obj (sorted t.by_op));
-            ("rejected", Json.Obj (sorted t.rejected));
+            ("completed", jint served);
+            ("by_op", counts t.by_op Obs.Hist.count);
+            ("rejected", counts t.rejected ( ! ));
           ] );
       ( "engine",
-        Json.Obj
-          [
-            ("models_built", jint t.built);
-            ("targets", jint t.eng_targets);
-            ("pairs", jint t.eng_pairs);
-            ("cells", jint t.eng_cells);
-            ("pairs_pruned_lb", jint t.eng_pruned_lb);
-            ("pairs_abandoned", jint t.eng_abandoned);
-            ("cells_saved", jint t.eng_cells_saved);
-            ("lb_evals", jint t.eng_lb_evals);
-            ("pairs_pruned_index", jint t.eng_pruned_index);
-            ("index_nodes_visited", jint t.eng_nodes_visited);
-          ] );
+        Json.Obj (List.map (fun (k, n) -> (k, jint n)) (Service.counts t.books))
+      );
       ( "latency_ms",
         Json.Obj
           [
-            ("count", jint t.lat_n);
-            ("window", jint (min t.lat_n lat_window));
+            ("count", jint served);
+            ("window", jint (min served lat_window));
             ("p50", pct 0.50);
             ("p90", pct 0.90);
             ("p99", pct 0.99);
@@ -697,19 +650,51 @@ let stats_frame t ~id =
           ] );
     ]
 
+let exposition t =
+  let per_op ~help name value =
+    List.map
+      (fun (op, h) -> Obs.Prom.series ~labels:[ ("op", op) ] ~help name (value h))
+      (sorted t.by_op Fun.id)
+  in
+  Obs.Prom.to_prometheus
+    (Service.series t.books
+    @ per_op "scaguard_server_requests_total"
+        ~help:"Requests the serve daemon completed, by protocol verb."
+        (fun h -> Counter (Obs.Hist.count h))
+    @ List.map
+        (fun (reason, n) ->
+          Obs.Prom.series
+            ~labels:[ ("reason", reason) ]
+            ~help:
+              "Requests the serve daemon rejected without executing them: \
+               queue-full backpressure (busy), expired deadlines (deadline), \
+               drain-phase refusals (unavailable), unparseable frames (parse)."
+            "scaguard_server_rejected_total" (Counter n))
+        (sorted t.rejected ( ! ))
+    @ [
+        Obs.Prom.series ~labels:[]
+          ~help:"Requests currently waiting in the serve daemon's bounded queue."
+          "scaguard_server_queue_depth"
+          (Gauge (float_of_int (Sutil.Bqueue.length t.queue)));
+        Obs.Prom.series ~labels:[]
+          ~help:"Verdict frames the serve daemon streamed back to clients."
+          "scaguard_server_streamed_verdicts_total" (Counter t.streamed);
+      ]
+    @ per_op "scaguard_server_request_seconds"
+        ~help:
+          "End-to-end request latency in the serve daemon (arrival at the \
+           framer to final reply frame), by protocol verb."
+        (fun h -> Histogram (Obs.Hist.value h))
+    @ Service.identity ~uptime_s:(uptime_s t))
+
 let metrics_frame t ~id =
-  set_queue_gauge t;
-  (* fresh uptime for live scrapes; the build_info identity gauge is a
-     constant the front-end stamps at start-up *)
-  Obs.Registry.set_gauge Obs.Metrics.uptime_seconds (uptime_s t);
-  let body = Obs.Registry.to_prometheus (Obs.snapshot ()) in
   Json.Obj
     [
       ("id", id);
       ("ok", Json.Bool true);
       ("op", Json.Str "metrics");
       ("content_type", Json.Str "text/plain; version=0.0.4");
-      ("body", Json.Str body);
+      ("body", Json.Str (exposition t));
     ]
 
 let do_reload t conn ~obs ~id ~arrival_ns ~path () =
@@ -739,7 +724,8 @@ let do_reload t conn ~obs ~id ~arrival_ns ~path () =
     | Error e ->
       Log.err ~obs "server.reload" e;
       emit_frame ?trace conn (err_frame ~id e)
-    | Ok (_repo, prep, _report) ->
+    | Ok (_repo, prep, report) ->
+      Service.fold t.books report;
       if Detector.prepared_size prep = 0 then begin
         Log.warn ~obs "server.reload"
           ~fields:[ ("path", Json.Str path) ]
@@ -782,7 +768,7 @@ let shutdown_ack t ~id =
       ("id", id);
       ("ok", Json.Bool true);
       ("op", Json.Str "shutdown");
-      ("served", jint t.served_);
+      ("served", jint (served t));
       ("uptime_s", Json.Num (uptime_s t));
     ]
 
@@ -831,16 +817,9 @@ let execute t { iconn; req; arrival_ns; deadline } =
        emit_frame ?trace iconn
          (frame_error ~id Internal
             ("unexpected exception: " ^ Printexc.to_string exn)));
-    t.served_ <- t.served_ + 1;
-    bump t.by_op op;
     let dur_ns = Obs.Clock.elapsed_ns ~since:arrival_ns in
-    let dur_s = Obs.Clock.ns_to_s dur_ns in
-    t.lat.(t.lat_n mod lat_window) <- dur_s;
-    t.lat_n <- t.lat_n + 1;
-    if Obs.metrics obs then begin
-      Obs.Registry.incr (Obs.Metrics.server_requests_total ~op);
-      Obs.Registry.observe (Obs.Metrics.server_request_seconds ~op) dur_s
-    end;
+    t.lat.(served t mod lat_window) <- Obs.Clock.ns_to_s dur_ns;
+    Obs.Hist.observe_ns (op_latency t op) (Int64.to_int dur_ns);
     if Obs.tracing obs then
       Obs.emit_span obs ~cat:"server" ~name:("request:" ^ op) ~ts_ns:arrival_ns
         ~dur_ns
@@ -882,8 +861,7 @@ let handle_frame t conn = function
         let budget_ms = Option.value req.deadline_ms ~default:t.default_deadline_ms in
         let deadline = Sutil.Deadline.after ~now_ns:arrival_ns ~budget_ms in
         let item = { iconn = conn; req; arrival_ns; deadline } in
-        if Sutil.Bqueue.push t.queue item then set_queue_gauge t
-        else begin
+        if not (Sutil.Bqueue.push t.queue item) then begin
           (* explicit backpressure: the reply goes out now, ahead of all
              queued work, so clients learn to back off immediately *)
           note_rejected t "busy";
@@ -913,7 +891,6 @@ let step t =
   match Sutil.Bqueue.pop t.queue with
   | None -> if t.draining_ then finish_drain t else `Idle
   | Some item ->
-    set_queue_gauge t;
     execute t item;
     `Worked
 

@@ -103,7 +103,7 @@ type request_body =
           per target: index pruning, candidate outcomes and final score
           bits. *)
   | Stats  (** server self-description: queue, counters, latency quantiles *)
-  | Metrics  (** the {!Obs} registry as Prometheus text exposition *)
+  | Metrics  (** the daemon's counts as Prometheus text ({!exposition}) *)
   | Reload of { path : string option }
       (** swap in a repository from [path] (default: the path the server
           was started from); on failure the old repository stays *)
@@ -230,6 +230,17 @@ val served : t -> int
 (** Requests executed since start (rejections not included). *)
 
 val uptime_s : t -> float
+
+val exposition : t -> string
+(** The [metrics] verb's body: the daemon's work since {!create} as
+    Prometheus text.  One accumulator holds it — every request's and every
+    reload's {!Service.report} folded into {!Service.books} (the cache
+    series read the daemon's own {!Model_cache}), a per-verb table of
+    request counts and latency histograms, the rejections by reason and
+    the streamed verdict frames — and the [stats] verb renders the same
+    state, so the counts the two verbs share agree.  The counters are real
+    whatever [obs] says; {!Obs.metrics} gates only the per-target and
+    per-build latency histograms. *)
 
 (** {2 Transports} *)
 

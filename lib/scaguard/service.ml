@@ -7,22 +7,195 @@ type report = {
   cache : cache_stats option;
   engine : Engine.stats option;
   timings : timing list;
-  metrics : Obs.Registry.snapshot option;
+  latency : Obs.latency option;
 }
+
+let version = "1.0.0"
+
+(* ---- the books -------------------------------------------------------------- *)
+
+(* The engine counters every exposition carries, in exposition order: the
+   series, its HELP text, the stats verb's key and the Engine.stats field. *)
+let engine_counters =
+  [|
+    ( "scaguard_engine_targets_total",
+      "Target models classified.",
+      "targets",
+      fun (s : Engine.stats) -> s.Engine.targets );
+    ( "scaguard_engine_pairs_total",
+      "Model pairs considered (targets x repository).",
+      "pairs",
+      fun s -> s.Engine.pairs );
+    ( "scaguard_engine_dp_cells_total",
+      "DTW DP cells computed.",
+      "cells",
+      fun s -> s.Engine.cells );
+    ( "scaguard_engine_pairs_pruned_lb_total",
+      "Pairs skipped without DP: a lower bound proved them irrelevant.",
+      "pairs_pruned_lb",
+      fun s -> s.Engine.pairs_pruned_lb );
+    ( "scaguard_engine_pairs_abandoned_total",
+      "Pairs whose DP was cut short by the cutoff.",
+      "pairs_abandoned",
+      fun s -> s.Engine.pairs_abandoned );
+    ( "scaguard_engine_dp_cells_saved_total",
+      "DP cells pruning avoided.",
+      "cells_saved",
+      fun s -> s.Engine.cells_saved );
+    ( "scaguard_engine_lb_evals_total",
+      "Lower-bound evaluations (the work the repository index shrinks).",
+      "lb_evals",
+      fun s -> s.Engine.lb_evals );
+    ( "scaguard_engine_pairs_pruned_index_total",
+      "Pairs skipped by the repository index before any lower bound ran.",
+      "pairs_pruned_index",
+      fun s -> s.Engine.pairs_pruned_index );
+    ( "scaguard_engine_index_nodes_visited_total",
+      "Repository-index tree nodes expanded during search.",
+      "index_nodes_visited",
+      fun s -> s.Engine.nodes_visited );
+  |]
+
+(* Plain mutable ints, written by one domain: folding a report allocates
+   nothing once each stage it names has a histogram. *)
+type books = {
+  cache_of : Model_cache.t option;
+  mutable batches : int;
+  mutable builds : int;
+  engine : int array;  (* indexed like [engine_counters] *)
+  mutable hits : int;
+  mutable misses : int;
+  mutable stale : int;
+  mutable stages : (string * Obs.Hist.t) list;  (* newest stage first *)
+  lat : Obs.latency;
+}
+
+let books cache_of =
+  {
+    cache_of;
+    batches = 0;
+    builds = 0;
+    engine = Array.make (Array.length engine_counters) 0;
+    hits = 0;
+    misses = 0;
+    stale = 0;
+    stages = [];
+    lat = Obs.new_latency ();
+  }
+
+let stage_hist b stage =
+  match List.assoc stage b.stages with
+  | h -> h
+  | exception Not_found ->
+    let h = Obs.Hist.create () in
+    b.stages <- (stage, h) :: b.stages;
+    h
+
+let rec fold_timings b = function
+  | [] -> ()
+  | t :: rest ->
+    Obs.Hist.observe_s (stage_hist b t.stage) t.wall_s;
+    fold_timings b rest
+
+let fold b r =
+  (* a load report's [built] counts the models it loaded: only a run that
+     built counts its models as builds *)
+  if List.exists (fun t -> t.stage = "build") r.timings then
+    b.builds <- b.builds + r.built;
+  (match r.engine with
+  | None -> ()
+  | Some s ->
+    b.batches <- b.batches + 1;
+    for i = 0 to Array.length engine_counters - 1 do
+      let _, _, _, get = engine_counters.(i) in
+      b.engine.(i) <- b.engine.(i) + get s
+    done);
+  (match r.cache with
+  | None -> ()
+  | Some c ->
+    b.hits <- b.hits + c.hits;
+    b.misses <- b.misses + c.misses;
+    b.stale <- b.stale + c.stale);
+  fold_timings b r.timings;
+  match r.latency with None -> () | Some l -> Obs.add_latency ~into:b.lat l
+
+let counts b =
+  ("models_built", b.builds)
+  :: Array.to_list
+       (Array.mapi (fun i (_, _, key, _) -> (key, b.engine.(i))) engine_counters)
+
+let series b =
+  let counter name help v = Obs.Prom.series ~labels:[] ~help name (Counter v) in
+  let histogram ~labels name help h =
+    Obs.Prom.series ~labels ~help name (Histogram (Obs.Hist.value h))
+  in
+  let hits, misses, stale =
+    match b.cache_of with
+    | Some c -> (Model_cache.hits c, Model_cache.misses c, Model_cache.stale c)
+    | None -> (b.hits, b.misses, b.stale)
+  in
+  (counter "scaguard_engine_batches_total" "Batch classification runs."
+     b.batches
+  :: Array.to_list
+       (Array.mapi
+          (fun i (name, help, _, _) -> counter name help b.engine.(i))
+          engine_counters))
+  @ [
+      counter "scaguard_models_built_total"
+        "CST-BBS models built (cache hits not included)." b.builds;
+      counter "scaguard_cache_hits_total" "Model cache hits." hits;
+      counter "scaguard_cache_misses_total" "Model cache misses." misses;
+      counter "scaguard_cache_stale_total"
+        "Model cache entries dropped as corrupt." stale;
+      histogram ~labels:[] "scaguard_dtw_pair_seconds"
+        "Per-pair DTW scoring latency (mean across one verdict's pairs)."
+        b.lat.dtw_pair;
+      histogram ~labels:[] "scaguard_model_build_seconds"
+        "Per-model build latency (execute + identify + graph + measure)."
+        b.lat.model_build;
+      histogram ~labels:[] "scaguard_verdict_seconds"
+        "End-to-end per-target classification latency." b.lat.verdict;
+    ]
+  @ List.rev_map
+      (fun (stage, h) ->
+        histogram ~labels:[ ("stage", stage) ] "scaguard_stage_seconds"
+          "Wall-clock latency of one pipeline stage." h)
+      b.stages
+
+let identity ~uptime_s =
+  [
+    Obs.Prom.series
+      ~labels:
+        [
+          ("version", version);
+          ("format_version", string_of_int Persist.bin_version);
+        ]
+      ~help:
+        "Build identity of this process (CLI version and binary repository \
+         format version as labels); the value is always 1."
+      "scaguard_build_info" (Gauge 1.0);
+    Obs.Prom.series ~labels:[]
+      ~help:"Seconds this process has been up, on the monotonic clock."
+      "scaguard_uptime_seconds" (Gauge uptime_s);
+  ]
+
+(* A report's own series, sorted by (name, labels): present iff the run
+   had metrics on. *)
+let report_series r =
+  match r.latency with
+  | None -> None
+  | Some _ ->
+    let b = books None in
+    fold b r;
+    Some
+      (List.sort
+         (fun (x : Obs.Prom.series) (y : Obs.Prom.series) ->
+           compare (x.name, x.labels) (y.name, y.labels))
+         (series b))
 
 (* ---- rendering -------------------------------------------------------------- *)
 
 let fsec s = Printf.sprintf "%.4f" s
-
-(* Sort a snapshot by (name, labels) so the rendered order never depends on
-   which instrumentation site happened to register first. *)
-let stable_snapshot snap =
-  List.sort
-    (fun a b ->
-      compare
-        (a.Obs.Registry.entry_name, a.Obs.Registry.entry_labels)
-        (b.Obs.Registry.entry_name, b.Obs.Registry.entry_labels))
-    snap
 
 let label_suffix = function
   | [] -> ""
@@ -70,15 +243,14 @@ let counters_table r =
     int_row "cache stale" c.stale);
   t
 
-let latency_table snap =
+let latency_table series =
   let hists =
     List.filter_map
-      (fun e ->
-        match e.Obs.Registry.entry_value with
-        | Obs.Registry.Histogram_value h when h.Obs.Registry.count > 0 ->
-          Some (e, h)
+      (fun (s : Obs.Prom.series) ->
+        match s.value with
+        | Histogram h when h.count > 0 -> Some (s, h)
         | _ -> None)
-      (stable_snapshot snap)
+      series
   in
   match hists with
   | [] -> None
@@ -88,15 +260,14 @@ let latency_table snap =
         [ "histogram"; "count"; "p50 (s)"; "p90 (s)"; "p99 (s)" ]
     in
     List.iter
-      (fun ((e : Obs.Registry.snapshot_entry), (h : Obs.Registry.hist_snapshot)) ->
+      (fun ((s : Obs.Prom.series), (h : Obs.Prom.hist)) ->
         let q p =
-          Sutil.Stats.percentile_of_buckets ~bounds:h.Obs.Registry.bounds
-            ~counts:h.Obs.Registry.counts p
+          Sutil.Stats.percentile_of_buckets ~bounds:h.bounds ~counts:h.counts p
         in
         Sutil.Table.add_row t
           [
-            e.Obs.Registry.entry_name ^ label_suffix e.Obs.Registry.entry_labels;
-            string_of_int h.Obs.Registry.count;
+            s.name ^ label_suffix s.labels;
+            string_of_int h.count;
             Printf.sprintf "%.2e" (q 0.5);
             Printf.sprintf "%.2e" (q 0.9);
             Printf.sprintf "%.2e" (q 0.99);
@@ -108,9 +279,9 @@ let pp_report ppf r =
   let open Format in
   let tables =
     [ timings_table r.timings; counters_table r ]
-    @ (match r.metrics with
+    @ (match report_series r with
       | None -> []
-      | Some snap -> Option.to_list (latency_table snap))
+      | Some series -> Option.to_list (latency_table series))
   in
   fprintf ppf "@[<v>";
   List.iteri
@@ -135,30 +306,26 @@ let report_to_json r =
     | [] -> []
     | ls -> [ ("labels", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) ls)) ]
   in
-  let metric (e : Obs.Registry.snapshot_entry) =
+  let metric (s : Obs.Prom.series) =
     let value =
-      match e.Obs.Registry.entry_value with
-      | Obs.Registry.Counter_value v -> [ ("value", int v) ]
-      | Obs.Registry.Gauge_value v -> [ ("value", num v) ]
-      | Obs.Registry.Histogram_value h ->
-        let bounds = h.Obs.Registry.bounds in
+      match s.value with
+      | Counter v -> [ ("value", int v) ]
+      | Gauge v -> [ ("value", num v) ]
+      | Histogram h ->
         let bucket i c =
           let le =
-            if i < Array.length bounds then num bounds.(i) else Json.Str "+Inf"
+            if i < Array.length h.bounds then num h.bounds.(i)
+            else Json.Str "+Inf"
           in
           Json.Obj [ ("le", le); ("count", int c) ]
         in
         [
-          ("count", int h.Obs.Registry.count);
-          ("sum", num h.Obs.Registry.sum);
-          ( "buckets",
-            Json.List (Array.to_list (Array.mapi bucket h.Obs.Registry.counts)) );
+          ("count", int h.count);
+          ("sum", num h.sum);
+          ("buckets", Json.List (Array.to_list (Array.mapi bucket h.counts)));
         ]
     in
-    Json.Obj
-      ((("name", Json.Str e.Obs.Registry.entry_name)
-        :: labels e.Obs.Registry.entry_labels)
-      @ value)
+    Json.Obj ((("name", Json.Str s.name) :: labels s.labels) @ value)
   in
   let optional key f = function None -> [] | Some v -> [ (key, f v) ] in
   Json.Obj
@@ -208,8 +375,8 @@ let report_to_json r =
             ])
         r.engine
     @ optional "metrics"
-        (fun snap -> Json.List (List.map metric (stable_snapshot snap)))
-        r.metrics)
+        (fun series -> Json.List (List.map metric series))
+        (report_series r))
 
 (* ---- stages ----------------------------------------------------------------- *)
 
@@ -217,16 +384,13 @@ let ( let* ) = Result.bind
 
 (* Stage timing reads the monotonic clock (Obs.Clock) — the one clock the
    whole stack uses — so a wall-clock step (NTP, suspend) can never produce
-   a negative or wildly wrong stage duration.  When [obs] observes, the
-   stage also lands in the stage_seconds histogram and (tracing) as a
-   coarse stage:<name> span. *)
+   a negative or wildly wrong stage duration.  When [obs] traces, the stage
+   also lands as a coarse stage:<name> span. *)
 let timed ~obs stage f =
   let w0 = Obs.Clock.now_ns () and c0 = Sys.time () in
   let v = f () in
   let dur_ns = Obs.Clock.elapsed_ns ~since:w0 in
   let wall_s = Obs.Clock.ns_to_s dur_ns in
-  if Obs.metrics obs then
-    Obs.Registry.observe (Obs.Metrics.stage_seconds ~stage) wall_s;
   if Obs.tracing obs then
     Obs.emit_span obs ~cat:"stage" ~name:("stage:" ^ stage) ~ts_ns:w0
       ~dur_ns ();
@@ -244,10 +408,12 @@ let cache_counts c =
   (Model_cache.hits c, Model_cache.misses c, Model_cache.stale c)
 
 (* A run's report: counts, the cache's counters since [cache]'s baseline
-   (reported when the cache has a disk tier), the engine's stats, and a
-   metrics snapshot when [obs] collects them.  [built] counts the models
+   (reported when the cache has a disk tier), the engine's stats, and the
+   run's latency records — empty ones, when [obs] has metrics on, for a
+   run that times nothing beyond its stage.  [built] counts the models
    obtained; those the cache served since its baseline are not builds. *)
-let report ~obs ?(built = 0) ?(classified = 0) ?cache ?engine timings =
+let report ~obs ?(built = 0) ?(classified = 0) ?cache ?engine ?latency timings
+    =
   {
     built =
       (match cache with
@@ -267,7 +433,8 @@ let report ~obs ?(built = 0) ?(classified = 0) ?cache ?engine timings =
             (Model_cache.dir c));
     engine;
     timings;
-    metrics = (if Obs.metrics obs then Some (Obs.snapshot ()) else None);
+    latency =
+      (match latency with None -> Obs.merge_latency obs [||] | l -> l);
   }
 
 (* The config's index policy as a Vpindex build spec; [None] means linear.
@@ -310,10 +477,11 @@ let build ?(obs = Obs.off) config jobs =
   let* config = Config.validate config in
   let* cache = cache_of_config config in
   let baseline = Option.map (fun c -> (c, cache_counts c)) cache in
-  let timing, models = build_stage ~obs config cache jobs in
+  let timing, (models, latency) = build_stage ~obs config cache jobs in
   Ok
     ( models,
-      report ~obs ~built:(Array.length models) ?cache:baseline [ timing ] )
+      report ~obs ~built:(Array.length models) ?cache:baseline ?latency
+        [ timing ] )
 
 let detect_stage ~obs ?explain (config : Config.t) prep targets =
   timed ~obs "detect" (fun () ->
@@ -328,7 +496,10 @@ let detect_prepared ?(obs = Obs.off) config prep targets =
   else
     let timing, (verdicts, _, stats) = detect_stage ~obs config prep targets in
     let classified = Array.length targets in
-    Ok (verdicts, report ~obs ~classified ~engine:stats [ timing ])
+    Ok
+      ( verdicts,
+        report ~obs ~classified ~engine:stats ?latency:stats.Engine.latency
+          [ timing ] )
 
 (* ---- repository IO ----------------------------------------------------------- *)
 
@@ -390,15 +561,21 @@ let screen ?(obs = Obs.off) ?cache ?explain config prep jobs =
       match cache with Some c -> Ok (Some c) | None -> cache_of_config config
     in
     let baseline = Option.map (fun c -> (c, cache_counts c)) cache in
-    let build_timing, models = build_stage ~obs config cache jobs in
+    let build_timing, (models, build_latency) =
+      build_stage ~obs config cache jobs
+    in
     let detect_timing, (verdicts, records, stats) =
       detect_stage ~obs ?explain config prep models
     in
+    (match (build_latency, stats.Engine.latency) with
+    | Some into, Some l -> Obs.add_latency ~into l
+    | _ -> ());
     let n = Array.length models in
     Ok
       ( models,
         verdicts,
         report ~obs ~built:n ~classified:n ?cache:baseline ~engine:stats
+          ?latency:build_latency
           [ build_timing; detect_timing ],
         records )
 

@@ -37,24 +37,71 @@ type report = {
           was set, or the [?cache] handed in was opened on one *)
   engine : Engine.stats option;  (** present iff the run classified *)
   timings : timing list;  (** per-stage wall/cpu, in execution order *)
-  metrics : Obs.Registry.snapshot option;
-      (** the {!Obs.default} registry at the end of the run; present iff
+  latency : Obs.latency option;
+      (** the run's per-target and per-build latency records; present iff
           the run's [obs] had {!Obs.metrics} on *)
 }
+
+val version : string
+(** The release version: what [scaguard --version] prints and
+    [scaguard_build_info] carries. *)
+
+(** {1 Metrics}
+
+    A report and the serve daemon's books are the only places that count:
+    every Prometheus series is rendered from them when an exposition is
+    written, so a report's series describe its own run. *)
+
+type books
+(** The counts of any number of reports, folded: engine counters, models
+    built, cache lookups, one latency histogram per stage timing, and the
+    latency records.  Mutable and single-owner; folding allocates nothing
+    once each stage it sees has a histogram. *)
+
+val books : Model_cache.t option -> books
+(** Empty books.  With [Some cache], the cache series read [cache]'s own
+    counters — the serve daemon's, which count every tier since
+    {!Model_cache.create} — instead of the folded reports' [cache], which
+    exists only for a disk tier. *)
+
+val fold : books -> report -> unit
+(** Add a report: its engine counters and one batch when it classified,
+    its [built] when it ran a ["build"] stage (a load report's [built]
+    counts models loaded), its cache counts, one stage observation per
+    timing and its latency records. *)
+
+val counts : books -> (string * int) list
+(** ["models_built"] and the nine engine counters, under the keys of the
+    serve protocol's [stats] verb. *)
+
+val series : books -> Obs.Prom.series list
+(** The books as Prometheus series: [scaguard_engine_*_total],
+    [scaguard_models_built_total], [scaguard_cache_*_total], the
+    [scaguard_dtw_pair_seconds], [scaguard_model_build_seconds] and
+    [scaguard_verdict_seconds] histograms, then
+    [scaguard_stage_seconds{stage}] per stage in first-seen order. *)
+
+val identity : uptime_s:float -> Obs.Prom.series list
+(** The process-identity gauges every exposition ends with:
+    [scaguard_build_info{version,format_version}] (constant 1, {!version}
+    and {!Persist.bin_version} in the labels) and
+    [scaguard_uptime_seconds]. *)
 
 val pp_report : Format.formatter -> report -> unit
 (** Human-readable report as aligned {!Sutil.Table}s with stable row
     ordering: a per-stage timings table, a counters table (build/classify
-    totals, engine counters, cache counters, as present), and — when a
-    metrics snapshot is present — a latency table with p50/p90/p99 per
-    histogram (estimated from the buckets via
+    totals, engine counters, cache counters, as present), and — when the
+    run had metrics on — a latency table with p50/p90/p99 per non-empty
+    histogram of its own series (estimated from the buckets via
     {!Sutil.Stats.percentile_of_buckets}). *)
 
 val report_to_json : report -> Json.t
 (** The same report as a single JSON object ([built], [classified],
-    [timings], and [cache]/[engine]/[metrics] when present) for
-    machine-readable output ([--report-format json]).  Floats print through
-    {!Json.to_string}, so they read back bit for bit. *)
+    [timings], and [cache]/[engine] when present) for machine-readable
+    output ([--report-format json]).  When the run had metrics on, a
+    [metrics] list follows: the report's own {!series}, sorted by name and
+    labels.  Floats print through {!Json.to_string}, so they read back bit
+    for bit. *)
 
 val build :
   ?obs:Obs.t ->

@@ -13,7 +13,6 @@ let create ~capacity =
 let capacity q = q.cap
 let length q = q.len
 let is_empty q = q.len = 0
-let is_full q = q.len = q.cap
 
 let push q v =
   if q.len = q.cap then false

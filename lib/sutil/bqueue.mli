@@ -19,7 +19,6 @@ val length : 'a t -> int
 (** Elements currently queued, in [0..capacity]. *)
 
 val is_empty : 'a t -> bool
-val is_full : 'a t -> bool
 
 val push : 'a t -> 'a -> bool
 (** Append at the tail; [false] (and no change) when the queue is full. *)

@@ -27,6 +27,3 @@ let remaining_ns ~now_ns = function
   | Some t ->
     let r = Int64.sub t now_ns in
     Some (if Int64.compare r 0L < 0 then 0L else r)
-
-let remaining_ms ~now_ns t =
-  Option.map (fun ns -> Int64.to_float ns /. 1e6) (remaining_ns ~now_ns t)

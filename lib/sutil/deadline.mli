@@ -26,6 +26,3 @@ val expired : now_ns:int64 -> t -> bool
 val remaining_ns : now_ns:int64 -> t -> int64 option
 (** Nanoseconds left ([None] for {!none}); never negative — an expired
     deadline reports [Some 0L]. *)
-
-val remaining_ms : now_ns:int64 -> t -> float option
-(** {!remaining_ns} in milliseconds. *)

@@ -81,6 +81,3 @@ let percentile_of_buckets ~bounds ~counts p =
       lo +. (within *. (hi -. lo))
     end
   end
-
-let quantiles_of_buckets ~bounds ~counts ps =
-  List.map (percentile_of_buckets ~bounds ~counts) ps

@@ -51,8 +51,3 @@ val percentile_of_buckets :
     reports the largest finite bound (the estimate cannot exceed the
     instrumented range).
     @raise Invalid_argument on a length mismatch. *)
-
-val quantiles_of_buckets :
-  bounds:float array -> counts:int array -> float list -> float list
-(** {!percentile_of_buckets} mapped over several ranks (e.g.
-    [[0.5; 0.9; 0.99]] for p50/p90/p99). *)

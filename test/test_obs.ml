@@ -1,8 +1,9 @@
-(* The observability subsystem: registry exactness (including under domain
-   concurrency), Prometheus exposition shape, Chrome trace-event JSON
-   validity, deterministic sampling, the core guarantee that turning
-   tracing/metrics on changes no verdict bit and no model byte, and that two
-   runs in flight at once never stamp each other's trace id. *)
+(* The observability subsystem: latency histogram placement, Prometheus
+   exposition shape, Chrome trace-event JSON validity, deterministic
+   sampling, the core guarantee that turning tracing/metrics on changes no
+   verdict bit and no model byte, that a report's series describe its own
+   run, and that two runs in flight at once never stamp each other's trace
+   id or count each other's work. *)
 
 module SG = Scaguard
 module Obs = Scaguard.Obs
@@ -11,10 +12,8 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
-(* Every test runs under a fresh value of its own; the registry is
-   process-wide, so it is zeroed first and counts start at 0. *)
+(* Every test runs under a fresh value of its own. *)
 let with_obs ?sample_rate ~tracing ~metrics f =
-  Obs.Registry.reset Obs.default;
   f (Obs.create ~tracing ~metrics ?sample_rate ())
 
 (* -- clock ------------------------------------------------------------------ *)
@@ -29,120 +28,48 @@ let test_clock_monotone () =
   check_bool "elapsed is non-negative" true
     (Obs.Clock.elapsed_s ~since:(Obs.Clock.now_ns ()) >= 0.0)
 
-(* -- registry --------------------------------------------------------------- *)
-
-let find_value name snap =
-  match
-    List.find_opt (fun e -> e.Obs.Registry.entry_name = name) snap
-  with
-  | Some e -> e.Obs.Registry.entry_value
-  | None -> Alcotest.failf "metric %s not in snapshot" name
-
-let test_counter_exact () =
-  let r = Obs.Registry.create () in
-  let c = Obs.Registry.counter r ~help:"h" "c_total" in
-  Obs.Registry.incr c;
-  Obs.Registry.add c 41;
-  (match find_value "c_total" (Obs.Registry.snapshot r) with
-  | Obs.Registry.Counter_value v -> check_int "counter sums" 42 v
-  | _ -> Alcotest.fail "expected a counter");
-  (* create-or-get: the same (name, labels) pair is the same metric *)
-  let c' = Obs.Registry.counter r "c_total" in
-  Obs.Registry.incr c';
-  (match find_value "c_total" (Obs.Registry.snapshot r) with
-  | Obs.Registry.Counter_value v -> check_int "same handle" 43 v
-  | _ -> Alcotest.fail "expected a counter");
-  (* distinct labels are a distinct series *)
-  let cl = Obs.Registry.counter r ~labels:[ ("k", "v") ] "c_total" in
-  Obs.Registry.add cl 7;
-  let labelled =
-    List.filter (fun e -> e.Obs.Registry.entry_name = "c_total")
-      (Obs.Registry.snapshot r)
-  in
-  check_int "two series" 2 (List.length labelled);
-  (* kind clash is a programming error *)
-  Alcotest.check_raises "kind clash raises"
-    (Invalid_argument
-       "Obs.Registry: metric \"c_total\" already registered as a non-gauge")
-    (fun () -> ignore (Obs.Registry.gauge r "c_total"))
-
-let test_gauge_and_reset () =
-  let r = Obs.Registry.create () in
-  let g = Obs.Registry.gauge r "g" in
-  Obs.Registry.set_gauge g 2.5;
-  (match find_value "g" (Obs.Registry.snapshot r) with
-  | Obs.Registry.Gauge_value v -> Alcotest.(check (float 0.0)) "gauge" 2.5 v
-  | _ -> Alcotest.fail "expected a gauge");
-  Obs.Registry.reset r;
-  match find_value "g" (Obs.Registry.snapshot r) with
-  | Obs.Registry.Gauge_value v -> Alcotest.(check (float 0.0)) "reset" 0.0 v
-  | _ -> Alcotest.fail "expected a gauge"
+(* -- latency histograms ----------------------------------------------------- *)
 
 let test_histogram_exact () =
-  let r = Obs.Registry.create () in
-  let h =
-    Obs.Registry.histogram r ~buckets:[| 0.1; 1.0; 10.0 |] "h_seconds"
-  in
-  (* one per bucket: edge values land in the bucket they bound (le) *)
-  List.iter (Obs.Registry.observe h) [ 0.05; 0.1; 0.5; 10.0; 11.0 ];
-  (match find_value "h_seconds" (Obs.Registry.snapshot r) with
-  | Obs.Registry.Histogram_value hs ->
-    Alcotest.(check (array int)) "bucket counts" [| 2; 1; 1; 1 |]
-      hs.Obs.Registry.counts;
-    check_int "count" 5 hs.Obs.Registry.count;
-    check_bool "sum (fixed-point 1e-9) is close" true
-      (Float.abs (hs.Obs.Registry.sum -. 21.65) < 1e-6)
-  | _ -> Alcotest.fail "expected a histogram");
-  Alcotest.check_raises "bad ladder raises"
-    (Invalid_argument
-       "Obs.Registry.histogram: buckets must be finite and strictly ascending")
-    (fun () ->
-      ignore (Obs.Registry.histogram r ~buckets:[| 1.0; 1.0 |] "h2"))
-
-(* N domains hammering the same counter and histogram: the sharded cells
-   must merge to exact totals — no lost updates. *)
-let test_concurrent_exact () =
-  let r = Obs.Registry.create () in
-  let c = Obs.Registry.counter r "hammer_total" in
-  let h = Obs.Registry.histogram r ~buckets:[| 0.5 |] "hammer_seconds" in
-  let domains = 6 and per_domain = 20_000 in
-  let workers =
-    List.init domains (fun _ ->
-        Domain.spawn (fun () ->
-            for i = 1 to per_domain do
-              Obs.Registry.incr c;
-              Obs.Registry.observe h (if i mod 2 = 0 then 0.25 else 0.75)
-            done))
-  in
-  List.iter Domain.join workers;
-  (match find_value "hammer_total" (Obs.Registry.snapshot r) with
-  | Obs.Registry.Counter_value v ->
-    check_int "no lost counter updates" (domains * per_domain) v
-  | _ -> Alcotest.fail "expected a counter");
-  match find_value "hammer_seconds" (Obs.Registry.snapshot r) with
-  | Obs.Registry.Histogram_value hs ->
-    check_int "no lost observations" (domains * per_domain)
-      hs.Obs.Registry.count;
-    Alcotest.(check (array int))
-      "buckets split exactly"
-      [| domains * per_domain / 2; domains * per_domain / 2 |]
-      hs.Obs.Registry.counts
-  | _ -> Alcotest.fail "expected a histogram"
+  let h = Obs.Hist.create () in
+  (* edge values land in the bucket they bound (le): 1us and below in the
+     first, just above 1us in the second, 10s in the last finite bucket,
+     anything above it in +Inf *)
+  List.iter (Obs.Hist.observe_ns h) [ 500; 1_000; 1_001; 10_000_000_000 ];
+  Obs.Hist.observe_s h 11.0;
+  let v = Obs.Hist.value h in
+  let expect = Array.make 23 0 in
+  expect.(0) <- 2;
+  expect.(1) <- 1;
+  expect.(21) <- 1;
+  expect.(22) <- 1;
+  Alcotest.(check (array int)) "bucket counts" expect v.Obs.Prom.counts;
+  check_int "count" 5 v.Obs.Prom.count;
+  check_int "count reads the record" 5 (Obs.Hist.count h);
+  check_bool "sum in seconds" true
+    (Float.abs (v.Obs.Prom.sum -. 21.000002501) < 1e-9);
+  check_int "22 finite edges" 22 (Array.length v.Obs.Prom.bounds);
+  (* per-worker records add up to the whole *)
+  let into = Obs.Hist.create () in
+  Obs.Hist.add ~into h;
+  Obs.Hist.add ~into h;
+  check_int "merged count" 10 (Obs.Hist.count into);
+  check_int "merged +Inf bucket" 2 (Obs.Hist.value into).Obs.Prom.counts.(22)
 
 (* -- Prometheus exposition -------------------------------------------------- *)
 
 let test_prometheus_format () =
-  let r = Obs.Registry.create () in
-  let c = Obs.Registry.counter r ~help:"a counter" "x_total" in
-  Obs.Registry.add c 3;
-  let h =
-    Obs.Registry.histogram r ~labels:[ ("stage", "build") ]
-      ~buckets:[| 0.5; 1.0 |] "lat_seconds"
+  let text =
+    Obs.Prom.to_prometheus
+      [
+        Obs.Prom.series ~labels:[] ~help:"a counter" "x_total" (Counter 3);
+        Obs.Prom.series
+          ~labels:[ ("stage", "build") ]
+          ~help:"" "lat_seconds"
+          (Histogram
+             { bounds = [| 0.5; 1.0 |]; counts = [| 1; 1; 1 |]; sum = 3.0; count = 3 });
+      ]
   in
-  Obs.Registry.observe h 0.25;
-  Obs.Registry.observe h 0.75;
-  Obs.Registry.observe h 2.0;
-  let text = Obs.Registry.to_prometheus (Obs.Registry.snapshot r) in
   let has line =
     List.mem line (String.split_on_char '\n' text)
   in
@@ -164,23 +91,28 @@ let test_prometheus_format () =
    per family, before its samples. *)
 
 let test_prometheus_escaping () =
-  let r = Obs.Registry.create () in
-  let c =
-    Obs.Registry.counter r
-      ~help:"backslash \\ quote \" newline\nhelp"
-      ~labels:[ ("v", "a\\b\"c\nd") ]
-      "esc_total"
-  in
-  Obs.Registry.incr c;
   let lines =
     String.split_on_char '\n'
-      (Obs.Registry.to_prometheus (Obs.Registry.snapshot r))
+      (Obs.Prom.to_prometheus
+         [
+           Obs.Prom.series
+             ~labels:[ ("v", "a\\b\"c\nd") ]
+             ~help:"backslash \\ quote \" newline\nhelp" "esc_total" (Counter 1);
+         ])
   in
   let has line = List.mem line lines in
   check_bool "label value escapes \\ \" and newline" true
     (has "esc_total{v=\"a\\\\b\\\"c\\nd\"} 1");
   check_bool "HELP escapes \\ and newline, keeps the quote literal" true
     (has "# HELP esc_total backslash \\\\ quote \" newline\\nhelp")
+
+(* The full stock series set — a daemon's exposition after a detect, a
+   parse reject and a bad request, so every family and label is present —
+   carries only legal metric and label names. *)
+let two_family_repo =
+  lazy
+    (Experiments.Common.repository ~rng:(Sutil.Rng.create 77)
+       [ Workloads.Label.Fr_family; Workloads.Label.Pp_family ])
 
 let test_prometheus_name_charset () =
   let metric_ok n =
@@ -195,39 +127,65 @@ let test_prometheus_name_charset () =
     (* label names additionally exclude the colon *)
     metric_ok n && not (String.contains n ':')
   in
-  with_obs ~tracing:false ~metrics:true (fun _ ->
-      (* make sure the full stock metric set (identity gauges included) is
-         registered before sweeping it *)
-      Obs.export_build_info ~version:"1.2.3" ~format_version:"2"
-        ~start_ns:(Obs.Clock.now_ns ()) ();
-      let snap = Obs.snapshot () in
-      check_bool "snapshot is non-trivial" true (List.length snap > 3);
+  let resolve ~seed:_ _ =
+    Ok
+      (SG.Pipeline.job ~name:"FF"
+         (Workloads.Attacks.flush_flush ()).Workloads.Attacks.program)
+  in
+  let server =
+    Result.get_ok
+      (SG.Server.create ~obs:(Obs.create ~metrics:true ())
+         ~config:SG.Config.default ~resolve
+         ~prepared:(SG.Detector.prepare (Lazy.force two_family_repo))
+         ())
+  in
+  let conn = SG.Server.connect server ~emit:ignore in
+  SG.Server.feed server conn
+    "{\"id\":1,\"op\":\"detect\",\"targets\":[\"ff\"]}\nnot json\n{\"id\":2,\"op\":\"nope\"}\n";
+  ignore (SG.Server.drain server);
+  let samples =
+    List.filter
+      (fun l -> l <> "" && l.[0] <> '#')
+      (String.split_on_char '\n' (SG.Server.exposition server))
+  in
+  check_bool "exposition is non-trivial" true (List.length samples > 20);
+  List.iter
+    (fun line ->
+      let series = List.hd (String.split_on_char ' ' line) in
+      let name, labels =
+        match String.index_opt series '{' with
+        | None -> (series, [])
+        | Some i ->
+          ( String.sub series 0 i,
+            List.map
+              (fun kv -> List.hd (String.split_on_char '=' kv))
+              (String.split_on_char ','
+                 (String.sub series (i + 1) (String.length series - i - 2))) )
+      in
+      check_bool (Printf.sprintf "metric name %S is legal" name) true
+        (metric_ok name);
       List.iter
-        (fun e ->
-          let n = e.Obs.Registry.entry_name in
-          check_bool (Printf.sprintf "metric name %S is legal" n) true
-            (metric_ok n);
-          List.iter
-            (fun (k, _) ->
-              check_bool (Printf.sprintf "label name %S is legal" k) true
-                (label_ok k))
-            e.Obs.Registry.entry_labels)
-        snap)
+        (fun k ->
+          check_bool (Printf.sprintf "label name %S is legal" k) true
+            (label_ok k))
+        labels)
+    samples
 
 let test_prometheus_header_ordering () =
-  let r = Obs.Registry.create () in
-  let series stage =
-    Obs.Registry.histogram r ~help:"latency" ~labels:[ ("stage", stage) ]
-      ~buckets:[| 1.0 |] "multi_seconds"
+  let series stage v =
+    Obs.Prom.series ~labels:[ ("stage", stage) ] ~help:"latency" "multi_seconds"
+      (Histogram { bounds = [| 1.0 |]; counts = v; sum = 1.0; count = 1 })
   in
-  Obs.Registry.observe (series "a") 0.5;
-  Obs.Registry.observe (series "b") 2.0;
-  Obs.Registry.incr (Obs.Registry.counter r ~help:"c" "after_total");
   let lines =
     List.filter
       (fun l -> l <> "")
       (String.split_on_char '\n'
-         (Obs.Registry.to_prometheus (Obs.Registry.snapshot r)))
+         (Obs.Prom.to_prometheus
+            [
+              series "a" [| 1; 0 |];
+              series "b" [| 0; 1 |];
+              Obs.Prom.series ~labels:[] ~help:"c" "after_total" (Counter 1);
+            ]))
   in
   let indexed = List.mapi (fun i l -> (i, l)) lines in
   let starts p l =
@@ -253,34 +211,18 @@ let test_prometheus_header_ordering () =
     samples
 
 let test_build_info_export () =
-  with_obs ~tracing:false ~metrics:true (fun _ ->
-      Obs.export_build_info ~version:"9.9.9" ~format_version:"7"
-        ~start_ns:(Int64.sub (Obs.Clock.now_ns ()) 1_500_000_000L)
-        ();
-      let lines =
-        String.split_on_char '\n'
-          (Obs.Registry.to_prometheus (Obs.snapshot ()))
-      in
-      check_bool "identity gauge is 1" true
-        (List.mem
-           "scaguard_build_info{version=\"9.9.9\",format_version=\"7\"} 1"
-           lines);
-      let prefix = "scaguard_uptime_seconds " in
-      match
-        List.find_opt
-          (fun l ->
-            String.length l > String.length prefix
-            && String.sub l 0 (String.length prefix) = prefix)
-          lines
-      with
-      | None -> Alcotest.fail "scaguard_uptime_seconds not exposed"
-      | Some l ->
-        let v =
-          float_of_string
-            (String.sub l (String.length prefix)
-               (String.length l - String.length prefix))
-        in
-        check_bool "uptime counts from start_ns" true (v >= 1.0 && v < 120.0))
+  let lines =
+    String.split_on_char '\n'
+      (Obs.Prom.to_prometheus (SG.Service.identity ~uptime_s:1.5))
+  in
+  check_bool "identity gauge is 1" true
+    (List.mem
+       (Printf.sprintf
+          "scaguard_build_info{version=\"%s\",format_version=\"%d\"} 1"
+          SG.Service.version SG.Persist.bin_version)
+       lines);
+  check_bool "uptime is the given seconds" true
+    (List.mem "scaguard_uptime_seconds 1.5" lines)
 
 (* -- sampling --------------------------------------------------------------- *)
 
@@ -397,13 +339,13 @@ let prop_observation_is_pure =
           (Experiments.Common.repository ~rng
              [ Workloads.Label.Fr_family; Workloads.Label.Pp_family ])
       in
-      let baseline_models = SG.Pipeline.build_models_batch ~domains jobs in
+      let baseline_models, _ = SG.Pipeline.build_models_batch ~domains jobs in
       let baseline_verdicts, _, _ =
         SG.Engine.classify_batch ~prune ~domains repo baseline_models
       in
       let models, verdicts =
         with_obs ~sample_rate:rate ~tracing ~metrics (fun obs ->
-            let models = SG.Pipeline.build_models_batch ~obs ~domains jobs in
+            let models, _ = SG.Pipeline.build_models_batch ~obs ~domains jobs in
             let verdicts, _, _ =
               SG.Engine.classify_batch ~obs ~prune ~domains repo models
             in
@@ -416,18 +358,38 @@ let prop_observation_is_pure =
         QCheck.Test.fail_report "verdicts changed under observation";
       true)
 
-(* QCheck property: two explained runs in flight at once, on two domains,
-   each under its own value (its own trace id, tracing and capture on, the
-   mirror off), across engine domain counts and the repository index.
-   Every span and event a value recorded, and every record its run
-   returned, carries that run's trace id and no other; both span sinks
-   fill; and the verdicts are bit-identical to an unobserved
-   [screen_prepared]. *)
-let two_family_repo =
-  lazy
-    (Experiments.Common.repository ~rng:(Sutil.Rng.create 77)
-       [ Workloads.Label.Fr_family; Workloads.Label.Pp_family ])
+(* A series of a report, as its JSON embeds them: a counter's value or a
+   histogram's count. *)
+let report_series_count ?(labels = []) report name =
+  let module J = SG.Json in
+  let want =
+    match labels with
+    | [] -> None
+    | ls -> Some (J.Obj (List.map (fun (k, v) -> (k, J.Str v)) ls))
+  in
+  match J.member "metrics" (SG.Service.report_to_json report) with
+  | Some (J.List series) -> (
+    match
+      List.find_opt
+        (fun m -> J.member "name" m = Some (J.Str name) && J.member "labels" m = want)
+        series
+    with
+    | Some m -> (
+      match (J.member "value" m, J.member "count" m) with
+      | Some (J.Num v), _ | None, Some (J.Num v) -> int_of_float v
+      | _ -> Alcotest.failf "series %s has no value" name)
+    | None -> Alcotest.failf "report has no series %s" name)
+  | _ -> Alcotest.fail "report carries no metrics"
 
+(* QCheck property: two explained runs in flight at once, on two domains,
+   each under its own value (its own trace id, tracing, metrics and capture
+   on, the mirror off), across engine domain counts and the repository
+   index.  Every span and event a value recorded, and every record its run
+   returned, carries that run's trace id and no other; both span sinks
+   fill; the verdicts are bit-identical to an unobserved
+   [screen_prepared]; and each report's series count its own run alone:
+   engine counters equal to the unobserved run's, one verdict observation
+   per target and one model-build observation per model built. *)
 let prop_concurrent_runs_never_cross_stamp =
   QCheck.Test.make ~name:"concurrent runs never cross-stamp" ~count:8
     QCheck.(pair (int_range 1 4) bool)
@@ -440,27 +402,44 @@ let prop_concurrent_runs_never_cross_stamp =
       in
       let prep = SG.Detector.prepare ?index (Lazy.force two_family_repo) in
       let config = { SG.Config.default with SG.Config.domains = Some domains } in
-      let _, baseline, _ =
+      let _, baseline, baseline_report =
         Result.get_ok (SG.Service.screen_prepared config prep jobs)
+      in
+      let stats = Option.get baseline_report.SG.Service.engine in
+      let work =
+        [
+          ("scaguard_engine_batches_total", 1);
+          ("scaguard_engine_targets_total", stats.SG.Engine.targets);
+          ("scaguard_engine_pairs_total", stats.SG.Engine.pairs);
+          ("scaguard_engine_dp_cells_total", stats.SG.Engine.cells);
+          ("scaguard_engine_pairs_pruned_lb_total", stats.SG.Engine.pairs_pruned_lb);
+          ("scaguard_engine_pairs_abandoned_total", stats.SG.Engine.pairs_abandoned);
+          ("scaguard_engine_dp_cells_saved_total", stats.SG.Engine.cells_saved);
+          ("scaguard_engine_lb_evals_total", stats.SG.Engine.lb_evals);
+          ( "scaguard_engine_pairs_pruned_index_total",
+            stats.SG.Engine.pairs_pruned_index );
+          ( "scaguard_engine_index_nodes_visited_total",
+            stats.SG.Engine.nodes_visited );
+        ]
       in
       let run trace_id =
         let obs =
-          Obs.create ~trace_id ~tracing:true ~capture:SG.Log.Debug ~mirror:None
-            ()
+          Obs.create ~trace_id ~tracing:true ~metrics:true ~capture:SG.Log.Debug
+            ~mirror:None ()
         in
         SG.Log.info ~obs "t.start" "run %s" trace_id;
-        let _, verdicts, _, records =
+        let _, verdicts, report, records =
           Result.get_ok (SG.Service.explain ~obs config prep jobs)
         in
         SG.Log.info ~obs "t.done" "run %s" trace_id;
-        (obs, verdicts, records)
+        (obs, verdicts, report, records)
       in
       let other = Domain.spawn (fun () -> run "run-b") in
       let mine = run "run-a" in
       let theirs = Domain.join other in
       let bits = Array.map (fun v -> Int64.bits_of_float v.SG.Detector.best_score) in
       List.iter
-        (fun (trace_id, (obs, verdicts, records)) ->
+        (fun (trace_id, (obs, verdicts, report, records)) ->
           let own = Some trace_id in
           let spans = Obs.spans obs and events = Obs.events obs in
           if spans = [] then QCheck.Test.fail_reportf "%s recorded no span" trace_id;
@@ -480,10 +459,25 @@ let prop_concurrent_runs_never_cross_stamp =
             records;
           if verdicts <> baseline || bits verdicts <> bits baseline then
             QCheck.Test.fail_reportf "%s verdicts changed under observation"
-              trace_id)
+              trace_id;
+          List.iter
+            (fun (name, expected) ->
+              let got = report_series_count report name in
+              if got <> expected then
+                QCheck.Test.fail_reportf "%s: %s is %d, the run did %d" trace_id
+                  name got expected)
+            (work
+            @ [
+                ("scaguard_verdict_seconds", Array.length jobs);
+                ("scaguard_model_build_seconds", report.SG.Service.built);
+                ("scaguard_models_built_total", report.SG.Service.built);
+              ]))
         [ ("run-a", mine); ("run-b", theirs) ];
       true)
 
+(* A report's series describe its own run, not the process: under one
+   metrics-on value, a repository build and then a screen — the screen's
+   series count the screen alone. *)
 let test_service_metrics_snapshot () =
   let jobs = obs_jobs () in
   let baseline =
@@ -492,7 +486,8 @@ let test_service_metrics_snapshot () =
           Result.get_ok (SG.Service.build ~obs SG.Config.default jobs)
         in
         check_bool "metrics absent when disabled" true
-          (report.SG.Service.metrics = None);
+          (report.SG.Service.latency = None
+          && SG.Json.member "metrics" (SG.Service.report_to_json report) = None);
         models)
   in
   with_obs ~tracing:true ~metrics:true (fun obs ->
@@ -502,20 +497,30 @@ let test_service_metrics_snapshot () =
       check_bool "models identical under full observability" true
         (Array.map SG.Persist.model_to_string models
         = Array.map SG.Persist.model_to_string baseline);
-      match report.SG.Service.metrics with
-      | None -> Alcotest.fail "metrics enabled but snapshot missing"
-      | Some snap ->
-        (match find_value "scaguard_models_built_total" snap with
-        | Obs.Registry.Counter_value v ->
-          check_int "build counter covers the jobs" (Array.length jobs) v
-        | _ -> Alcotest.fail "expected a counter");
-        check_bool "stage timing recorded" true
-          (List.exists
-             (fun e ->
-               e.Obs.Registry.entry_name = "scaguard_stage_seconds"
-               && e.Obs.Registry.entry_labels = [ ("stage", "build") ])
-             snap);
-        check_bool "spans recorded" true (Obs.spans obs <> []))
+      check_int "build counter covers the jobs" (Array.length jobs)
+        (report_series_count report "scaguard_models_built_total");
+      check_int "stage timing recorded" 1
+        (report_series_count ~labels:[ ("stage", "build") ] report
+           "scaguard_stage_seconds");
+      check_bool "spans recorded" true (Obs.spans obs <> []);
+      let repo =
+        Array.to_list
+          (Array.map (fun model -> { SG.Detector.family = "FR-F"; model }) models)
+      in
+      let prep = Result.get_ok (SG.Service.prepare SG.Config.default repo) in
+      let targets = Array.sub jobs 0 2 in
+      let _, _, screen =
+        Result.get_ok (SG.Service.screen_prepared ~obs SG.Config.default prep targets)
+      in
+      check_int "screen: models built = its built" screen.SG.Service.built
+        (report_series_count screen "scaguard_models_built_total");
+      check_int "screen: targets = its classified" screen.SG.Service.classified
+        (report_series_count screen "scaguard_engine_targets_total");
+      check_int "screen: one build stage" 1
+        (report_series_count ~labels:[ ("stage", "build") ] screen
+           "scaguard_stage_seconds");
+      check_int "screen: one verdict per target" 2
+        (report_series_count screen "scaguard_verdict_seconds"))
 
 let () =
   Alcotest.run "obs"
@@ -524,11 +529,7 @@ let () =
         [ Alcotest.test_case "monotone" `Quick test_clock_monotone ] );
       ( "registry",
         [
-          Alcotest.test_case "counter" `Quick test_counter_exact;
-          Alcotest.test_case "gauge+reset" `Quick test_gauge_and_reset;
           Alcotest.test_case "histogram" `Quick test_histogram_exact;
-          Alcotest.test_case "concurrent exactness" `Quick
-            test_concurrent_exact;
           Alcotest.test_case "prometheus format" `Quick test_prometheus_format;
           Alcotest.test_case "prometheus escaping" `Quick
             test_prometheus_escaping;

@@ -82,7 +82,8 @@ let seven_models =
   lazy
     (let open Workloads.Attacks in
      let quicksort = Workloads.Benign.build "quicksort" (Sutil.Rng.create 7) in
-     SG.Pipeline.build_models_batch ~domains:2
+     fst
+     @@ SG.Pipeline.build_models_batch ~domains:2
        [|
          job_of (flush_reload ~style:Mastik ());
          job_of (prime_probe ~style:Jzhang ());
@@ -355,7 +356,7 @@ let prop_explain_is_pure =
       let prep = SG.Detector.prepare ?index (prov_repo ()) in
       let run ~log ~explain =
         with_log ~log (fun obs ->
-            let models = SG.Pipeline.build_models_batch ~obs ~domains jobs in
+            let models, _ = SG.Pipeline.build_models_batch ~obs ~domains jobs in
             let verdicts, records, stats =
               SG.Engine.classify_batch ~obs ~prune ~domains ~explain prep
                 models

@@ -1339,6 +1339,7 @@ let test_engine_zero_wall_stats () =
       wall_s = 0.0;
       cpu_s = 0.0;
       per_worker = [| 0; 0; 0; 0 |];
+      latency = None;
     }
   in
   check_float "utilization is 0, not nan" 0.0 (SG.Engine.utilization s);
@@ -1682,7 +1683,7 @@ let test_build_batch_matches_sequential () =
   let samples = batch_samples () in
   let jobs = Array.of_list (List.map job_of_sample samples) in
   let batches =
-    List.map (fun domains -> (domains, SG.Pipeline.build_models_batch ~domains jobs)) [ 1; 4 ]
+    List.map (fun domains -> (domains, fst (SG.Pipeline.build_models_batch ~domains jobs))) [ 1; 4 ]
   in
   List.iteri
     (fun i (s : D.sample) ->
@@ -1903,7 +1904,7 @@ let test_build_models_batch_cached () =
   with_temp_cache (fun cache ->
       let jobs = Array.of_list (List.map job_of_sample (batch_samples ())) in
       let n = Array.length jobs in
-      let cold = SG.Pipeline.build_models_batch ~domains:2 ~cache jobs in
+      let cold, _ = SG.Pipeline.build_models_batch ~domains:2 ~cache jobs in
       check_int "cold misses" n (SG.Model_cache.misses cache);
       check_int "cold hits" 0 (SG.Model_cache.hits cache);
       List.iteri
@@ -1915,11 +1916,11 @@ let test_build_models_batch_cached () =
       (* the same handle: every job hits the memory tier, the pool is
          skipped; a fresh handle on the same directory: every job hits the
          disk tier *)
-      let memory = SG.Pipeline.build_models_batch ~domains:2 ~cache jobs in
+      let memory, _ = SG.Pipeline.build_models_batch ~domains:2 ~cache jobs in
       check_int "memory hits" n (SG.Model_cache.hits cache);
       check_int "no further misses" n (SG.Model_cache.misses cache);
       let warm_cache = reopen cache in
-      let warm =
+      let warm, _ =
         SG.Pipeline.build_models_batch ~domains:2 ~cache:warm_cache jobs
       in
       check_int "warm hits" n (SG.Model_cache.hits warm_cache);

@@ -651,8 +651,6 @@ let test_oversized_frame () =
   | fs -> Alcotest.failf "expected 2 frames, got %d" (List.length fs)
 
 let test_stats_and_metrics_verbs () =
-  (* the registry is process-wide: zero it so the counts start at 0 *)
-  SG.Obs.Registry.reset SG.Obs.default;
   let t = make_server ~obs:(SG.Obs.create ~metrics:true ()) () in
   let conn, frames = recording_conn t in
   Server.feed t conn
@@ -691,7 +689,6 @@ let test_stats_and_metrics_verbs () =
    scaguard_models_built_total does: a repeated detect is served from the
    daemon's model cache and builds nothing. *)
 let test_stats_counts_builds () =
-  SG.Obs.Registry.reset SG.Obs.default;
   let t = make_server ~obs:(SG.Obs.create ~metrics:true ()) () in
   let conn, frames = recording_conn t in
   let detect id = Printf.sprintf "{\"id\":%d,\"op\":\"detect\",\"targets\":[\"fr-iaik\"]}\n" id in
@@ -708,6 +705,103 @@ let test_stats_counts_builds () =
         List.mem "scaguard_models_built_total 1" (String.split_on_char '\n' body)
       | _ -> false)
   | fs -> Alcotest.failf "expected stats and metrics frames, got %d frames" (List.length fs)
+
+(* The stats and metrics verbs render one accumulator, so every count they
+   share agrees after a mixed session: streamed and unstreamed detects, a
+   screen, an explain, a reload, an unparseable line and an unknown op.
+   The metrics request comes after stats, so it counts that stats request
+   too.  Without --metrics the counters are real all the same. *)
+let test_stats_metrics_agree () =
+  let dir = Filename.temp_file "scag_agree" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let path = Filename.concat dir "repo.scag" in
+  let repo, prepared = Lazy.force prepared_repo in
+  ignore (Result.get_ok (SG.Service.save_repository C.default ~path repo));
+  let t =
+    Result.get_ok
+      (Server.create ~config:C.default ~resolve ~prepared ~repo_path:path ())
+  in
+  let conn, frames = recording_conn t in
+  let targets = {|"targets":["fr-iaik","pp-iaik","quicksort"]|} in
+  Server.feed t conn
+    (String.concat "\n"
+       [
+         Printf.sprintf {|{"id":1,"op":"detect",%s}|} targets;
+         Printf.sprintf {|{"id":2,"op":"detect",%s}|} targets;
+         Printf.sprintf {|{"id":3,"op":"detect",%s,"stream":false}|} targets;
+         {|{"id":4,"op":"screen","targets":["fr-iaik","bubble-sort"]}|};
+         {|{"id":5,"op":"explain","targets":["pp-iaik"]}|};
+         {|{"id":6,"op":"reload"}|};
+         "not json";
+         {|{"id":7,"op":"frobnicate"}|};
+         {|{"id":8,"op":"stats"}|};
+         {|{"id":9,"op":"metrics"}|};
+         "";
+       ]);
+  ignore (Server.drain t);
+  Sys.remove path;
+  Unix.rmdir dir;
+  let by_id n =
+    List.find (fun f -> J.member "id" f = Some (J.Num (float_of_int n))) (frames ())
+  in
+  let stats = by_id 8 in
+  let body =
+    match member_exn "body" (by_id 9) with
+    | J.Str b -> String.split_on_char '\n' b
+    | _ -> Alcotest.fail "metrics body must be a string"
+  in
+  let sample series =
+    let prefix = series ^ " " in
+    let n = String.length prefix in
+    match
+      List.find_opt
+        (fun l -> String.length l > n && String.sub l 0 n = prefix)
+        body
+    with
+    | Some l -> int_of_string (String.sub l n (String.length l - n))
+    | None -> Alcotest.failf "exposition lacks %s" series
+  in
+  let num = function J.Num f -> int_of_float f | _ -> Alcotest.fail "not a number" in
+  let obj = function J.Obj kvs -> kvs | _ -> Alcotest.fail "not an object" in
+  let engine = obj (member_exn "engine" stats) in
+  List.iter
+    (fun (key, series) ->
+      check_int (key ^ " agrees") (num (List.assoc key engine)) (sample series))
+    [
+      ("models_built", "scaguard_models_built_total");
+      ("targets", "scaguard_engine_targets_total");
+      ("pairs", "scaguard_engine_pairs_total");
+      ("cells", "scaguard_engine_dp_cells_total");
+      ("pairs_pruned_lb", "scaguard_engine_pairs_pruned_lb_total");
+      ("pairs_abandoned", "scaguard_engine_pairs_abandoned_total");
+      ("cells_saved", "scaguard_engine_dp_cells_saved_total");
+      ("lb_evals", "scaguard_engine_lb_evals_total");
+      ("pairs_pruned_index", "scaguard_engine_pairs_pruned_index_total");
+      ("index_nodes_visited", "scaguard_engine_index_nodes_visited_total");
+    ];
+  check_bool "the daemon classified" true (num (List.assoc "targets" engine) > 0);
+  let requests = member_exn "requests" stats in
+  let by_op = obj (member_exn "by_op" requests) in
+  check_int "every request executed before stats" 6 (num (member_exn "completed" requests));
+  List.iter
+    (fun (op, n) ->
+      let own = if op = "stats" then 1 else 0 in
+      check_int (op ^ " requests agree")
+        (num n + own)
+        (sample (Printf.sprintf "scaguard_server_requests_total{op=%S}" op)))
+    by_op;
+  let rejected = obj (member_exn "rejected" requests) in
+  check_int "two reasons" 2 (List.length rejected);
+  List.iter
+    (fun (reason, n) ->
+      check_int (reason ^ " rejections agree") (num n)
+        (sample (Printf.sprintf "scaguard_server_rejected_total{reason=%S}" reason)))
+    rejected;
+  check_int "one reload folded" 1
+    (sample {|scaguard_stage_seconds_count{stage="load"}|});
+  check_int "streamed verdict frames" 9
+    (sample "scaguard_server_streamed_verdicts_total")
 
 (* Every frame a request produces echoes its trace_id — success frames,
    error frames, and even the immediate reject of an unknown op (the
@@ -1112,6 +1206,8 @@ let () =
           Alcotest.test_case "oversized frame" `Quick test_oversized_frame;
           Alcotest.test_case "stats + metrics verbs" `Slow
             test_stats_and_metrics_verbs;
+          Alcotest.test_case "stats and metrics agree" `Slow
+            test_stats_metrics_agree;
           Alcotest.test_case "trace-id echo" `Quick test_trace_id_echo;
           Alcotest.test_case "explain verb" `Slow test_explain_verb;
         ] );

@@ -283,7 +283,7 @@ let strings models = Array.map SG.Persist.model_to_string models
 
 let test_build_identical () =
   let jobs = test_jobs () in
-  let manual = SG.Pipeline.build_models_batch jobs in
+  let manual, _ = SG.Pipeline.build_models_batch jobs in
   let models, report = ok_exn (SG.Service.build SG.Config.default jobs) in
   check_bool "models byte-identical to the manual composition" true
     (strings manual = strings models);
@@ -298,7 +298,7 @@ let test_detect_identical () =
     Experiments.Common.repository ~rng
       [ Workloads.Label.Fr_family; Workloads.Label.Pp_family ]
   in
-  let targets = SG.Pipeline.build_models_batch (test_jobs ()) in
+  let targets, _ = SG.Pipeline.build_models_batch (test_jobs ()) in
   let manual, _, _ =
     SG.Engine.classify_batch (SG.Detector.prepare repo) targets
   in
@@ -354,7 +354,7 @@ let test_config_knobs_flow_through () =
     Experiments.Common.repository ~rng
       [ Workloads.Label.Fr_family; Workloads.Label.Spectre_fr ]
   in
-  let targets = SG.Pipeline.build_models_batch (test_jobs ()) in
+  let targets, _ = SG.Pipeline.build_models_batch (test_jobs ()) in
   let manual, _, _ =
     SG.Engine.classify_batch ~threshold:0.4 ~alpha:0.9 ~band:6 ~domains:2
       ~prune:false (SG.Detector.prepare repo) targets
@@ -392,7 +392,7 @@ let test_save_load_formats () =
     Experiments.Common.repository ~rng
       [ Workloads.Label.Fr_family; Workloads.Label.Pp_family ]
   in
-  let targets = SG.Pipeline.build_models_batch (test_jobs ()) in
+  let targets, _ = SG.Pipeline.build_models_batch (test_jobs ()) in
   let reference, _ =
     ok_exn
       (SG.Service.detect_prepared SG.Config.default
@@ -480,19 +480,20 @@ let test_service_error_paths () =
 (* -- Report JSON ------------------------------------------------------------- *)
 
 (* A fixed report exercising every section: timings, cache, engine stats and
-   counter/gauge/histogram metrics, with strings that need escaping and
-   floats that need all 17 digits.  The golden string pins the report's
-   bytes — keys, order, escaping, number format — that --report-format json
-   consumers read. *)
+   the latency records, with strings that need escaping and floats that
+   need all 17 digits.  Its metrics are its own series, derived from those
+   values: counters from the engine stats, the cache counts and [built];
+   one stage histogram per timing (labelled, with a +Inf bucket, on the
+   shared ladder whose 0.1 edge takes 17 digits); and the three latency
+   histograms.  The golden string pins the report's bytes — keys, order,
+   escaping, number format — that --report-format json consumers read. *)
 let golden_report =
-  let e name labels v =
-    {
-      SG.Obs.Registry.entry_name = name;
-      entry_labels = labels;
-      entry_help = "h";
-      entry_value = v;
-    }
-  in
+  let latency = SG.Obs.new_latency () in
+  List.iter (SG.Obs.Hist.observe_ns latency.SG.Obs.verdict) [ 1_500; 300_000_000 ];
+  SG.Obs.Hist.observe_ns latency.SG.Obs.dtw_pair 250;
+  List.iter
+    (SG.Obs.Hist.observe_ns latency.SG.Obs.model_build)
+    [ 2_000_000; 2_000_001; 12_000_000_000 ];
   {
     SG.Service.built = 3;
     classified = 2;
@@ -520,32 +521,41 @@ let golden_report =
           wall_s = 0.0125;
           cpu_s = 1.0 /. 3.0;
           per_worker = [| 1; 1 |];
+          latency = None;
         };
     timings =
       [
         { SG.Service.stage = "build"; wall_s = 0.5; cpu_s = 0.75 };
         { SG.Service.stage = "detect"; wall_s = 2.0 /. 3.0; cpu_s = 1e-9 };
       ];
-    metrics =
-      Some
-        [
-          e "scaguard_z_total" [ ("op", "de\"tect") ]
-            (SG.Obs.Registry.Counter_value 42);
-          e "scaguard_gauge" [] (SG.Obs.Registry.Gauge_value 2.5);
-          e "scaguard_a_seconds" [ ("stage", "build"); ("k", "v") ]
-            (SG.Obs.Registry.Histogram_value
-               {
-                 SG.Obs.Registry.bounds = [| 0.001; 0.1 |];
-                 counts = [| 1; 2; 3 |];
-                 sum = 0.123456789;
-                 count = 6;
-               });
-          e "scaguard_gauge" [ ("x", "y") ] (SG.Obs.Registry.Gauge_value (-0.1));
-        ];
+    latency = Some latency;
   }
 
 let golden_report_json =
-  {|{"built":3,"classified":2,"timings":[{"stage":"build","wall_s":0.5,"cpu_s":0.75},{"stage":"detect","wall_s":0.66666666666666663,"cpu_s":1.0000000000000001e-09}],"cache":{"dir":"/var/cache/\"sg\"\\models\n","hits":1,"misses":2,"stale":4},"engine":{"domains":2,"targets":2,"pairs":8,"cells":1234,"pairs_pruned_lb":3,"pairs_abandoned":1,"cells_saved":456,"lb_evals":8,"pairs_pruned_index":7,"nodes_visited":5,"wall_s":0.012500000000000001,"cpu_s":0.33333333333333331,"per_worker":[1,1]},"metrics":[{"name":"scaguard_a_seconds","labels":{"stage":"build","k":"v"},"count":6,"sum":0.123456789,"buckets":[{"le":0.001,"count":1},{"le":0.10000000000000001,"count":2},{"le":"+Inf","count":3}]},{"name":"scaguard_gauge","value":2.5},{"name":"scaguard_gauge","labels":{"x":"y"},"value":-0.10000000000000001},{"name":"scaguard_z_total","labels":{"op":"de\"tect"},"value":42}]}|}
+  String.concat ""
+    [
+      {|{"built":3,"classified":2,"timings":[{"stage":"build","wall_s":0.5,"cpu_s":0.75},{"stage":"detect","wall_s":0.66666666666666663,"cpu_s":1.0000000000000001e-09}],"cache":{"dir":"/var/cache/\"sg\"\\models\n","hits":1,"misses":2,"stale":4},"engine":{"domains":2,"targets":2,"pairs":8,"cells":1234,"pairs_pruned_lb":3,"pairs_abandoned":1,"cells_saved":456,"lb_evals":8,"pairs_pruned_index":7,"nodes_visited":5,"wall_s":0.012500000000000001,"cpu_s":0.33333333333333331,"per_worker":[1,1]},"metrics":[|};
+      {|{"name":"scaguard_cache_hits_total","value":1},|};
+      {|{"name":"scaguard_cache_misses_total","value":2},|};
+      {|{"name":"scaguard_cache_stale_total","value":4},|};
+      {|{"name":"scaguard_dtw_pair_seconds","count":1,"sum":2.4999999999999999e-07,"buckets":[{"le":9.9999999999999995e-07,"count":1},{"le":1.9999999999999999e-06,"count":0},{"le":5.0000000000000004e-06,"count":0},{"le":1.0000000000000001e-05,"count":0},{"le":2.0000000000000002e-05,"count":0},{"le":5.0000000000000002e-05,"count":0},{"le":0.0001,"count":0},{"le":0.00020000000000000001,"count":0},{"le":0.00050000000000000001,"count":0},{"le":0.001,"count":0},{"le":0.002,"count":0},{"le":0.0050000000000000001,"count":0},{"le":0.01,"count":0},{"le":0.02,"count":0},{"le":0.050000000000000003,"count":0},{"le":0.10000000000000001,"count":0},{"le":0.25,"count":0},{"le":0.5,"count":0},{"le":1,"count":0},{"le":2.5,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":"+Inf","count":0}]},|};
+      {|{"name":"scaguard_engine_batches_total","value":1},|};
+      {|{"name":"scaguard_engine_dp_cells_saved_total","value":456},|};
+      {|{"name":"scaguard_engine_dp_cells_total","value":1234},|};
+      {|{"name":"scaguard_engine_index_nodes_visited_total","value":5},|};
+      {|{"name":"scaguard_engine_lb_evals_total","value":8},|};
+      {|{"name":"scaguard_engine_pairs_abandoned_total","value":1},|};
+      {|{"name":"scaguard_engine_pairs_pruned_index_total","value":7},|};
+      {|{"name":"scaguard_engine_pairs_pruned_lb_total","value":3},|};
+      {|{"name":"scaguard_engine_pairs_total","value":8},|};
+      {|{"name":"scaguard_engine_targets_total","value":2},|};
+      {|{"name":"scaguard_model_build_seconds","count":3,"sum":12.004000001,"buckets":[{"le":9.9999999999999995e-07,"count":0},{"le":1.9999999999999999e-06,"count":0},{"le":5.0000000000000004e-06,"count":0},{"le":1.0000000000000001e-05,"count":0},{"le":2.0000000000000002e-05,"count":0},{"le":5.0000000000000002e-05,"count":0},{"le":0.0001,"count":0},{"le":0.00020000000000000001,"count":0},{"le":0.00050000000000000001,"count":0},{"le":0.001,"count":0},{"le":0.002,"count":1},{"le":0.0050000000000000001,"count":1},{"le":0.01,"count":0},{"le":0.02,"count":0},{"le":0.050000000000000003,"count":0},{"le":0.10000000000000001,"count":0},{"le":0.25,"count":0},{"le":0.5,"count":0},{"le":1,"count":0},{"le":2.5,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":"+Inf","count":1}]},|};
+      {|{"name":"scaguard_models_built_total","value":3},|};
+      {|{"name":"scaguard_stage_seconds","labels":{"stage":"build"},"count":1,"sum":0.5,"buckets":[{"le":9.9999999999999995e-07,"count":0},{"le":1.9999999999999999e-06,"count":0},{"le":5.0000000000000004e-06,"count":0},{"le":1.0000000000000001e-05,"count":0},{"le":2.0000000000000002e-05,"count":0},{"le":5.0000000000000002e-05,"count":0},{"le":0.0001,"count":0},{"le":0.00020000000000000001,"count":0},{"le":0.00050000000000000001,"count":0},{"le":0.001,"count":0},{"le":0.002,"count":0},{"le":0.0050000000000000001,"count":0},{"le":0.01,"count":0},{"le":0.02,"count":0},{"le":0.050000000000000003,"count":0},{"le":0.10000000000000001,"count":0},{"le":0.25,"count":0},{"le":0.5,"count":1},{"le":1,"count":0},{"le":2.5,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":"+Inf","count":0}]},|};
+      {|{"name":"scaguard_stage_seconds","labels":{"stage":"detect"},"count":1,"sum":0.66666666699999999,"buckets":[{"le":9.9999999999999995e-07,"count":0},{"le":1.9999999999999999e-06,"count":0},{"le":5.0000000000000004e-06,"count":0},{"le":1.0000000000000001e-05,"count":0},{"le":2.0000000000000002e-05,"count":0},{"le":5.0000000000000002e-05,"count":0},{"le":0.0001,"count":0},{"le":0.00020000000000000001,"count":0},{"le":0.00050000000000000001,"count":0},{"le":0.001,"count":0},{"le":0.002,"count":0},{"le":0.0050000000000000001,"count":0},{"le":0.01,"count":0},{"le":0.02,"count":0},{"le":0.050000000000000003,"count":0},{"le":0.10000000000000001,"count":0},{"le":0.25,"count":0},{"le":0.5,"count":0},{"le":1,"count":1},{"le":2.5,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":"+Inf","count":0}]},|};
+      {|{"name":"scaguard_verdict_seconds","count":2,"sum":0.30000149999999998,"buckets":[{"le":9.9999999999999995e-07,"count":0},{"le":1.9999999999999999e-06,"count":1},{"le":5.0000000000000004e-06,"count":0},{"le":1.0000000000000001e-05,"count":0},{"le":2.0000000000000002e-05,"count":0},{"le":5.0000000000000002e-05,"count":0},{"le":0.0001,"count":0},{"le":0.00020000000000000001,"count":0},{"le":0.00050000000000000001,"count":0},{"le":0.001,"count":0},{"le":0.002,"count":0},{"le":0.0050000000000000001,"count":0},{"le":0.01,"count":0},{"le":0.02,"count":0},{"le":0.050000000000000003,"count":0},{"le":0.10000000000000001,"count":0},{"le":0.25,"count":0},{"le":0.5,"count":1},{"le":1,"count":0},{"le":2.5,"count":0},{"le":5,"count":0},{"le":10,"count":0},{"le":"+Inf","count":0}]}|};
+      {|]}|};
+    ]
 
 let test_report_json_golden () =
   let json = SG.Service.report_to_json golden_report in

@@ -218,13 +218,6 @@ let test_bucket_percentiles () =
   (* overflow ranks clamp to the largest finite bound *)
   check_float "overflow clamps" 4.0
     (Sutil.Stats.percentile_of_buckets ~bounds ~counts:[| 0; 0; 0; 5 |] 0.99);
-  (* quantile batches map one-to-one *)
-  (match Sutil.Stats.quantiles_of_buckets ~bounds ~counts [ 0.25; 0.5; 0.9 ] with
-  | [ a; b; c ] ->
-    check_float "q25" 0.5 a;
-    check_float "q50" 1.0 b;
-    check_float "q90" 1.8 c
-  | _ -> Alcotest.fail "expected three quantiles");
   Alcotest.check_raises "length mismatch raises"
     (Invalid_argument
        "Stats.percentile_of_buckets: need one count per bound plus overflow")
