@@ -765,73 +765,6 @@ let detect_batch_cmd =
 
 (* ---- explain (verdict provenance) -------------------------------------------------- *)
 
-let render_provenance (r : Scaguard.Provenance.t) =
-  let open Scaguard.Provenance in
-  let verdict =
-    match r.best_family with
-    | Some f -> Printf.sprintf "ATTACK %s" f
-    | None -> "benign"
-  in
-  let path = match r.path with Linear -> "linear scan" | Indexed -> "indexed" in
-  Printf.printf "%s: %s  (best %.2f%% vs threshold %.0f%%) [%s, %.3f ms%s]\n"
-    r.target verdict (100.0 *. r.best_score) (100.0 *. r.threshold) path
-    (Int64.to_float r.duration_ns /. 1e6)
-    (match r.trace_id with Some t -> ", trace " ^ t | None -> "");
-  (match r.index_events with
-  | [] -> ()
-  | evs ->
-    let visited = ref 0
-    and vmembers = ref 0
-    and cut = ref 0
-    and cmembers = ref 0
-    and screened = ref 0 in
-    List.iter
-      (function
-        | Node_visited { members; _ } ->
-          incr visited;
-          vmembers := !vmembers + members
-        | Subtree_pruned { members; _ } ->
-          incr cut;
-          cmembers := !cmembers + members
-        | Member_pruned _ -> incr screened)
-      evs;
-    Printf.printf
-      "  index: visited %d nodes (%d models), cut %d subtrees (%d models), \
-       screened out %d members\n"
-      !visited !vmembers !cut !cmembers !screened);
-  if r.candidates <> [] then begin
-    Printf.printf "  candidates (evaluation order):\n";
-    List.iter
-      (fun c ->
-        let lb =
-          match c.lb with
-          | Some b -> Printf.sprintf "  (lb %.2f%%)" (100.0 *. b)
-          | None -> ""
-        in
-        match c.outcome with
-        | Scored s ->
-          Printf.printf "    %-22s (%s): %6.2f%%%s\n" c.poc c.family
-            (100.0 *. s) lb
-        | Pruned_lb ->
-          Printf.printf "    %-22s (%s): pruned by lower bound%s\n" c.poc
-            c.family lb
-        | Abandoned ->
-          Printf.printf "    %-22s (%s): abandoned mid-DP (cutoff)%s\n" c.poc
-            c.family lb
-        | Pruned ->
-          Printf.printf "    %-22s (%s): pruned%s\n" c.poc c.family lb)
-      r.candidates
-  end;
-  match r.best_matches with
-  | [] -> ()
-  | ms ->
-    Printf.printf "  best matches:%s\n"
-      (String.concat ""
-         (List.map
-            (fun (poc, family, s) ->
-              Printf.sprintf " %s/%s %.2f%%" poc family (100.0 *. s))
-            ms))
-
 let explain_cmd =
   let run seed config repository trace_id json names =
     handle
@@ -844,7 +777,7 @@ let explain_cmd =
          Scaguard.Service.explain ~obs config r.prepared jobs
        in
        if json then print_string (Scaguard.Provenance.to_jsonl records)
-       else Array.iter render_provenance records;
+       else Array.iter (Format.printf "%a@." Scaguard.Provenance.pp) records;
        Ok ()
   in
   let json_t =

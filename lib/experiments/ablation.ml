@@ -24,7 +24,7 @@ let alpha_of = function
   | Full | No_step2 | No_restoration | Raw_dtw -> None
 
 let model_of_run variant run =
-  let a = Lazy.force run.Common.analysis in
+  let a = Lazy.force run.Detect.Run.analysis in
   let info = a.Scaguard.Pipeline.info in
   let name = a.Scaguard.Pipeline.name in
   match variant with

@@ -15,7 +15,7 @@ type variant =
 val variants : variant list
 val variant_name : variant -> string
 
-val model_of_run : variant -> Common.run -> Scaguard.Model.t
+val model_of_run : variant -> Detect.Run.t -> Scaguard.Model.t
 (** Build the (possibly ablated) model of an executed sample. *)
 
 val similarity : variant -> Scaguard.Model.t -> Scaguard.Model.t -> float

@@ -1,22 +1,6 @@
 module D = Workloads.Dataset
 module L = Workloads.Label
 
-(* The executed-sample type now lives in [Detect.Run] (the detector
-   abstraction is defined over it); the alias keeps the record's fields and
-   every existing [Common.run] consumer unchanged. *)
-type run = Detect.Run.t = {
-  sample : D.sample;
-  result : Cpu.Exec.result;
-  analysis : Scaguard.Pipeline.analysis Lazy.t;
-}
-
-let execute = Detect.Run.execute
-let execute_all = Detect.Run.execute_all
-let model = Detect.Run.model
-let label = Detect.Run.label
-let label_to_int = Detect.label_to_int
-let label_of_int = Detect.label_of_int
-
 (* One representative PoC per family, harnessed like every dataset sample. *)
 let poc_of_family label =
   match label with
@@ -75,26 +59,32 @@ let repository_service ?obs ~config ~rng families =
           report ))
       (Scaguard.Service.build ?obs config jobs)
 
-let repository ?(config = Scaguard.Config.default) ~rng families =
+let repository ~rng families =
   match families with
   | [] -> []
   | _ -> (
-    match repository_service ~config ~rng families with
+    match repository_service ~config:Scaguard.Config.default ~rng families with
     | Ok (repo, _) -> repo
     | Error e ->
       invalid_arg
         ("Experiments.Common.repository: " ^ Scaguard.Err.to_string e))
 
 let scaguard_predict ?threshold ?alpha repo run =
-  let verdict = Scaguard.Detector.classify ?threshold ?alpha repo (model run) in
+  let verdict =
+    Scaguard.Detector.classify ?threshold ?alpha repo (Detect.Run.model run)
+  in
   match verdict.Scaguard.Detector.best_family with
   | Some f -> Option.value ~default:L.Benign (L.of_string f)
   | None -> L.Benign
 
 let binarize = function L.Benign -> L.Benign | _ -> L.Fr_family
 
+let split_half xs =
+  let n = List.length xs / 2 in
+  (List.filteri (fun i _ -> i < n) xs, List.filteri (fun i _ -> i >= n) xs)
+
 let metrics ~classes pairs =
-  let to_int = label_to_int in
+  let to_int = Detect.label_to_int in
   Ml.Metrics.evaluate
     ~classes:(List.map to_int classes)
     (List.map (fun (p, a) -> (to_int p, to_int a)) pairs)

@@ -1,24 +1,6 @@
-(** Shared experiment machinery: executed samples, model building, the PoC
-    repository, and label plumbing between the typed workload labels and the
-    detector's string families / the baselines' int labels. *)
-
-type run = Detect.Run.t = {
-  sample : Workloads.Dataset.sample;
-  result : Cpu.Exec.result;
-  analysis : Scaguard.Pipeline.analysis Lazy.t;
-    (** modeling is lazy: the baselines only need [result] *)
-}
-(** Alias of {!Detect.Run.t} — the experiments and the detector abstraction
-    share one executed-sample type. *)
-
-val execute : Workloads.Dataset.sample -> run
-val execute_all : Workloads.Dataset.sample list -> run list
-
-val model : run -> Scaguard.Model.t
-val label : run -> Workloads.Label.t
-
-val label_to_int : Workloads.Label.t -> int
-val label_of_int : int -> Workloads.Label.t
+(** Shared experiment machinery: model building, the PoC repository, label
+    plumbing and scoring.  Executed samples are {!Detect.Run.t}, and the
+    baselines' int labels are {!Detect.label_to_int}'s. *)
 
 val families_of_strings :
   string list -> (Workloads.Label.t list, Scaguard.Err.t) result
@@ -48,21 +30,25 @@ val repository_service :
     list. *)
 
 val repository :
-  ?config:Scaguard.Config.t ->
   rng:Sutil.Rng.t -> Workloads.Label.t list -> Scaguard.Detector.repository
-(** {!repository_service} for callers that need no report: returns the
-    repository (empty for an empty family list).
-    @raise Invalid_argument if [config] is invalid. *)
+(** {!repository_service} under {!Scaguard.Config.default}, for callers
+    that need no report: returns the repository (empty for an empty family
+    list).
+    @raise Invalid_argument if the build fails. *)
 
 val scaguard_predict :
   ?threshold:float -> ?alpha:float ->
-  Scaguard.Detector.repository -> run -> Workloads.Label.t
+  Scaguard.Detector.repository -> Detect.Run.t -> Workloads.Label.t
 (** Classify a run with SCAGuard; below-threshold verdicts map to
     [Benign]. *)
 
 val binarize : Workloads.Label.t -> Workloads.Label.t
 (** Collapse every attack family to [Fr_family] (used as the generic
     "Attack" class for E3's detection-only scoring). *)
+
+val split_half : 'a list -> 'a list * 'a list
+(** The first [length / 2] elements and the rest, in order: a train/test
+    split. *)
 
 val metrics :
   classes:Workloads.Label.t list ->

@@ -24,15 +24,6 @@ type t = {
   repeats : int;
 }
 
-let split_half xs =
-  let n = List.length xs / 2 in
-  let rec go i acc = function
-    | [] -> (List.rev acc, [])
-    | x :: rest when i < n -> go (i + 1) (x :: acc) rest
-    | rest -> (List.rev acc, rest)
-  in
-  go 0 [] xs
-
 (* Compiler-shaped benign traffic: every MinC benign kernel, compiled
    unoptimized into the training split and optimized into the test split —
    "the same program through a different compiler", which is exactly the
@@ -53,11 +44,11 @@ let minc_samples ~optimize =
 let dataset ~rng ~per_family =
   let attack_splits =
     List.map
-      (fun l -> split_half (D.mutated_attacks ~rng ~count:per_family l))
+      (fun l -> Common.split_half (D.mutated_attacks ~rng ~count:per_family l))
       L.attack_labels
   in
   let benign_train, benign_test =
-    split_half (D.benign_samples ~rng ~count:(2 * per_family))
+    Common.split_half (D.benign_samples ~rng ~count:(2 * per_family))
   in
   let train =
     List.concat_map fst attack_splits @ benign_train @ minc_samples ~optimize:false
@@ -67,12 +58,12 @@ let dataset ~rng ~per_family =
   in
   (train, test)
 
-let label_runs runs = List.map (fun r -> (r, Common.label r)) runs
+let label_runs runs = List.map (fun r -> (r, Detect.Run.label r)) runs
 
 let binarize_pairs pairs =
   List.map (fun (p, a) -> (Common.binarize p, Common.binarize a)) pairs
 
-let classes_int = List.map Common.label_to_int L.all
+let classes_int = List.map Detect.label_to_int L.all
 
 (* The throughput comparison the ensemble's contract rests on is a median
    over this many timed predict phases per detector. *)
@@ -85,8 +76,8 @@ let evaluate ?detectors ?tau ~rng ~per_family () =
       ~default:Scaguard.Config.default.Scaguard.Config.ensemble_tau
   in
   let train_samples, test_samples = dataset ~rng ~per_family in
-  let train = label_runs (Common.execute_all train_samples) in
-  let test = label_runs (Common.execute_all test_samples) in
+  let train = label_runs (Detect.Run.execute_all train_samples) in
+  let test = label_runs (Detect.Run.execute_all test_samples) in
   let repo = Common.repository ~rng L.attack_labels in
   (* Force every test model up front: the shared lazy analyses are charged
      to dataset preparation, so each detector's predict time is its own
@@ -94,7 +85,7 @@ let evaluate ?detectors ?tau ~rng ~per_family () =
      DTW it skips, not modeling it happens to inherit. *)
   let (), prep_s =
     Detect.timed (fun () ->
-        List.iter (fun (r, _) -> ignore (Common.model r)) test)
+        List.iter (fun (r, _) -> ignore (Detect.Run.model r)) test)
   in
   let ctx =
     Detect.make_ctx ~rng ~repository:repo ~known_families:L.attack_labels
@@ -117,7 +108,7 @@ let evaluate ?detectors ?tau ~rng ~per_family () =
         let pairs = List.map2 (fun p (_, truth) -> (p, truth)) preds test in
         let int_pairs =
           List.map
-            (fun (p, a) -> (Common.label_to_int p, Common.label_to_int a))
+            (fun (p, a) -> (Detect.label_to_int p, Detect.label_to_int a))
             pairs
         in
         let tested = List.length pairs in
@@ -209,7 +200,7 @@ let to_table t =
     t.rows;
   tbl
 
-let class_name i = L.to_string (Common.label_of_int i)
+let class_name i = L.to_string (Detect.label_of_int i)
 
 let row_to_json r =
   let module J = Scaguard.Json in

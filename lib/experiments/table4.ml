@@ -17,8 +17,8 @@ let row_of_family ~rng ~per_family family =
   let counts =
     List.map
       (fun sample ->
-        let run = Common.execute sample in
-        let a = Lazy.force run.Common.analysis in
+        let run = Detect.Run.execute sample in
+        let a = Lazy.force run.Detect.Run.analysis in
         let cfg = a.Scaguard.Pipeline.cfg in
         let truth = Scaguard.Relevant.ground_truth_blocks cfg in
         let identified = a.Scaguard.Pipeline.attack_graph.Scaguard.Attack_graph.nodes in

@@ -1,8 +1,8 @@
 type row = { id : string; scenario : string; description : string; score : float }
 
 let model_of_spec ~rng spec =
-  Common.model
-    (Common.execute
+  Detect.Run.model
+    (Detect.Run.execute
        (Workloads.Dataset.with_harness ~rng (Workloads.Dataset.of_spec spec)))
 
 (* A benign sample with a non-empty model, so S5 compares real models
@@ -10,7 +10,7 @@ let model_of_spec ~rng spec =
 let benign_model ~rng =
   let rec pick tries =
     let candidates = Workloads.Dataset.benign_samples ~rng ~count:4 in
-    let models = List.map (fun s -> Common.model (Common.execute s)) candidates in
+    let models = List.map (fun s -> Detect.Run.model (Detect.Run.execute s)) candidates in
     match List.find_opt (fun m -> not (Scaguard.Model.is_empty m)) models with
     | Some m -> m
     | None when tries > 0 -> pick (tries - 1)

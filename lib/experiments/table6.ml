@@ -25,26 +25,17 @@ let task_name = function
 
 type task_data = {
   task : task;
-  train : (Common.run * L.t) list;
-  test : (Common.run * L.t) list;
+  train : (Detect.Run.t * L.t) list;
+  test : (Detect.Run.t * L.t) list;
   classes : L.t list;
   repo_families : L.t list;
   repo : Scaguard.Detector.repository;
   binarized : bool;
 }
 
-let split_half xs =
-  let n = List.length xs / 2 in
-  let rec go i acc = function
-    | [] -> (List.rev acc, [])
-    | x :: rest when i < n -> go (i + 1) (x :: acc) rest
-    | rest -> (List.rev acc, rest)
-  in
-  go 0 [] xs
+let runs_of samples = List.map Detect.Run.execute samples
 
-let runs_of samples = List.map Common.execute samples
-
-let with_own_label runs = List.map (fun r -> (r, Common.label r)) runs
+let with_own_label runs = List.map (fun r -> (r, Detect.Run.label r)) runs
 let with_label l runs = List.map (fun r -> (r, l)) runs
 
 let prepare ~rng ~per_family task =
@@ -66,10 +57,10 @@ let prepare ~rng ~per_family task =
   | E1 ->
     let per_family_splits =
       List.map
-        (fun l -> split_half (mutated l per_family))
+        (fun l -> Common.split_half (mutated l per_family))
         L.attack_labels
     in
-    let benign_train, benign_test = split_half (benign per_family) in
+    let benign_train, benign_test = Common.split_half (benign per_family) in
     make
       ~train:
         (with_own_label (List.concat_map fst per_family_splits)

@@ -26,11 +26,11 @@ type task_data
 
 val prepare : rng:Sutil.Rng.t -> per_family:int -> task -> task_data
 
-val test_runs : task_data -> (Common.run * Workloads.Label.t) list
+val test_runs : task_data -> (Detect.Run.t * Workloads.Label.t) list
 (** The task's test runs with ground-truth labels (exposed for Fig. 5's
     threshold sweep). *)
 
-val train_runs : task_data -> (Common.run * Workloads.Label.t) list
+val train_runs : task_data -> (Detect.Run.t * Workloads.Label.t) list
 (** The task's labelled training runs (what the learning approaches see). *)
 
 val classes_of : task_data -> Workloads.Label.t list

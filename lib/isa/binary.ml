@@ -194,6 +194,13 @@ let decode data =
     fst labels.(i)
   in
   let n_instrs = r_u32 c in
+  (* every instruction takes at least its opcode byte, so a count beyond
+     the bytes that remain is corruption, refused before any allocation *)
+  let remaining = String.length data - c.pos in
+  if n_instrs > remaining then
+    failwith
+      (Printf.sprintf "Binary: %d instructions declared, %d bytes remain"
+         n_instrs remaining);
   let r_target () = label_name (r_u16 c) in
   let instrs =
     Array.init n_instrs (fun _ ->
@@ -243,7 +250,9 @@ let decode data =
     | Some ls -> stmts := List.map (fun l -> Program.Lbl l) ls @ !stmts
     | None -> ()
   done;
-  Program.assemble ~base ~name !stmts
+  (* an unbound or dangling label is malformed input like any other *)
+  try Program.assemble ~base ~name !stmts
+  with Invalid_argument msg -> failwith ("Binary: " ^ msg)
 
 let write_file ~path prog =
   let oc = open_out_bin path in

@@ -16,8 +16,10 @@ val encode : Program.t -> string
 (** Serialize to bytes. *)
 
 val decode : string -> Program.t
-(** @raise Failure on malformed input (bad magic, truncation, unknown
-    opcodes, out-of-range label references). *)
+(** @raise Failure on malformed input (bad magic, truncation, an
+    instruction count beyond the bytes that remain, unknown opcodes,
+    out-of-range label references, a program that does not assemble),
+    and on nothing else. *)
 
 val write_file : path:string -> Program.t -> unit
 val read_file : path:string -> Program.t

@@ -129,12 +129,11 @@ let count ~obs t outcome t0 =
 let start obs =
   if Obs.tracing obs then Obs.Clock.now_ns () else 0L
 
-(* The one strict loader both tiers decode through — the disk tier's
-   sniffing of text and binary entries included, so a memory hit returns
-   exactly what a disk hit on the same bytes would. *)
-let decode ?file bytes =
-  if Persist.is_binary bytes then Persist.model_of_bytes_result ?file bytes
-  else Persist.model_of_string_result ?file bytes
+(* The one strict loader both tiers decode through, so a memory hit returns
+   exactly what a disk hit on the same bytes would.  Every entry is written
+   as [Persist.model_to_bytes] under a key that names [format_version] 2; a
+   text-format file at such a path is stale like any other it cannot read. *)
+let decode = Persist.model_of_bytes_result
 
 (* ---- memory tier: the calling domain only ---------------------------------- *)
 

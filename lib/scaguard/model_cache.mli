@@ -31,7 +31,7 @@
     There is no invalidation protocol: change any ingredient and the key
     changes, so the old entry is never looked up again.  Corrupt or
     unreadable disk entries — including entries whose binary-format version
-    this build does not read — count as {e stale}, are deleted, and fall
+    this build does not read, and text-format entries — count as {e stale}, are deleted, and fall
     back to a rebuild; a cache directory can never make a run fail.
 
     {b Domains.}  The memory tier is not synchronized: {!recall} and

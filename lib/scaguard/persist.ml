@@ -32,8 +32,8 @@
    stores nothing the loader can derive: summaries come from
    {!Detector.prepare} and every index bound from the loaded summaries.
 
-   Loads sniff the leading bytes, so every [load_*] entry point accepts
-   either format. *)
+   The file loader sniffs the leading bytes, so it accepts either
+   format. *)
 
 let buf_add = Buffer.add_string
 
@@ -571,11 +571,6 @@ let io_result ~path f =
     Error (Err.Io { path; msg = Unix.error_message e })
 
 (* Loads sniff: the binary magic can never collide with the text headers. *)
-let load_repository_result ~path =
-  let* s = io_result ~path (fun () -> read_file ~path) in
-  if is_binary s then repository_of_bytes_result ~file:path s
-  else run_parser ~file:path parse_repository s
-
 let load_repository_prepared_result ~path =
   let* s = io_result ~path (fun () -> read_file ~path) in
   if is_binary s then repository_of_bytes_prepared_result ~file:path s
@@ -583,20 +578,9 @@ let load_repository_prepared_result ~path =
     let* repo = run_parser ~file:path parse_repository s in
     Ok (repo, Detector.prepare repo)
 
-let load_model_result ~path =
-  let* s = io_result ~path (fun () -> read_file ~path) in
-  if is_binary s then model_of_bytes_result ~file:path s
-  else run_parser ~file:path parse_model s
-
 let save_repository_result ~path repo =
   io_result ~path (fun () -> write_atomic ~path (repository_to_string repo))
 
 let save_repository_bin_result ?index ~path repo =
   io_result ~path (fun () ->
       write_atomic ~path (repository_to_bytes ?index repo))
-
-let save_model_result ~path m =
-  io_result ~path (fun () -> write_atomic ~path (model_to_string m))
-
-let save_model_bin_result ~path m =
-  io_result ~path (fun () -> write_atomic ~path (model_to_bytes m))

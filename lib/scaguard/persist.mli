@@ -17,8 +17,9 @@
       derive: summaries and index bounds are recomputed on load.  See
       DESIGN.md for the byte-level spec.
 
-    Every [load_*] entry point sniffs the leading bytes and accepts either
-    format; the binary magic cannot collide with the text headers.
+    The file loader ({!load_repository_prepared_result}) sniffs the leading
+    bytes and accepts either format; the binary magic cannot collide with
+    the text headers.
 
     Every operation returns typed {!Err.t} errors — text parse failures
     carry the file name and 1-based line number, binary ones the file name
@@ -48,7 +49,7 @@ val repository_of_string_result :
 
 val is_binary : string -> bool
 (** Whether the bytes start with the binary magic — the same sniff the
-    [load_*] functions apply. *)
+    file loader applies. *)
 
 val repository_to_bytes : ?index:Vpindex.t -> Detector.repository -> string
 (** The binary repository image.  Deterministic: a given repository value
@@ -100,35 +101,20 @@ val save_repository_bin_result :
 (** {!save_repository_result}, binary image format.  [index] as in
     {!repository_to_bytes}. *)
 
-val load_repository_result :
-  path:string -> (Detector.repository, Err.t) result
-(** Sniffs the format: binary images and text files both load.
-    [Error (Io _)] on IO problems, [Error (Parse {file; line; _})] on
-    malformed content.  Parsing is strict: every token of a text [cst] line
-    must be a float, every binary blob must match its declared length —
-    malformed data is corruption, not noise. *)
-
 val load_repository_prepared_result :
   path:string ->
   (Detector.repository * Detector.prepared, Err.t) result
-(** {!load_repository_result} plus a ready-to-classify {!Detector.prepared}
-    — {!repository_of_bytes_prepared_result} for binary images, so an
+(** Sniffs the format: binary images and text files both load, with a
+    ready-to-classify {!Detector.prepared} —
+    {!repository_of_bytes_prepared_result} for binary images, so an
     embedded v3 index shape is attached without a rebuild, and
     {!Detector.prepare} after parsing for text files.  Either way the
     prepared repository classifies bit-identically to
-    [Detector.prepare repo]. *)
-
-val save_model_result : path:string -> Model.t -> (unit, Err.t) result
-(** One model to one file, text format; atomic like
-    {!save_repository_result}. *)
-
-val save_model_bin_result : path:string -> Model.t -> (unit, Err.t) result
-(** {!save_model_result}, binary format. *)
-
-val load_model_result : path:string -> (Model.t, Err.t) result
-(** Sniffs the format like {!load_repository_result}.  The loaded model's
-    tokens are re-interned in this process; interned ids are never part of
-    either on-disk format. *)
+    [Detector.prepare repo].  [Error (Io _)] on IO problems,
+    [Error (Parse {file; line; _})] on malformed content.  Parsing is
+    strict: every token of a text [cst] line must be a float, every binary
+    blob must match its declared length — malformed data is corruption,
+    not noise. *)
 
 (** {1 Shared file plumbing}
 

@@ -193,6 +193,54 @@ let to_json r =
         ("duration_ns", Json.Str (Int64.to_string r.duration_ns));
       ])
 
+(* ---- text ------------------------------------------------------------------- *)
+
+let pp ppf r =
+  let open Format in
+  let verdict =
+    match r.best_family with Some f -> "ATTACK " ^ f | None -> "benign"
+  in
+  let path = match r.path with Linear -> "linear scan" | Indexed -> "indexed" in
+  fprintf ppf "@[<v>%s: %s  (best %.2f%% vs threshold %.0f%%) [%s, %.3f ms%s]"
+    r.target verdict (100.0 *. r.best_score) (100.0 *. r.threshold) path
+    (Int64.to_float r.duration_ns /. 1e6)
+    (match r.trace_id with Some t -> ", trace " ^ t | None -> "");
+  if r.index_events <> [] then begin
+    let count f = List.fold_left (fun n ev -> n + f ev) 0 r.index_events in
+    fprintf ppf
+      "@,  index: visited %d nodes (%d models), cut %d subtrees (%d models), \
+       screened out %d members"
+      (count (function Node_visited _ -> 1 | _ -> 0))
+      (count (function Node_visited { members; _ } -> members | _ -> 0))
+      (count (function Subtree_pruned _ -> 1 | _ -> 0))
+      (count (function Subtree_pruned { members; _ } -> members | _ -> 0))
+      (count (function Member_pruned _ -> 1 | _ -> 0))
+  end;
+  if r.candidates <> [] then begin
+    fprintf ppf "@,  candidates (evaluation order):";
+    List.iter
+      (fun c ->
+        let lb =
+          match c.lb with
+          | Some b -> Printf.sprintf "  (lb %.2f%%)" (100.0 *. b)
+          | None -> ""
+        in
+        fprintf ppf "@,    %-22s (%s): " c.poc c.family;
+        match c.outcome with
+        | Scored s -> fprintf ppf "%6.2f%%%s" (100.0 *. s) lb
+        | Pruned_lb -> fprintf ppf "pruned by lower bound%s" lb
+        | Abandoned -> fprintf ppf "abandoned mid-DP (cutoff)%s" lb
+        | Pruned -> fprintf ppf "pruned%s" lb)
+      r.candidates
+  end;
+  if r.best_matches <> [] then begin
+    fprintf ppf "@,  best matches:";
+    List.iter
+      (fun (poc, family, s) -> fprintf ppf " %s/%s %.2f%%" poc family (100.0 *. s))
+      r.best_matches
+  end;
+  fprintf ppf "@]"
+
 let to_jsonl rs =
   let buf = Buffer.create 1024 in
   Array.iter

@@ -20,8 +20,9 @@
     builder back, so verdicts are bit-identical with or without one
     (qcheck-asserted).
 
-    Records serialize to JSON ({!to_json}) and are rendered by
-    [scaguard explain] and the serve protocol's [explain] verb. *)
+    Records serialize to JSON ({!to_json}), which the serve protocol's
+    [explain] verb and [scaguard explain --json] emit, and render as text
+    ({!pp}) for [scaguard explain]. *)
 
 type index_event =
   | Node_visited of { bound : float; members : int }
@@ -101,6 +102,12 @@ val finish :
 (** {1 JSON} *)
 
 val to_json : t -> Json.t
+
+val pp : Format.formatter -> t -> unit
+(** The human rendering [scaguard explain] prints: the verdict line (best
+    score, threshold, path, duration, trace id), then one line summing the
+    index traversal, one per candidate in evaluation order, and the best
+    matches.  No trailing newline. *)
 
 val to_jsonl : t array -> string
 (** One compact JSON object per line, in array order.  (Writing the

@@ -304,7 +304,8 @@ type t = {
   cache : Model_cache.t;  (* the daemon's models, kept across requests and reloads *)
   mutable prepared : Detector.prepared;
   mutable repo_path : string option;
-  queue : item Sutil.Bqueue.t;
+  queue : item Queue.t;  (* FIFO, never longer than [queue_capacity] *)
+  queue_capacity : int;
   max_line : int;
   default_deadline_ms : int;
   start_ns : int64;
@@ -345,7 +346,8 @@ let create ?(obs = Obs.off) ~config ~resolve ~prepared ?repo_path
         cache;
         prepared;
         repo_path;
-        queue = Sutil.Bqueue.create ~capacity:queue_capacity;
+        queue = Queue.create ();
+        queue_capacity;
         max_line;
         default_deadline_ms;
         start_ns = Obs.Clock.now_ns ();
@@ -360,7 +362,7 @@ let create ?(obs = Obs.off) ~config ~resolve ~prepared ?repo_path
         next_cid = 0;
       }
 
-let pending t = Sutil.Bqueue.length t.queue
+let pending t = Queue.length t.queue
 let draining t = t.draining_
 let served t = Hashtbl.fold (fun _ h n -> n + Obs.Hist.count h) t.by_op 0
 let uptime_s t = Obs.Clock.elapsed_s ~since:t.start_ns
@@ -625,8 +627,8 @@ let stats_frame t ~id =
       ( "queue",
         Json.Obj
           [
-            ("depth", jint (Sutil.Bqueue.length t.queue));
-            ("capacity", jint (Sutil.Bqueue.capacity t.queue));
+            ("depth", jint (Queue.length t.queue));
+            ("capacity", jint t.queue_capacity);
           ] );
       ( "requests",
         Json.Obj
@@ -675,7 +677,7 @@ let exposition t =
         Obs.Prom.series ~labels:[]
           ~help:"Requests currently waiting in the serve daemon's bounded queue."
           "scaguard_server_queue_depth"
-          (Gauge (float_of_int (Sutil.Bqueue.length t.queue)));
+          (Gauge (float_of_int (Queue.length t.queue)));
         Obs.Prom.series ~labels:[]
           ~help:"Verdict frames the serve daemon streamed back to clients."
           "scaguard_server_streamed_verdicts_total" (Counter t.streamed);
@@ -861,7 +863,8 @@ let handle_frame t conn = function
         let budget_ms = Option.value req.deadline_ms ~default:t.default_deadline_ms in
         let deadline = Sutil.Deadline.after ~now_ns:arrival_ns ~budget_ms in
         let item = { iconn = conn; req; arrival_ns; deadline } in
-        if not (Sutil.Bqueue.push t.queue item) then begin
+        if Queue.length t.queue < t.queue_capacity then Queue.push item t.queue
+        else begin
           (* explicit backpressure: the reply goes out now, ahead of all
              queued work, so clients learn to back off immediately *)
           note_rejected t "busy";
@@ -869,8 +872,7 @@ let handle_frame t conn = function
             (frame_error ~id:req.id Busy
                (Printf.sprintf
                   "request queue full (%d queued, capacity %d): retry later"
-                  (Sutil.Bqueue.length t.queue)
-                  (Sutil.Bqueue.capacity t.queue)))
+                  (Queue.length t.queue) t.queue_capacity))
         end
     end
 
@@ -888,7 +890,7 @@ let finish_drain t =
   `Stop
 
 let step t =
-  match Sutil.Bqueue.pop t.queue with
+  match Queue.take_opt t.queue with
   | None -> if t.draining_ then finish_drain t else `Idle
   | Some item ->
     execute t item;

@@ -14,6 +14,11 @@
    exceeds the caller's best-so-far radius, so verdicts stay bit-identical
    to the linear cascade.
 
+   The search is best-first: its frontier is a [Set] of pending nodes
+   ordered by (pooled bound, push order), so it always expands the node
+   with the smallest bound, and the first node whose bound exceeds the
+   radius prunes everything still in the frontier at once.
+
    Per-member screens reuse the same formulas with the member's exact
    first/last entries and its own sketches: O(target entries) cheap scalar
    work per member, an order of magnitude cheaper than the full
@@ -76,7 +81,7 @@ type pool = {
   l_mag_lo : float;
   l_mag_hi : float;
   mag_sk : (float * float) array;  (* ascending disjoint covering intervals *)
-  len_sk : (int * int) array;
+  len_sk : (float * float) array;  (* likewise, over token counts *)
 }
 
 (* [idx] is the position in the prepared repository; members are always
@@ -102,59 +107,14 @@ let size t = t.size
 
 (* ---- interval sketches ------------------------------------------------------- *)
 
-(* Compress an unsorted value multiset into at most [k] disjoint ascending
-   intervals that COVER every value: sort, deduplicate, then keep the k-1
-   largest gaps as cuts.  Covering is what makes the sketch sound: the
-   distance from a point to the sketch never exceeds its distance to any
-   actual value. *)
-let sketch_of_floats k values =
-  let v = Array.copy values in
-  Array.sort Float.compare v;
-  let n = Array.length v in
-  if n = 0 then [||]
-  else begin
-    (* distinct values *)
-    let dis = ref [ v.(0) ] and last = ref v.(0) in
-    for i = 1 to n - 1 do
-      if v.(i) <> !last then begin
-        dis := v.(i) :: !dis;
-        last := v.(i)
-      end
-    done;
-    let d = Array.of_list (List.rev !dis) in
-    let p = Array.length d in
-    if p <= k then Array.map (fun x -> (x, x)) d
-    else begin
-      (* cut at the k-1 largest gaps (ties broken towards earlier gaps so
-         the construction is deterministic) *)
-      let gaps = Array.init (p - 1) (fun i -> (d.(i + 1) -. d.(i), i)) in
-      Array.sort
-        (fun (ga, ia) (gb, ib) ->
-          match Float.compare gb ga with 0 -> Int.compare ia ib | c -> c)
-        gaps;
-      let cuts = Array.sub gaps 0 (k - 1) in
-      let cut_idx = Array.map snd cuts in
-      Array.sort Int.compare cut_idx;
-      let out = Array.make k (0.0, 0.0) in
-      let lo = ref 0 in
-      Array.iteri
-        (fun j c ->
-          out.(j) <- (d.(!lo), d.(c));
-          lo := c + 1)
-        cut_idx;
-      out.(k - 1) <- (d.(!lo), d.(p - 1));
-      out
-    end
-  end
-
-let sketch_of_ints k values =
-  sketch_of_floats k (Array.map float_of_int values)
-  |> Array.map (fun (lo, hi) -> (int_of_float lo, int_of_float hi))
-
-(* Merge child sketches into one covering sketch of at most [k] intervals:
-   union the (already disjoint-per-child) intervals, then re-cut at the
-   largest inter-interval gaps. *)
-let merge_float_sketches k sketches =
+(* Merge sketches into one covering sketch of at most [k] ascending disjoint
+   intervals: union the intervals, coalesce overlapping or touching ones,
+   then keep the k-1 largest gaps between them as cuts (ties broken towards
+   earlier gaps so the construction is deterministic).  A member's sketch
+   is the merge of its values as one-point intervals.  Covering is what
+   makes a sketch sound: the distance from a point to the sketch never
+   exceeds its distance to any value it covers. *)
+let merge_sketches k sketches =
   let all = Array.concat (Array.to_list sketches) in
   if Array.length all = 0 then [||]
   else begin
@@ -162,7 +122,6 @@ let merge_float_sketches k sketches =
       (fun (la, ha) (lb, hb) ->
         match Float.compare la lb with 0 -> Float.compare ha hb | c -> c)
       all;
-    (* coalesce overlapping/touching intervals *)
     let merged = ref [] in
     let clo = ref (fst all.(0)) and chi = ref (snd all.(0)) in
     for i = 1 to Array.length all - 1 do
@@ -198,40 +157,32 @@ let merge_float_sketches k sketches =
     end
   end
 
-let merge_int_sketches k sketches =
-  merge_float_sketches k
-    (Array.map
-       (Array.map (fun (lo, hi) -> (float_of_int lo, float_of_int hi)))
-       sketches)
-  |> Array.map (fun (lo, hi) -> (int_of_float lo, int_of_float hi))
+let sketch_of_points k values =
+  merge_sketches k [| Array.map (fun x -> (x, x)) values |]
 
-(* Distance from a point to the nearest sketch interval — a lower bound on
-   its distance to any value the sketch covers. *)
-let dist_float_sketch x sk =
-  let best = ref infinity in
-  Array.iter
-    (fun (lo, hi) ->
-      let d = if x < lo then lo -. x else if x > hi then x -. hi else 0.0 in
-      if d < !best then best := d)
-    sk;
-  if !best = infinity then 0.0 else !best
+(* Lower bound on |x - m| over m in [lo, hi]. *)
+let mag_gap_range x lo hi =
+  if x < lo then lo -. x else if x > hi then x -. hi else 0.0
 
 (* min over l in [lo, hi] of |l1 - l| / max(l1, l) — the Levenshtein length
    term of Dtw.lower_bound's per-entry bound relaxed over a length range.
    The term is monotone on either side of the range, so the minimum sits at
-   the nearest endpoint. *)
+   the nearest endpoint.  Lengths are token counts carried as floats, which
+   hold them exactly. *)
 let len_term_range l1 lo hi =
   if l1 >= lo && l1 <= hi then 0.0
   else if l1 < lo then
     (* lo > l1 >= 0, so lo >= 1 *)
-    float_of_int (lo - l1) /. float_of_int lo
-  else float_of_int (l1 - hi) /. float_of_int l1
+    (lo -. l1) /. lo
+  else (l1 -. hi) /. l1
 
-let dist_int_sketch l1 sk =
+(* The smallest [term x lo hi] over the sketch's intervals — a lower bound
+   on the term between [x] and any value the sketch covers. *)
+let dist_sketch term x sk =
   let best = ref infinity in
   Array.iter
     (fun (lo, hi) ->
-      let d = len_term_range l1 lo hi in
+      let d = term x lo hi in
       if d < !best then best := d)
     sk;
   if !best = infinity then 0.0 else !best
@@ -259,8 +210,8 @@ let member_of idx summary =
         l_len_hi = last_len;
         l_mag_lo = last_mag;
         l_mag_hi = last_mag;
-        mag_sk = sketch_of_floats sketch_k mags;
-        len_sk = sketch_of_ints sketch_k lens;
+        mag_sk = sketch_of_points sketch_k mags;
+        len_sk = sketch_of_points sketch_k (Array.map float_of_int lens);
       };
   }
 
@@ -282,8 +233,8 @@ let merge_pools pools =
     l_len_hi = fold max (fun p -> p.l_len_hi);
     l_mag_lo = fold Float.min (fun p -> p.l_mag_lo);
     l_mag_hi = fold Float.max (fun p -> p.l_mag_hi);
-    mag_sk = merge_float_sketches sketch_k (Array.map (fun p -> p.mag_sk) pools);
-    len_sk = merge_int_sketches sketch_k (Array.map (fun p -> p.len_sk) pools);
+    mag_sk = merge_sketches sketch_k (Array.map (fun p -> p.mag_sk) pools);
+    len_sk = merge_sketches sketch_k (Array.map (fun p -> p.len_sk) pools);
   }
 
 let leaf_node members =
@@ -420,14 +371,12 @@ let probe ~alpha st =
     beta = 1.0 -. alpha;
   }
 
-(* Lower bound on |mag1 - mag2| over mag2 in [lo, hi]. *)
-let mag_gap_range x lo hi =
-  if x < lo then lo -. x else if x > hi then x -. hi else 0.0
-
 (* Dtw.lower_bound's per-entry bound relaxed over an entry pool given by a
    length range and a magnitude range. *)
 let entry_bound_pool p l1 m1 ~len_lo ~len_hi ~mag_lo ~mag_hi =
-  (p.alpha *. len_term_range l1 len_lo len_hi)
+  (p.alpha
+   *. len_term_range (float_of_int l1) (float_of_int len_lo)
+        (float_of_int len_hi))
   +. (p.beta *. mag_gap_range m1 mag_lo mag_hi)
 
 (* Shared shape of the node bound and the member screen.  All three stages
@@ -471,8 +420,9 @@ let pool_bound p q =
   for i = 0 to p.t_n - 1 do
     rows :=
       !rows
-      +. (p.alpha *. dist_int_sketch p.t_lens.(i) q.len_sk)
-      +. (p.beta *. dist_float_sketch p.t_mags.(i) q.mag_sk)
+      +. (p.alpha
+          *. dist_sketch len_term_range (float_of_int p.t_lens.(i)) q.len_sk)
+      +. (p.beta *. dist_sketch mag_gap_range p.t_mags.(i) q.mag_sk)
   done;
   let row_bound = !rows /. lmax in
   if row_bound > !lb then lb := row_bound;
@@ -480,78 +430,15 @@ let pool_bound p q =
 
 (* ---- best-first search ------------------------------------------------------- *)
 
-(* Minimal binary min-heap over (bound, sequence number, node); the sequence
-   number makes pop order deterministic under bound ties. *)
-module Heap = struct
-  type 'a t = {
-    mutable a : (float * int * 'a) array;
-    mutable n : int;
-  }
+(* The search frontier: nodes ordered by (bound, push sequence number).
+   The sequence number makes the order total and deterministic under bound
+   ties, and keeps the comparison off the nodes themselves. *)
+module Frontier = Set.Make (struct
+  type t = float * int * node
 
-  let create () = { a = [||]; n = 0 }
-
-  let lt (ba, sa, _) (bb, sb, _) =
-    match Float.compare ba bb with 0 -> sa < sb | c -> c < 0
-
-  let push h x =
-    if h.n = Array.length h.a then begin
-      let cap = max 16 (2 * h.n) in
-      let a = Array.make cap x in
-      Array.blit h.a 0 a 0 h.n;
-      h.a <- a
-    end;
-    h.a.(h.n) <- x;
-    h.n <- h.n + 1;
-    let i = ref (h.n - 1) in
-    while
-      !i > 0
-      &&
-      let parent = (!i - 1) / 2 in
-      if lt h.a.(!i) h.a.(parent) then begin
-        let tmp = h.a.(parent) in
-        h.a.(parent) <- h.a.(!i);
-        h.a.(!i) <- tmp;
-        i := parent;
-        true
-      end
-      else false
-    do
-      ()
-    done
-
-  let pop h =
-    if h.n = 0 then None
-    else begin
-      let top = h.a.(0) in
-      h.n <- h.n - 1;
-      if h.n > 0 then begin
-        h.a.(0) <- h.a.(h.n);
-        let i = ref 0 in
-        let continue = ref true in
-        while !continue do
-          let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-          let smallest = ref !i in
-          if l < h.n && lt h.a.(l) h.a.(!smallest) then smallest := l;
-          if r < h.n && lt h.a.(r) h.a.(!smallest) then smallest := r;
-          if !smallest <> !i then begin
-            let tmp = h.a.(!smallest) in
-            h.a.(!smallest) <- h.a.(!i);
-            h.a.(!i) <- tmp;
-            i := !smallest
-          end
-          else continue := false
-        done
-      end;
-      Some top
-    end
-
-  let fold f acc h =
-    let acc = ref acc in
-    for i = 0 to h.n - 1 do
-      acc := f !acc h.a.(i)
-    done;
-    !acc
-end
+  let compare (ba, sa, _) (bb, sb, _) =
+    match Float.compare ba bb with 0 -> Int.compare sa sb | c -> c
+end)
 
 let search ?(alpha = Distance.default_alpha) ?ixc ?trace t st ~dmax ~visit =
   let pruned k =
@@ -587,23 +474,26 @@ let search ?(alpha = Distance.default_alpha) ?ixc ?trace t st ~dmax ~visit =
       all root
     else begin
       let p = probe ~alpha st in
-      let heap = Heap.create () in
+      let frontier = ref Frontier.empty in
       let seq = ref 0 in
       let push n =
-        Heap.push heap (pool_bound p n.pool, !seq, n);
+        frontier := Frontier.add (pool_bound p n.pool, !seq, n) !frontier;
         incr seq
       in
       push root;
       let stopped = ref false in
       while not !stopped do
-        match Heap.pop heap with
+        match Frontier.min_elt_opt !frontier with
         | None -> stopped := true
-        | Some (b, _, n) ->
+        | Some ((b, _, n) as top) ->
+          frontier := Frontier.remove top !frontier;
           if b > dmax () then begin
-            (* the heap is ordered by bound, so everything still queued is
-               provably out too: prune it all and stop *)
+            (* the frontier is ordered by bound, so everything still queued
+               is provably out too: prune it all and stop *)
             let rest =
-              Heap.fold (fun acc (_, _, n') -> acc + n'.count) n.count heap
+              Frontier.fold
+                (fun (_, _, n') acc -> acc + n'.count)
+                !frontier n.count
             in
             pruned rest;
             emit (Provenance.Subtree_pruned { bound = b; members = rest });

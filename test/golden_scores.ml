@@ -1,7 +1,8 @@
 (* Golden scores: the suite's 4-PoC repository against a few named
    targets.  Prints every pairwise score, raw score and lower bound as
    exact hex floats, then each target's verdict and the engine counters
-   with the repository index off and forced.  [dune runtest] diffs the
+   with the repository index off and forced, then every index event of a
+   forced two-model-leaf index with its bound.  [dune runtest] diffs the
    output against fixtures/golden_scores.expected, so a moved score bit or
    work count shows up as a diff. *)
 
@@ -67,4 +68,31 @@ let () =
     [
       ("off", None);
       ("forced", Some { SG.Vpindex.default_spec with SG.Vpindex.mode = SG.Vpindex.Force });
-    ]
+    ];
+  (* A forced index with two-model leaves branches even over four models:
+     every node and member bound of its search, per target, pins the
+     sketches and the frontier order that single-leaf indexes never reach.
+     Once over the 4-PoC repository, once over all 13 models built here. *)
+  let deep = { SG.Vpindex.default_spec with SG.Vpindex.mode = SG.Vpindex.Force; leaf = 2 } in
+  let everything =
+    repository
+    @ Array.to_list
+        (Array.map (fun (m : SG.Model.t) -> { SG.Detector.family = m.SG.Model.name; model = m }) targets)
+  in
+  List.iter
+    (fun (label, repo) ->
+      let prep = SG.Detector.prepare ~index:deep repo in
+      let _, records, _ = SG.Engine.classify_batch ~domains:1 ~explain:true prep targets in
+      Array.iter
+        (fun (r : SG.Provenance.t) ->
+          Printf.printf "leaf 2 %s: %s:" label r.SG.Provenance.target;
+          List.iter
+            (function
+              | SG.Provenance.Node_visited { bound; members } -> Printf.printf " visit %d %h" members bound
+              | SG.Provenance.Subtree_pruned { bound; members } ->
+                Printf.printf " prune_subtree %d %h" members bound
+              | SG.Provenance.Member_pruned { bound } -> Printf.printf " prune_member 1 %h" bound)
+            r.SG.Provenance.index_events;
+          print_newline ())
+        records)
+    [ ("pocs", repository); ("all", everything) ]

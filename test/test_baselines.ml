@@ -97,11 +97,11 @@ let test_scadet_classify_string () =
 let training_data () =
   let rng = Sutil.Rng.create 74 in
   let attack l n =
-    List.map (fun s -> (D.run s, Experiments.Common.label_to_int l))
+    List.map (fun s -> (D.run s, Detect.label_to_int l))
       (D.mutated_attacks ~rng ~count:n l)
   in
   let benign n =
-    List.map (fun s -> (D.run s, Experiments.Common.label_to_int L.Benign))
+    List.map (fun s -> (D.run s, Detect.label_to_int L.Benign))
       (D.benign_samples ~rng ~count:n)
   in
   attack L.Fr_family 6 @ attack L.Pp_family 6 @ benign 6
@@ -138,7 +138,7 @@ let test_nights_watch_generalizes_within_family () =
   in
   let _, fresh_fr = run_of_label L.Fr_family in
   check_int "fresh FR classified FR"
-    (Experiments.Common.label_to_int L.Fr_family)
+    (Detect.label_to_int L.Fr_family)
     (Baselines.Nights_watch.predict m fresh_fr)
 
 (* ---- Anomaly / Phased-Guard ------------------------------------------------------- *)
@@ -182,13 +182,13 @@ let test_phased_guard_routes () =
     List.concat_map
       (fun l ->
         List.map
-          (fun s -> (D.run s, Experiments.Common.label_to_int l))
+          (fun s -> (D.run s, Detect.label_to_int l))
           (D.mutated_attacks ~rng ~count:4 l))
       [ L.Fr_family; L.Pp_family ]
   in
   let pg =
     Baselines.Phased_guard.train ~rng ~benign ~attacks
-      ~benign_label:(Experiments.Common.label_to_int L.Benign)
+      ~benign_label:(Detect.label_to_int L.Benign)
   in
   (* benign routed out at phase one most of the time *)
   let fresh_benign = List.map (fun s -> D.run s) (D.benign_samples ~rng ~count:4) in
@@ -197,7 +197,7 @@ let test_phased_guard_routes () =
       (List.filter
          (fun r ->
            Baselines.Phased_guard.predict pg r
-           = Experiments.Common.label_to_int L.Benign)
+           = Detect.label_to_int L.Benign)
          fresh_benign)
   in
   check_bool "benign mostly passes the gate" true (benign_ok >= 2);
@@ -205,7 +205,7 @@ let test_phased_guard_routes () =
   let fr = D.run (List.hd (D.mutated_attacks ~rng ~count:1 L.Fr_family)) in
   let p = Baselines.Phased_guard.predict pg fr in
   check_bool "attack classified as an attack family" true
-    (p <> Experiments.Common.label_to_int L.Benign)
+    (p <> Detect.label_to_int L.Benign)
 
 let () =
   Alcotest.run "baselines"

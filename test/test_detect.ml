@@ -64,13 +64,13 @@ let legacy_scadet_pairs td =
       (T6.repository_of td)
   in
   List.map
-    (fun ((run : E.Common.run), truth) ->
+    (fun ((run : Detect.Run.t), truth) ->
       let prediction =
         if not rules_apply then L.Benign
         else
           match
-            Baselines.Scadet.classify run.E.Common.sample.D.program
-              run.E.Common.result
+            Baselines.Scadet.classify run.Detect.Run.sample.D.program
+              run.Detect.Run.result
           with
           | Some f -> Option.value ~default:L.Benign (L.of_string f)
           | None -> L.Benign
@@ -81,8 +81,8 @@ let legacy_scadet_pairs td =
 let legacy_learned_pairs ~rng td approach =
   let train_data =
     List.map
-      (fun ((run : E.Common.run), l) ->
-        (run.E.Common.result, E.Common.label_to_int l))
+      (fun ((run : Detect.Run.t), l) ->
+        (run.Detect.Run.result, Detect.label_to_int l))
       (T6.train_runs td)
   in
   let predict =
@@ -105,8 +105,8 @@ let legacy_learned_pairs ~rng td approach =
     | T6.Scadet | T6.Scaguard -> invalid_arg "legacy_learned_pairs"
   in
   List.map
-    (fun ((run : E.Common.run), truth) ->
-      ( T6.canonize td (E.Common.label_of_int (predict run.E.Common.result)),
+    (fun ((run : Detect.Run.t), truth) ->
+      ( T6.canonize td (Detect.label_of_int (predict run.Detect.Run.result)),
         truth ))
     (T6.test_runs td)
 
@@ -145,7 +145,7 @@ let legacy_fig5 ~rng ~per_family ~thresholds =
     List.map
       (fun (run, truth) ->
         let v =
-          Scaguard.Detector.classify ~threshold:0.0 repo (E.Common.model run)
+          Scaguard.Detector.classify ~threshold:0.0 repo (Detect.Run.model run)
         in
         let best =
           match v.Scaguard.Detector.best_matches with
@@ -212,7 +212,7 @@ let adapter_identity_prop =
       let drng = Sutil.Rng.create (seed + 2) in
       let int_pairs =
         List.map
-          (fun (r, l) -> (Detect.Run.result r, E.Common.label_to_int l))
+          (fun (r, l) -> (Detect.Run.result r, Detect.label_to_int l))
           pairs
       in
       let agree name adapter direct =
@@ -240,27 +240,27 @@ let adapter_identity_prop =
           ~benign:
             (List.filter_map
                (fun (x, l) ->
-                 if l = E.Common.label_to_int L.Benign then Some x else None)
+                 if l = Detect.label_to_int L.Benign then Some x else None)
                int_pairs)
           ~attacks:
             (List.filter
-               (fun (_, l) -> l <> E.Common.label_to_int L.Benign)
+               (fun (_, l) -> l <> Detect.label_to_int L.Benign)
                int_pairs)
-          ~benign_label:(E.Common.label_to_int L.Benign)
+          ~benign_label:(Detect.label_to_int L.Benign)
       in
       agree "svm-nw" (Detect.Svm_nw.predict svm) (fun r ->
-          E.Common.label_of_int
+          Detect.label_of_int
             (Baselines.Nights_watch.predict svm_d (Detect.Run.result r)));
       agree "lr-nw" (Detect.Lr_nw.predict lr) (fun r ->
-          E.Common.label_of_int
+          Detect.label_of_int
             (Baselines.Nights_watch.predict lr_d (Detect.Run.result r)));
       agree "phased-guard" (Detect.Phased_guard.predict pg) (fun r ->
-          E.Common.label_of_int
+          Detect.label_of_int
             (Baselines.Phased_guard.predict pg_d (Detect.Run.result r)));
       let knn = Detect.Knn_mlfm.train ctx pairs in
       let knn_d = Baselines.Mlfm.train int_pairs in
       agree "knn-mlfm" (Detect.Knn_mlfm.predict knn) (fun r ->
-          E.Common.label_of_int
+          Detect.label_of_int
             (Baselines.Mlfm.predict knn_d (Detect.Run.result r)));
       let sd = Detect.Scadet.train ctx pairs in
       agree "scadet" (Detect.Scadet.predict sd) (fun r ->
@@ -278,7 +278,7 @@ let adapter_identity_prop =
         Baselines.Anomaly.train
           (List.filter_map
              (fun (x, l) ->
-               if l = E.Common.label_to_int L.Benign then Some x else None)
+               if l = Detect.label_to_int L.Benign then Some x else None)
              int_pairs)
       in
       agree "anomaly" (Detect.Anomaly.predict an) (fun r ->

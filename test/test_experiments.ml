@@ -13,7 +13,7 @@ let test_label_int_roundtrip () =
   List.iter
     (fun l ->
       check_bool "roundtrip" true
-        (L.equal l (E.Common.label_of_int (E.Common.label_to_int l))))
+        (L.equal l (Detect.label_of_int (Detect.label_to_int l))))
     L.all
 
 let test_repository_families () =
@@ -160,7 +160,7 @@ let test_ablation_model_variants_build () =
   let sample =
     List.hd (Workloads.Dataset.mutated_attacks ~rng ~count:1 L.Fr_family)
   in
-  let run = E.Common.execute sample in
+  let run = Detect.Run.execute sample in
   List.iter
     (fun v ->
       let m = E.Ablation.model_of_run v run in

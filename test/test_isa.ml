@@ -254,13 +254,64 @@ let test_binary_negative_values () =
   check_bool "negative imm and disp survive" true
     (programs_equal p (Isa.Binary.decode (Isa.Binary.encode p)))
 
+(* Header, no name, no labels, 0xFFFFFFFF instructions and one nop: 18
+   bytes that must not ask for a 4-billion-slot array. *)
+let huge_count_binary =
+  let b = Buffer.create 18 in
+  Buffer.add_string b Isa.Binary.magic;
+  Buffer.add_int32_le b 0x400000l;
+  Buffer.add_uint16_le b 0;
+  Buffer.add_uint16_le b 0;
+  Buffer.add_int32_le b (-1l);
+  Buffer.add_uint8 b 27;
+  Buffer.contents b
+
+(* FR-IAIK with its first label moved past the end of the code, so a branch
+   names a label the program never binds. *)
+let past_end_label_binary () =
+  let prog = (Workloads.Attacks.flush_reload ~style:Workloads.Attacks.Iaik ()).Workloads.Attacks.program in
+  let b = Bytes.of_string (Isa.Binary.encode prog) in
+  Bytes.set_int32_le b (String.length Isa.Binary.magic + 4 + 2 + String.length (P.name prog) + 2) 0xFFFFFFl;
+  Bytes.to_string b
+
 let test_binary_rejects_garbage () =
   let bad s = try ignore (Isa.Binary.decode s); false with Failure _ -> true in
   check_bool "bad magic" true (bad "NOTSCAB");
   check_bool "empty" true (bad "");
   let good = Isa.Binary.encode (simple_prog ()) in
   check_bool "truncated" true
-    (bad (String.sub good 0 (String.length good - 3)))
+    (bad (String.sub good 0 (String.length good - 3)));
+  check_int "huge count file" 18 (String.length huge_count_binary);
+  check_bool "count beyond the bytes" true (bad huge_count_binary);
+  check_bool "label past the code" true (bad (past_end_label_binary ()))
+
+(* Any 1-3 byte mutation of an encoded PoC either decodes or raises
+   [Failure]: no other exception, no allocation the input cannot pay for. *)
+let prop_binary_mutants_fail_cleanly =
+  let encoded =
+    Array.of_list
+      (List.map
+         (fun (spec : Workloads.Attacks.spec) -> Isa.Binary.encode spec.Workloads.Attacks.program)
+         (Workloads.Attacks.base_pocs ()))
+  in
+  let gen =
+    QCheck.Gen.(
+      int_bound (Array.length encoded - 1) >>= fun which ->
+      list_size (int_range 1 3)
+        (pair (int_bound (String.length encoded.(which) - 1)) (int_bound 255))
+      >|= fun edits -> (which, edits))
+  in
+  let mutant (which, edits) =
+    let b = Bytes.of_string encoded.(which) in
+    List.iter (fun (i, v) -> Bytes.set b i (Char.chr v)) edits;
+    Bytes.to_string b
+  in
+  QCheck.Test.make ~name:"mutants decode or raise Failure" ~count:5000
+    (QCheck.make ~print:(fun m -> String.escaped (mutant m)) gen)
+    (fun m ->
+      match Isa.Binary.decode (mutant m) with
+      | _ -> true
+      | exception Failure _ -> true)
 
 let prop_binary_roundtrip =
   let gen_instr =
@@ -325,6 +376,7 @@ let () =
           Alcotest.test_case "negative values" `Quick test_binary_negative_values;
           Alcotest.test_case "rejects garbage" `Quick test_binary_rejects_garbage;
           QCheck_alcotest.to_alcotest prop_binary_roundtrip;
+          QCheck_alcotest.to_alcotest prop_binary_mutants_fail_cleanly;
         ] );
       ( "builder",
         [

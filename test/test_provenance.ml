@@ -200,6 +200,26 @@ let test_golden_json () =
     ^ "\n")
     (P.to_jsonl [| golden_indexed; golden_linear |])
 
+(* The text rendering [scaguard explain] prints, byte for byte. *)
+let test_golden_text () =
+  let render r = Format.asprintf "%a@." P.pp r in
+  check_string "indexed record"
+    "fr-mastik: ATTACK FR-F  (best 91.07% vs threshold 60%) [indexed, 0.123 ms, trace tr-golden]\n\
+    \  index: visited 1 nodes (4 models), cut 1 subtrees (3 models), screened out 1 members\n\
+    \  candidates (evaluation order):\n\
+    \    fr-iaik                (FR-F):  91.07%  (lb 6.25%)\n\
+    \    pp-iaik                (PP-F): pruned by lower bound  (lb 75.00%)\n\
+    \    ff                     (FF-F): abandoned mid-DP (cutoff)\n\
+    \    er                     (ER-F): pruned\n\
+    \  best matches: fr-iaik/FR-F 91.07% fr-nepoche/FR-F 91.07%\n"
+    (render golden_indexed);
+  check_string "linear record"
+    "quicksort: benign  (best 31.00% vs threshold 60%) [linear scan, 0.000 ms]\n\
+    \  candidates (evaluation order):\n\
+    \    fr-iaik                (FR-F):  31.00%  (lb 10.00%)\n\
+    \  best matches: fr-iaik/FR-F 31.00%\n"
+    (render golden_linear)
+
 (* Strings exercise the writer's escapes; floats cover signed zeros,
    subnormal/huge magnitudes and every non-finite value, and best_score
    takes raw bit patterns, NaN payloads included. *)
@@ -490,6 +510,7 @@ let () =
       ( "codec",
         [
           Alcotest.test_case "golden to_json" `Quick test_golden_json;
+          Alcotest.test_case "golden text" `Quick test_golden_text;
           QCheck_alcotest.to_alcotest ~long:false prop_jsonl_parses_back;
         ] );
       ( "purity",

@@ -1423,7 +1423,7 @@ let test_persist_save_atomic () =
          files are left behind *)
       ok_exn (SG.Persist.save_repository_result ~path repository);
       ok_exn (SG.Persist.save_repository_result ~path repository);
-      let loaded = ok_exn (SG.Persist.load_repository_result ~path) in
+      let loaded = fst (ok_exn (SG.Persist.load_repository_prepared_result ~path)) in
       check_int "poc count" (List.length repository) (List.length loaded);
       let leftovers =
         Array.to_list (Sys.readdir dir)
@@ -1455,7 +1455,7 @@ let test_persist_repository_roundtrip () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       ok_exn (SG.Persist.save_repository_result ~path repo);
-      let loaded = ok_exn (SG.Persist.load_repository_result ~path) in
+      let loaded = fst (ok_exn (SG.Persist.load_repository_prepared_result ~path)) in
       check_int "poc count" (List.length repo) (List.length loaded);
       (* classification through the loaded repository is identical *)
       let target = model_of_spec (A.evict_reload ()) in
@@ -1571,7 +1571,7 @@ let test_persist_newline_tokens () =
           (match save ~path repository with
           | Ok () -> ()
           | Error e -> Alcotest.fail (SG.Err.to_string e));
-          let loaded = ok_exn (SG.Persist.load_repository_result ~path) in
+          let loaded = fst (ok_exn (SG.Persist.load_repository_prepared_result ~path)) in
           Alcotest.(check string) "file roundtrip"
             (SG.Persist.repository_to_string repository)
             (SG.Persist.repository_to_string loaded)))
@@ -1618,14 +1618,14 @@ let test_persist_binary_errors () =
   | Error e -> Alcotest.fail ("unexpected error kind: " ^ SG.Err.to_string e)
   | Ok _ -> Alcotest.fail "repository bytes accepted as a model");
   (* errors from file loads carry the file name *)
-  let path = Filename.temp_file "scaguard" ".cstbbs" in
+  let path = Filename.temp_file "scaguard" ".bin" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       let oc = open_out_bin path in
-      output_string oc (String.sub bytes 0 9);
+      output_string oc (String.sub repo_bytes 0 9);
       close_out oc;
-      match SG.Persist.load_model_result ~path with
+      match SG.Persist.load_repository_prepared_result ~path with
       | Error (SG.Err.Parse { file = Some f; _ }) ->
         Alcotest.(check string) "file context" path f
       | Error e ->
@@ -1861,7 +1861,14 @@ let test_model_cache_version_stale () =
       in
       check_int "version mismatch is a miss" 0 (SG.Model_cache.hits cache2);
       check_int "stale counted" 1 (SG.Model_cache.stale cache2);
-      Alcotest.(check string) "rebuilt" (model_bytes fresh) (model_bytes built))
+      Alcotest.(check string) "rebuilt" (model_bytes fresh) (model_bytes built);
+      (* a well-formed text entry is not an entry this build writes *)
+      let oc = open_out_bin path in
+      output_string oc (SG.Persist.model_to_string fresh);
+      close_out oc;
+      let cache3 = reopen cache in
+      ignore (SG.Model_cache.fetch cache3 ~key (fun () -> fresh));
+      check_int "text entry is stale" 1 (SG.Model_cache.stale cache3))
 
 let test_model_cache_key_sensitivity () =
   let fr = D.of_spec (A.flush_reload ~style:A.Iaik ()) in

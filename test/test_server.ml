@@ -369,27 +369,47 @@ let test_detect_stream_parity () =
 let test_queue_full_busy () =
   let t = make_server ~queue_capacity:2 () in
   let conn, frames = recording_conn t in
-  let reqs =
-    String.concat ""
-      (List.map (Printf.sprintf "{\"id\":%d,\"op\":\"ping\"}\n") [ 1; 2; 3; 4 ])
+  let ping ids =
+    Server.feed t conn
+      (String.concat ""
+         (List.map (Printf.sprintf "{\"id\":%d,\"op\":\"ping\"}\n") ids))
   in
-  Server.feed t conn reqs;
+  let with_ok ok = List.filter (fun f -> J.member "ok" f = Some (J.Bool ok)) (frames ()) in
+  ping [ 1; 2; 3; 4 ];
   (* the two rejections are emitted from feed, before any queued work ran *)
   check_int "queue holds its capacity" 2 (Server.pending t);
-  let busy_now =
-    List.filter
-      (fun f -> J.member "ok" f = Some (J.Bool false))
-      (frames ())
-  in
+  let busy_now = with_ok false in
   check_int "overflow rejected immediately" 2 (List.length busy_now);
   List.iter
     (fun f -> check_string "busy code" "busy" (error_code_of_frame f))
     busy_now;
+  (* one step frees a slot: the next request is queued, not refused *)
+  check_bool "one step" true (Server.step t = `Worked);
+  ping [ 5 ];
+  check_int "freed slot taken" 2 (Server.pending t);
+  check_int "no new refusal" 2 (List.length (with_ok false));
   ignore (Server.drain t);
-  let ok_frames =
-    List.filter (fun f -> J.member "ok" f = Some (J.Bool true)) (frames ())
-  in
-  check_int "queued requests still served" 2 (List.length ok_frames)
+  Alcotest.(check (list (option int)))
+    "queued requests served in arrival order" [ Some 1; Some 2; Some 5 ]
+    (List.map
+       (fun f ->
+         match J.member "id" f with
+         | Some (J.Num n) -> Some (int_of_float n)
+         | _ -> None)
+       (with_ok true))
+
+(* A queue that can hold nothing is a config error, not a daemon that
+   answers every request busy. *)
+let test_zero_queue_capacity () =
+  let _, prepared = Lazy.force prepared_repo in
+  match
+    Server.create ~config:C.default ~resolve ~prepared ~queue_capacity:0 ()
+  with
+  | Error (SG.Err.Invalid_config { field; value; _ }) ->
+    check_string "field" "queue_capacity" field;
+    check_string "value" "0" value
+  | Error e -> Alcotest.failf "wrong error: %s" (SG.Err.to_string e)
+  | Ok _ -> Alcotest.fail "a zero-capacity queue was accepted"
 
 let test_deadline_expiry () =
   let t = make_server () in
@@ -1186,6 +1206,8 @@ let () =
             test_detect_stream_parity;
           Alcotest.test_case "queue-full backpressure" `Quick
             test_queue_full_busy;
+          Alcotest.test_case "zero queue capacity is a config error" `Quick
+            test_zero_queue_capacity;
           Alcotest.test_case "deadline expiry" `Quick test_deadline_expiry;
           Alcotest.test_case "server default deadline" `Quick
             test_default_deadline;

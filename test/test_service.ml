@@ -611,7 +611,7 @@ let test_persist_parse_locations () =
       let oc = open_out path in
       output_string oc truncated;
       close_out oc;
-      (match SG.Persist.load_repository_result ~path with
+      (match SG.Persist.load_repository_prepared_result ~path with
       | Error (SG.Err.Parse { file = Some f; line = Some _; _ }) ->
         check_string "parse error names the file" path f
       | r ->
@@ -619,7 +619,7 @@ let test_persist_parse_locations () =
           (match r with Ok _ -> "Ok" | Error e -> SG.Err.to_string e));
       (* and a missing file is Io, not Parse *)
       match
-        SG.Persist.load_repository_result
+        SG.Persist.load_repository_prepared_result
           ~path:(Filename.concat dir "missing.repo")
       with
       | Error (SG.Err.Io _) -> ()

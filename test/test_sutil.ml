@@ -289,35 +289,6 @@ let test_table_pct () =
   Alcotest.(check string) "pct" "96.64%" (Sutil.Table.pct 0.9664);
   Alcotest.(check string) "fpct" "12.30%" (Sutil.Table.fpct 12.3)
 
-(* -- bqueue ------------------------------------------------------------------- *)
-
-let test_bqueue_fifo () =
-  let q = Sutil.Bqueue.create ~capacity:3 in
-  Alcotest.(check bool) "empty" true (Sutil.Bqueue.is_empty q);
-  List.iter (fun i -> assert (Sutil.Bqueue.push q i)) [ 1; 2; 3 ];
-  Alcotest.(check bool) "full rejects" false (Sutil.Bqueue.push q 4);
-  Alcotest.(check (option int)) "peek is the head" (Some 1) (Sutil.Bqueue.peek q);
-  Alcotest.(check (option int)) "fifo pop" (Some 1) (Sutil.Bqueue.pop q);
-  Alcotest.(check bool) "slot freed" true (Sutil.Bqueue.push q 4);
-  Alcotest.(check (list int)) "to_list keeps order" [ 2; 3; 4 ]
-    (Sutil.Bqueue.to_list q);
-  let drained = ref [] in
-  Sutil.Bqueue.drain q (fun v -> drained := v :: !drained);
-  Alcotest.(check (list int)) "drain is fifo" [ 2; 3; 4 ] (List.rev !drained);
-  Alcotest.(check (option int)) "empty pop" None (Sutil.Bqueue.pop q)
-
-let test_bqueue_wraparound () =
-  let q = Sutil.Bqueue.create ~capacity:2 in
-  for i = 1 to 100 do
-    assert (Sutil.Bqueue.push q i);
-    Alcotest.(check (option int)) "ring wraps" (Some i) (Sutil.Bqueue.pop q)
-  done
-
-let test_bqueue_invalid () =
-  Alcotest.check_raises "capacity 0"
-    (Invalid_argument "Bqueue.create: capacity 0 < 1") (fun () ->
-      ignore (Sutil.Bqueue.create ~capacity:0))
-
 (* -- sink --------------------------------------------------------------------- *)
 
 (* Pushes from several domains at once: a bounded sink never holds more than
@@ -433,12 +404,6 @@ let () =
         [
           Alcotest.test_case "render" `Quick test_table_render;
           Alcotest.test_case "pct" `Quick test_table_pct;
-        ] );
-      ( "bqueue",
-        [
-          Alcotest.test_case "fifo + bound" `Quick test_bqueue_fifo;
-          Alcotest.test_case "ring wraparound" `Quick test_bqueue_wraparound;
-          Alcotest.test_case "invalid capacity" `Quick test_bqueue_invalid;
         ] );
       ( "sink",
         [
