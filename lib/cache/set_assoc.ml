@@ -117,31 +117,43 @@ let slot_of t line =
     let base = set_of t line * t.ways in
     find_from t (tag_of t line) base (base + t.ways)
 
+(* A hit on slot [i]: FIFO keeps the fill stamp, LRU refreshes it. *)
+let[@inline] hit t ~owner i =
+  (match t.policy with
+  | Policy.Lru | Policy.Random _ -> t.stamps.(i) <- tick t
+  | Policy.Fifo -> ());
+  Bytes.set t.state i (code owner);
+  t.evicted <- '\000'
+
+(* A repeat of the latest line, most lookups, is answered before any set
+   arithmetic. *)
 let access t ~owner addr =
   let line = addr lsr t.cfg.Config.line_bits in
-  let i = slot_of t line in
-  t.memo_line <- line;
-  if i >= 0 then begin
-    (* FIFO keeps the fill stamp on hits; LRU refreshes it. *)
-    (match t.policy with
-    | Policy.Lru | Policy.Random _ -> t.stamps.(i) <- tick t
-    | Policy.Fifo -> ());
-    Bytes.set t.state i (code owner);
-    t.evicted <- '\000';
-    t.memo_slot <- i;
+  if line = t.memo_line then begin
+    hit t ~owner t.memo_slot;
     true
   end
   else begin
-    let set = set_of t line in
-    let i = victim_slot t (set * t.ways) in
-    t.evicted <- Bytes.get t.state i;
-    (* the evicted line's base address, rebuilt from its set and tag *)
-    t.evicted_addr <- ((t.tags.(i) * t.cfg.Config.sets) + set) lsl t.cfg.Config.line_bits;
-    Bytes.set t.state i (code owner);
-    t.tags.(i) <- tag_of t line;
-    t.stamps.(i) <- tick t;
-    t.memo_slot <- i;
-    false
+    let base = set_of t line * t.ways in
+    let i = find_from t (tag_of t line) base (base + t.ways) in
+    t.memo_line <- line;
+    if i >= 0 then begin
+      hit t ~owner i;
+      t.memo_slot <- i;
+      true
+    end
+    else begin
+      let set = set_of t line in
+      let i = victim_slot t (set * t.ways) in
+      t.evicted <- Bytes.get t.state i;
+      (* the evicted line's base address, rebuilt from its set and tag *)
+      t.evicted_addr <- ((t.tags.(i) * t.cfg.Config.sets) + set) lsl t.cfg.Config.line_bits;
+      Bytes.set t.state i (code owner);
+      t.tags.(i) <- tag_of t line;
+      t.stamps.(i) <- tick t;
+      t.memo_slot <- i;
+      false
+    end
   end
 
 let evicted t = t.evicted <> '\000'

@@ -19,9 +19,10 @@ val access : t -> owner:Owner.t -> int -> bool
     cache's {!Policy.t} if the set is full) and ownership is recorded; on a
     hit the line is promoted to MRU and ownership is {e re-assigned} to
     [owner] (matching shared-memory attacks where the attacker re-loads a
-    victim-fetched line).  A repeat of the latest access's line skips the
-    set lookup.  Allocates nothing, except when the Random policy draws a
-    victim. *)
+    victim-fetched line).  A repeat of the latest access's line (most L1
+    lookups) is answered first, before any set arithmetic, with the same
+    effects as any hit.  Allocates nothing, except when the Random policy
+    draws a victim. *)
 
 val evicted : t -> bool
 (** Whether the latest {!access} missed and evicted a valid line. *)

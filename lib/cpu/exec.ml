@@ -24,7 +24,8 @@ let default_settings =
   }
 
 exception Fault of int
-(* raised by an architectural access to the protected range *)
+(* raised by an architectural access to the protected range, with the
+   faulting instruction's index *)
 
 (* Programs may install a "signal handler" by binding this label; a fault
    transfers control there (the PoC's recovery path).  Without one, the
@@ -43,25 +44,29 @@ type result = {
 
 (* An operand with its registers resolved to register-file slots; an
    absent base or index names the always-zero slot. *)
-type operand = Imm of int | Reg of int | Mem of { base : int; index : int; scale : int; disp : int }
+type mem = { base : int; index : int; scale : int; disp : int }
+type operand = Imm of int | Reg of int | Mem of mem
 
-let operand =
-  let slot = function Some r -> Isa.Reg.index r | None -> Isa.Reg.count in
-  function
+let reg = Isa.Reg.index
+
+let mem (m : O.mem) =
+  let slot = function Some r -> reg r | None -> Isa.Reg.count in
+  { base = slot m.O.base; index = slot m.O.index; scale = m.O.scale; disp = m.O.disp }
+
+let operand = function
   | O.Imm i -> Imm i
-  | O.Reg r -> Reg (Isa.Reg.index r)
-  | O.Mem m ->
-    Mem { base = slot m.O.base; index = slot m.O.index; scale = m.O.scale; disp = m.O.disp }
+  | O.Reg r -> Reg (reg r)
+  | O.Mem m -> Mem (mem m)
 
 type proc = {
   prog : P.t;
-  (* the program decoded once per run, so a step neither looks a label up
-     by name, nor matches the instruction for its cost or operands *)
-  code : I.t array;
-  op1 : operand array; (* first operand (Instr.operands), [Imm 0] if none *)
-  op2 : operand array; (* second operand, [Imm 0] if none *)
-  targets : int array; (* label index of a Jmp/Jcc/Call; 0 elsewhere *)
+  (* the program compiled once per run: instruction [i] is [ops.(i) mach
+     transient], a closure specialized by instruction and operand shape,
+     so a step matches neither the instruction nor its operands *)
+  ops : (Machine.t -> bool -> unit) array;
   costs : int array;
+  btb : Bytes.t; (* the branch-target buffer: '\001' once the branch at
+                    that index retired *)
   handler : int option; (* index bound to [fault_handler_label] *)
   mach : Machine.t;
   shadow : Machine.t; (* copy-on-write view of [mach] for wrong paths *)
@@ -76,36 +81,12 @@ type proc = {
                         sharing caches, so one does not stall the other *)
   mutable in_transient : bool; (* protection checks are deferred on the
                                   transient path (Meltdown) *)
+  mutable retired : int; (* architectural steps retired so far *)
 }
-
-let spawn ?stack_top ~owner ~collect ~spec hier prog =
-  let code = P.code prog in
-  let target ins = Option.fold ~none:0 ~some:(P.label_index prog) (I.branch_target ins) in
-  let mach = Machine.create ?stack_top () in
-  let nth k ins = match List.nth_opt (I.operands ins) k with Some o -> operand o | None -> Imm 0 in
-  {
-    prog;
-    code;
-    op1 = Array.map (nth 0) code;
-    op2 = Array.map (nth 1) code;
-    targets = Array.map target code;
-    costs = Array.map Timing.cost code;
-    handler = List.assoc_opt fault_handler_label (P.labels prog);
-    mach;
-    shadow = Machine.shadow mach;
-    owner;
-    pred = Predictor.create ();
-    collect;
-    spec;
-    hier;
-    now = 0;
-    in_transient = false;
-  }
 
 type global = {
   settings : settings;
   mutable wrong_path_steps : int;
-  mutable victim_steps : int;
 }
 
 let ev proc idx e =
@@ -141,7 +122,7 @@ let data_load g proc mach idx addr =
   (* The line is fetched (cache side effects above are real) before the
      permission check retires — faults are precise architecturally but late
      micro-architecturally. *)
-  if protected_fault g proc addr then raise (Fault addr);
+  if protected_fault g proc addr then raise (Fault idx);
   Machine.load mach addr
 
 let data_store proc mach idx addr value =
@@ -156,154 +137,129 @@ let data_store proc mach idx addr value =
   acc proc idx ~target:addr Hpc.Collector.Store;
   Machine.store mach addr value
 
-let address proc mach idx = function
-  | Mem m -> m.disp + Machine.slot mach m.base + (Machine.slot mach m.index * m.scale)
-  | Imm _ | Reg _ ->
-    invalid_arg ("Exec: " ^ I.mnemonic proc.code.(idx) ^ " needs a memory operand")
+let address mach m = m.disp + Machine.slot mach m.base + (Machine.slot mach m.index * m.scale)
 
+(* The shared operand helpers, for the shapes no closure below
+   specializes. *)
 let eval g proc mach idx = function
   | Imm i -> i
   | Reg r -> Machine.slot mach r
-  | Mem _ as m -> data_load g proc mach idx (address proc mach idx m)
+  | Mem m -> data_load g proc mach idx (address mach m)
 
 let write proc mach idx dst value =
   match dst with
   | Reg r -> Machine.set_slot mach r value
-  | Mem _ -> data_store proc mach idx (address proc mach idx dst) value
+  | Mem m -> data_store proc mach idx (address mach m) value
   | Imm _ -> invalid_arg "Exec: immediate as destination"
 
 let arith_flags mach result ~cf =
   Machine.set_flags mach ~zf:(result = 0) ~sf:(result < 0) ~cf
 
-(* Read-modify-write binary ALU op on the instruction's two operands. *)
-let binop g proc mach idx f ~cf_of =
-  let a = eval g proc mach idx proc.op1.(idx) in
-  let b = eval g proc mach idx proc.op2.(idx) in
-  let r = f a b in
-  arith_flags mach r ~cf:(cf_of a b);
-  write proc mach idx proc.op1.(idx) r
+(* An ALU result into register slot [d], with its flags. *)
+let[@inline] set_result mach d r ~cf =
+  arith_flags mach r ~cf;
+  Machine.set_slot mach d r
 
-let rsp = Isa.Reg.index Isa.Reg.RSP
-let rax = Isa.Reg.index Isa.Reg.RAX
+let compare_flags mach x y = Machine.set_flags mach ~zf:(x = y) ~sf:(x - y < 0) ~cf:(x < y)
+
+(* x86 inc/dec leave CF untouched. *)
+let incdec_flags mach r = Machine.set_flags mach ~zf:(r = 0) ~sf:(r < 0) ~cf:(Machine.cf mach)
+
+type alu = Add | Sub | Imul | Xor | And | Or | Shl | Shr
+
+(* The closure of a read-modify-write binary ALU op. *)
+let binop g proc idx op dst src =
+  let module M = Machine in
+  match (op, operand dst, operand src) with
+  | Add, Reg d, Reg s -> fun mach _ -> set_result mach d (M.slot mach d + M.slot mach s) ~cf:false
+  | Add, Reg d, Imm i -> fun mach _ -> set_result mach d (M.slot mach d + i) ~cf:false
+  | And, Reg d, Imm i -> fun mach _ -> set_result mach d (M.slot mach d land i) ~cf:false
+  | Sub, Reg d, Imm i ->
+    fun mach _ ->
+      let a = M.slot mach d in
+      set_result mach d (a - i) ~cf:(a < i)
+  | op, dst, src ->
+    fun mach _ ->
+      let a = eval g proc mach idx dst in
+      let b = eval g proc mach idx src in
+      let r =
+        match op with
+        | Add -> a + b
+        | Sub -> a - b
+        | Imul -> a * b
+        | Xor -> a lxor b
+        | And -> a land b
+        | Or -> a lor b
+        | Shl -> a lsl b
+        | Shr -> a lsr b
+      in
+      arith_flags mach r ~cf:(match op with Sub -> a < b | _ -> false);
+      write proc mach idx dst r
+
+let rsp = reg Isa.Reg.RSP
+let rax = reg Isa.Reg.RAX
 
 (* Execute the instruction at [mach]'s pc; returns whether an instruction
    actually retired (false when the pc ran off the program, which just
    halts).  [transient] suppresses predictor training, BB-retirement notes
    and nested speculation; cache effects and HPC events still happen — that
-   persistence is the Spectre channel. *)
-let rec step g proc mach ~transient =
+   persistence is the Spectre channel.  An architectural load from the
+   protected range raises [Fault] after its fetch, its retirement note and
+   its cache effects. *)
+let step proc mach ~transient =
   proc.in_transient <- transient;
   let idx = Machine.pc mach in
-  if idx < 0 || idx >= Array.length proc.code then begin
+  if idx < 0 || idx >= Array.length proc.ops then begin
     Machine.set_halted mach true;
     false
   end
-  else try begin
-    let pc = P.addr_of_index proc.prog idx in
-    let level = H.ifetch proc.hier ~owner:proc.owner pc in
+  else begin
+    let level = H.ifetch proc.hier ~owner:proc.owner (P.addr_of_index proc.prog idx) in
     proc.now <- proc.now + H.latency proc.hier level;
     if level <> H.L1 then ev proc idx Hpc.Event.L1i_load_miss;
     if level = H.Memory then ev proc idx Hpc.Event.Cache_miss;
-    if not transient then begin
-      match proc.collect with
-      | Some c -> Hpc.Collector.note_executed c idx ~time:proc.now
-      | None -> ()
-    end;
-    let ins = proc.code.(idx) in
+    (if not transient then
+       match proc.collect with
+       | Some c -> Hpc.Collector.note_executed c idx ~time:proc.now
+       | None -> ());
     proc.now <- proc.now + proc.costs.(idx);
-    let next = idx + 1 in
-    Machine.set_pc mach next;
-    (match ins with
-    | I.Mov _ -> write proc mach idx proc.op1.(idx) (eval g proc mach idx proc.op2.(idx))
-    | I.Lea _ -> write proc mach idx proc.op1.(idx) (address proc mach idx proc.op2.(idx))
-    | I.Add _ -> binop g proc mach idx ( + ) ~cf_of:(fun _ _ -> false)
-    | I.Sub _ -> binop g proc mach idx ( - ) ~cf_of:(fun a b -> a < b)
-    | I.Imul _ -> binop g proc mach idx ( * ) ~cf_of:(fun _ _ -> false)
-    | I.Xor _ -> binop g proc mach idx ( lxor ) ~cf_of:(fun _ _ -> false)
-    | I.And _ -> binop g proc mach idx ( land ) ~cf_of:(fun _ _ -> false)
-    | I.Or _ -> binop g proc mach idx ( lor ) ~cf_of:(fun _ _ -> false)
-    | I.Shl _ -> binop g proc mach idx ( lsl ) ~cf_of:(fun _ _ -> false)
-    | I.Shr _ -> binop g proc mach idx ( lsr ) ~cf_of:(fun _ _ -> false)
-    | I.Inc _ | I.Dec _ ->
-      let r = eval g proc mach idx proc.op1.(idx) + match ins with I.Inc _ -> 1 | _ -> -1 in
-      (* x86 inc/dec leave CF untouched. *)
-      Machine.set_flags mach ~zf:(r = 0) ~sf:(r < 0) ~cf:(Machine.cf mach);
-      write proc mach idx proc.op1.(idx) r
-    | I.Cmp _ ->
-      let x = eval g proc mach idx proc.op1.(idx) in
-      let y = eval g proc mach idx proc.op2.(idx) in
-      Machine.set_flags mach ~zf:(x = y) ~sf:(x - y < 0) ~cf:(x < y)
-    | I.Test _ ->
-      let x = eval g proc mach idx proc.op1.(idx) in
-      let y = eval g proc mach idx proc.op2.(idx) in
-      let r = x land y in
-      Machine.set_flags mach ~zf:(r = 0) ~sf:(r < 0) ~cf:false
-    | I.Jmp _ ->
-      if not transient then note_btb proc ~pc idx;
-      Machine.set_pc mach proc.targets.(idx)
-    | I.Jcc (c, _) -> exec_jcc g proc mach ~transient ~pc ~idx c
-    | I.Call _ ->
-      if not transient then note_btb proc ~pc idx;
-      let sp = Machine.slot mach rsp - 8 in
-      Machine.set_slot mach rsp sp;
-      data_store proc mach idx sp next;
-      Machine.set_pc mach proc.targets.(idx)
-    | I.Ret ->
-      let sp = Machine.slot mach rsp in
-      let target = data_load g proc mach idx sp in
-      Machine.set_slot mach rsp (sp + 8);
-      if target < 0 || target >= Array.length proc.code then
-        Machine.set_halted mach true
-      else Machine.set_pc mach target
-    | I.Push _ ->
-      let v = eval g proc mach idx proc.op1.(idx) in
-      let sp = Machine.slot mach rsp - 8 in
-      Machine.set_slot mach rsp sp;
-      data_store proc mach idx sp v
-    | I.Pop _ ->
-      let sp = Machine.slot mach rsp in
-      let v = data_load g proc mach idx sp in
-      Machine.set_slot mach rsp (sp + 8);
-      write proc mach idx proc.op1.(idx) v
-    | I.Clflush _ ->
-      let addr = address proc mach idx proc.op1.(idx) in
-      proc.now <- proc.now + H.flush proc.hier addr;
-      acc proc idx ~target:addr Hpc.Collector.Flush
-    | I.Prefetch _ -> ignore (data_load g proc mach idx (address proc mach idx proc.op1.(idx)))
-    | I.Mfence | I.Lfence | I.Cpuid ->
-      (* Serializing: a transient (mispredicted-path) execution cannot
-         proceed past a fence — the property real attacks use to keep
-         run-ahead loads out of their timing windows. *)
-      if transient then Machine.set_halted mach true
-    | I.Rdtsc | I.Rdtscp ->
-      Machine.set_slot mach rax proc.now;
-      ev proc idx Hpc.Event.Timestamp
-    | I.Nop -> ()
-    | I.Halt -> Machine.set_halted mach true);
+    Machine.set_pc mach (idx + 1);
+    proc.ops.(idx) mach transient;
     true
   end
-  with Fault _ when not transient ->
-    (* Deferred-fault transient window: re-run the faulting instruction and
-       its dependents on a shadow (loads from the protected range succeed
-       there), leaving only cache footprints; then deliver the fault. *)
-    if proc.spec && g.settings.spec_window > 0 then
-      run_transient g proc ~from:idx;
-    (match proc.handler with
-    | Some handler -> Machine.set_pc mach handler
-    | None -> Machine.set_halted mach true);
-    true
 
-and note_btb proc ~pc idx =
-  if not (Predictor.btb_seen proc.pred ~pc) then begin
+(* Transient execution down the mispredicted path: runs on the process's
+   copy-on-write shadow, whose architectural effects are discarded, while
+   cache fills/evictions and HPC events go through the real shared
+   hierarchy.  The architectural machine is not written until the shadow
+   is done, and there is no nested speculation, so one shadow suffices. *)
+let run_transient g proc ~from =
+  let shadow = proc.shadow in
+  Machine.fork shadow;
+  Machine.set_pc shadow from;
+  (* Wrong-path work overlaps the pipeline flush on a real core; its latency
+     is covered by the mispredict penalty, so the architectural clock is
+     restored afterwards.  Cache effects persist. *)
+  let saved_now = proc.now in
+  let steps = ref 0 in
+  while (not (Machine.halted shadow)) && !steps < g.settings.spec_window do
+    if step proc shadow ~transient:true then
+      g.wrong_path_steps <- g.wrong_path_steps + 1;
+    incr steps
+  done;
+  proc.in_transient <- false;
+  proc.now <- saved_now
+
+let note_btb proc idx =
+  if Bytes.get proc.btb idx = '\000' then begin
     ev proc idx Hpc.Event.Branch_load_miss;
-    Predictor.btb_insert proc.pred ~pc
+    Bytes.set proc.btb idx '\001'
   end
 
-and exec_jcc g proc mach ~transient ~pc ~idx cond =
-  let target = proc.targets.(idx) in
+let exec_jcc g proc mach transient idx ~pc cond target =
   let taken = Machine.cond_holds mach cond in
   if not transient then begin
-    note_btb proc ~pc idx;
+    note_btb proc idx;
     let predicted = Predictor.predict_taken proc.pred ~pc in
     Predictor.update proc.pred ~pc ~taken;
     if predicted <> taken then begin
@@ -315,27 +271,169 @@ and exec_jcc g proc mach ~transient ~pc ~idx cond =
   end;
   Machine.set_pc mach (if taken then target else idx + 1)
 
-(* Transient execution down the mispredicted path: runs on the process's
-   copy-on-write shadow, whose architectural effects are discarded, while
-   cache fills/evictions and HPC events go through the real shared
-   hierarchy.  The architectural machine is not written until the shadow
-   is done, and there is no nested speculation, so one shadow suffices. *)
-and run_transient g proc ~from =
-  let shadow = proc.shadow in
-  Machine.fork shadow;
-  Machine.set_pc shadow from;
-  (* Wrong-path work overlaps the pipeline flush on a real core; its latency
-     is covered by the mispredict penalty, so the architectural clock is
-     restored afterwards.  Cache effects persist. *)
-  let saved_now = proc.now in
-  let steps = ref 0 in
-  while (not (Machine.halted shadow)) && !steps < g.settings.spec_window do
-    if step g proc shadow ~transient:true then
-      g.wrong_path_steps <- g.wrong_path_steps + 1;
-    incr steps
-  done;
-  proc.in_transient <- false;
-  proc.now <- saved_now
+(* Instruction [idx]'s closure.  The step has already fetched it, charged
+   its cost and moved the pc past it. *)
+let compile g proc idx ins =
+  let module M = Machine in
+  match ins with
+  | I.Mov (O.Reg d, src) -> (
+    let d = reg d in
+    match operand src with
+    | Mem m -> fun mach _ -> M.set_slot mach d (data_load g proc mach idx (address mach m))
+    | Reg s -> fun mach _ -> M.set_slot mach d (M.slot mach s)
+    | Imm i -> fun mach _ -> M.set_slot mach d i)
+  | I.Mov (O.Mem m, O.Reg s) ->
+    let m = mem m and s = reg s in
+    fun mach _ -> data_store proc mach idx (address mach m) (M.slot mach s)
+  | I.Mov (dst, src) ->
+    let dst = operand dst and src = operand src in
+    fun mach _ -> write proc mach idx dst (eval g proc mach idx src)
+  | I.Lea (d, O.Mem m) ->
+    let d = reg d and m = mem m in
+    fun mach _ -> M.set_slot mach d (address mach m)
+  | I.Add (a, b) -> binop g proc idx Add a b
+  | I.Sub (a, b) -> binop g proc idx Sub a b
+  | I.Imul (a, b) -> binop g proc idx Imul a b
+  | I.Xor (a, b) -> binop g proc idx Xor a b
+  | I.And (a, b) -> binop g proc idx And a b
+  | I.Or (a, b) -> binop g proc idx Or a b
+  | I.Shl (a, n) -> binop g proc idx Shl a (O.Imm n)
+  | I.Shr (a, n) -> binop g proc idx Shr a (O.Imm n)
+  | I.Inc a | I.Dec a -> (
+    let by = match ins with I.Inc _ -> 1 | _ -> -1 in
+    match operand a with
+    | Reg d ->
+      fun mach _ ->
+        let r = M.slot mach d + by in
+        incdec_flags mach r;
+        M.set_slot mach d r
+    | a ->
+      fun mach _ ->
+        let r = eval g proc mach idx a + by in
+        incdec_flags mach r;
+        write proc mach idx a r)
+  | I.Cmp (a, b) -> (
+    match (operand a, operand b) with
+    | Reg a, Imm i -> fun mach _ -> compare_flags mach (M.slot mach a) i
+    | Reg a, Reg b -> fun mach _ -> compare_flags mach (M.slot mach a) (M.slot mach b)
+    | a, b ->
+      fun mach _ ->
+        let x = eval g proc mach idx a in
+        compare_flags mach x (eval g proc mach idx b))
+  | I.Test (a, b) ->
+    let a = operand a and b = operand b in
+    fun mach _ ->
+      let x = eval g proc mach idx a in
+      arith_flags mach (x land eval g proc mach idx b) ~cf:false
+  | I.Jmp l ->
+    let t = P.label_index proc.prog l in
+    fun mach transient ->
+      if not transient then note_btb proc idx;
+      M.set_pc mach t
+  | I.Jcc (c, l) ->
+    let t = P.label_index proc.prog l and pc = P.addr_of_index proc.prog idx in
+    fun mach transient -> exec_jcc g proc mach transient idx ~pc c t
+  | I.Call l ->
+    let t = P.label_index proc.prog l in
+    fun mach transient ->
+      if not transient then note_btb proc idx;
+      let sp = M.slot mach rsp - 8 in
+      M.set_slot mach rsp sp;
+      data_store proc mach idx sp (idx + 1);
+      M.set_pc mach t
+  | I.Ret ->
+    let length = P.length proc.prog in
+    fun mach _ ->
+      let sp = M.slot mach rsp in
+      let target = data_load g proc mach idx sp in
+      M.set_slot mach rsp (sp + 8);
+      if target < 0 || target >= length then M.set_halted mach true
+      else M.set_pc mach target
+  | I.Push a ->
+    let a = operand a in
+    fun mach _ ->
+      let v = eval g proc mach idx a in
+      let sp = M.slot mach rsp - 8 in
+      M.set_slot mach rsp sp;
+      data_store proc mach idx sp v
+  | I.Pop d ->
+    let d = reg d in
+    fun mach _ ->
+      let sp = M.slot mach rsp in
+      let v = data_load g proc mach idx sp in
+      M.set_slot mach rsp (sp + 8);
+      M.set_slot mach d v
+  | I.Clflush (O.Mem m) ->
+    let m = mem m in
+    fun mach _ ->
+      let addr = address mach m in
+      proc.now <- proc.now + H.flush proc.hier addr;
+      acc proc idx ~target:addr Hpc.Collector.Flush
+  | I.Prefetch (O.Mem m) ->
+    let m = mem m in
+    fun mach _ -> ignore (data_load g proc mach idx (address mach m))
+  | I.Lea _ | I.Clflush _ | I.Prefetch _ ->
+    invalid_arg ("Exec: " ^ I.mnemonic ins ^ " needs a memory operand")
+  | I.Mfence | I.Lfence | I.Cpuid ->
+    (* Serializing: a transient (mispredicted-path) execution cannot
+       proceed past a fence — the property real attacks use to keep
+       run-ahead loads out of their timing windows. *)
+    fun mach transient -> if transient then M.set_halted mach true
+  | I.Rdtsc | I.Rdtscp ->
+    fun mach _ ->
+      M.set_slot mach rax proc.now;
+      ev proc idx Hpc.Event.Timestamp
+  | I.Nop -> fun _ _ -> ()
+  | I.Halt -> fun mach _ -> M.set_halted mach true
+
+let spawn ?stack_top g ~owner ~collect ~spec hier prog =
+  let code = P.code prog in
+  let n = Array.length code in
+  let mach = Machine.create ?stack_top () in
+  let proc =
+    {
+      prog;
+      ops = Array.make n (fun _ _ -> ());
+      costs = Array.map Timing.cost code;
+      btb = Bytes.make n '\000';
+      handler = List.assoc_opt fault_handler_label (P.labels prog);
+      mach;
+      shadow = Machine.shadow mach;
+      owner;
+      pred = Predictor.create ();
+      collect;
+      spec;
+      hier;
+      now = 0;
+      in_transient = false;
+      retired = 0;
+    }
+  in
+  Array.iteri (fun i ins -> proc.ops.(i) <- compile g proc i ins) code;
+  proc
+
+(* Runs [proc] architecturally until it halts or has retired [limit] steps
+   in all.  A faulting step retires: its deferred-fault transient window
+   re-runs it and its dependents on the shadow (loads from the protected
+   range succeed there), leaving only cache footprints; then the fault is
+   delivered to the handler, or the process is killed. *)
+let rec slice g proc limit =
+  match
+    while (not (Machine.halted proc.mach)) && proc.retired < limit do
+      if step proc proc.mach ~transient:false then proc.retired <- proc.retired + 1
+    done
+  with
+  | () -> ()
+  | exception Fault idx ->
+    if proc.spec && g.settings.spec_window > 0 then run_transient g proc ~from:idx;
+    (match proc.handler with
+    | Some handler -> Machine.set_pc proc.mach handler
+    | None -> Machine.set_halted proc.mach true);
+    proc.retired <- proc.retired + 1;
+    slice g proc limit
+
+(* [proc.retired + n], saturating: the limit of a slice of [n] steps *)
+let upto proc n = if n > max_int - proc.retired then max_int else proc.retired + n
 
 (* One spare hierarchy and one spare collector per domain: a run takes
    the spare, renewed, or makes a fresh one when there is none (the
@@ -367,39 +465,29 @@ let run ?(settings = default_settings) ?hierarchy ?victim_hierarchy ?init
   (* the victim shares the attacker's full view (SMT) unless its own
      cross-core view is supplied *)
   let victim_hier = Option.value ~default:hier victim_hierarchy in
-  let g = { settings; wrong_path_steps = 0; victim_steps = 0 } in
+  let g = { settings; wrong_path_steps = 0 } in
   let base = P.base prog and length = P.length prog in
   let collector =
     take spare_collector ~renew:(Hpc.Collector.renew ~base ~length) ~fresh:(fun () ->
         Hpc.Collector.create ~base ~length)
   in
   let att =
-    spawn ~owner:Cache.Owner.Attacker ~collect:(Some collector) ~spec:true hier prog
+    spawn g ~owner:Cache.Owner.Attacker ~collect:(Some collector) ~spec:true hier prog
   in
   (match init with Some f -> f att.mach | None -> ());
   let vic =
     Option.map
       (fun (vprog, vinit) ->
         let v =
-          spawn ~stack_top:(0x7FFE_0000 + (43 * 64)) ~owner:Cache.Owner.Victim
+          spawn ~stack_top:(0x7FFE_0000 + (43 * 64)) g ~owner:Cache.Owner.Victim
             ~collect:None ~spec:false victim_hier vprog
         in
         vinit v.mach;
         v)
       victim
   in
-  let count = ref 0 in
-  while (not (Machine.halted att.mach)) && !count < settings.fuel do
-    let n = ref 0 in
-    while
-      (not (Machine.halted att.mach))
-      && !n < settings.quantum && !count < settings.fuel
-    do
-      if step g att att.mach ~transient:false then begin
-        incr n;
-        incr count
-      end
-    done;
+  while (not (Machine.halted att.mach)) && att.retired < settings.fuel do
+    slice g att (min settings.fuel (upto att settings.quantum));
     match vic with
     | None -> ()
     | Some v ->
@@ -409,18 +497,13 @@ let run ?(settings = default_settings) ?hierarchy ?victim_hierarchy ?init
         Machine.set_pc v.mach 0;
         Machine.set_halted v.mach false
       end;
-      let m = ref 0 in
-      while (not (Machine.halted v.mach)) && !m < settings.victim_quantum do
-        if step g v v.mach ~transient:false then
-          g.victim_steps <- g.victim_steps + 1;
-        incr m
-      done
+      slice g v (upto v settings.victim_quantum)
   done;
   if Option.is_none hierarchy then Domain.DLS.set spare_hierarchy (Some hier);
   {
-    instructions = !count;
+    instructions = att.retired;
     wrong_path_steps = g.wrong_path_steps;
-    victim_steps = g.victim_steps;
+    victim_steps = Option.fold ~none:0 ~some:(fun v -> v.retired) vic;
     cycles = att.now;
     halted_normally = Machine.halted att.mach;
     collector;

@@ -9,7 +9,13 @@
     While the main ("attacker") program runs, every HPC event of Table I is
     recorded against the address of the instruction causing it, and every
     data access and flush is recorded with its target address and cycle
-    timestamp — the simulation stands in for perf-intel-pt and Intel PT. *)
+    timestamp — the simulation stands in for perf-intel-pt and Intel PT.
+
+    A run compiles each program once: every instruction becomes one closure,
+    specialized by instruction and operand shape, so a step fetches, notes,
+    charges and calls without matching the instruction or its operands.
+    Each process keeps its branch-target buffer as one byte per
+    instruction. *)
 
 type settings = {
   spec_window : int;

@@ -1,6 +1,7 @@
 (** Branch prediction: a table of 2-bit saturating counters indexed by branch
-    address, plus a branch-target-buffer presence set (its cold misses feed
-    the "Branch Load Miss" HPC event).
+    address.  (The branch-target buffer, whose cold misses feed the "Branch
+    Load Miss" HPC event, is {!Exec}'s: one byte per instruction of each
+    process.)
 
     Spectre-style attacks rely on training these counters: repeated taken (or
     not-taken) outcomes steer the transient path at the mispredicted
@@ -16,8 +17,3 @@ val predict_taken : t -> pc:int -> bool
 
 val update : t -> pc:int -> taken:bool -> unit
 (** Train with the resolved outcome. *)
-
-val btb_seen : t -> pc:int -> bool
-(** Whether the branch at [pc] has a BTB entry. *)
-
-val btb_insert : t -> pc:int -> unit

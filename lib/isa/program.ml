@@ -10,6 +10,26 @@ type t = {
 
 let attack_tag = "attack"
 
+(* Execution gives every instruction a meaning: a destination is a
+   register or memory, and lea, clflush and prefetch name memory. *)
+let check_operands ins =
+  let refuse what =
+    invalid_arg (Printf.sprintf "Program.assemble: %s in %S" what (Instr.to_string ins))
+  in
+  match ins with
+  | Instr.Mov (Operand.Imm _, _) | Instr.Add (Operand.Imm _, _)
+  | Instr.Sub (Operand.Imm _, _) | Instr.Imul (Operand.Imm _, _)
+  | Instr.Xor (Operand.Imm _, _) | Instr.And (Operand.Imm _, _)
+  | Instr.Or (Operand.Imm _, _) | Instr.Shl (Operand.Imm _, _)
+  | Instr.Shr (Operand.Imm _, _) | Instr.Inc (Operand.Imm _)
+  | Instr.Dec (Operand.Imm _) ->
+    refuse "immediate destination"
+  | Instr.Lea (_, (Operand.Imm _ | Operand.Reg _))
+  | Instr.Clflush (Operand.Imm _ | Operand.Reg _)
+  | Instr.Prefetch (Operand.Imm _ | Operand.Reg _) ->
+    refuse "non-memory operand"
+  | _ -> ()
+
 let assemble ?(base = 0x400000) ?(tags = []) ~name stmts =
   let label_tbl = Hashtbl.create 16 in
   let rev_code = ref [] in
@@ -36,6 +56,7 @@ let assemble ?(base = 0x400000) ?(tags = []) ~name stmts =
     label_tbl;
   Array.iter
     (fun ins ->
+      check_operands ins;
       match Instr.branch_target ins with
       | Some l when not (Hashtbl.mem label_tbl l) ->
         invalid_arg (Printf.sprintf "Program.assemble: unbound label %S" l)

@@ -21,10 +21,14 @@ val attack_tag : string
 val assemble : ?base:int -> ?tags:(int * string list) list -> name:string ->
   stmt list -> t
 (** [assemble ~name stmts] resolves labels and checks that every branch
-    target is bound exactly once and that the program is non-empty.
-    [tags] maps instruction indices (post label-stripping) to tag lists;
-    builders provide it.  [base] defaults to [0x400000].
-    @raise Invalid_argument on duplicate/unbound labels or empty code. *)
+    target is bound exactly once, that the program is non-empty, and that
+    every operand has a shape execution gives a meaning to: no immediate
+    destination of [mov], [add], [sub], [imul], [xor], [and], [or], [shl],
+    [shr], [inc] or [dec], and a memory operand for [lea], [clflush] and
+    [prefetch].  [tags] maps instruction indices (post label-stripping) to
+    tag lists; builders provide it.  [base] defaults to [0x400000].
+    @raise Invalid_argument on duplicate/unbound labels, empty code or an
+    ill-typed operand. *)
 
 val name : t -> string
 val base : t -> int

@@ -10,9 +10,7 @@ type info = {
   relevant : int list;
 }
 
-let default_llc_set addr = Cache.Config.set_of_addr Cache.Config.llc addr
-
-let identify ?(llc_set_of_addr = default_llc_set) cfg collector =
+let identify cfg collector =
   let n = G.n_blocks cfg in
   let prog = G.program cfg in
   let hpc_of_block = Array.make n 0.0 in
@@ -20,20 +18,19 @@ let identify ?(llc_set_of_addr = default_llc_set) cfg collector =
   (* Step 1: map per-address HPC data onto blocks. *)
   List.iter
     (fun (b : BB.t) ->
-      List.iter
-        (fun idx ->
-          let pc = Isa.Program.addr_of_index prog idx in
-          hpc_of_block.(b.BB.id) <-
-            hpc_of_block.(b.BB.id)
-            +. float_of_int (Hpc.Collector.hpc_value_at collector ~pc);
-          match Hpc.Collector.first_time collector ~pc with
-          | Some t ->
-            first_time_of_block.(b.BB.id) <-
-              (match first_time_of_block.(b.BB.id) with
-              | Some t0 -> Some (min t0 t)
-              | None -> Some t)
-          | None -> ())
-        (BB.instr_indices b))
+      for idx = b.BB.first to b.BB.last do
+        let pc = Isa.Program.addr_of_index prog idx in
+        hpc_of_block.(b.BB.id) <-
+          hpc_of_block.(b.BB.id)
+          +. float_of_int (Hpc.Collector.hpc_value_at collector ~pc);
+        match Hpc.Collector.first_time collector ~pc with
+        | Some t ->
+          first_time_of_block.(b.BB.id) <-
+            (match first_time_of_block.(b.BB.id) with
+            | Some t0 -> Some (min t0 t)
+            | None -> Some t)
+        | None -> ()
+      done)
     (G.blocks cfg);
   let step1 =
     List.filter_map
@@ -42,39 +39,37 @@ let identify ?(llc_set_of_addr = default_llc_set) cfg collector =
       (G.blocks cfg)
   in
   (* Collect data accesses (the Intel-PT stand-in) per block, reading the
-     log newest first so consing leaves each list chronological. *)
+     log newest first so consing leaves each list chronological.  Every
+     logged pc is an instruction of the program. *)
+  let base = Isa.Program.base prog in
   let accesses_of_block = Array.make n [] in
   Hpc.Collector.fold_accesses_right collector ~init:()
     ~f:(fun ~pc ~target ~kind ~time:_ () ->
-      match G.block_of_addr cfg pc with
-      | Some b ->
-        accesses_of_block.(b.BB.id) <- (target, kind) :: accesses_of_block.(b.BB.id)
-      | None -> ());
+      let b = (G.block_of_index cfg ((pc - base) lsr 2)).BB.id in
+      accesses_of_block.(b) <- (target, kind) :: accesses_of_block.(b));
   (* Step 2: keep candidates touching a cache set that at least one other
-     candidate also touches. *)
-  let sets_of_block =
-    List.map
-      (fun b ->
-        ( b,
-          List.sort_uniq Int.compare
-            (List.map (fun (addr, _) -> llc_set_of_addr addr) accesses_of_block.(b)) ))
-      step1
-  in
-  let touch_count = Hashtbl.create 64 in
+     candidate also touches.  Per LLC set: the candidate that touched it
+     last, and how many distinct candidates did (candidates are visited one
+     after another, so a set's count rises once per candidate). *)
+  let llc = Cache.Config.llc in
+  let set addr = Cache.Config.set_of_addr llc addr in
+  let last = Array.make llc.Cache.Config.sets (-1) in
+  let touched = Array.make llc.Cache.Config.sets 0 in
   List.iter
-    (fun (_, sets) ->
+    (fun b ->
       List.iter
-        (fun s ->
-          Hashtbl.replace touch_count s
-            (1 + Option.value ~default:0 (Hashtbl.find_opt touch_count s)))
-        sets)
-    sets_of_block;
+        (fun (addr, _) ->
+          let s = set addr in
+          if last.(s) <> b then begin
+            last.(s) <- b;
+            touched.(s) <- touched.(s) + 1
+          end)
+        accesses_of_block.(b))
+    step1;
   let relevant =
-    List.filter_map
-      (fun (b, sets) ->
-        if List.exists (fun s -> Hashtbl.find touch_count s >= 2) sets then Some b
-        else None)
-      sets_of_block
+    List.filter
+      (fun b -> List.exists (fun (addr, _) -> touched.(set addr) >= 2) accesses_of_block.(b))
+      step1
   in
   { cfg; hpc_of_block; accesses_of_block; first_time_of_block; step1; relevant }
 

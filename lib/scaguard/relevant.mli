@@ -7,9 +7,11 @@
 
     Step 2 exploits the observation that a cache side-channel attack must
     touch some cache sets from at least two different blocks (e.g. the Flush
-    and Reload steps): it computes each candidate's accessed LLC sets,
-    finds sets accessed by two or more candidates, and eliminates candidates
-    that touch none of those multiply-accessed sets. *)
+    and Reload steps): it counts, per LLC set of {!Cache.Config.llc}, the
+    distinct candidates that access it, and eliminates candidates that touch
+    no set accessed by two or more.  Both steps are linear in the program
+    and the access log: one pass per step, with no sorting and no hash
+    table. *)
 
 type info = {
   cfg : Cfg.Graph.t;
@@ -25,10 +27,9 @@ type info = {
   relevant : int list; (** attack-relevant block ids after step 2, ascending *)
 }
 
-val identify :
-  ?llc_set_of_addr:(int -> int) -> Cfg.Graph.t -> Hpc.Collector.t -> info
-(** [identify cfg collector] runs both steps.  [llc_set_of_addr] defaults to
-    the set mapping of {!Cache.Config.llc}. *)
+val identify : Cfg.Graph.t -> Hpc.Collector.t -> info
+(** [identify cfg collector] runs both steps over a collector of [cfg]'s
+    program (every logged pc is one of its instructions). *)
 
 val ground_truth_blocks : Cfg.Graph.t -> int list
 (** Blocks whose instructions carry {!Isa.Program.attack_tag} — the

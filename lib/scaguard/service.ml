@@ -98,10 +98,7 @@ let rec fold_timings b = function
     fold_timings b rest
 
 let fold b r =
-  (* a load report's [built] counts the models it loaded: only a run that
-     built counts its models as builds *)
-  if List.exists (fun t -> t.stage = "build") r.timings then
-    b.builds <- b.builds + r.built;
+  b.builds <- b.builds + r.built;
   (match r.engine with
   | None -> ()
   | Some s ->
@@ -549,7 +546,7 @@ let load_repository ?(obs = Obs.off) ?config ~path () =
             Detector.attach_index prep
               (Vpindex.build spec (Detector.prepared_summaries prep))))
   in
-  Ok (repo, prep, report ~obs ~built:(List.length repo) [ timing ])
+  Ok (repo, prep, report ~obs [ timing ])
 
 (* Without [cache] the run opens the config's own (a fresh disk tier per
    call when [cache_dir] is set, else none — no key is computed). *)

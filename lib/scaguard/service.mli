@@ -65,10 +65,9 @@ val books : Model_cache.t option -> books
     exists only for a disk tier. *)
 
 val fold : books -> report -> unit
-(** Add a report: its engine counters and one batch when it classified,
-    its [built] when it ran a ["build"] stage (a load report's [built]
-    counts models loaded), its cache counts, one stage observation per
-    timing and its latency records. *)
+(** Add a report: its [built], its engine counters and one batch when it
+    classified, its cache counts, one stage observation per timing and its
+    latency records. *)
 
 val counts : books -> (string * int) list
 (** ["models_built"] and the nine engine counters, under the keys of the
@@ -157,9 +156,9 @@ val load_repository :
   (Detector.repository * Detector.prepared * report, Err.t) result
 (** Load a repository (either format, sniffed) together with its
     {!Detector.prepared} ({!Persist.load_repository_prepared_result}) and a
-    report carrying a ["load"] timing with [built] set to the repository
-    size.  With [config], the prepared repository honours the config's index
-    policy: an index embedded in the image is kept
+    report carrying a ["load"] timing; a load builds nothing, so its
+    [built] is 0.  With [config], the prepared repository honours the
+    config's index policy: an index embedded in the image is kept
     ([Index_auto]/[Index_vp]) or dropped ([Index_off]), and a missing one is
     built here — as for a v2 image, whose index section loads skip.
     Without [config] the file decides (an embedded index is used, none is

@@ -75,12 +75,6 @@ let test_predictor_training () =
   Cpu.Predictor.update p ~pc:0x40 ~taken:false;
   check_bool "flipped" false (Cpu.Predictor.predict_taken p ~pc:0x40)
 
-let test_predictor_btb () =
-  let p = Cpu.Predictor.create () in
-  check_bool "cold" false (Cpu.Predictor.btb_seen p ~pc:0x80);
-  Cpu.Predictor.btb_insert p ~pc:0x80;
-  check_bool "warm" true (Cpu.Predictor.btb_seen p ~pc:0x80)
-
 (* ---- Basic semantics --------------------------------------------------------- *)
 
 let test_exec_mov_alu () =
@@ -552,6 +546,37 @@ let test_events_recorded_per_pc () =
        (Option.get (Hpc.Collector.counters_at r.E.collector ~pc:(pc_of 1)))
        Hpc.Event.Timestamp)
 
+(* The BTB is cold once per branch: each retired branch's first
+   occurrence is its only Branch Load Miss. *)
+let test_btb_misses_once_per_branch () =
+  let p =
+    prog_l
+      [
+        P.Ins (I.Mov (O.reg R.RCX, O.imm 3));
+        P.Lbl "loop";
+        P.Ins (I.Dec (O.reg R.RCX));
+        P.Ins (I.Jcc (I.Ne, "loop"));
+        P.Ins (I.Call "f");
+        P.Ins (I.Jmp "done");
+        P.Lbl "f";
+        P.Ins I.Ret;
+        P.Lbl "done";
+        P.Ins I.Halt;
+      ]
+  in
+  let r = run p in
+  let misses i =
+    match Hpc.Collector.counters_at r.E.collector ~pc:(P.addr_of_index p i) with
+    | Some c -> Hpc.Counters.get c Hpc.Event.Branch_load_miss
+    | None -> 0
+  in
+  check_int "jne retired three times" 3
+    (Hpc.Collector.exec_count r.E.collector ~pc:(P.addr_of_index p 2));
+  check_int "jne misses once" 1 (misses 2);
+  check_int "call misses once" 1 (misses 3);
+  check_int "jmp misses once" 1 (misses 4);
+  check_int "no miss elsewhere" 0 (misses 0 + misses 1 + misses 5 + misses 6)
+
 let test_access_trace_recorded () =
   let p =
     prog
@@ -955,6 +980,84 @@ let prop_reference =
       let all = Lazy.force reference_sources in
       same_as_reference (List.nth all (i mod List.length all)) k)
 
+(* Well-typed random programs reach operand shapes the workloads never use
+   (sub [m],r; xor [m],$i; test r,[m]; push [m]; shl [m] ...).  Each has
+   every Instr.t constructor in reach; register, immediate and memory
+   operands (base, index, scale 1-8, displacements over a few lines that
+   conflict in both L1 and the LLC, in a plain region and in each protected
+   range); labels bound at every instruction, so branches go forward and
+   back; and sometimes a fault handler. *)
+let gen_program =
+  let open QCheck.Gen in
+  int_range 1 40 >>= fun n ->
+  let reg = oneofl R.all in
+  let imm = map O.imm (oneof [ int_range (-8) 64; oneofl [ 4096; 32768; 1 lsl 40 ] ]) in
+  let mem =
+    let region =
+      oneofl
+        W.Layout.[ 0x20000; kernel_base; shared_lib_base; benign_data_base ]
+    in
+    let disp =
+      map3 (fun r k off -> r + (k * 32768) + off) region (int_bound 17) (oneofl [ 0; 8; 64; 4088 ])
+    in
+    map4
+      (fun base index scale disp -> O.mem ?base ?index ~scale ~disp ())
+      (opt ~ratio:0.4 reg) (opt ~ratio:0.3 reg) (int_range 1 8) disp
+  in
+  let dst = frequency [ (3, map O.reg reg); (1, mem) ] in
+  let src = frequency [ (2, map O.reg reg); (2, imm); (1, mem) ] in
+  let label = map (Printf.sprintf "L%d") (int_bound (n - 1)) in
+  let cond = oneofl I.[ Eq; Ne; Lt; Le; Gt; Ge; Ult; Uge ] in
+  let binary f = map2 f dst src in
+  let instr =
+    frequency
+      [
+        (4, binary (fun a b -> I.Mov (a, b)));
+        (1, map2 (fun r m -> I.Lea (r, m)) reg mem);
+        (1, binary (fun a b -> I.Add (a, b)));
+        (1, binary (fun a b -> I.Sub (a, b)));
+        (1, binary (fun a b -> I.Imul (a, b)));
+        (1, binary (fun a b -> I.Xor (a, b)));
+        (1, binary (fun a b -> I.And (a, b)));
+        (1, binary (fun a b -> I.Or (a, b)));
+        (1, map2 (fun a k -> I.Shl (a, k)) dst (int_bound 63));
+        (1, map2 (fun a k -> I.Shr (a, k)) dst (int_bound 63));
+        (1, map (fun a -> I.Inc a) dst);
+        (1, map (fun a -> I.Dec a) dst);
+        (2, map2 (fun a b -> I.Cmp (a, b)) src src);
+        (1, map2 (fun a b -> I.Test (a, b)) src src);
+        (1, map (fun l -> I.Jmp l) label);
+        (3, map2 (fun c l -> I.Jcc (c, l)) cond label);
+        (1, map (fun l -> I.Call l) label);
+        (1, return I.Ret);
+        (1, map (fun a -> I.Push a) src);
+        (1, map (fun r -> I.Pop r) reg);
+        (1, map (fun a -> I.Clflush a) mem);
+        (1, map (fun a -> I.Prefetch a) mem);
+        (1, oneofl I.[ Mfence; Lfence; Cpuid; Rdtsc; Rdtscp; Nop; Halt ]);
+      ]
+  in
+  map2
+    (fun instrs handler ->
+      let stmts =
+        List.concat
+          (List.mapi
+             (fun i ins ->
+               (if handler = Some i then [ P.Lbl E.fault_handler_label ] else [])
+               @ [ P.Lbl (Printf.sprintf "L%d" i); P.Ins ins ])
+             instrs)
+      in
+      P.assemble ~name:"random" (stmts @ [ P.Ins I.Halt ]))
+    (list_repeat n instr)
+    (opt ~ratio:0.5 (int_bound (n - 1)))
+
+let prop_random_reference =
+  QCheck.Test.make ~name:"random programs match the reference" ~count:120
+    (QCheck.make
+       ~print:(fun (p, k) -> Format.asprintf "%a@.knobs %d" P.pp p k)
+       QCheck.Gen.(pair gen_program small_nat))
+    (fun (program, k) -> same_as_reference (plain "random" program) k)
+
 (* ---- Reused simulator state -------------------------------------------------- *)
 
 (* Everything same_as_reference compares of one run, as one value: the
@@ -1108,7 +1211,6 @@ let () =
       ( "predictor",
         [
           Alcotest.test_case "2-bit training" `Quick test_predictor_training;
-          Alcotest.test_case "btb" `Quick test_predictor_btb;
         ] );
       ( "semantics",
         [
@@ -1170,12 +1272,15 @@ let () =
         [
           Alcotest.test_case "events per pc" `Quick test_events_recorded_per_pc;
           Alcotest.test_case "access trace" `Quick test_access_trace_recorded;
+          Alcotest.test_case "btb misses once per branch" `Quick
+            test_btb_misses_once_per_branch;
         ] );
       ("int table", [ QCheck_alcotest.to_alcotest prop_int_table_model ]);
       ( "reference",
         [
           Alcotest.test_case "every source" `Quick test_reference_sweep;
           QCheck_alcotest.to_alcotest prop_reference;
+          QCheck_alcotest.to_alcotest prop_random_reference;
         ] );
       ( "reuse",
         [

@@ -274,6 +274,25 @@ let past_end_label_binary () =
   Bytes.set_int32_le b (String.length Isa.Binary.magic + 4 + 2 + String.length (P.name prog) + 2) 0xFFFFFFl;
   Bytes.to_string b
 
+(* A two-instruction program binary: [instr], the raw bytes of one
+   instruction, then hlt. *)
+let one_instr_binary instr =
+  let b = Buffer.create 32 in
+  Buffer.add_string b Isa.Binary.magic;
+  Buffer.add_int32_le b 0x400000l;
+  Buffer.add_uint16_le b 0;
+  Buffer.add_uint16_le b 0;
+  Buffer.add_int32_le b 2l;
+  List.iter (Buffer.add_uint8 b) instr;
+  Buffer.add_uint8 b 28;
+  Buffer.contents b
+
+(* Well-formed bytes, ill-typed instructions: execution has no meaning for
+   them, so they are malformed input. *)
+let mov_to_immediate = one_instr_binary [ 0; 0; 0; 1; 0; 0; 0; 0; 0; 0; 0; 1; 0 ]
+let lea_of_immediate = one_instr_binary [ 1; 0; 0; 0; 5; 0; 0; 0; 0; 0; 0; 0 ]
+let clflush_register = one_instr_binary [ 20; 1; 0 ]
+
 let test_binary_rejects_garbage () =
   let bad s = try ignore (Isa.Binary.decode s); false with Failure _ -> true in
   check_bool "bad magic" true (bad "NOTSCAB");
@@ -283,10 +302,14 @@ let test_binary_rejects_garbage () =
     (bad (String.sub good 0 (String.length good - 3)));
   check_int "huge count file" 18 (String.length huge_count_binary);
   check_bool "count beyond the bytes" true (bad huge_count_binary);
-  check_bool "label past the code" true (bad (past_end_label_binary ()))
+  check_bool "label past the code" true (bad (past_end_label_binary ()));
+  check_bool "mov $1, %rax" true (bad mov_to_immediate);
+  check_bool "lea %rax, $5" true (bad lea_of_immediate);
+  check_bool "clflush %rax" true (bad clflush_register)
 
 (* Any 1-3 byte mutation of an encoded PoC either decodes or raises
-   [Failure]: no other exception, no allocation the input cannot pay for. *)
+   [Failure]: no other exception, no allocation the input cannot pay for.
+   A mutant that decodes also runs, briefly, without raising. *)
 let prop_binary_mutants_fail_cleanly =
   let encoded =
     Array.of_list
@@ -310,7 +333,9 @@ let prop_binary_mutants_fail_cleanly =
     (QCheck.make ~print:(fun m -> String.escaped (mutant m)) gen)
     (fun m ->
       match Isa.Binary.decode (mutant m) with
-      | _ -> true
+      | p ->
+        ignore (Cpu.Exec.run ~settings:{ Cpu.Exec.default_settings with fuel = 1000 } p);
+        true
       | exception Failure _ -> true)
 
 let prop_binary_roundtrip =

@@ -72,6 +72,30 @@ let test_accuracy_helper () =
   check_float "half" 0.5 (SG.Relevant.accuracy ~identified:[ 1 ] ~truth:[ 1; 2 ]);
   check_float "empty truth" 1.0 (SG.Relevant.accuracy ~identified:[] ~truth:[])
 
+(* test/refrelevant keeps identify as it stood before the linear relevance
+   pass.  On mutated attacks and benign programs of random seeds, every
+   field agrees, the HPC sums bit for bit. *)
+let prop_relevant_reference =
+  QCheck.Test.make ~name:"identify matches the reference" ~count:40
+    QCheck.(pair (int_bound 1_000_000) bool)
+    (fun (seed, attack) ->
+      let rng = Sutil.Rng.create seed in
+      let sample =
+        List.hd
+          (if attack then D.mutated_attacks ~rng ~count:1 (Sutil.Rng.choose rng L.attack_labels)
+           else D.benign_samples ~rng ~count:1)
+      in
+      let collector = (D.run sample).Cpu.Exec.collector in
+      let cfg = Cfg.Graph.of_program sample.D.program in
+      let a = SG.Relevant.identify cfg collector in
+      let r = Refrelevant.Relevant.identify cfg collector in
+      let bits = Array.map Int64.bits_of_float in
+      bits a.SG.Relevant.hpc_of_block = bits r.SG.Relevant.hpc_of_block
+      && a.SG.Relevant.accesses_of_block = r.SG.Relevant.accesses_of_block
+      && a.SG.Relevant.first_time_of_block = r.SG.Relevant.first_time_of_block
+      && a.SG.Relevant.step1 = r.SG.Relevant.step1
+      && a.SG.Relevant.relevant = r.SG.Relevant.relevant)
+
 (* ---- Attack_graph ------------------------------------------------------------ *)
 
 let test_attack_graph_covers_relevant () =
@@ -1990,6 +2014,7 @@ let () =
           Alcotest.test_case "hpc values" `Quick test_identification_hpc_values;
           Alcotest.test_case "first times" `Quick test_identification_first_times;
           Alcotest.test_case "accuracy helper" `Quick test_accuracy_helper;
+          QCheck_alcotest.to_alcotest prop_relevant_reference;
         ] );
       ( "attack_graph",
         [

@@ -421,8 +421,7 @@ let test_save_load_formats () =
           let loaded, prep, load_report =
             ok_exn (SG.Service.load_repository ~path ())
           in
-          check_int "load report counts the models" (List.length repo)
-            load_report.SG.Service.built;
+          check_int "load report builds nothing" 0 load_report.SG.Service.built;
           check_string "loaded repository byte-identical"
             (SG.Persist.repository_to_string repo)
             (SG.Persist.repository_to_string loaded);
